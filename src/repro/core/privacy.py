@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from ..nn import Sequential, Tensor, no_grad
 
@@ -126,6 +125,9 @@ def ssim(reference: np.ndarray, reconstruction: np.ndarray, data_range: float = 
     ``K1=0.01, K2=0.03`` constants, averaged over pixels and samples.
     Accepts ``(H, W)`` single images or ``(N, H, W)`` batches.
     """
+    # Deferred to first use: scipy.ndimage is ~0.3 s of import time.
+    from scipy import ndimage
+
     reference = np.asarray(reference, dtype=np.float64)
     reconstruction = np.asarray(reconstruction, dtype=np.float64)
     if reference.shape != reconstruction.shape:

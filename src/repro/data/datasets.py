@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "Dataset",
@@ -183,6 +182,9 @@ class SyntheticImageDataset(ArrayDataset):
     # ------------------------------------------------------------------ #
     def _make_prototypes(self, rng: np.random.Generator, num_classes: int) -> np.ndarray:
         """Create one smooth prototype image per class, normalized to [0, 1]."""
+        # Deferred to first use: scipy.ndimage is ~0.3 s of import time.
+        from scipy import ndimage
+
         shape = (num_classes, self.channels, self.image_size, self.image_size)
         raw = rng.standard_normal(shape)
         smoothed = ndimage.gaussian_filter(
@@ -214,6 +216,8 @@ class SyntheticImageDataset(ArrayDataset):
             shift_x = int(rng.integers(-self.jitter, self.jitter + 1))
             sample = np.roll(sample, (shift_y, shift_x), axis=(1, 2))
         if self.deformation_noise > 0:
+            from scipy import ndimage
+
             deformation = ndimage.gaussian_filter(
                 rng.standard_normal(sample.shape), sigma=(0, 2.0, 2.0)
             )

@@ -42,7 +42,8 @@ from ..api.jobspec import JobSpec
 from ..api.runtime import build_trainer, build_workload, resume_trainer
 from ..core.history import EpochRecord, TrainingHistory
 from ..core.trainer import SpatioTemporalTrainer
-from ..state.store import FileCheckpointStore, save_state_dict
+from ..nn.serialization import save_state_dict
+from ..state.store import FileCheckpointStore
 from .jobs import read_json, write_json_atomic
 
 __all__ = ["main", "repair_metrics", "repair_epoch_ledger",
@@ -81,7 +82,7 @@ def repair_metrics(path: Path, restored_clock: float) -> None:
 
 def flatten_state_dict(state: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
     """``{component: {param: array}}`` → ``{"component::param": array}``
-    (the flat shape :func:`repro.state.store.save_state_dict` persists)."""
+    (the flat shape :func:`repro.nn.serialization.save_state_dict` persists)."""
     flat: Dict[str, Any] = {}
     for component, params in state.items():
         for name, value in params.items():

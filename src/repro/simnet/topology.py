@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from .latency import ConstantLatency, DistanceLatency, GaussianLatency, LatencyModel
 from .link import Link
 
@@ -49,6 +47,10 @@ class GeoTopology:
     SERVER = "server"
 
     def __init__(self) -> None:
+        # Deferred: a process that builds no topology (the run-server)
+        # should not pay the ~0.1 s networkx import.
+        import networkx as nx
+
         self.graph = nx.Graph()
 
     # ------------------------------------------------------------------ #

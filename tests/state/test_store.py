@@ -8,14 +8,28 @@ checksum-verified, fully parsed record (the previous one if the newest
 write never completed).
 """
 
+import builtins
+import io
 import json
+import os
+import shutil
+import zipfile
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.state import FileCheckpointStore, MemoryCheckpointStore
+from repro.core.trainer import SpatioTemporalTrainer
+from repro.nn.serialization import dump_state_dict
+from repro.server.worker import flatten_state_dict
+from repro.state import FileCheckpointStore, MemoryCheckpointStore, ShardCheckpoint
+from repro.state.store import load_state_dict  # the benchmark imports it from here
+
+#: A checkpoint directory written by the commit before the single-pass write
+#: path (PR 13, 31edc10): deflated npz members, ``indent=2`` manifest.  See
+#: ``fixtures/legacy_pr13/README.md`` for how it was produced.
+LEGACY_FIXTURE = Path(__file__).parent / "fixtures" / "legacy_pr13"
 
 
 def record(value: float):
@@ -203,15 +217,13 @@ class DyingStore(FileCheckpointStore):
         version = int(intact._manifest["next_version"])
         file_name = f"ckpt_{version:06d}_{kind}_{scope}.npz"
         temp_path = self.directory / (file_name + ".tmp")
-        from repro.nn.serialization import save_state_dict
-        save_state_dict(arrays, temp_path)
-        full = temp_path.read_bytes()
+        full = dump_state_dict(arrays)  # built in memory, written once
         if self.die_after is not None:
             cut = min(self.die_after, len(full))
             temp_path.write_bytes(full[:cut])  # truncated temp dropping
             raise KilledMidWrite("died while writing the payload temp file")
         # Payload fully written and renamed; die before the manifest update.
-        import os
+        temp_path.write_bytes(full)
         os.replace(temp_path, self.directory / file_name)
         raise KilledMidWrite("died before updating the manifest")
 
@@ -269,3 +281,155 @@ def test_checksums_recorded_in_manifest(tmp_path):
     entry = manifest["records"][-1]
     payload = (tmp_path / entry["file"]).read_bytes()
     assert entry["checksum"] == (zlib.crc32(payload) & 0xFFFFFFFF)
+
+
+# --------------------------------------------------------------------------- #
+# Retention: the manifest commits before any payload is unlinked
+# --------------------------------------------------------------------------- #
+def shard_checkpoint(value: float) -> ShardCheckpoint:
+    """The smallest snapshot ``save_shard``/``latest_shard`` round-trip."""
+    return ShardCheckpoint(
+        shard_id=0, sim_time=value, round_index=0, generation=0,
+        weights={"w": np.full((4, 3), value)},
+        optimizer_state={"lr": 0.1, "step_count": int(value), "slots": {}},
+        samples_since_sync=0, steps_since_sync=0, syncs_applied=0,
+        batches_processed=0, samples_processed=0)
+
+
+class DiesAtManifest(FileCheckpointStore):
+    """Dies at the manifest commit of a pruning write: right before it
+    (``committed=False``) or right after it, before the doomed payloads
+    are unlinked (``committed=True``)."""
+
+    def __init__(self, directory, keep, committed):
+        super().__init__(directory, keep=keep)
+        self.committed = committed
+
+    def _write_manifest(self):
+        if self.committed:
+            super()._write_manifest()
+        raise KilledMidWrite("died at the manifest commit")
+
+
+@pytest.mark.parametrize("keep", [1, 2])
+@pytest.mark.parametrize("committed", [False, True])
+def test_killed_between_manifest_commit_and_prune(tmp_path, keep, committed):
+    store = FileCheckpointStore(tmp_path, keep=keep)
+    for value in range(1, keep + 1):
+        store.save_shard(shard_checkpoint(float(value)))
+    with pytest.raises(KilledMidWrite):  # this write prunes the oldest record
+        DiesAtManifest(tmp_path, keep, committed).save_shard(
+            shard_checkpoint(float(keep + 1)))
+    survivor = FileCheckpointStore(tmp_path, keep=keep)
+    loaded = survivor.latest_shard(0)
+    assert loaded is not None
+    assert loaded.sim_time == float(keep + 1 if committed else keep)
+    np.testing.assert_array_equal(loaded.weights["w"], np.full((4, 3), loaded.sim_time))
+    # Every record the on-disk manifest references still has its payload.
+    assert all((tmp_path / row["file"]).exists() for row in survivor.versions())
+
+
+# --------------------------------------------------------------------------- #
+# Single-pass write / single-read restore
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def opened(tmp_path, monkeypatch):
+    """``(file name, mode)`` of every ``open`` under ``tmp_path``."""
+    calls = []
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).parent == tmp_path:
+            calls.append((Path(file).name, mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)        # pathlib, zipfile
+    monkeypatch.setattr(builtins, "open", counting_open)  # np.load / np.savez
+    return calls
+
+
+def test_records_are_stored_not_deflated(tmp_path):
+    store = FileCheckpointStore(tmp_path)
+    write(store, 1.0)
+    with zipfile.ZipFile(newest_file(store)) as archive:
+        members = archive.infolist()
+    assert len(members) == 3  # two arrays + the key manifest
+    assert all(member.compress_type == zipfile.ZIP_STORED for member in members)
+
+
+def test_save_writes_payload_once_and_never_reads_it_back(tmp_path, opened):
+    store = FileCheckpointStore(tmp_path)
+    write(store, 1.0)
+    del opened[:]
+    write(store, 2.0)
+    payload_name = newest_file(store).name
+    assert opened == [(payload_name + ".tmp", "wb"), ("manifest.json.tmp", "w")]
+
+
+def test_restore_reads_each_candidate_exactly_once(tmp_path, opened):
+    store = FileCheckpointStore(tmp_path)
+    write(store, 1.0)
+    write(store, 2.0)
+    older, newest = (tmp_path / row["file"] for row in store.versions())
+    newest.write_bytes(newest.read_bytes()[:-7])  # torn tail: CRC mismatch
+    reopened = FileCheckpointStore(tmp_path)
+    del opened[:]
+    assert_loads(reopened, 1.0)
+    assert opened == [(newest.name, "rb"), (older.name, "rb")]
+
+
+def test_manifest_is_one_compact_format_1_document(tmp_path):
+    """The schema other readers rely on (``benchmarks/e2e/workloads.py``
+    lists ``records[].file``) is unchanged by the compact encoding."""
+    store = FileCheckpointStore(tmp_path)
+    write(store, 1.0)
+    write(store, 2.0, kind="run", scope="run")
+    text = (tmp_path / FileCheckpointStore.MANIFEST_NAME).read_text()
+    assert "\n" not in text and ", " not in text and '": ' not in text
+    manifest = json.loads(text)
+    assert list(manifest) == ["format", "next_version", "records"]
+    assert manifest["format"] == 1 and manifest["next_version"] == 3
+    for entry in manifest["records"]:
+        assert list(entry) == ["version", "kind", "scope", "sim_time", "file",
+                               "checksum", "meta"]
+        assert (tmp_path / entry["file"]).is_file()
+        assert_loads(store, entry["sim_time"], entry["kind"], entry["scope"])
+
+
+# --------------------------------------------------------------------------- #
+# Checkpoints written before the single-pass path still restore
+# --------------------------------------------------------------------------- #
+def test_parent_commit_checkpoints_still_restore(tiny_split_spec, tiny_parts4,
+                                                 normalize, tmp_path):
+    legacy = Path(shutil.copytree(LEGACY_FIXTURE, tmp_path / "legacy"))
+    # The fixture really is the old format: indented manifest, deflated members.
+    manifest_text = (legacy / "checkpoints" / "manifest.json").read_text()
+    assert manifest_text.startswith('{\n  "format": 1,')
+    payloads = sorted(legacy.rglob("*.npz"))
+    assert len(payloads) == 4
+    for path in payloads:
+        with zipfile.ZipFile(path) as archive:
+            assert {member.compress_type for member in archive.infolist()} == \
+                {zipfile.ZIP_DEFLATED}
+
+    store = FileCheckpointStore(legacy / "checkpoints")
+    rows = {row["scope"]: row for row in store.versions()}
+    for shard_id in (0, 1):
+        shard = store.latest_shard(shard_id)
+        assert shard is not None and shard.shard_id == shard_id
+        assert shard.sim_time == rows[f"shard-{shard_id}"]["sim_time"]
+    assert store.latest_run() is not None
+
+    # The trainer rebuilt from the old store carries exactly the weights the
+    # old code saved next to it (written by its ``save_state_dict``).
+    resumed = SpatioTemporalTrainer.resume_from_store(
+        store, tiny_split_spec, tiny_parts4, train_transform=normalize)
+    expected = load_state_dict(legacy / "final_state.npz")
+    state = flatten_state_dict(resumed.state_dict())
+    assert state.keys() == expected.keys()
+    for key, value in state.items():
+        np.testing.assert_array_equal(value, expected[key])
+
+    # ... and a new-format write lands beside the old records.
+    store.save_shard(store.latest_shard(0))
+    assert len(FileCheckpointStore(legacy / "checkpoints").versions()) == 4
