@@ -31,7 +31,7 @@ from .base import RuleContext, iter_function_defs, referenced_identifiers
 
 __all__ = ["GenerationGuardRule"]
 
-_SCOPED = ("core/engine.py", "cluster/failover.py", "cluster/shard.py")
+_SCOPED = ("core/engine.py", "cluster/shard.py")
 
 _GUARD_TOKENS = ("generation", "healthy", "health")
 
@@ -78,7 +78,7 @@ class GenerationGuardRule:
             if _guarded(names):
                 continue
             # One-level call-through: a `lambda s, rt=runtime:
-            # self._on_transition(s, rt)` forwarder is fine when the
+            # self._failover_clients(s, rt)` forwarder is fine when the
             # handler it names does the checking.
             if _guarded(self._callee_identifiers(callback, defs)):
                 continue

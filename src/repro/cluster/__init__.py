@@ -27,12 +27,8 @@ from .assigner import (
 from .coordinator import ClusterCoordinator
 from .failover import (
     FailoverPolicy,
-    FailureModel,
     RebalanceFailover,
-    ScheduledFailures,
-    ShardTransition,
     StandbyFailover,
-    StochasticFailures,
     available_failover_policies,
     get_failover_policy,
 )
@@ -47,10 +43,6 @@ __all__ = [
     "get_assigner",
     "ClusterCoordinator",
     "ServerShard",
-    "FailureModel",
-    "ScheduledFailures",
-    "StochasticFailures",
-    "ShardTransition",
     "FailoverPolicy",
     "RebalanceFailover",
     "StandbyFailover",

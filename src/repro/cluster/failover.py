@@ -1,254 +1,38 @@
-"""Failure injection and shard failover for the sharded cluster.
+"""Shard failover policies for the sharded cluster.
 
 The PR 4 cluster assumed every :class:`~repro.cluster.shard.ServerShard`
-lives forever; one crashed hub would strand its whole client band.  This
-module supplies the two missing pieces of a dependable deployment:
+lives forever; one crashed hub would strand its whole client band.  Shard
+crashes and recoveries are events of the run's fault timeline
+(:mod:`repro.chaos.plan`, fed by ``TrainingConfig.failure_schedule`` or
+``failure_mtbf_s``/``failure_mttr_s``); this module supplies the decision
+that follows one: a :class:`FailoverPolicy` says what happens to a dead
+shard's clients.  :class:`RebalanceFailover` reassigns them across the
+healthy survivors (reusing the pluggable
+:class:`~repro.cluster.assigner.ShardAssigner` strategies for the
+rebalancing decision, and failing them back on recovery), while
+:class:`StandbyFailover` parks them until their home shard returns.
 
-* a :class:`FailureModel` that produces per-shard **crash / recovery
-  transitions** in absolute simulated time — either scripted
-  (:class:`ScheduledFailures`, the reproducible regime the failover tests
-  pin) or stochastic (:class:`StochasticFailures`, exponential MTBF/MTTR
-  churn with a per-shard seeded stream, the regime the
-  ``server_failover`` experiment sweeps);
-* a :class:`FailoverPolicy` that decides what happens to a dead shard's
-  clients: :class:`RebalanceFailover` reassigns them across the healthy
-  survivors (reusing the pluggable
-  :class:`~repro.cluster.assigner.ShardAssigner` strategies for the
-  rebalancing decision, and failing them back on recovery), while
-  :class:`StandbyFailover` parks them until their home shard returns.
-
-The :class:`~repro.core.engine.TrainingEngine` owns the *mechanics*:
-transitions are injected as simulator events, a crash sheds the shard's
-queue/arena contents through ``EndSystem.notify_drop`` (so the leak-free
-accounting invariants survive), the topology marks the hub's links down
-and reroutes reassigned uplinks, and a recovering shard reinstalls the
-coordinator's last synchronization snapshot before catching up through
-the regular sync path.
+The :class:`~repro.core.engine.TrainingEngine` owns the *mechanics*: a
+crash sheds the shard's queue/arena contents through
+``EndSystem.notify_drop`` (so the leak-free accounting invariants
+survive), the topology marks the hub's links down and reroutes reassigned
+uplinks, and a recovering shard reinstalls the freshest durable state
+before catching up through the regular sync path.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Union
 
 from .assigner import ShardAssigner, get_assigner
 
 __all__ = [
-    "ShardTransition",
-    "FailureModel",
-    "ScheduledFailures",
-    "StochasticFailures",
     "FailoverPolicy",
     "RebalanceFailover",
     "StandbyFailover",
     "available_failover_policies",
     "get_failover_policy",
 ]
-
-
-@dataclass(frozen=True)
-class ShardTransition:
-    """One health transition of one shard, in absolute simulated time."""
-
-    time: float
-    shard_id: int
-    kind: str  # "crash" or "recover"
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"transition time must be non-negative, got {self.time}")
-        if self.kind not in {"crash", "recover"}:
-            raise ValueError(f"kind must be 'crash' or 'recover', got {self.kind!r}")
-
-
-class FailureModel:
-    """Produces each shard's deterministic crash/recovery timeline.
-
-    The engine consumes the timeline with a peek/advance protocol:
-    :meth:`peek` returns the shard's next pending transition (``None``
-    when its timeline is exhausted) and :meth:`advance` consumes it once
-    it has actually been applied.  A transition that fires after the
-    training run has completed is *not* consumed, so the next epoch (a
-    fresh simulator sharing the same absolute clock) re-schedules it —
-    timelines span epochs, not simulator instances.
-    """
-
-    name = "base"
-
-    def peek(self, shard_id: int) -> Optional[ShardTransition]:
-        raise NotImplementedError
-
-    def advance(self, shard_id: int) -> None:
-        raise NotImplementedError
-
-    # A run checkpoint (repro.state) captures the failure model's live
-    # position so a coordinator restart replays the *same* timeline from
-    # where the crashed run left off — identical draws, identical churn.
-    def state_dict(self) -> Dict[str, object]:
-        """JSON-able snapshot of the model's consumed-timeline position."""
-        raise NotImplementedError
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot."""
-        raise NotImplementedError
-
-
-class ScheduledFailures(FailureModel):
-    """Scripted crashes: ``[(time_s, shard_id[, downtime_s]), ...]``.
-
-    Each entry crashes ``shard_id`` at ``time_s``; with a ``downtime_s``
-    the shard recovers that many simulated seconds later, without one it
-    stays down for the rest of the run.  Scripted timelines contain no
-    randomness, so a schedule whose first crash lies beyond the training
-    horizon is *provably inert* — the failover tests pin that.
-    """
-
-    name = "scheduled"
-
-    def __init__(self, crashes: Sequence[Union[Sequence[float], "ShardTransition"]]) -> None:
-        timelines: Dict[int, List[ShardTransition]] = {}
-        for entry in crashes:
-            if isinstance(entry, ShardTransition):
-                timelines.setdefault(entry.shard_id, []).append(entry)
-                continue
-            if len(entry) not in {2, 3}:
-                raise ValueError(
-                    "each scheduled failure must be (time_s, shard_id) or "
-                    f"(time_s, shard_id, downtime_s), got {entry!r}"
-                )
-            time_s, shard_id = float(entry[0]), int(entry[1])
-            timeline = timelines.setdefault(shard_id, [])
-            timeline.append(ShardTransition(time_s, shard_id, "crash"))
-            if len(entry) == 3 and entry[2] is not None:
-                downtime_s = float(entry[2])
-                if downtime_s <= 0:
-                    raise ValueError(f"downtime_s must be positive, got {downtime_s}")
-                timeline.append(ShardTransition(time_s + downtime_s, shard_id, "recover"))
-        self._timelines: Dict[int, Deque[ShardTransition]] = {}
-        for shard_id, timeline in timelines.items():
-            # At equal timestamps a recovery sorts before a crash, so a
-            # back-to-back schedule (outage ending exactly when the next
-            # begins) validates the same regardless of entry order.
-            ordered = sorted(timeline,
-                             key=lambda t: (t.time, t.kind != "recover"))
-            # A shard's timeline must alternate crash/recover: overlapping
-            # outages (a crash scripted while the shard is already down)
-            # would silently end the longer outage at the *shorter*
-            # entry's recovery, so reject them outright.
-            expected = "crash"
-            for transition in ordered:
-                if transition.kind != expected:
-                    raise ValueError(
-                        f"shard {shard_id} has overlapping scripted outages: "
-                        f"unexpected {transition.kind!r} at t={transition.time} "
-                        "(each crash must end before the next one starts, and "
-                        "an open-ended crash must be the shard's last entry)"
-                    )
-                expected = "recover" if expected == "crash" else "crash"
-            self._timelines[shard_id] = deque(ordered)
-
-    def peek(self, shard_id: int) -> Optional[ShardTransition]:
-        timeline = self._timelines.get(shard_id)
-        return timeline[0] if timeline else None
-
-    def advance(self, shard_id: int) -> None:
-        timeline = self._timelines.get(shard_id)
-        if not timeline:
-            raise LookupError(f"shard {shard_id} has no pending transition")
-        timeline.popleft()
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "timelines": {
-                str(shard_id): [[t.time, t.kind] for t in timeline]
-                for shard_id, timeline in self._timelines.items()
-            },
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self._timelines = {
-            int(shard_id): deque(
-                ShardTransition(float(time_s), int(shard_id), str(kind))
-                for time_s, kind in timeline
-            )
-            for shard_id, timeline in state["timelines"].items()
-        }
-
-
-class StochasticFailures(FailureModel):
-    """Exponential MTBF/MTTR churn with one seeded stream per shard.
-
-    Every shard alternates up/down phases whose lengths are exponential
-    draws (mean ``mtbf_s`` while up, ``mttr_s`` while down).  The draws
-    come from a per-shard generator derived from the seed, so a run's
-    failure timeline is reproducible and independent of how many times
-    the engine peeks at it.
-    """
-
-    name = "stochastic"
-
-    def __init__(self, mtbf_s: float, mttr_s: float = 1.0, seed: int = 0) -> None:
-        if mtbf_s <= 0:
-            raise ValueError(f"mtbf_s must be positive, got {mtbf_s}")
-        if mttr_s <= 0:
-            raise ValueError(f"mttr_s must be positive, got {mttr_s}")
-        self.mtbf_s = float(mtbf_s)
-        self.mttr_s = float(mttr_s)
-        self.seed = int(seed)
-        self._rngs: Dict[int, np.random.Generator] = {}
-        self._next: Dict[int, ShardTransition] = {}
-
-    def _rng(self, shard_id: int) -> np.random.Generator:
-        rng = self._rngs.get(shard_id)
-        if rng is None:
-            rng = np.random.default_rng(self.seed + 7919 * (shard_id + 1))
-            self._rngs[shard_id] = rng
-        return rng
-
-    def peek(self, shard_id: int) -> Optional[ShardTransition]:
-        transition = self._next.get(shard_id)
-        if transition is None:
-            first = self._rng(shard_id).exponential(self.mtbf_s)
-            transition = ShardTransition(first, shard_id, "crash")
-            self._next[shard_id] = transition
-        return transition
-
-    def advance(self, shard_id: int) -> None:
-        current = self.peek(shard_id)
-        assert current is not None
-        if current.kind == "crash":
-            delay = self._rng(shard_id).exponential(self.mttr_s)
-            kind = "recover"
-        else:
-            delay = self._rng(shard_id).exponential(self.mtbf_s)
-            kind = "crash"
-        self._next[shard_id] = ShardTransition(current.time + delay, shard_id, kind)
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "rngs": {str(shard_id): rng.bit_generator.state
-                     for shard_id, rng in self._rngs.items()},
-            "next": {str(shard_id): [t.time, t.kind]
-                     for shard_id, t in self._next.items()},
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self._rngs = {}
-        for shard_id, rng_state in state["rngs"].items():
-            # The seed is irrelevant here: the restored bit-generator
-            # state on the next line is the checkpointed stream position.
-            rng = np.random.default_rng()  # repro-lint: ignore[RL002] -- state restored below
-            rng.bit_generator.state = rng_state
-            self._rngs[int(shard_id)] = rng
-        self._next = {
-            int(shard_id): ShardTransition(float(time_s), int(shard_id), str(kind))
-            for shard_id, (time_s, kind) in state["next"].items()
-        }
 
 
 class FailoverPolicy:

@@ -99,9 +99,10 @@ class TrainingConfig:
     failure_schedule:
         Scripted shard crashes: a list of ``(time_s, shard_id)`` or
         ``(time_s, shard_id, downtime_s)`` entries (simulated seconds;
-        without a downtime the shard stays down).  Mutually exclusive
-        with ``failure_mtbf_s``.  ``None`` (the default) injects no
-        failures and runs the exact pre-failover event chains.
+        without a downtime the shard stays down), expanded into the
+        run's fault plan (:class:`repro.chaos.ScheduledFaults`).  Mutually
+        exclusive with ``failure_mtbf_s``.  ``None`` (the default) injects
+        no failures and runs the exact pre-failover event chains.
     failure_mtbf_s:
         Stochastic churn: mean time between failures of each shard
         (exponential draws from a per-shard stream seeded off ``seed``).
@@ -174,7 +175,7 @@ class TrainingConfig:
         the next rendezvous.  ``sync_timeout_s=None`` (the default) is
         the exact PR 7 all-or-nothing barrier.
     chaos_schedule:
-        Scripted fault-injection timeline for the chaos plane
+        Scripted client/network faults on the same fault plan
         (:class:`repro.chaos.ScheduledFaults`).  Entries are tuples:
         ``("flap", t, duration, client_id)`` /
         ``("leave", t, duration, client_id)`` (client link outage /
@@ -415,36 +416,16 @@ class TrainingConfig:
             raise ValueError("obs_flush_every_s must be positive (or None)")
         if self.obs_dir is not None and not self.obs_enabled:
             raise ValueError("obs_dir requires obs_enabled=True")
-        if self.chaos_schedule:
-            # Malformed entries would otherwise surface as IndexErrors
-            # deep inside ScheduledFaults during trainer construction.
-            known_kinds = {"flap", "leave", "partition", "straggler", "move"}
-            for entry in self.chaos_schedule:
-                if len(entry) < 1 or str(entry[0]) not in known_kinds:
-                    kinds = ", ".join(sorted(known_kinds))
-                    raise ValueError(
-                        f"chaos_schedule entries must start with one of "
-                        f"{kinds}; got {entry!r}"
-                    )
-                if len(entry) < 2 or float(entry[1]) < 0:  # type: ignore[arg-type]
-                    raise ValueError(
-                        f"chaos_schedule entry {entry!r} needs a "
-                        "non-negative start time as its second element"
-                    )
-        if self.failure_schedule:
-            # An out-of-range shard id would silently never fire (the
-            # engine only peeks the timelines of existing shards), so the
-            # scripted churn would quietly run failure-free.
-            for entry in self.failure_schedule:
-                if len(entry) < 2:
-                    continue  # malformed entries get ScheduledFailures' error
-                shard_id = int(entry[1])
-                if not 0 <= shard_id < self.num_servers:
-                    raise ValueError(
-                        f"failure_schedule names shard {shard_id}, but the "
-                        f"deployment has num_servers={self.num_servers} "
-                        f"(shard ids are 0-based)"
-                    )
+        if self.chaos_schedule or self.failure_schedule:
+            # Building the scripted plan is its validation: malformed or
+            # overlapping entries and shard ids outside the deployment
+            # (which would never fire, or index the wrong shard) fail here,
+            # not deep inside trainer construction.  Client ids are checked
+            # against the dataset count by ``build_fault_plan``.
+            from ..chaos.plan import ScheduledFaults
+
+            ScheduledFaults(self.chaos_schedule or (), self.failure_schedule or (),
+                            num_servers=self.num_servers)
         if self.failures_enabled:
             from ..cluster.assigner import available_assigners
             from ..cluster.failover import available_failover_policies

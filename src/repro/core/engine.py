@@ -54,11 +54,14 @@ room, counting messages already in flight towards the capacity, so
 admission never overflows.  Blocked senders wait in per-shard FIFO order
 and are released as the shard pops messages.
 
-Failure injection and failover
-------------------------------
-With a :class:`~repro.cluster.failover.FailureModel` installed, shard
-**crash/recovery transitions** become simulator events too.  A crash
-sheds the shard's queued (and arena-staged) work through the same
+Fault timeline and failover
+---------------------------
+With a :class:`~repro.chaos.plan.FaultPlan` installed, every timed
+fault — shard **crash/recovery**, client link flap or leave, hub↔hub
+partition, straggler, scripted client move — is a simulator event from
+one schedule → fire → re-schedule chain (one pending event per plan
+lane, all at :data:`PRIORITY_FAILURE`) ending in one apply step.  A
+crash sheds the shard's queued (and arena-staged) work through the same
 ``notify_drop`` path — counted in ``EngineStats.failover_dropped`` so
 the cross-layer drop accounting still balances — takes the hub's links
 down in the topology, and kills the shard's event chains via a
@@ -97,7 +100,7 @@ import numpy as np
 from ..chaos.message_chaos import DUPLICATE_ARRIVAL_KEY
 from ..chaos.plan import FaultEvent, FaultPlan
 from ..cluster.coordinator import ClusterCoordinator
-from ..cluster.failover import FailoverPolicy, FailureModel, ShardTransition
+from ..cluster.failover import FailoverPolicy
 from ..cluster.shard import ServerShard
 from ..nn.metrics import MetricTracker
 from ..obs.plane import NULL_OBS, QUEUE_WAIT_BOUNDS_S, RETRY_BOUNDS, Observability
@@ -287,16 +290,16 @@ class TrainingEngine:
         construction) when ``server`` is given instead.
     server:
         Legacy single-server argument; wrapped into a one-shard cluster.
-    failure_model:
-        Optional :class:`~repro.cluster.failover.FailureModel` whose
-        crash/recovery transitions are injected as simulator events.
-        ``None`` (the default) disables failure injection entirely — the
-        engine then runs the exact event chains it ran before failures
-        existed.
+    fault_plan:
+        Optional :class:`~repro.chaos.plan.FaultPlan` whose timed faults
+        (shard crash/recovery, link flaps, partitions, stragglers, client
+        churn and moves) are injected as simulator events.  ``None`` (the
+        default) disables fault injection entirely — the engine then runs
+        the exact event chains it ran before faults existed.
     failover:
         The :class:`~repro.cluster.failover.FailoverPolicy` applied when
         a shard crashes (reassign its clients to survivors, or park them
-        until recovery).  Only consulted when a failure model is set.
+        until recovery); ``None`` leaves a dead shard's clients in place.
     checkpoint_store:
         Optional :class:`~repro.state.CheckpointStore` the engine writes
         per-shard checkpoints to on the ``config.checkpoint_every_s``
@@ -315,10 +318,9 @@ class TrainingEngine:
         config: TrainingConfig,
         cluster: Optional[ClusterCoordinator] = None,
         server: Optional[CentralServer] = None,
-        failure_model: Optional[FailureModel] = None,
+        fault_plan: Optional[FaultPlan] = None,
         failover: Optional[FailoverPolicy] = None,
         checkpoint_store: Optional[CheckpointStore] = None,
-        fault_plan: Optional[FaultPlan] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         self.end_systems = list(end_systems)
@@ -350,12 +352,9 @@ class TrainingEngine:
         # Queue-dropped batches whose NACK is still in flight, keyed by
         # activation sequence; a budget stop resolves them immediately.
         self._awaiting_nack: Dict[int, Tuple[EndSystem, int]] = {}
-        self.failure_model = failure_model
+        self.fault_plan = fault_plan
         self.failover = failover
         self.checkpoint_store = checkpoint_store
-        #: Chaos plane: scripted/stochastic network and client faults,
-        #: injected as simulator events exactly like shard failures.
-        self.fault_plan = fault_plan
         #: Observability plane (repro.obs).  The default NULL_OBS bundle
         #: answers every hook with a no-op, so an obs-off run executes
         #: the identical simulation codepath (pinned byte-identical by
@@ -969,46 +968,105 @@ class TrainingEngine:
         optimizer.load_state_dict(state)
 
     # ------------------------------------------------------------------ #
-    # Failure injection: crash / recovery / failover
+    # Fault timeline: schedule -> fire -> re-schedule, then apply
     # ------------------------------------------------------------------ #
-    def _schedule_failure_events(self, sim: Simulator) -> None:
-        """Schedule each shard's next pending health transition.
+    def _schedule_fault_events(self, sim: Simulator) -> None:
+        """Schedule the next pending fault of every plan lane.
 
-        Called once per epoch run: the failure model's timelines are in
-        absolute simulated time and span epochs, so a transition that did
-        not fire last epoch (it lay beyond the training horizon) is
-        re-scheduled here, clamped to the fresh simulator's clock.
+        Called once per epoch run: the plan is in absolute simulated time
+        and spans epochs, so an event that did not fire last epoch (it
+        lay beyond the training horizon) is re-scheduled here, clamped to
+        the fresh simulator's clock.  The shards' crash lanes go first,
+        in shard order, then the client/network lane — the order breaks
+        ties between lanes at one instant.
         """
-        if self.failure_model is None:
+        if self.fault_plan is None:
             return
         for runtime in self._runtimes:
-            self._schedule_next_transition(sim, runtime)
+            self._schedule_next_fault(sim, runtime.shard.shard_id)
+        self._schedule_next_fault(sim, None)
 
-    def _schedule_next_transition(self, sim: Simulator, runtime: _ShardRuntime) -> None:
-        transition = self.failure_model.peek(runtime.shard.shard_id)
-        if transition is None:
+    def _schedule_next_fault(self, sim: Simulator, lane: Optional[int]) -> None:
+        event = self.fault_plan.peek(lane)
+        if event is None:
             return
         sim.schedule(
-            max(transition.time, sim.now),
-            lambda s, rt=runtime, tr=transition: self._on_transition(s, rt, tr),
+            max(event.time, sim.now),
+            lambda s, ev=event: self._on_fault(s, ev),
             priority=PRIORITY_FAILURE,
-            label=f"shard-{transition.kind}",
+            label=f"fault-{event.kind}",
         )
 
-    def _on_transition(self, sim: Simulator, runtime: _ShardRuntime,
-                       transition: ShardTransition) -> None:
+    def _on_fault(self, sim: Simulator, event: FaultEvent) -> None:
         if not self._epoch_hooks["live"]():
-            # The epoch's real work is already done: leave the transition
+            # The epoch's real work is already done: leave the event
             # pending (not advanced) so the next epoch re-schedules it.
             return
-        self.failure_model.advance(runtime.shard.shard_id)
-        if transition.kind == "crash":
-            if runtime.shard.healthy:
-                self._crash_shard(sim, runtime)
-        elif not runtime.shard.healthy:
-            self._recover_shard(sim, runtime)
-        self._schedule_next_transition(sim, runtime)
+        self.fault_plan.advance(event.lane)
+        self._apply_fault(sim, event)
+        self._schedule_next_fault(sim, event.lane)
 
+    def _apply_fault(self, sim: Simulator, event: FaultEvent) -> None:
+        """Apply one fault-plan event to the cluster / topology / runtime.
+
+        * ``crash`` — ``begin`` crashes the (healthy) shard, ``end``
+          recovers the (dead) one; see :meth:`_crash_shard` and
+          :meth:`_recover_shard`.
+        * ``flap``/``leave`` — the client's access link goes down at
+          ``begin`` and comes back at ``end``; in-flight and future
+          sends are lost on the wire and funnel through the ordinary
+          loss (or retry) paths, so no special stranding is needed.
+        * ``partition`` — the hub↔hub edge is administratively
+          partitioned (both directions) until the matching ``end``.
+        * ``straggler`` — the shard's service time is multiplied by
+          ``value`` until the matching ``end`` restores ``1.0``.
+        * ``move`` — client churn/mobility: the client is reassigned to
+          the target shard through the same machinery failover uses
+          (topology reroute + runtime migration + chain restart hooks).
+        """
+        if event.kind == "crash":
+            runtime = self._runtimes[event.target]
+            if event.phase == "begin":
+                if runtime.shard.healthy:
+                    self._crash_shard(sim, runtime)
+            elif not runtime.shard.healthy:
+                self._recover_shard(sim, runtime)
+            return
+        self.stats.chaos_events += 1
+        if self.obs.tracer.enabled:
+            self.obs.tracer.instant(
+                f"chaos-{event.kind}", "chaos", sim.now,
+                args={"phase": event.phase, "target": int(event.target)},
+            )
+        topology = self.transport.topology
+        if event.kind in ("flap", "leave"):
+            node = self.system_to_node[int(event.target)]
+            topology.set_node_up(node, event.phase == "end")
+            logger.info("chaos: %s %s for %s at t=%.4fs", event.kind,
+                        event.phase, node, sim.now)
+        elif event.kind == "partition":
+            node_a = self._runtimes[int(event.target)].shard.node_name
+            node_b = self._runtimes[int(event.peer)].shard.node_name
+            topology.set_edge_partitioned(node_a, node_b,
+                                          event.phase == "begin")
+            logger.info("chaos: partition %s between %s and %s at t=%.4fs",
+                        event.phase, node_a, node_b, sim.now)
+        elif event.kind == "straggler":
+            runtime = self._runtimes[int(event.target)]
+            runtime.service_factor = (
+                float(event.value) if event.phase == "begin" else 1.0
+            )
+            logger.info("chaos: straggler %s on shard %d (factor %.1fx) "
+                        "at t=%.4fs", event.phase, runtime.shard.shard_id,
+                        runtime.service_factor, sim.now)
+        elif event.kind == "move":
+            self._apply_reassignment(
+                sim, {int(event.target): int(event.value)}
+            )
+
+    # ------------------------------------------------------------------ #
+    # Shard crash / failover / recovery
+    # ------------------------------------------------------------------ #
     def _crash_shard(self, sim: Simulator, runtime: _ShardRuntime) -> None:
         """Apply a shard crash: shed its work leak-free, then fail over.
 
@@ -1206,87 +1264,6 @@ class TrainingEngine:
                 },
             )
         self._epoch_hooks["on_shard_up"](sim, runtime)
-
-    # ------------------------------------------------------------------ #
-    # Chaos plane: link flaps, partitions, churn, stragglers
-    # ------------------------------------------------------------------ #
-    def _schedule_chaos_events(self, sim: Simulator) -> None:
-        """Schedule the fault plan's next pending event.
-
-        Mirrors the failure-injection machinery: the plan's timeline is
-        in absolute simulated time and spans epochs, each applied event
-        re-schedules the next peek, and an event firing after the
-        epoch's real work is done stays pending (not advanced) so the
-        next epoch re-schedules it.
-        """
-        if self.fault_plan is None:
-            return
-        self._schedule_next_chaos(sim)
-
-    def _schedule_next_chaos(self, sim: Simulator) -> None:
-        event = self.fault_plan.peek()
-        if event is None:
-            return
-        sim.schedule(
-            max(event.time, sim.now),
-            lambda s, ev=event: self._on_chaos_event(s, ev),
-            priority=PRIORITY_FAILURE,
-            label=f"chaos-{event.kind}",
-        )
-
-    def _on_chaos_event(self, sim: Simulator, event: FaultEvent) -> None:
-        if not self._epoch_hooks["live"]():
-            return
-        self.fault_plan.advance()
-        self._apply_chaos_event(sim, event)
-        self._schedule_next_chaos(sim)
-
-    def _apply_chaos_event(self, sim: Simulator, event: FaultEvent) -> None:
-        """Apply one fault-plan event to the topology / cluster / runtime.
-
-        * ``flap``/``leave`` — the client's access link goes down at
-          ``begin`` and comes back at ``end``; in-flight and future
-          sends are lost on the wire and funnel through the ordinary
-          loss (or retry) paths, so no special stranding is needed.
-        * ``partition`` — the hub↔hub edge is administratively
-          partitioned (both directions) until the matching ``end``.
-        * ``straggler`` — the shard's service time is multiplied by
-          ``value`` until the matching ``end`` restores ``1.0``.
-        * ``move`` — client churn/mobility: the client is reassigned to
-          the target shard through the same machinery failover uses
-          (topology reroute + runtime migration + chain restart hooks).
-        """
-        self.stats.chaos_events += 1
-        if self.obs.tracer.enabled:
-            self.obs.tracer.instant(
-                f"chaos-{event.kind}", "chaos", sim.now,
-                args={"phase": event.phase, "target": int(event.target)},
-            )
-        topology = self.transport.topology
-        if event.kind in ("flap", "leave"):
-            node = self.system_to_node[int(event.target)]
-            topology.set_node_up(node, event.phase == "end")
-            logger.info("chaos: %s %s for %s at t=%.4fs", event.kind,
-                        event.phase, node, sim.now)
-        elif event.kind == "partition":
-            node_a = self._runtimes[int(event.target)].shard.node_name
-            node_b = self._runtimes[int(event.peer)].shard.node_name
-            topology.set_edge_partitioned(node_a, node_b,
-                                          event.phase == "begin")
-            logger.info("chaos: partition %s between %s and %s at t=%.4fs",
-                        event.phase, node_a, node_b, sim.now)
-        elif event.kind == "straggler":
-            runtime = self._runtimes[int(event.target)]
-            runtime.service_factor = (
-                float(event.value) if event.phase == "begin" else 1.0
-            )
-            logger.info("chaos: straggler %s on shard %d (factor %.1fx) "
-                        "at t=%.4fs", event.phase, runtime.shard.shard_id,
-                        runtime.service_factor, sim.now)
-        elif event.kind == "move":
-            self._apply_reassignment(
-                sim, {int(event.target): int(event.value)}
-            )
 
     # ------------------------------------------------------------------ #
     # Synchronous mode: rounds as barrier events
@@ -1838,8 +1815,7 @@ class TrainingEngine:
             for runtime in self._runtimes:
                 if runtime.shard.healthy:
                     schedule_round_start(runtime.clock, runtime, 0)
-            self._schedule_failure_events(sim)
-            self._schedule_chaos_events(sim)
+            self._schedule_fault_events(sim)
             self._schedule_checkpoint_events(sim)
             self._schedule_obs_events(sim)
             sim.run()
@@ -2225,8 +2201,7 @@ class TrainingEngine:
             for end_system in self.end_systems:
                 for _ in range(self.config.max_in_flight):
                     try_send(end_system, self.clock)
-            self._schedule_failure_events(sim)
-            self._schedule_chaos_events(sim)
+            self._schedule_fault_events(sim)
             self._schedule_checkpoint_events(sim)
             self._schedule_obs_events(sim)
             sim.run()

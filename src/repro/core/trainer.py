@@ -53,15 +53,16 @@ links carry periodic weight-synchronization traffic
 :mod:`repro.cluster`).  ``num_servers=1`` reduces exactly to the paper's
 single central server — pinned to 1e-9 by the cluster equivalence tests.
 
-Failure injection and failover
-------------------------------
+Fault timeline and failover
+---------------------------
 ``TrainingConfig.failure_schedule`` (scripted crashes) or
-``failure_mtbf_s``/``failure_mttr_s`` (stochastic churn) inject shard
-crash/recovery events into the simulation; ``failover_policy`` decides
-whether a dead shard's clients are rebalanced across the survivors
-(reusing the pluggable assigners) or parked until recovery.  Work shed
-by a crash rides the same leak-free ``notify_drop`` accounting as every
-other loss, and the run's history reports crashes, recoveries,
+``failure_mtbf_s``/``failure_mttr_s`` (stochastic churn) and the
+``chaos_*`` timeline knobs all feed one :class:`~repro.chaos.FaultPlan`
+whose events the engine injects into the simulation; ``failover_policy``
+decides whether a dead shard's clients are rebalanced across the
+survivors (reusing the pluggable assigners) or parked until recovery.
+Work shed by a crash rides the same leak-free ``notify_drop`` accounting
+as every other loss, and the run's history reports crashes, recoveries,
 reassignments and total downtime (see :mod:`repro.cluster.failover`).
 
 Batched queue draining
@@ -88,12 +89,7 @@ from ..backend import use_backend
 from ..chaos import FaultPlan, MessageChaos, build_fault_plan
 from ..cluster.assigner import get_assigner
 from ..cluster.coordinator import ClusterCoordinator
-from ..cluster.failover import (
-    FailureModel,
-    ScheduledFailures,
-    StochasticFailures,
-    get_failover_policy,
-)
+from ..cluster.failover import get_failover_policy
 from ..cluster.shard import ServerShard
 from ..data.datasets import Dataset
 from ..data.loader import DataLoader
@@ -294,9 +290,9 @@ class SpatioTemporalTrainer:
         #: Shard 0's server — the *only* server with ``num_servers=1``
         #: (back-compat alias used throughout the single-server tests).
         self.server = self.cluster.shards[0].server
-        failure_model = self._build_failure_model()
-        #: Timeline chaos plan (flaps, churn, partitions, stragglers,
-        #: moves) consumed by the engine; ``None`` without chaos knobs.
+        #: The run's one fault timeline (shard crashes, flaps, churn,
+        #: partitions, stragglers, moves) consumed by the engine; ``None``
+        #: without failure or timeline-chaos knobs.
         self.fault_plan: Optional[FaultPlan] = build_fault_plan(
             self.config, self.num_end_systems
         )
@@ -317,40 +313,22 @@ class SpatioTemporalTrainer:
             system_to_node=self._system_to_node,
             config=self.config,
             cluster=self.cluster,
-            failure_model=failure_model,
+            fault_plan=self.fault_plan,
             failover=(
                 get_failover_policy(
                     self.config.failover_policy,
                     assigner=self.config.failover_assigner,
                 )
-                if failure_model is not None
+                if self.config.failures_enabled
                 else None
             ),
             checkpoint_store=self.checkpoint_store,
-            fault_plan=self.fault_plan,
             obs=self.obs,
         )
         self._clock = 0.0
         #: First epoch index :meth:`train` will run — advanced past the
         #: completed epochs by :meth:`restore_run_checkpoint`.
         self._start_epoch = 0
-
-    def _build_failure_model(self) -> Optional[FailureModel]:
-        """Instantiate the configured failure-injection model (or ``None``).
-
-        A scripted timeline wins over stochastic churn (the config
-        rejects setting both); the stochastic streams are derived from
-        the master seed so a run's failure pattern is reproducible.
-        """
-        if not self.config.failures_enabled:
-            return None
-        if self.config.failure_schedule:
-            return ScheduledFailures(self.config.failure_schedule)
-        return StochasticFailures(
-            mtbf_s=self.config.failure_mtbf_s,
-            mttr_s=self.config.failure_mttr_s,
-            seed=self.config.seed + 104729,
-        )
 
     def _register_obs_collectors(self) -> None:
         """Adapt the legacy telemetry views into registry collectors.
@@ -460,7 +438,7 @@ class SpatioTemporalTrainer:
             stats["per_shard"] = self.cluster.shard_stats()
             stats["weight_syncs"] = self.engine.stats.weight_syncs
             stats["sync_messages"] = self.engine.stats.sync_messages
-        if self.engine.failure_model is not None:
+        if self.config.failures_enabled:
             engine_stats = self.engine.stats
             stats["shard_crashes"] = engine_stats.shard_crashes
             stats["shard_recoveries"] = engine_stats.shard_recoveries
@@ -782,7 +760,6 @@ class SpatioTemporalTrainer:
             name: self.topology.is_up(name)
             for name in list(self.topology.end_systems) + list(self.topology.servers)
         }
-        failure_model = engine.failure_model
         rng_streams: Dict[str, np.ndarray] = {}
         if engine._retry_rng is not None:
             rng_streams["retry"] = pack_rng_state(engine._retry_rng)
@@ -810,12 +787,8 @@ class SpatioTemporalTrainer:
             traffic=traffic,
             link_states=link_states,
             rng_streams=rng_streams,
-            failure_state=(
-                None if failure_model is None else failure_model.state_dict()
-            ),
-            chaos_state=(
-                None if self.fault_plan is None else self.fault_plan.state_dict()
-            ),
+            # ``failure_state`` and ``chaos_state``, the plan's two halves.
+            **({} if self.fault_plan is None else self.fault_plan.state_dict()),
             message_chaos_state=(
                 None if self.message_chaos is None
                 else self.message_chaos.state_dict()
@@ -847,7 +820,7 @@ class SpatioTemporalTrainer:
         shard and client snapshots, the client→shard assignment (replaying
         failover moves through the topology), node health, link RNG
         streams and counters, traffic/engine statistics, coordinator sync
-        state, and the failure model's timeline so the resumed run is
+        state, and the fault plan's timeline so the resumed run is
         replay-exact from the next epoch onward.
         """
         engine = self.engine
@@ -915,10 +888,10 @@ class SpatioTemporalTrainer:
             None if run.last_sync_time_s is None else float(run.last_sync_time_s)
         )
         self.cluster.syncs_completed = int(run.syncs_completed)
-        if run.failure_state is not None and engine.failure_model is not None:
-            engine.failure_model.load_state_dict(run.failure_state)
-        if run.chaos_state is not None and self.fault_plan is not None:
-            self.fault_plan.load_state_dict(run.chaos_state)
+        if self.fault_plan is not None:
+            self.fault_plan.load_state_dict(
+                {"failure_state": run.failure_state, "chaos_state": run.chaos_state}
+            )
         if run.message_chaos_state is not None and self.message_chaos is not None:
             self.message_chaos.load_state_dict(run.message_chaos_state)
         packed_retry = run.rng_streams.get("retry")

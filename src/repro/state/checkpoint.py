@@ -12,7 +12,7 @@ counters) so a restore rejoins the cluster-wide invariant
 A :class:`RunCheckpoint` extends that to the whole deployment: every
 shard, every client, the coordinator's assignment and sync snapshot, the
 engine clock/statistics, the transport log, every link's RNG stream
-position and counters, and the failure model's progress.  At an epoch
+position and counters, and the fault plan's progress.  At an epoch
 boundary the engine is quiescent (no in-flight messages, queues drained),
 so this is a *replay-exact* restore point: a fresh trainer rebuilt from a
 ``RunCheckpoint`` continues the run bit-for-bit.
@@ -377,9 +377,9 @@ class RunCheckpoint:
     that epoch index.  ``link_states`` maps a link key (``"up::<node>"``,
     ``"down::<node>"`` or ``"sync::<a>::<b>"``) to that link's RNG
     stream position and traffic counters; ``rng_streams`` carries any
-    other named generator positions (the failure model's per-shard
-    streams).  The trainer owns capture/restore — this class is the
-    container plus the flat payload conversion the stores persist.
+    other named generator positions (the retry-jitter stream).  The
+    trainer owns capture/restore — this class is the container plus the
+    flat payload conversion the stores persist.
     """
 
     epoch: int
@@ -397,10 +397,11 @@ class RunCheckpoint:
     traffic: Dict[str, Any]
     link_states: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     rng_streams: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: Fault-plan timeline position — the two halves of
+    #: ``FaultPlan.state_dict``: shard crash lanes, client/network lane —
+    #: and the per-message chaos stream positions
+    #: (``MessageChaos.state_dict``); ``None`` when that mechanism is off.
     failure_state: Optional[Dict[str, Any]] = None
-    #: Fault-plan timeline position (``FaultPlan.state_dict``) and the
-    #: per-message chaos stream positions (``MessageChaos.state_dict``);
-    #: ``None`` when the corresponding chaos mechanism is off.
     chaos_state: Optional[Dict[str, Any]] = None
     message_chaos_state: Optional[Dict[str, Any]] = None
     #: Registry-owned obs instrument state (the queue-wait / retry

@@ -46,7 +46,6 @@ def test_known_suppression_inventory():
     )
     assert inventory == [
         ("chaos/plan.py", "RL002"),
-        ("cluster/failover.py", "RL002"),
         ("data/transforms.py", "RL002"),
         ("data/transforms.py", "RL002"),
         ("data/transforms.py", "RL002"),

@@ -21,11 +21,10 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator, ServerShard
+from repro.chaos import ScheduledFaults, StochasticFaults
 from repro.cluster.failover import (
     RebalanceFailover,
-    ScheduledFailures,
     StandbyFailover,
-    StochasticFailures,
     available_failover_policies,
     get_failover_policy,
 )
@@ -60,67 +59,138 @@ def assert_failover_accounting(trainer):
     )
 
 
-class TestFailureModels:
+def churn(seed=3):
+    return StochasticFaults(num_clients=1, crash_mtbf_s=10.0, crash_mttr_s=1.0,
+                            crash_seed=seed)
+
+
+class TestCrashLanes:
+    """Shard crash/recovery on the fault plan: one lane per shard id."""
+
     def test_scheduled_timeline_orders_and_pairs(self):
-        model = ScheduledFailures([(0.5, 1, 0.2), (0.1, 0)])
-        first = model.peek(1)
-        assert (first.time, first.kind) == (0.5, "crash")
-        model.advance(1)
-        second = model.peek(1)
+        plan = ScheduledFaults(crashes=[(0.5, 1, 0.2), (0.1, 0)])
+        first = plan.peek(1)
+        assert (first.time, first.kind, first.phase, first.target) == \
+            (0.5, "crash", "begin", 1)
+        plan.advance(1)
+        second = plan.peek(1)
         assert second.time == pytest.approx(0.7)
-        assert second.kind == "recover"
-        model.advance(1)
-        assert model.peek(1) is None
+        assert (second.kind, second.phase) == ("crash", "end")
+        plan.advance(1)
+        assert plan.peek(1) is None
+        with pytest.raises(LookupError):
+            plan.advance(1)
         # Shard 0 crashes once and never recovers.
-        assert model.peek(0).kind == "crash"
-        model.advance(0)
-        assert model.peek(0) is None
-        # Shards without scripted failures have empty timelines.
-        assert model.peek(7) is None
+        assert plan.peek(0).phase == "begin"
+        plan.advance(0)
+        assert plan.peek(0) is None
+        # Shards without scripted failures have empty timelines, and crashes
+        # never show up on the client/network lane.
+        assert plan.peek(7) is None
+        assert plan.peek() is None
+
+    def test_crash_lanes_are_independent_of_the_chaos_lane(self):
+        plan = ScheduledFaults([("flap", 0.1, 0.2, 0)], crashes=[(0.1, 0, 0.2)])
+        assert plan.peek().kind == "flap"
+        plan.advance()
+        assert plan.peek(0).time == 0.1  # the crash lane did not move
+        plan.advance(0)
+        assert (plan.peek().phase, plan.peek(0).phase) == ("end", "end")
 
     def test_scheduled_validation(self):
         with pytest.raises(ValueError, match="time_s"):
-            ScheduledFailures([(0.5,)])
-        with pytest.raises(ValueError, match="downtime_s"):
-            ScheduledFailures([(0.5, 0, -1.0)])
+            ScheduledFaults(crashes=[(0.5,)])
+        with pytest.raises(ValueError, match="duration"):
+            ScheduledFaults(crashes=[(0.5, 0, -1.0)])
         with pytest.raises(ValueError, match="non-negative"):
-            ScheduledFailures([(-0.5, 0)])
+            ScheduledFaults(crashes=[(-0.5, 0)])
+        # A crash is not a chaos_schedule kind: one way in, failure_schedule.
+        with pytest.raises(ValueError, match="unknown chaos kind"):
+            ScheduledFaults([("crash", 0.5, 0.1, 0)])
 
     def test_scheduled_rejects_overlapping_outages(self):
         # A crash scripted inside another outage would silently end the
         # longer outage at the shorter entry's recovery.
         with pytest.raises(ValueError, match="overlapping"):
-            ScheduledFailures([(1.0, 0, 10.0), (2.0, 0, 1.0)])
+            ScheduledFaults(crashes=[(1.0, 0, 10.0), (2.0, 0, 1.0)])
         # An open-ended crash must be the shard's last entry.
         with pytest.raises(ValueError, match="overlapping"):
-            ScheduledFailures([(1.0, 0), (2.0, 0, 1.0)])
+            ScheduledFaults(crashes=[(1.0, 0), (2.0, 0, 1.0)])
         # Sequential outages (and other shards' overlaps-in-time) are fine,
         # including back-to-back ones — in either entry order.
-        ScheduledFailures([(1.0, 0, 1.0), (3.0, 0, 1.0), (1.5, 1, 5.0)])
-        ScheduledFailures([(1.0, 0, 1.0), (2.0, 0, 5.0)])
-        ScheduledFailures([(2.0, 0, 5.0), (1.0, 0, 1.0)])
+        ScheduledFaults(crashes=[(1.0, 0, 1.0), (3.0, 0, 1.0), (1.5, 1, 5.0)])
+        ScheduledFaults(crashes=[(1.0, 0, 1.0), (2.0, 0, 5.0)])
+        back_to_back = ScheduledFaults(crashes=[(2.0, 0, 5.0), (1.0, 0, 1.0)])
+        phases = []
+        while back_to_back.peek(0) is not None:
+            phases.append((back_to_back.peek(0).time, back_to_back.peek(0).phase))
+            back_to_back.advance(0)
+        assert phases == [(1.0, "begin"), (2.0, "end"), (2.0, "begin"), (7.0, "end")]
 
     def test_stochastic_alternates_and_is_deterministic(self):
-        model_a = StochasticFailures(mtbf_s=10.0, mttr_s=1.0, seed=3)
-        model_b = StochasticFailures(mtbf_s=10.0, mttr_s=1.0, seed=3)
-        kinds = []
+        plan_a, plan_b = churn(), churn()
+        phases = []
         times = []
         for _ in range(6):
-            transition = model_a.peek(0)
+            event = plan_a.peek(0)
             # Peeking repeatedly must not consume randomness.
-            assert model_a.peek(0) is transition
-            other = model_b.peek(0)
-            assert other.time == transition.time and other.kind == transition.kind
-            kinds.append(transition.kind)
-            times.append(transition.time)
-            model_a.advance(0)
-            model_b.advance(0)
-        assert kinds == ["crash", "recover"] * 3
+            assert plan_a.peek(0) is event
+            assert plan_b.peek(0) == event
+            phases.append(event.phase)
+            times.append(event.time)
+            plan_a.advance(0)
+            plan_b.advance(0)
+        assert phases == ["begin", "end"] * 3
         assert times == sorted(times)
+        assert churn(seed=4).peek(0).time != times[0]
 
     def test_stochastic_streams_differ_per_shard(self):
-        model = StochasticFailures(mtbf_s=10.0, mttr_s=1.0, seed=3)
-        assert model.peek(0).time != model.peek(1).time
+        plan = churn()
+        assert plan.peek(0).time != plan.peek(1).time
+        # No client churn configured: the client/network lane stays empty,
+        # and without a crash family the shard lanes do.
+        assert plan.peek() is None
+        assert StochasticFaults(num_clients=2, flap_mtbf_s=1.0).peek(0) is None
+
+    def test_stochastic_draws_are_the_pre_merge_streams(self):
+        """Seed derivation pin: shard ``k`` draws from
+        ``default_rng(crash_seed + 7919 * (k + 1))``, MTBF first."""
+        plan = churn(seed=104_729)
+        for shard in (0, 1, 5):
+            rng = np.random.default_rng(104_729 + 7919 * (shard + 1))
+            crash = rng.exponential(10.0)
+            assert plan.peek(shard).time == crash
+            plan.advance(shard)
+            assert plan.peek(shard).time == crash + rng.exponential(1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ScheduledFaults([("flap", 0.2, 0.1, 0)],
+                                crashes=[(0.5, 1, 0.2), (0.1, 0), (0.9, 1)]),
+        lambda: StochasticFaults(num_clients=2, seed=5, flap_mtbf_s=0.5,
+                                 crash_mtbf_s=10.0, crash_seed=3),
+    ], ids=["scheduled", "stochastic"])
+    def test_state_dict_round_trip_mid_timeline(self, make):
+        plan = make()
+        for lane in (1, 1, None, 0):
+            plan.peek(lane)
+            plan.advance(lane)
+        snapshot = plan.state_dict()
+        assert snapshot["failure_state"]["name"] == plan.name
+        assert snapshot["chaos_state"]["name"] == plan.name
+        twin = make()
+        twin.load_state_dict(snapshot)
+        for lane in (0, 1, None):
+            for _ in range(3):
+                assert twin.peek(lane) == plan.peek(lane)
+                if plan.peek(lane) is None:
+                    break
+                plan.advance(lane)
+                twin.advance(lane)
+        # A half that is None leaves that half of the plan where it is.
+        fresh = make()
+        fresh.load_state_dict({"failure_state": snapshot["failure_state"],
+                               "chaos_state": None})
+        assert fresh.peek() == make().peek()
 
 
 class TestFailoverPolicies:

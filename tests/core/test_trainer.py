@@ -285,7 +285,7 @@ class TestConfigValidation:
         # Malformed schedule entries fail fast at config time.
         with pytest.raises(ValueError, match="chaos_schedule"):
             TrainingConfig(chaos_schedule=[("meteor", 0.0, 0.1, 0)])
-        with pytest.raises(ValueError, match="start time"):
+        with pytest.raises(ValueError, match="non-negative"):
             TrainingConfig(chaos_schedule=[("flap", -1.0, 0.1, 0)])
 
     def test_reliability_and_chaos_knobs_accepted_and_serialized(self):
@@ -301,6 +301,7 @@ class TestConfigValidation:
             chaos_corrupt_probability=0.01,
             chaos_duplicate_probability=0.02,
             chaos_reorder_probability=0.03,
+            num_servers=2,  # the partition names shards 0 and 1
             chaos_schedule=[("flap", 0.1, 0.05, 0), ("partition", 0.2, 0.1, 0, 1)],
         )
         assert config.reliable_delivery

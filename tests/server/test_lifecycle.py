@@ -238,6 +238,23 @@ class TestHttpContract:
         assert excinfo.value.status == 400
         assert "learning_rate" in excinfo.value.message
 
+    @pytest.mark.parametrize("field, entries, reason", [
+        ("failure_schedule", [[0.5]], "failure_schedule"),
+        ("failure_schedule", [[1.0, 0, 10.0], [2.0, 0, 1.0]], "overlapping"),
+        ("chaos_schedule", [["flap", 0.1, 0.2]], "entries are"),
+        ("chaos_schedule", [["straggler", 0.0, 0.1, 7, 5.0]], "num_servers"),
+    ])
+    def test_malformed_fault_timeline_is_400_not_a_dead_worker(
+            self, client, field, entries, reason):
+        """These used to answer 201 and fail at trainer construction."""
+        payload = JobSpec.fast_debug().to_json_dict()
+        payload["config"][field] = entries
+        with pytest.raises(ApiError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert reason in excinfo.value.message
+        assert client.jobs() == []  # rejected before anything touched disk
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ApiError) as excinfo:
             client.status("job-9999-ghost")
