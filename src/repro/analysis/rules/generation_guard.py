@@ -3,22 +3,26 @@
 A crash or recovery bumps a shard runtime's ``generation`` and any event
 already scheduled against the old chain must die when it fires —
 otherwise a restarted chain double-fires rounds (PR 5's hardest bug
-class).  The engine's idiom binds the live generation at schedule time::
+class).  The engine makes that structural: everything that continues a
+shard's round chain or dispatch loop is scheduled through
+``TrainingEngine._schedule_for(sim, runtime, ...)``, whose wrapper binds
+the live generation at schedule time::
 
     generation = runtime.generation
     def fire(sim):
         if runtime.generation != generation or not runtime.shard.healthy:
             return
-        ...
+        fn(runtime, *args)
     sim.schedule(at_time, fire, ...)
 
-This rule inspects every ``*.schedule(time, callback, ...)`` in the
-scoped modules whose callback closes over a shard runtime (an identifier
-named ``rt``/``runtime``-ish) and requires the callback — or, one level
-deep, a same-module function it delegates to — to consult a
-``generation`` or ``healthy``/``health`` name.  Callbacks that never
-touch a runtime (client-side landings, NACK deliveries) are exempt:
-their staleness is resolved by per-message state, not chain generations.
+This rule catches what goes around it.  It inspects every direct
+``*.schedule(time, callback, ...)`` in the scoped modules whose callback
+closes over a shard runtime (an identifier named ``rt``/``runtime``-ish)
+and requires the callback — or, one level deep, a same-module function it
+delegates to — to consult a ``generation`` or ``healthy``/``health``
+name.  Callbacks that never touch a runtime (client-side landings, NACK
+deliveries) are exempt: their staleness is resolved by per-message state,
+not chain generations.
 """
 
 from __future__ import annotations
@@ -90,7 +94,8 @@ class GenerationGuardRule:
                 message="scheduled callback closes over a shard runtime but "
                         "never checks generation or shard health; a stale "
                         "chain can double-fire after crash/recovery",
-                fix_hint="bind gen=runtime.generation at schedule time and "
+                fix_hint="schedule it through TrainingEngine._schedule_for, or "
+                         "bind gen=runtime.generation at schedule time and "
                          "return early when runtime.generation != gen or the "
                          "shard is unhealthy",
             )

@@ -1,34 +1,66 @@
-"""Event-driven training orchestration engine.
+"""Event-driven training engine: one message kernel, two mode drivers.
 
-Both training modes of :class:`~repro.core.trainer.SpatioTemporalTrainer`
-run on one discrete-event engine built on
-:class:`~repro.simnet.events.Simulator`.  The engine schedules four kinds
-of occurrences:
+The paper's framework is a single loop — end-system forward → smashed
+activations queue at the shared server → server step → gradient back —
+run *spatially* over many clients and *temporally* across the cut.  This
+module spells that loop out once, as a **message kernel** on
+:class:`TrainingEngine`, and runs it under one of two small **drivers**
+that differ only in *when* a shard steps.  Every occurrence is an event
+on a :class:`~repro.simnet.events.Simulator`.
 
-* **uplink arrival** — a smashed-activation message lands at its shard's
-  server and is admitted into (or shed by) that shard's parameter-
-  scheduling queue;
-* **server step** — a shard trains on its queued messages.  In
-  *asynchronous* mode a dispatch event fires per shard whenever that
-  shard is free and work has arrived; in *synchronous* mode each shard's
-  dispatch is a **barrier** event scheduled at the shard's last arrival
-  of the round, and the shard's next round starts once its *own*
-  gradients have landed — shards progress independently and meet only
-  at sync rendezvous, so nobody waits for stragglers they do not own;
-* **gradient landing** — a gradient message reaches its end-system, which
-  finishes back-propagation and (asynchronously) ships its next batch;
-* **inter-server sync** — with more than one shard, the shards'
-  server-segment weights are periodically synchronized over the
-  inter-server links: ``"average"`` mode installs a sample-weighted full
-  average as a barrier event between rounds, ``"staleness"`` mode
-  gossips snapshots whose merge coefficient decays with their transit
-  staleness (see :mod:`repro.cluster.coordinator`).
+The kernel, in loop order:
 
-The engine is **shard-generalized**: every queue, arena, backpressure
-deque and dispatch state is per shard, and a single-shard cluster runs
-the exact same event chains the pre-cluster engine ran (pinned to 1e-9
-by ``tests/core/test_engine_equivalence.py`` and
-``tests/cluster/test_cluster_equivalence.py``).
+* ``_next_batch`` → ``_uplink`` — the client segment runs once and the
+  smashed activations are shipped; the outcome is always ``(message,
+  arrivals, lost_at)``: every wire copy's arrival time, or none and the
+  time at which the client learns of the loss.
+* ``_schedule_arrivals`` → ``_admit`` — each copy is an **uplink
+  arrival** event: the shard enqueues it, sheds it (full queue → NACK;
+  dead or restarted hub → immediate notification) or absorbs a duplicate.
+* ``_drain`` — a **server step**, the only ``server_batching`` branch.
+* ``_reply`` → ``_downlink`` — each gradient ships back, ``(arrivals,
+  lost_at)`` again, and the driver is told ``delivered`` or ``lost``.
+* ``_abandon`` — the client learns a transfer is lost: the one place a
+  lost transfer joins the drop ledger.
+* ``_schedule_for`` — a shard's chain events sit behind a **generation
+  guard**: a crash or recovery bumps the generation and everything
+  scheduled under the old one dies when it fires.
+
+Inter-server weight transfers, the fault timeline, checkpoints and the
+observability hooks are kernel code too (sections below) — direct calls
+at the one place each thing happens, no subscriber layer.
+
+``_ship`` alone knows whether delivery is reliable, and unreliable is
+**not** "reliable with zero retries": a lost unreliable transfer is one
+attempt in the transport's drop ledger that the client learns of at
+once (no event, no RNG draw); a lost reliable one is ``retry_max + 1``
+attempts absorbed into the retry counters, a jitter draw each, and a
+give-up deadline in the future (``EngineStats.gave_up`` is its ledger
+term; asynchronously it is an event a budget stop can cancel) — and a
+merely *late* copy leaves several arrivals in flight.  Event counts, RNG
+streams and ledger terms all differ, hence ``lost_at`` in the outcome.
+
+A **driver** owns one run's simulator, tracker and mode state, and
+implements :class:`_Driver` — ``live``, ``accepts_faults``,
+``on_shard_down``, ``on_shard_up``, ``on_client_moved`` — through which
+the fault machinery restarts chains and re-issues sends without knowing
+the mode; between runs the engine holds the idle base driver.
+:class:`_RoundChain` (synchronous, see
+:meth:`TrainingEngine.run_synchronous_epoch`) chains *round start →
+arrivals → barrier → drain → reply* per shard and holds the sync
+rendezvous (``arrived``, ``finished``, the quorum timer);
+:class:`_DispatchLoop` (asynchronous, see
+:meth:`TrainingEngine.run_asynchronous`) steps a shard whenever it is
+free and holds what is outstanding (``in_flight``, ``pending_giveups``,
+``stranded``).  Per-shard state — blocked senders, clients with data
+left, round clock, generation — lives on :class:`_ShardRuntime`.
+
+The engine is **shard-generalized**: a single-shard cluster runs the
+exact event chains the pre-cluster engine ran (pinned to 1e-9 by
+``tests/core/test_engine_equivalence.py`` and
+``tests/cluster/test_cluster_equivalence.py``), and the kernel
+reproduces the event order, RNG draws and counters of the four
+spelled-out runners it replaced (``tests/core/test_engine_kernel.py``).
 
 Lossy-network semantics
 -----------------------
@@ -64,7 +96,7 @@ lane, all at :data:`PRIORITY_FAILURE`) ending in one apply step.  A
 crash sheds the shard's queued (and arena-staged) work through the same
 ``notify_drop`` path — counted in ``EngineStats.failover_dropped`` so
 the cross-layer drop accounting still balances — takes the hub's links
-down in the topology, and kills the shard's event chains via a
+down in the topology, and kills the shard's event chains via the
 generation guard.  One ``failover_delay_s`` later the configured
 :class:`~repro.cluster.failover.FailoverPolicy` reassigns the dead
 shard's clients to the healthy survivors (their uplinks are rerouted in
@@ -92,8 +124,8 @@ with the feature off the engine schedules no checkpoint events at all.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -105,14 +137,14 @@ from ..cluster.shard import ServerShard
 from ..nn.metrics import MetricTracker
 from ..obs.plane import NULL_OBS, QUEUE_WAIT_BOUNDS_S, RETRY_BOUNDS, Observability
 from ..obs.registry import samples_from_mapping
-from ..simnet.events import Simulator
+from ..simnet.events import Event, Simulator
+from ..simnet.link import Message
 from ..simnet.transport import Transport
 from ..state import CheckpointStore, ShardCheckpoint
 from ..utils.logging import get_logger
 from .config import TrainingConfig
 from .end_system import EndSystem
 from .messages import ActivationMessage, GradientMessage
-from .server import CentralServer
 
 __all__ = [
     "TrainingEngine",
@@ -126,6 +158,17 @@ __all__ = [
 ]
 
 logger = get_logger("core.engine")
+
+#: One training batch as the data loaders yield it, and the per-client
+#: batch streams a run consumes.
+_Batch = Tuple[np.ndarray, np.ndarray]
+_Iterators = Dict[int, Iterator[_Batch]]
+_Callback = Callable[[Simulator], None]
+#: A transport leg: ``send(node, payload, now=..., reliable=...)`` is one
+#: physical send attempt.
+_Send = Callable[..., Optional[Message]]
+_OnArrival = Callable[
+    [Simulator, ActivationMessage, EndSystem, "_ShardRuntime", int], None]
 
 #: Event priorities: at equal simulated times, arrivals are admitted and
 #: gradients land *before* the server dispatches, so a step always sees
@@ -192,37 +235,20 @@ class EngineStats:
         return self.nack_delay_total_s / self.nacks_sent
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "queue_drops": self.queue_drops,
-            "blocked_sends": self.blocked_sends,
-            "cancelled_at_stop": self.cancelled_at_stop,
-            "events_processed": self.events_processed,
-            "server_steps": self.server_steps,
-            "rounds": self.rounds,
-            "nacks_sent": self.nacks_sent,
-            "nacks_lost": self.nacks_lost,
-            "mean_nack_delay_s": self.mean_nack_delay_s,
-            "weight_syncs": self.weight_syncs,
-            "sync_messages": self.sync_messages,
-            "sync_messages_lost": self.sync_messages_lost,
-            "shard_crashes": self.shard_crashes,
-            "shard_recoveries": self.shard_recoveries,
-            "clients_reassigned": self.clients_reassigned,
-            "failover_dropped": self.failover_dropped,
-            "checkpoints_written": self.checkpoints_written,
-            "retries": self.retries,
-            "gave_up": self.gave_up,
-            "deduped": self.deduped,
-            "quorum_syncs": self.quorum_syncs,
-            "sync_timeouts": self.sync_timeouts,
-            "chaos_events": self.chaos_events,
-        }
+        """Every counter in declaration order, the NACK delay as its mean."""
+        stats: Dict[str, float] = {}
+        for field in fields(self):
+            if field.name == "nack_delay_total_s":
+                stats["mean_nack_delay_s"] = self.mean_nack_delay_s
+            else:
+                stats[field.name] = getattr(self, field.name)
+        return stats
 
 
 class _ShardRuntime:
     """Per-shard engine state (transit counts, backpressure, dispatch)."""
 
-    __slots__ = ("shard", "in_transit", "deferred", "waiting", "accepted",
+    __slots__ = ("shard", "in_transit", "blocked", "accepted",
                  "next_free", "dispatch_scheduled", "clock", "active",
                  "generation", "round_index", "chain_idle", "last_checkpoint_s",
                  "service_factor")
@@ -233,8 +259,9 @@ class _ShardRuntime:
         #: at this shard; counted towards queue capacity so the "block"
         #: policy can never overflow the queue on arrival.
         self.in_transit = 0
-        self.deferred: Deque[EndSystem] = deque()   # sync-mode blocked senders
-        self.waiting: Deque[EndSystem] = deque()    # async-mode blocked senders
+        #: Senders deferred by the "block" backpressure policy, in FIFO
+        #: order; they go first once the shard has popped messages.
+        self.blocked: Deque[EndSystem] = deque()
         self.accepted: List[ActivationMessage] = []  # sync mode, current round
         self.next_free = 0.0
         self.dispatch_scheduled = False
@@ -243,7 +270,7 @@ class _ShardRuntime:
         #: clients is not throttled by a far-away band it does not own.
         self.clock = 0.0
         #: System ids (of this shard's clients) still holding data this
-        #: epoch.
+        #: run.
         self.active: set = set()
         #: Bumped on every crash *and* recovery: scheduled round/dispatch
         #: events capture the generation they were created under and
@@ -268,6 +295,52 @@ class _ShardRuntime:
         self.service_factor = 1.0
 
 
+class _Driver:
+    """What the fault, checkpoint and flush machinery asks of a mode.
+
+    This base class is the **idle** driver every engine holds between
+    runs (it references no engine, so an idle engine stays acyclic and is
+    freed by reference count); a mode derives from :class:`_ModeDriver`.
+    """
+
+    def live(self) -> bool:
+        """Whether real work can still happen; periodic chains stop if not."""
+        return False
+
+    def accepts_faults(self) -> bool:
+        """Whether a fault firing now belongs to this run (else it stays pending)."""
+        return self.live()
+
+    def on_shard_down(self, runtime: _ShardRuntime,
+                      flushed: List[ActivationMessage],
+                      parked: List[EndSystem]) -> None:
+        """``runtime`` crashed: ``flushed`` was shed, ``parked`` were blocked."""
+
+    def on_shard_up(self, runtime: _ShardRuntime) -> None:
+        """``runtime`` recovered (state restored, clients failed back)."""
+
+    def on_client_moved(self, end_system: EndSystem, runtime: _ShardRuntime,
+                        was_parked: bool) -> None:
+        """``end_system`` now belongs to ``runtime`` (failover or churn)."""
+
+
+_IDLE = _Driver()
+
+
+class _ModeDriver(_Driver):
+    """One run of one mode: its simulator, tracker, batch streams and state."""
+
+    def __init__(self, engine: TrainingEngine, iterators: _Iterators) -> None:
+        self.engine = engine
+        self.sim = Simulator()
+        self.tracker = MetricTracker()
+        self.iterators = iterators
+
+    def prime(self) -> None:
+        """Reset the shards' mode state and schedule the run's first events."""
+        raise NotImplementedError
+
+
 class TrainingEngine:
     """Discrete-event orchestrator shared by both training modes.
 
@@ -286,10 +359,7 @@ class TrainingEngine:
         The weight-sync cadence and mode live on the ``cluster``.
     cluster:
         The shard cluster (owns the sync cadence/mode the trainer seeds
-        from the config).  May be omitted (legacy single-server
-        construction) when ``server`` is given instead.
-    server:
-        Legacy single-server argument; wrapped into a one-shard cluster.
+        from the config).
     fault_plan:
         Optional :class:`~repro.chaos.plan.FaultPlan` whose timed faults
         (shard crash/recovery, link flaps, partitions, stragglers, client
@@ -316,26 +386,14 @@ class TrainingEngine:
         transport: Transport,
         system_to_node: Dict[int, str],
         config: TrainingConfig,
-        cluster: Optional[ClusterCoordinator] = None,
-        server: Optional[CentralServer] = None,
+        cluster: ClusterCoordinator,
         fault_plan: Optional[FaultPlan] = None,
         failover: Optional[FailoverPolicy] = None,
         checkpoint_store: Optional[CheckpointStore] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         self.end_systems = list(end_systems)
-        if cluster is None:
-            if server is None:
-                raise ValueError("need either a cluster or a server")
-            cluster = ClusterCoordinator(
-                shards=[ServerShard(0, server, "server")],
-                assignment={es.system_id: 0 for es in self.end_systems},
-                sync_every=config.server_sync_every,
-                sync_mode=config.server_sync_mode,
-            )
         self.cluster = cluster
-        #: Shard 0's server (back-compat alias for single-server callers).
-        self.server = cluster.shards[0].server
         self.transport = transport
         self.system_to_node = dict(system_to_node)
         self.config = config
@@ -368,114 +426,88 @@ class TrainingEngine:
         self._obs_retries = self.obs.registry.histogram(
             "engine.retries_per_transfer", RETRY_BOUNDS)
         #: Attempts shipped by the most recent reliable transfer (trace
-        #: span annotation only; meaningless with reliability off).
+        #: span annotation only; stays 0 with reliability off).
         self._obs_last_attempts = 0
+        reliable = config.reliable_delivery
         #: Retry-timeout jitter stream (reliable delivery only): seeded
         #: from the run seed so identical configs retry identically;
         #: ``None`` with the feature off so no RNG state even exists.
         self._retry_rng: Optional[np.random.Generator] = (
-            np.random.default_rng(config.seed + 15485863)
-            if config.reliable_delivery else None
+            np.random.default_rng(config.seed + 15485863) if reliable else None
         )
         #: Whether arriving uplink copies must be deduplicated: reliable
         #: delivery retransmits, and chaos duplication clones — either
         #: one can land several copies of a single logical message.
-        self._dedup_enabled = (
-            config.reliable_delivery or config.chaos_duplicate_probability > 0.0
-        )
-        # Deferred sends of clients whose shard is down (async mode):
-        # system id -> number of sends to re-issue once the client is
-        # failed over or its shard recovers.
-        self._stranded: Dict[int, int] = {}
-        # Per-epoch callbacks the mode drivers install so the shared
-        # crash/recovery machinery can restart round chains, re-trigger
-        # sends and unblock rendezvous without knowing the mode.
-        self._epoch_hooks: Dict[str, object] = self._inert_hooks()
-
-    @staticmethod
-    def _inert_hooks() -> Dict[str, object]:
-        return {
-            "live": lambda: False,
-            "on_shard_down": lambda sim, runtime, flushed, parked: None,
-            "on_shard_up": lambda sim, runtime: None,
-            "on_client_moved": lambda sim, end_system, runtime, was_parked: None,
-        }
+        self._dedup_enabled = reliable or config.chaos_duplicate_probability > 0.0
+        #: The running mode's driver — the crash/recovery machinery
+        #: restarts round chains, re-triggers sends and unblocks
+        #: rendezvous through it without knowing the mode.
+        self._driver: _Driver = _IDLE
 
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
-    def _blocking(self) -> bool:
-        return (
-            self.config.max_queue_size is not None
-            and self.config.queue_backpressure == "block"
-        )
-
     def _queue_has_room(self, runtime: _ShardRuntime) -> bool:
         capacity = self.config.max_queue_size
         if capacity is None:
             return True
         return len(runtime.shard.queue) + runtime.in_transit < capacity
 
-    def _send_uplink(
-        self,
-        end_system: EndSystem,
-        images: np.ndarray,
-        labels: np.ndarray,
-        at_time: float,
-        round_index: int = 0,
-    ) -> Optional[ActivationMessage]:
-        """Forward a batch and ship it; ``None`` when the uplink dropped it."""
-        message = end_system.forward_batch(
-            images, labels, round_index=round_index, created_at=at_time
-        )
-        network_message = self.transport.send_to_server(
-            self.system_to_node[end_system.system_id],
-            {"activations": message.activations, "labels": message.labels},
-            now=at_time,
-        )
-        if network_message is None:
-            end_system.notify_drop(message.batch_id)
+    def _next_batch(self, end_system: EndSystem, runtime: _ShardRuntime,
+                    iterators: _Iterators) -> Optional[_Batch]:
+        """The client's next batch, unless it must wait or has none left.
+
+        Under the ``"block"`` policy the send is deferred (the client
+        joins ``runtime.blocked``) until the shard's queue has room; a
+        client whose data ran out leaves ``runtime.active``.
+        """
+        if (self.config.queue_backpressure == "block"
+                and not self._queue_has_room(runtime)):
+            runtime.blocked.append(end_system)
+            self.stats.blocked_sends += 1
             return None
-        message.arrival_time = network_message.arrival_time
-        message.size_bytes = network_message.size_bytes
-        duplicate_arrival = network_message.metadata.get(DUPLICATE_ARRIVAL_KEY)
-        if duplicate_arrival is not None:
-            # Chaos duplication cloned the wire message: both copies land
-            # (the receiver deduplicates), and the barrier/arrival logic
-            # reads the full arrival list from the metadata.
-            message.metadata["wire_arrivals"] = sorted(
-                [network_message.arrival_time, float(duplicate_arrival)]
-            )
-        if self.obs.tracer.enabled:
-            self._obs_uplink(end_system, message, at_time)
-        return message
+        try:
+            return next(iterators[end_system.system_id])
+        except StopIteration:
+            runtime.active.discard(end_system.system_id)
+            return None
 
-    def _ship_with_retries(self, ship, at_time: float):
-        """Resolve one reliable transfer's full retry chain eagerly.
+    # ------------------------------------------------------------------ #
+    # Message kernel: uplink -> arrival -> drain -> reply
+    # ------------------------------------------------------------------ #
+    def _ship(self, send: _Send, node: str, payload: object,
+              at_time: float) -> Tuple[List[Message], Optional[float]]:
+        """Carry one transfer over the wire, retrying when delivery is reliable.
 
-        ``ship(t)`` performs one physical send attempt at time ``t`` and
-        returns the wire message (or ``None`` when the network lost it).
-        Attempt ``k`` is acknowledged when its copy arrives within
-        ``min(cap, timeout * backoff**k)`` (plus seeded jitter) of being
-        sent; a missing ack triggers a retransmission at the deadline —
-        even when the earlier copy is merely *late* (a spurious timeout:
-        both copies stay in flight and the receiver deduplicates).  The
-        chain ends at the first in-deadline arrival or after
-        ``retry_max`` retransmissions.
+        ``send`` is the leg's transport method: one call is one physical
+        send attempt and returns the wire message (or ``None`` when the
+        network lost it).  Without reliable delivery that single attempt
+        is the whole transfer.  With it the full retry chain is resolved
+        eagerly: attempt ``k`` is acknowledged when its copy arrives
+        within ``min(cap, timeout * backoff**k)`` (plus seeded jitter) of
+        being sent; a missing ack triggers a retransmission at the
+        deadline — even when the earlier copy is merely *late* (a
+        spurious timeout: both copies stay in flight and the receiver
+        deduplicates).  The chain ends at the first in-deadline arrival
+        or after ``retry_max`` retransmissions.
 
-        Returns ``(deliveries, give_up_time)``: the wire messages that
-        physically made it, sorted by arrival (possibly several), and
-        the deadline at which the sender abandons the transfer when
-        ``deliveries`` is empty.  A transfer counts as *given up* only
-        when every attempt was physically lost — a copy that arrives
-        after its deadline still completes the transfer.
+        Returns ``(deliveries, lost_at)``: the wire messages that
+        physically made it, sorted by arrival (possibly several), and —
+        only when there are none — the time at which the sender learns
+        the transfer is lost: ``at_time`` itself for an unreliable send,
+        the chain's final deadline for a reliable one.  A reliable
+        transfer counts as lost only when every attempt was physically
+        lost — a copy that arrives after its deadline still completes it.
         """
         config = self.config
+        if not config.reliable_delivery:
+            wire = send(node, payload, now=at_time)
+            return ([], at_time) if wire is None else ([wire], None)
         attempt_time = at_time
         deliveries = []
         give_up_time = at_time
         for attempt in range(config.retry_max + 1):
-            wire = ship(attempt_time)
+            wire = send(node, payload, now=attempt_time, reliable=True)
             if attempt > 0:
                 self.stats.retries += 1
             timeout = min(
@@ -500,81 +532,92 @@ class TrainingEngine:
             # ``attempt`` leaks the last loop index: attempts = index + 1.
             self._obs_last_attempts = attempt + 1
             self._obs_retries.observe(attempt)
-        return deliveries, give_up_time
+        return deliveries, (None if deliveries else give_up_time)
 
-    def _send_uplink_reliable(
-        self,
-        end_system: EndSystem,
-        images: np.ndarray,
-        labels: np.ndarray,
-        at_time: float,
+    def _uplink(
+        self, end_system: EndSystem, batch: _Batch, at_time: float,
         round_index: int = 0,
-    ) -> ActivationMessage:
-        """Reliable-delivery uplink: forward once, retransmit until acked.
+    ) -> Tuple[ActivationMessage, List[float], Optional[float]]:
+        """Forward one batch and ship its smashed activations to the shard.
 
-        Retransmissions reship the *same* smashed activations (the client
-        segment ran exactly once — a retry is a network event, not a
-        recompute).  On delivery the message carries every copy's
-        arrival in ``metadata["wire_arrivals"]`` and is stamped with the
-        earliest; when every attempt was lost, ``metadata["gave_up_at"]``
-        holds the deadline at which the client abandons the batch.
+        The client segment runs exactly once — a retransmission reships
+        the *same* activations (a retry is a network event, not a
+        recompute).  Returns ``(message, arrivals, lost_at)``.  When the
+        transfer got through, ``arrivals`` holds every wire copy's
+        arrival time, sorted (retransmissions and chaos duplication can
+        land several; the receiver deduplicates), the message is stamped
+        with the earliest and ``lost_at`` is ``None``.  When it was lost,
+        ``arrivals`` is empty and ``lost_at`` is when the client learns
+        (see :meth:`_ship`); the batch stays pending at the client until
+        the driver calls :meth:`_abandon`.
         """
+        images, labels = batch
         message = end_system.forward_batch(
             images, labels, round_index=round_index, created_at=at_time
         )
-        node = self.system_to_node[end_system.system_id]
-        payload = {"activations": message.activations, "labels": message.labels}
-        deliveries, give_up_time = self._ship_with_retries(
-            lambda t: self.transport.send_to_server(
-                node, payload, now=t, reliable=True
-            ),
+        deliveries, lost_at = self._ship(
+            self.transport.send_to_server,
+            self.system_to_node[end_system.system_id],
+            {"activations": message.activations, "labels": message.labels},
             at_time,
         )
-        if not deliveries:
-            message.metadata["gave_up_at"] = give_up_time
-            return message
-        arrivals: List[float] = []
-        for wire in deliveries:
-            arrivals.append(wire.arrival_time)
-            duplicate_arrival = wire.metadata.get(DUPLICATE_ARRIVAL_KEY)
-            if duplicate_arrival is not None:
-                arrivals.append(float(duplicate_arrival))
-        arrivals.sort()
+        if lost_at is not None:
+            return message, [], lost_at
+        arrivals = [wire.arrival_time for wire in deliveries]
+        if self._dedup_enabled:
+            # Chaos duplication clones a wire message: both copies land
+            # (the clone never before its original).
+            arrivals.extend(
+                float(wire.metadata[DUPLICATE_ARRIVAL_KEY]) for wire in deliveries
+                if DUPLICATE_ARRIVAL_KEY in wire.metadata
+            )
+            arrivals.sort()
         message.arrival_time = arrivals[0]
         message.size_bytes = deliveries[0].size_bytes
-        message.metadata["wire_arrivals"] = arrivals
         if self.obs.tracer.enabled:
-            self._obs_uplink(end_system, message, at_time)
-        return message
+            attempts = self._obs_last_attempts
+            self._obs_leg("uplink", end_system, message.batch_id, at_time,
+                          arrivals[0], bytes=message.size_bytes,
+                          **({"attempts": attempts} if attempts > 1 else {}))
+        return message, arrivals, None
 
-    def _send_downlink(self, end_system: EndSystem, gradient_message: GradientMessage,
-                       at_time: float):
-        return self.transport.send_to_end_system(
-            self.system_to_node[end_system.system_id],
-            gradient_message.gradient,
-            now=at_time,
-        )
-
-    def _send_downlink_reliable(
+    def _downlink(
         self, end_system: EndSystem, gradient_message: GradientMessage,
         at_time: float,
-    ):
-        """Reliable-delivery downlink (``(deliveries, give_up_time)``)."""
-        node = self.system_to_node[end_system.system_id]
-        return self._ship_with_retries(
-            lambda t: self.transport.send_to_end_system(
-                node, gradient_message.gradient, now=t, reliable=True
-            ),
-            at_time,
-        )
+    ) -> Tuple[List[float], Optional[float]]:
+        """Ship a gradient back to its client: ``(arrivals, lost_at)``.
 
-    @staticmethod
-    def _uplink_arrivals(message: ActivationMessage) -> List[float]:
-        """Every wire arrival of a delivered uplink message (sorted)."""
-        arrivals = message.metadata.get("wire_arrivals")
-        if arrivals is None:
-            return [message.arrival_time]
-        return list(arrivals)
+        Same outcome shape as :meth:`_uplink`.  The earliest copy is the
+        one that completes back-propagation; later ones are spurious-
+        timeout duplicates.
+        """
+        deliveries, lost_at = self._ship(
+            self.transport.send_to_end_system,
+            self.system_to_node[end_system.system_id],
+            gradient_message.gradient, at_time,
+        )
+        return [wire.arrival_time for wire in deliveries], lost_at
+
+    def _schedule_arrivals(
+        self, sim: Simulator, message: ActivationMessage, arrivals: List[float],
+        end_system: EndSystem, runtime: _ShardRuntime, on_arrival: _OnArrival,
+    ) -> None:
+        """Schedule one arrival event per wire copy of a delivered uplink.
+
+        Every copy counts towards the shard's capacity while in transit
+        (:meth:`_admit` releases it), and carries the generation it was
+        sent under: connections do not survive a crash, so a copy landing
+        at a restarted hub is shed.
+        """
+        runtime.in_transit += len(arrivals)
+        generation = runtime.generation
+        for arrival in arrivals:
+            sim.schedule(
+                arrival,
+                lambda s: on_arrival(s, message, end_system, runtime, generation),
+                priority=PRIORITY_ARRIVAL,
+                label="uplink-arrival",
+            )
 
     def _send_nack(self, sim: Simulator, message: ActivationMessage,
                    end_system: EndSystem, on_notified=None) -> None:
@@ -720,13 +763,95 @@ class TrainingEngine:
                            args={"batch": message.batch_id,
                                  "depth": len(runtime.shard.queue)})
 
-    def _sync_due(self, completed: int) -> bool:
-        # The coordinator owns the sync cadence and mode (the trainer
-        # seeds them from TrainingConfig).
-        return (
-            self.cluster.num_shards > 1
-            and completed % self.cluster.sync_every == 0
-        )
+    def _drain(
+        self, runtime: _ShardRuntime, now: float, whole_queue: bool,
+    ) -> Tuple[List[Tuple[ActivationMessage, GradientMessage]], List[float]]:
+        """One server step at ``now``: ``(results, ready_times)``.
+
+        With ``server_batching`` every queued message is folded into one
+        concatenated step whose results are all ready at ``now``.
+        Otherwise the shard takes one step per message in policy order —
+        through the ``whole_queue`` (a round barrier) or a single one (a
+        dispatch) — and each result counts as ready when its message
+        arrived.  Either way it is one dispatched ``server_step``.
+        """
+        shard = runtime.shard
+        if self.config.server_batching:
+            results = shard.process_pending_batch(now=now)
+            ready_times = [now] * len(results)
+        else:
+            results = []
+            while shard.has_pending():
+                results.append(shard.process_next(now=now))
+                if not whole_queue:
+                    break
+            ready_times = [message.arrival_time for message, _ in results]
+        self.stats.server_steps += 1
+        if self.obs.enabled:
+            self._obs_drain(runtime, results, now)
+        return results, ready_times
+
+    def _reply(
+        self, tracker: MetricTracker,
+        results: List[Tuple[ActivationMessage, GradientMessage]],
+        send_times: List[float],
+    ) -> Iterator[Tuple[EndSystem, GradientMessage, List[float], Optional[float]]]:
+        """Account a step's results and ship each gradient back at its time.
+
+        Yields ``(end_system, gradient_message, arrivals, lost_at)`` per
+        result, the downlink's outcome: the driver decides when a
+        delivered gradient completes back-propagation, and must pass a
+        lost one on to :meth:`_abandon` no later than ``lost_at``.
+        """
+        for (activation_message, gradient_message), send_time in zip(results, send_times):
+            tracker.update(
+                {"loss": gradient_message.loss, "accuracy": gradient_message.accuracy},
+                count=activation_message.batch_size,
+            )
+            end_system = self._by_id[activation_message.end_system_id]
+            arrivals, lost_at = self._downlink(end_system, gradient_message, send_time)
+            if arrivals and self.obs.tracer.enabled:
+                self._obs_leg("downlink", end_system, gradient_message.batch_id,
+                              send_time, arrivals[0])
+            yield end_system, gradient_message, arrivals, lost_at
+
+    def _abandon(self, end_system: EndSystem, batch_id: int) -> None:
+        """The client learns that a transfer of its batch was lost.
+
+        The one place a lost transfer joins the drop ledger.  An
+        unreliable loss is already in the transport's drop count, so the
+        notification alone balances it; a reliable transfer's losses were
+        absorbed into the retry counters, so ``gave_up`` is its term.
+        """
+        if self.config.reliable_delivery:
+            self.stats.gave_up += 1
+        end_system.notify_drop(batch_id)
+
+    @staticmethod
+    def _guarded(runtime: _ShardRuntime, fn: Callable[..., None],
+                 *args: object) -> _Callback:
+        """``fn(runtime, *args)``, unless the shard crashes or recovers first."""
+        generation = runtime.generation
+
+        def fire(sim: Simulator) -> None:
+            if runtime.generation != generation or not runtime.shard.healthy:
+                return
+            fn(runtime, *args)
+
+        return fire
+
+    def _schedule_for(self, sim: Simulator, runtime: _ShardRuntime, at_time: float,
+                      priority: int, label: str,
+                      fn: Callable[..., None], *args: object) -> None:
+        """Schedule ``fn(runtime, *args)`` behind the shard's generation guard.
+
+        A crash (or recovery) between scheduling and firing orphans the
+        event, so a dead shard's chain dies cleanly and a restarted chain
+        never double-fires.  Everything that continues a shard's round
+        chain or dispatch loop goes through here.
+        """
+        sim.schedule(at_time, self._guarded(runtime, fn, *args),
+                     priority=priority, label=label)
 
     def _broadcast_weights(self, sim: Simulator, source: _ShardRuntime,
                            at_time: float, merge_on_landing: bool,
@@ -775,16 +900,12 @@ class TrainingEngine:
                 sim.schedule(
                     sync_message.arrival_time,
                     lambda s, d=destination.shard, snap=snapshot, m=sync_message: (
-                        self._apply_staleness_merge(d, snap, m.transit_time)
+                        self.cluster.merge_staleness(d, snap, m.transit_time)
                     ),
                     priority=PRIORITY_LANDING,
                     label="weight-merge",
                 )
         return latest_arrival
-
-    def _apply_staleness_merge(self, shard: ServerShard, snapshot, staleness_s: float
-                               ) -> None:
-        self.cluster.merge_staleness(shard, snapshot, staleness_s)
 
     def _healthy_count(self) -> int:
         return sum(1 for runtime in self._runtimes if runtime.shard.healthy)
@@ -818,40 +939,46 @@ class TrainingEngine:
                 "checkpoint", "control", sim.now, pid=shard.shard_id,
                 args={"samples": shard.samples_processed})
 
+    def _schedule_periodic(self, sim: Simulator, at_time: float, every: float,
+                           action: _Callback, priority: int, label: str) -> None:
+        """Run ``action`` every ``every`` seconds from ``at_time`` on.
+
+        Periodic events are pure observers (they never touch the round
+        clocks or the dispatch state) and stop rescheduling once the
+        run's real work is done, so they can never keep the simulator
+        alive on their own.
+        """
+        def fire(fire_sim: Simulator) -> None:
+            if not self._driver.live():
+                return  # the run is done: let the chain die
+            action(fire_sim)
+            self._schedule_periodic(fire_sim, fire_sim.now + every, every,
+                                    action, priority, label)
+
+        sim.schedule(max(at_time, sim.now), fire, priority=priority, label=label)
+
     def _schedule_checkpoint_events(self, sim: Simulator) -> None:
         """Start each shard's periodic capture chain (``"interval"`` mode).
 
         Called once per epoch run, next to the failure-event scheduling:
-        checkpoint events are pure observers (they never touch the round
-        clocks or the dispatch state), fire between landings and failure
-        transitions (:data:`PRIORITY_CHECKPOINT`), skip a crashed shard
-        without breaking the cadence, and stop rescheduling once the
-        epoch's real work is done so they can never keep the simulator
-        alive on their own.
+        captures fire between landings and failure transitions
+        (:data:`PRIORITY_CHECKPOINT`) and skip a crashed shard without
+        breaking the cadence.
         """
         if not self._checkpoint_enabled() or self.config.checkpoint_mode != "interval":
             return
         every = self.config.checkpoint_every_s
-        # Each epoch's simulator starts at 0 but the run's clock is
-        # absolute and spans epochs; anchor the cadence on the later of
-        # the two so captures never time-travel backwards.
         for runtime in self._runtimes:
+            def capture(fire_sim: Simulator, rt: _ShardRuntime = runtime) -> None:
+                if rt.shard.healthy:
+                    self._capture_checkpoint(fire_sim, rt)
+
+            # Each epoch's simulator starts at 0 but the run's clock is
+            # absolute and spans epochs; anchor the cadence on the later of
+            # the two so captures never time-travel backwards.
             base = max(sim.now, self.clock, runtime.last_checkpoint_s)
-            self._schedule_next_checkpoint(sim, runtime, base + every)
-
-    def _schedule_next_checkpoint(self, sim: Simulator, runtime: _ShardRuntime,
-                                  at_time: float) -> None:
-        def fire(fire_sim: Simulator, rt=runtime) -> None:
-            if not self._epoch_hooks["live"]():
-                return  # epoch is done: let the chain die
-            if rt.shard.healthy:
-                self._capture_checkpoint(fire_sim, rt)
-            self._schedule_next_checkpoint(
-                fire_sim, rt, fire_sim.now + self.config.checkpoint_every_s
-            )
-
-        sim.schedule(max(at_time, sim.now), fire,
-                     priority=PRIORITY_CHECKPOINT, label="checkpoint")
+            self._schedule_periodic(sim, base + every, every, capture,
+                                    PRIORITY_CHECKPOINT, "checkpoint")
 
     def _maybe_round_checkpoint(self, sim: Simulator, runtime: _ShardRuntime) -> None:
         """Opportunistic capture riding an existing event (``"round"`` mode)."""
@@ -866,29 +993,16 @@ class TrainingEngine:
     def _schedule_obs_events(self, sim: Simulator) -> None:
         """Start the periodic metrics-flush chain (``obs_flush_every_s``).
 
-        Mirrors the checkpoint chain: flush events are pure observers at
-        :data:`PRIORITY_OBS` (post-failure, pre-dispatch, so a snapshot
-        reflects the state the next dispatch will see), and the chain
-        dies once the epoch's real work is done so it can never keep the
-        simulator alive on its own.  With obs off (or no cadence) no
-        event is ever scheduled.
+        Flushes fire at :data:`PRIORITY_OBS` (post-failure, pre-dispatch,
+        so a snapshot reflects the state the next dispatch will see).
+        With obs off (or no cadence) no event is ever scheduled.
         """
-        if not self.obs.enabled or self.obs.flush_every_s is None:
+        every = self.obs.flush_every_s
+        if not self.obs.enabled or every is None:
             return
-        base = max(sim.now, self.clock)
-        self._schedule_next_obs_flush(sim, base + self.obs.flush_every_s)
-
-    def _schedule_next_obs_flush(self, sim: Simulator, at_time: float) -> None:
-        def fire(fire_sim: Simulator) -> None:
-            if not self._epoch_hooks["live"]():
-                return
-            self.obs.flush(fire_sim.now)
-            self._schedule_next_obs_flush(
-                fire_sim, fire_sim.now + self.obs.flush_every_s
-            )
-
-        sim.schedule(max(at_time, sim.now), fire, priority=PRIORITY_OBS,
-                     label="obs-flush")
+        self._schedule_periodic(sim, max(sim.now, self.clock) + every, every,
+                                lambda s: self.obs.flush(s.now),
+                                PRIORITY_OBS, "obs-flush")
 
     def _obs_drain(self, runtime: _ShardRuntime,
                    results: List[Tuple[ActivationMessage, GradientMessage]],
@@ -914,37 +1028,20 @@ class TrainingEngine:
                         start_time + step_time, pid=shard_id,
                         args={"batches": len(results)})
 
-    def _obs_uplink(self, end_system: EndSystem,
-                    message: ActivationMessage, sent_at: float) -> None:
-        """Trace one delivered uplink (called only when the tracer is on)."""
-        tracer = self.obs.tracer
-        if not tracer.sampled(
-                self._trace_key(message.end_system_id, message.batch_id)):
-            return
-        args: Dict[str, object] = {"batch": message.batch_id,
-                                   "bytes": message.size_bytes}
-        if self.config.reliable_delivery and self._obs_last_attempts > 1:
-            args["attempts"] = self._obs_last_attempts
-        tracer.span(
-            "uplink", "message", sent_at, message.arrival_time,
-            pid=self._runtime_of[end_system.system_id].shard.shard_id,
-            tid=end_system.system_id, args=args,
-        )
+    def _obs_leg(self, name: str, end_system: EndSystem, batch_id: int,
+                 sent_at: float, arrival_time: float, **args: object) -> None:
+        """Trace one delivered uplink or downlink (only when the tracer is on).
 
-    def _obs_downlink(self, end_system: EndSystem, batch_id: int,
-                      sent_at: float, arrival_time: float) -> None:
-        """Trace one delivered downlink (called only when the tracer is on).
-
-        Shares the uplink's run-local key, so a sampled batch's whole
-        round trip appears in the trace (or none of it does).
+        Both legs share the batch's run-local key, so a sampled batch's
+        whole round trip appears in the trace (or none of it does).
         """
         tracer = self.obs.tracer
         if not tracer.sampled(self._trace_key(end_system.system_id, batch_id)):
             return
         tracer.span(
-            "downlink", "message", sent_at, arrival_time,
+            name, "message", sent_at, arrival_time,
             pid=self._runtime_of[end_system.system_id].shard.shard_id,
-            tid=end_system.system_id, args={"batch": batch_id},
+            tid=end_system.system_id, args={"batch": batch_id, **args},
         )
 
     @staticmethod
@@ -998,7 +1095,7 @@ class TrainingEngine:
         )
 
     def _on_fault(self, sim: Simulator, event: FaultEvent) -> None:
-        if not self._epoch_hooks["live"]():
+        if not self._driver.accepts_faults():
             # The epoch's real work is already done: leave the event
             # pending (not advanced) so the next epoch re-schedules it.
             return
@@ -1099,10 +1196,9 @@ class TrainingEngine:
             self._by_id[message.end_system_id].notify_drop(message.batch_id)
         # Blocked senders hold no pending work; pull them off the dead
         # shard's deques — failover or recovery re-triggers their sends.
-        parked = list(runtime.deferred) + list(runtime.waiting)
-        runtime.deferred.clear()
-        runtime.waiting.clear()
-        self._epoch_hooks["on_shard_down"](sim, runtime, flushed, parked)
+        parked = list(runtime.blocked)
+        runtime.blocked.clear()
+        self._driver.on_shard_down(runtime, flushed, parked)
         if self.failover is not None:
             sim.schedule(
                 sim.now + max(0.0, self.config.failover_delay_s),
@@ -1142,31 +1238,39 @@ class TrainingEngine:
             },
         )
 
+    def _reassign(self, system_id: int, shard_index: int) -> bool:
+        """Move one client's assignment, route and runtime; ``False`` if it stays.
+
+        Time-free bookkeeping only: a run-record restore replays the moves
+        in effect at the record through here, outside any simulation.
+        """
+        if not self.cluster.reassign(system_id, shard_index):
+            return False
+        new_runtime = self._runtimes[shard_index]
+        self._runtime_of[system_id] = new_runtime
+        self.transport.topology.reroute_end_system(
+            self.system_to_node[system_id], new_runtime.shard.node_name
+        )
+        return True
+
     def _apply_reassignment(self, sim: Simulator, moves: Dict[int, int]) -> None:
-        """Move clients between shards: assignment, topology and runtime."""
+        """Move clients between shards mid-run and hand them to the driver."""
         moved = 0
         for system_id, shard_index in sorted(moves.items()):
             old_runtime = self._runtime_of[system_id]
-            if not self.cluster.reassign(system_id, shard_index):
+            if not self._reassign(system_id, shard_index):
                 continue
             new_runtime = self._runtimes[shard_index]
-            self._runtime_of[system_id] = new_runtime
             end_system = self._by_id[system_id]
-            self.transport.topology.reroute_end_system(
-                self.system_to_node[system_id], new_runtime.shard.node_name
-            )
             self.stats.clients_reassigned += 1
             moved += 1
             if system_id in old_runtime.active:
                 old_runtime.active.discard(system_id)
                 new_runtime.active.add(system_id)
-            was_parked = False
-            for blocked in (old_runtime.deferred, old_runtime.waiting):
-                if end_system in blocked:
-                    blocked.remove(end_system)
-                    was_parked = True
-            self._epoch_hooks["on_client_moved"](sim, end_system, new_runtime,
-                                                 was_parked)
+            was_parked = end_system in old_runtime.blocked
+            if was_parked:
+                old_runtime.blocked.remove(end_system)
+            self._driver.on_client_moved(end_system, new_runtime, was_parked)
         if moved:
             logger.info("failover: reassigned %d client(s) at t=%.4fs", moved,
                         sim.now)
@@ -1263,14 +1367,37 @@ class TrainingEngine:
                     if self.cluster.assignment[system_id] != shard.shard_id
                 },
             )
-        self._epoch_hooks["on_shard_up"](sim, runtime)
+        self._driver.on_shard_up(runtime)
 
     # ------------------------------------------------------------------ #
-    # Synchronous mode: rounds as barrier events
+    # The two modes
     # ------------------------------------------------------------------ #
-    def run_synchronous_epoch(
-        self, iterators: Dict[int, Iterator[Tuple[np.ndarray, np.ndarray]]]
-    ) -> MetricTracker:
+    def _run(self, driver: _ModeDriver) -> MetricTracker:
+        """Run one driver's simulation to completion with every plane attached."""
+        for runtime in self._runtimes:
+            runtime.in_transit = 0
+            runtime.blocked.clear()
+            runtime.active = {
+                system_id for system_id in driver.iterators
+                if self._runtime_of[system_id] is runtime
+            }
+        self._driver = driver
+        sim = driver.sim
+        try:
+            driver.prime()
+            self._schedule_fault_events(sim)
+            self._schedule_checkpoint_events(sim)
+            self._schedule_obs_events(sim)
+            sim.run()
+        finally:
+            # Always drop the run's driver: an exception escaping the run
+            # must not leave the engine pinning a dead run's state (or
+            # reporting its liveness to later failure transitions).
+            self._driver = _IDLE
+        self.stats.events_processed += sim.processed_events
+        return driver.tracker
+
+    def run_synchronous_epoch(self, iterators: _Iterators) -> MetricTracker:
         """Drive one synchronous epoch as per-shard chains of round events.
 
         Each shard runs its own round chain: a *round-start* event where
@@ -1295,547 +1422,12 @@ class TrainingEngine:
         sync ever fires and the chain reduces exactly to the
         pre-cluster engine's round loop.
         """
-        tracker = MetricTracker()
-        sim = Simulator()
-        for runtime in self._runtimes:
-            runtime.in_transit = 0
-            runtime.accepted = []
-            runtime.clock = self.clock
-            runtime.round_index = -1
-            # A shard that is down when the epoch starts has no chain; a
-            # recovery transition restarts it mid-epoch.
-            runtime.chain_idle = not runtime.shard.healthy
-            runtime.active = {
-                system_id for system_id in iterators
-                if self._runtime_of[system_id] is runtime
-            }
-        # Rendezvous state ("average" mode): shards parked at a sync
-        # point (mapped to the round they just finished) and shards done
-        # with their data for this epoch.
-        arrived: Dict[int, int] = {}
-        finished: set = set()
-
-        def schedule_round_start(at_time: float, runtime: _ShardRuntime,
-                                 round_index: int) -> None:
-            # Generation-guarded: a crash (or recovery) between scheduling
-            # and firing orphans the event, so a dead shard's chain dies
-            # cleanly and a restarted chain never double-fires.
-            generation = runtime.generation
-            runtime.chain_idle = False
-
-            def fire(sim: Simulator) -> None:
-                if runtime.generation != generation or not runtime.shard.healthy:
-                    return
-                start_round(sim, runtime, round_index)
-
-            sim.schedule(max(at_time, sim.now), fire, label="round-start")
-
-        def on_arrival(sim: Simulator, message: ActivationMessage,
-                       end_system: EndSystem, runtime: _ShardRuntime,
-                       sent_generation: int) -> None:
-            if self._admit(sim, message, end_system, runtime,
-                           sent_generation=sent_generation):
-                runtime.accepted.append(message)
-
-        def start_round(sim: Simulator, runtime: _ShardRuntime,
-                        round_index: int) -> None:
-            runtime.round_index = round_index
-            if self.obs.tracer.enabled:
-                self.obs.tracer.instant(
-                    "round-start", "control", runtime.clock,
-                    pid=runtime.shard.shard_id, args={"round": round_index})
-            if not runtime.active:
-                finish_shard(sim, runtime)
-                return
-            senders: List[EndSystem] = list(runtime.deferred)
-            already_queued = {end_system.system_id for end_system in senders}
-            runtime.deferred.clear()
-            senders.extend(
-                end_system for end_system in self.end_systems
-                if end_system.system_id in runtime.active
-                and end_system.system_id not in already_queued
-            )
-            in_flight = 0
-            last_arrival = runtime.clock
-            latest_give_up = runtime.clock
-            for end_system in senders:
-                if end_system.system_id not in runtime.active:
-                    continue
-                if self._blocking() and not self._queue_has_room(runtime):
-                    runtime.deferred.append(end_system)
-                    self.stats.blocked_sends += 1
-                    continue
-                try:
-                    images, labels = next(iterators[end_system.system_id])
-                except StopIteration:
-                    runtime.active.discard(end_system.system_id)
-                    continue
-                if self.config.reliable_delivery:
-                    message = self._send_uplink_reliable(
-                        end_system, images, labels, runtime.clock,
-                        round_index=round_index,
-                    )
-                    gave_up_at = message.metadata.get("gave_up_at")
-                    if gave_up_at is not None:
-                        # Every retry was physically lost.  The client
-                        # learns at the give-up deadline and ships its
-                        # next batch when the following round starts —
-                        # the same cadence as the unreliable loss path.
-                        self.stats.gave_up += 1
-                        end_system.notify_drop(message.batch_id)
-                        latest_give_up = max(latest_give_up, gave_up_at)
-                        continue
-                else:
-                    message = self._send_uplink(
-                        end_system, images, labels, runtime.clock,
-                        round_index=round_index,
-                    )
-                    if message is None:
-                        # The link dropped the batch; the client forgets it
-                        # and ships its next batch when the following round
-                        # starts.
-                        continue
-                arrivals = self._uplink_arrivals(message)
-                runtime.in_transit += len(arrivals)
-                in_flight += 1
-                last_arrival = max(last_arrival, arrivals[-1])
-                for arrival in arrivals:
-                    sim.schedule(
-                        arrival,
-                        lambda s, m=message, e=end_system, r=runtime,
-                        g=runtime.generation: on_arrival(s, m, e, r, g),
-                        priority=PRIORITY_ARRIVAL,
-                        label="uplink-arrival",
-                    )
-            self.stats.rounds += 1
-            if in_flight:
-                generation = runtime.generation
-
-                def fire_barrier(sim: Simulator, r=round_index, rt=runtime,
-                                 gen=generation) -> None:
-                    if rt.generation != gen or not rt.shard.healthy:
-                        return
-                    barrier(sim, r, rt)
-
-                sim.schedule(
-                    max(last_arrival, sim.now),
-                    fire_barrier,
-                    priority=PRIORITY_DISPATCH,
-                    label="round-barrier",
-                )
-            elif runtime.active:
-                # Every send this round was dropped in transit; retry
-                # immediately — the simulated clock does not advance
-                # (reliable delivery is the exception: abandoned retry
-                # chains occupied the sender until their give-up
-                # deadlines, so the round clock moves there instead of
-                # spinning at a frozen instant).
-                runtime.clock = max(runtime.clock, latest_give_up)
-                schedule_round_start(max(sim.now, runtime.clock), runtime,
-                                     round_index + 1)
-            else:
-                finish_shard(sim, runtime)
-
-        def barrier(sim: Simulator, round_index: int, runtime: _ShardRuntime) -> None:
-            # The shard's queue is drained at every barrier and capacity
-            # is >= 1, so a round that put messages in flight always
-            # lands at least one (the shard's first arrival cannot be
-            # shed).
-            arrived_messages = list(runtime.accepted)
-            runtime.accepted = []
-            # Queue-dropped messages never reached the server segment, so
-            # they do not hold the barrier back.
-            latest_arrival = max(
-                (message.arrival_time for message in arrived_messages),
-                default=runtime.clock,
-            )
-            if runtime.service_factor != 1.0:
-                # Chaos straggler: the shard serves slower, so the drain
-                # completes late by the extra service time and every
-                # gradient of the round ships late with it.  The stall is
-                # a real simulated-time delay, so the drain is re-parked
-                # at the stalled instant — a rendezvous quorum timer must
-                # get the chance to fire before the straggler shows up.
-                latest_arrival += (
-                    self.config.server_step_time_s
-                    * (runtime.service_factor - 1.0)
-                )
-                if latest_arrival > sim.now:
-                    generation = runtime.generation
-
-                    def fire_drain(drain_sim: Simulator,
-                                   msgs=arrived_messages, t=latest_arrival,
-                                   r=round_index, rt=runtime,
-                                   gen=generation) -> None:
-                        # A crash during the stall flushed the queued
-                        # messages (with notifications) already; the
-                        # orphaned drain must not double-process them.
-                        if rt.generation != gen or not rt.shard.healthy:
-                            return
-                        drain_round(drain_sim, r, rt, msgs, t)
-
-                    sim.schedule(latest_arrival, fire_drain,
-                                 priority=PRIORITY_DISPATCH,
-                                 label="straggler-drain")
-                    return
-            drain_round(sim, round_index, runtime, arrived_messages,
-                        latest_arrival)
-
-        def drain_round(sim: Simulator, round_index: int,
-                        runtime: _ShardRuntime,
-                        arrived_messages: List[ActivationMessage],
-                        latest_arrival: float) -> None:
-            gradient_arrivals = [latest_arrival]
-            if self.config.server_batching:
-                # The concatenated step cannot start before the shard's
-                # last accepted message of the round has arrived, so every
-                # gradient is sent back at latest_arrival.
-                results = runtime.shard.process_pending_batch(now=latest_arrival)
-                send_times = [latest_arrival] * len(results)
-            else:
-                results = []
-                send_times = []
-                while runtime.shard.has_pending():
-                    activation_message, gradient_message = runtime.shard.process_next(
-                        now=latest_arrival
-                    )
-                    results.append((activation_message, gradient_message))
-                    send_times.append(activation_message.arrival_time)
-            self.stats.server_steps += 1
-            if self.obs.enabled:
-                self._obs_drain(runtime, results, latest_arrival)
-            for (activation_message, gradient_message), send_time in zip(results, send_times):
-                tracker.update(
-                    {"loss": gradient_message.loss, "accuracy": gradient_message.accuracy},
-                    count=activation_message.batch_size,
-                )
-                end_system = self._by_id[activation_message.end_system_id]
-                if self.config.reliable_delivery:
-                    deliveries, give_up_time = self._send_downlink_reliable(
-                        end_system, gradient_message, send_time
-                    )
-                    if not deliveries:
-                        # Every retry lost: the client abandons the batch
-                        # at the give-up deadline, which also holds its
-                        # next round back (the sender was busy retrying).
-                        self.stats.gave_up += 1
-                        end_system.notify_drop(gradient_message.batch_id)
-                        gradient_arrivals.append(give_up_time)
-                        continue
-                    # The earliest copy completes back-propagation; any
-                    # spurious-timeout duplicates change nothing (the
-                    # gradient is applied inline exactly once).
-                    gradient_arrivals.append(deliveries[0].arrival_time)
-                    if self.obs.tracer.enabled:
-                        self._obs_downlink(end_system,
-                                           gradient_message.batch_id,
-                                           send_time,
-                                           deliveries[0].arrival_time)
-                    end_system.apply_gradient(gradient_message)
-                    continue
-                downlink = self._send_downlink(end_system, gradient_message, send_time)
-                if downlink is None:
-                    end_system.notify_drop(gradient_message.batch_id)
-                    continue
-                gradient_arrivals.append(downlink.arrival_time)
-                if self.obs.tracer.enabled:
-                    self._obs_downlink(end_system, gradient_message.batch_id,
-                                       send_time, downlink.arrival_time)
-                end_system.apply_gradient(gradient_message)
-            # Shard-local barrier: this shard's next round starts once its
-            # own gradients have landed (and not before this barrier fired).
-            runtime.clock = max(runtime.clock, max(gradient_arrivals), sim.now)
-            round_done(sim, runtime, round_index)
-
-        def round_done(sim: Simulator, runtime: _ShardRuntime,
-                       round_index: int) -> None:
-            # "round" checkpoint cadence: the barrier just drained the
-            # queue, so the shard is quiescent — capture rides this event.
-            self._maybe_round_checkpoint(sim, runtime)
-            # A sync needs at least two healthy shards — with the rest of
-            # the cluster down there is nobody to exchange weights with,
-            # so the chain continues straight into its next round.
-            if self._sync_due(round_index + 1) and self._healthy_count() > 1:
-                if self.cluster.sync_mode == "average":
-                    # Park this shard at the rendezvous; the sync fires
-                    # once every still-running healthy shard has arrived
-                    # — or, with a sync timeout configured, when the
-                    # quorum timer the *first* parked shard started runs
-                    # out (degraded sync without the stragglers).
-                    arrived[runtime.shard.shard_id] = round_index
-                    if (self.config.sync_timeout_s is not None
-                            and len(arrived) == 1):
-                        schedule_sync_timeout(sim)
-                    maybe_fire_sync(sim)
-                    return
-                # Staleness gossip: snapshots broadcast now, merges land
-                # between rounds, and nobody blocks.
-                self.stats.weight_syncs += 1
-                self._broadcast_weights(sim, runtime, runtime.clock,
-                                        merge_on_landing=True)
-            schedule_round_start(runtime.clock, runtime, round_index + 1)
-
-        def finish_shard(sim: Simulator, runtime: _ShardRuntime) -> None:
-            # Out of data for this epoch.  A rendezvous must not wait for
-            # a shard that will never arrive.
-            runtime.chain_idle = True
-            if runtime.shard.shard_id not in finished:
-                finished.add(runtime.shard.shard_id)
-                maybe_fire_sync(sim)
-
-        def ensure_chain_running(sim: Simulator, runtime: _ShardRuntime) -> None:
-            # Restart latch for failover/recovery: give the shard a live
-            # round chain when it has gained clients (or come back up)
-            # and its previous chain has died.
-            if not runtime.chain_idle or not runtime.shard.healthy:
-                return
-            if not runtime.active:
-                finish_shard(sim, runtime)
-                return
-            finished.discard(runtime.shard.shard_id)
-            runtime.clock = max(runtime.clock, sim.now)
-            schedule_round_start(runtime.clock, runtime, runtime.round_index + 1)
-
-        # Quorum-degraded sync state: the epoch counter orphans a pending
-        # timeout once its rendezvous resolved (normally or degraded),
-        # and the event handle lets a normal resolution *cancel* the
-        # timeout outright so a retracted timer never stretches the
-        # simulated end time.
-        sync_state: Dict[str, object] = {"epoch": 0, "event": None}
-
-        def resolve_rendezvous(sim: Simulator) -> None:
-            sync_state["epoch"] += 1
-            event = sync_state["event"]
-            if event is not None:
-                sim.cancel(event)
-                sync_state["event"] = None
-
-        def schedule_sync_timeout(sim: Simulator) -> None:
-            epoch = sync_state["epoch"]
-
-            def fire_timeout(timeout_sim: Simulator) -> None:
-                if sync_state["epoch"] != epoch:
-                    return
-                sync_state["event"] = None
-                on_sync_timeout(timeout_sim)
-
-            sync_state["event"] = sim.schedule(
-                sim.now + self.config.sync_timeout_s, fire_timeout,
-                priority=PRIORITY_DISPATCH, label="sync-timeout",
-            )
-
-        def on_sync_timeout(sim: Simulator) -> None:
-            # The first shard has been parked at the rendezvous for a
-            # full sync timeout and stragglers are still out there.
-            # With a quorum of the healthy running shards present, fire
-            # a *degraded* sync among the present shards only; otherwise
-            # release everyone un-synced — either way nobody waits on
-            # the stragglers any longer.
-            if not arrived:
-                return
-            healthy_unfinished = sum(
-                1 for runtime in self._runtimes
-                if runtime.shard.healthy
-                and runtime.shard.shard_id not in finished
-            )
-            participant_runtimes = [
-                runtime for runtime in self._runtimes
-                if runtime.shard.healthy
-                and (runtime.shard.shard_id in arrived
-                     or runtime.shard.shard_id in finished)
-            ]
-            quorum_met = (
-                len(arrived) >= self.config.sync_quorum * healthy_unfinished
-                and len(participant_runtimes) >= 2
-            )
-            if quorum_met:
-                self.stats.quorum_syncs += 1
-                logger.info(
-                    "quorum sync: %d/%d running shard(s) present at t=%.4fs; "
-                    "syncing without the stragglers", len(arrived),
-                    healthy_unfinished, sim.now)
-                if self.obs.tracer.enabled:
-                    self.obs.tracer.instant(
-                        "quorum-sync", "control", sim.now,
-                        args={"present": len(arrived),
-                              "running": healthy_unfinished})
-                resolve_rendezvous(sim)
-                fire_sync(sim, participant_runtimes, restrict=True)
-                return
-            self.stats.sync_timeouts += 1
-            logger.info(
-                "sync timeout: quorum not met (%d/%d) at t=%.4fs; releasing "
-                "parked shard(s) un-synced", len(arrived), healthy_unfinished,
-                sim.now)
-            if self.obs.tracer.enabled:
-                self.obs.tracer.instant(
-                    "sync-timeout", "control", sim.now,
-                    args={"present": len(arrived),
-                          "running": healthy_unfinished})
-            resolve_rendezvous(sim)
-            for runtime in self._runtimes:
-                round_index = arrived.get(runtime.shard.shard_id)
-                if round_index is None or not runtime.shard.healthy:
-                    continue
-                runtime.clock = max(runtime.clock, sim.now)
-                schedule_round_start(runtime.clock, runtime, round_index + 1)
-            arrived.clear()
-
-        def maybe_fire_sync(sim: Simulator) -> None:
-            if not arrived:
-                return
-            if any(
-                runtime.shard.shard_id not in arrived
-                and runtime.shard.shard_id not in finished
-                and runtime.shard.healthy
-                for runtime in self._runtimes
-            ):
-                # The rendezvous waits only for *healthy* running shards;
-                # a crashed shard can never arrive and must not hang the
-                # barrier (its rendezvous entry was dropped at crash time).
-                return
-            resolve_rendezvous(sim)
-            # Full-averaging barrier: every healthy shard (finished ones
-            # too — their weights still count) broadcasts its snapshot,
-            # and the parked shards resume once the slowest transfer has
-            # landed.
-            fire_sync(
-                sim,
-                [runtime for runtime in self._runtimes if runtime.shard.healthy],
-                restrict=False,
-            )
-
-        def fire_sync(sim: Simulator, healthy_runtimes: List[_ShardRuntime],
-                      restrict: bool) -> None:
-            sync_start = max([sim.now] + [rt.clock for rt in healthy_runtimes])
-            participant_ids = {
-                runtime.shard.shard_id for runtime in healthy_runtimes
-            }
-            sync_done = sync_start
-            delivered: Dict[int, set] = {}
-            snapshots: Dict[int, Dict] = {}
-            for runtime in healthy_runtimes:
-                sync_done = max(
-                    sync_done,
-                    self._broadcast_weights(sim, runtime, sync_start,
-                                            merge_on_landing=False,
-                                            delivered=delivered,
-                                            snapshot_out=snapshots,
-                                            among=participant_ids
-                                            if restrict else None),
-                )
-            complete = all(
-                len(delivered.get(runtime.shard.shard_id, ()))
-                == len(healthy_runtimes) - 1
-                for runtime in healthy_runtimes
-            )
-            # Release tickets carry the parked shard's generation: a shard
-            # that crashes (or crashes AND recovers) while the sync is in
-            # flight must not be released here — its chain either died or
-            # was already restarted by the recovery, and a second release
-            # would run a duplicate round chain.
-            released = {
-                runtime.shard.shard_id: (arrived[runtime.shard.shard_id],
-                                         runtime.generation)
-                for runtime in self._runtimes
-                if runtime.shard.shard_id in arrived
-            }
-            arrived.clear()
-
-            def apply_average(sim: Simulator) -> None:
-                # Average the snapshots that travelled the wire (every
-                # shard is parked, so nobody trained since broadcast).
-                # Lossy inter-server links: a shard averages only the
-                # snapshots that actually reached it, so replicas may
-                # diverge under loss exactly like a real deployment's.
-                # The coordinator skips shards that crashed since the
-                # broadcast; their rendezvous release below is skipped
-                # too (a recovery restarts the chain instead).  A
-                # quorum-degraded barrier restricts the average (and the
-                # install) to the shards that made the rendezvous —
-                # stragglers neither contribute nor receive.
-                self.cluster.sync_average(
-                    None if complete else delivered, snapshots=snapshots,
-                    participants=sorted(participant_ids) if restrict else None,
-                )
-                self.stats.weight_syncs += 1
-                logger.debug("weight sync: %d participant(s)%s at t=%.4fs",
-                             len(participant_ids),
-                             " (quorum-restricted)" if restrict else "",
-                             sim.now)
-                if self.obs.tracer.enabled:
-                    self.obs.tracer.span(
-                        "weight-sync", "control", sync_start, sim.now,
-                        args={"participants": len(participant_ids),
-                              "restricted": restrict})
-                # The installed average is durable cluster state: a crash
-                # after this instant can be recovered from it, so it is
-                # every participant's freshest recovery point (unless a
-                # newer checkpoint supersedes it).
-                self.cluster.last_sync_time_s = sim.now
-                for runtime in self._runtimes:
-                    if runtime.shard.healthy and (
-                        not restrict
-                        or runtime.shard.shard_id in participant_ids
-                    ):
-                        runtime.shard.note_recovery_point(sim.now, "sync")
-                for runtime in self._runtimes:
-                    ticket = released.get(runtime.shard.shard_id)
-                    if ticket is None or not runtime.shard.healthy:
-                        continue
-                    round_index, generation = ticket
-                    if runtime.generation != generation:
-                        continue
-                    runtime.clock = max(runtime.clock, sim.now)
-                    schedule_round_start(runtime.clock, runtime, round_index + 1)
-
-            sim.schedule(sync_done, apply_average, priority=PRIORITY_DISPATCH,
-                         label="weight-sync")
-
-        def on_shard_down(sim: Simulator, runtime: _ShardRuntime,
-                          flushed, parked) -> None:
-            # The crashed shard cannot resume from a rendezvous it was
-            # parked at — and the survivors must not wait for it.
-            arrived.pop(runtime.shard.shard_id, None)
-            if not arrived:
-                # The rendezvous emptied out: retract its quorum timer so
-                # a later, unrelated park starts a fresh one.
-                resolve_rendezvous(sim)
-            maybe_fire_sync(sim)
-
-        self._epoch_hooks = {
-            "live": lambda: len(finished) < len(self._runtimes),
-            "on_shard_down": on_shard_down,
-            "on_shard_up": ensure_chain_running,
-            "on_client_moved": lambda sim, end_system, runtime, was_parked: (
-                ensure_chain_running(sim, runtime)
-            ),
-        }
-        try:
-            for runtime in self._runtimes:
-                if runtime.shard.healthy:
-                    schedule_round_start(runtime.clock, runtime, 0)
-            self._schedule_fault_events(sim)
-            self._schedule_checkpoint_events(sim)
-            self._schedule_obs_events(sim)
-            sim.run()
-        finally:
-            # Always drop the epoch's closures: an exception escaping the
-            # run must not leave the engine pinning a dead epoch's state
-            # (or reporting its liveness to later failure transitions).
-            self._epoch_hooks = self._inert_hooks()
-        self.stats.events_processed += sim.processed_events
+        tracker = self._run(_RoundChain(self, iterators))
         self.clock = max([self.clock] + [rt.clock for rt in self._runtimes])
         return tracker
 
-    # ------------------------------------------------------------------ #
-    # Asynchronous mode: arrival / dispatch / landing events
-    # ------------------------------------------------------------------ #
-    def run_asynchronous(
-        self,
-        iterators: Dict[int, Iterator[Tuple[np.ndarray, np.ndarray]]],
-        stop_time: Optional[float] = None,
-    ) -> MetricTracker:
+    def run_asynchronous(self, iterators: _Iterators,
+                         stop_time: Optional[float] = None) -> MetricTracker:
         """Event-driven asynchronous training.
 
         Clients keep at most ``config.max_in_flight`` batches outstanding;
@@ -1851,361 +1443,706 @@ class TrainingEngine:
         simulated time, and every batch still in flight is abandoned
         (clients discard the pending activations — nothing leaks).
         """
-        tracker = MetricTracker()
-        sim = Simulator()
-        exhausted: set = set()
-        in_flight: Dict[int, Tuple[ActivationMessage, EndSystem]] = {}
-        # Reliable delivery: transfers whose every retry was physically
-        # lost, keyed by (system id, batch id) and resolved by a give-up
-        # event at the retry chain's final deadline (a budget stop drains
-        # them as plain cancellations instead — the losses were absorbed,
-        # so no drop notification is owed).
-        pending_giveups: Dict[Tuple[int, int], Tuple[EndSystem, int]] = {}
-        # Gradient transfers that already completed back-propagation —
-        # the landing guard that makes duplicate downlink copies inert.
-        landed: set = set()
-        self._stranded = {}
-        for runtime in self._runtimes:
-            runtime.in_transit = 0
-            runtime.waiting.clear()
-            runtime.next_free = self.clock
-            runtime.dispatch_scheduled = False
+        return self._run(_DispatchLoop(self, iterators, stop_time))
 
-        def try_send(end_system: EndSystem, at_time: float) -> None:
-            if end_system.system_id in exhausted or sim.stopped:
-                return
-            if stop_time is not None and at_time >= stop_time:
-                # Past the budget: stop feeding new work into the pipeline.
-                return
-            runtime = self._runtime_of[end_system.system_id]
-            if not runtime.shard.healthy:
-                # The client's shard is down and nobody has failed it
-                # over (yet): park the send — failover or recovery
-                # re-issues it.
-                self._stranded[end_system.system_id] = (
-                    self._stranded.get(end_system.system_id, 0) + 1
-                )
-                return
-            if self._blocking() and not self._queue_has_room(runtime):
-                runtime.waiting.append(end_system)
-                self.stats.blocked_sends += 1
-                return
-            try:
-                images, labels = next(iterators[end_system.system_id])
-            except StopIteration:
-                exhausted.add(end_system.system_id)
-                return
-            if self.config.reliable_delivery:
-                message = self._send_uplink_reliable(
-                    end_system, images, labels, at_time
-                )
-                gave_up_at = message.metadata.get("gave_up_at")
-                if gave_up_at is not None:
-                    # Every retry was physically lost: the client keeps
-                    # the batch pending until the give-up deadline, then
-                    # abandons it and computes its next one.
-                    key = (end_system.system_id, message.batch_id)
-                    pending_giveups[key] = (end_system, message.batch_id)
 
-                    def fire_give_up(give_up_sim: Simulator, k=key,
-                                     e=end_system, m=message) -> None:
-                        if pending_giveups.pop(k, None) is None:
-                            return  # already drained by a budget stop
-                        self.stats.gave_up += 1
-                        e.notify_drop(m.batch_id)
-                        try_send(e, give_up_sim.now)
+class _RoundChain(_ModeDriver):
+    """Synchronous mode: one chain of round events per shard.
 
-                    sim.schedule(gave_up_at, fire_give_up,
-                                 priority=PRIORITY_LANDING,
-                                 label="uplink-give-up")
-                    return
-                arrivals = self._uplink_arrivals(message)
-            else:
-                message = self._send_uplink(end_system, images, labels, at_time)
-                if message is None:
-                    # Dropped in transit; the lost batch is forgotten and
-                    # the client immediately computes its next one.
-                    try_send(end_system, at_time)
-                    return
-                arrivals = self._uplink_arrivals(message)
-            runtime.in_transit += len(arrivals)
-            in_flight[message.sequence] = (message, end_system)
-            for arrival in arrivals:
-                sim.schedule(
-                    arrival,
-                    lambda s, m=message, e=end_system, r=runtime,
-                    g=runtime.generation: on_arrival(s, m, e, r, g),
-                    priority=PRIORITY_ARRIVAL,
-                    label="uplink-arrival",
-                )
+    Per-shard progress (``clock``, ``round_index``, ``accepted``,
+    ``chain_idle``) lives on the shard runtimes; the driver itself holds
+    what the chains share — the rendezvous.
+    """
 
-        def on_arrival(sim: Simulator, message: ActivationMessage,
-                       end_system: EndSystem, runtime: _ShardRuntime,
-                       sent_generation: int) -> None:
-            in_flight.pop(message.sequence, None)
-            if not self._admit(
-                sim, message, end_system, runtime,
-                # Queue overflow ("drop" policy): the client is NACKed
-                # over the downlink and moves on to its next batch when
-                # the NACK lands.
-                on_notified=lambda s, e=end_system: try_send(e, s.now),
-                sent_generation=sent_generation,
-            ):
-                return
-            maybe_dispatch(sim, runtime)
+    def __init__(self, engine: TrainingEngine, iterators: _Iterators) -> None:
+        super().__init__(engine, iterators)
+        #: ``"average"`` rendezvous: shards parked at a sync point, mapped
+        #: to the round they just finished.
+        self.arrived: Dict[int, int] = {}
+        #: Shards done with their data for this epoch.
+        self.finished: Set[int] = set()
+        #: Pending quorum timeout of the current rendezvous, cancelled
+        #: outright when it resolves so a retracted timer never stretches
+        #: the simulated end time.
+        self._sync_timer: Optional[Event] = None
 
-        def schedule_dispatch(at_time: float, runtime: _ShardRuntime) -> None:
-            generation = runtime.generation
+    def prime(self) -> None:
+        for runtime in self.engine._runtimes:
+            runtime.accepted = []
+            runtime.clock = self.engine.clock
+            runtime.round_index = -1
+            # A shard that is down when the epoch starts has no chain; a
+            # recovery transition restarts it mid-epoch.
+            runtime.chain_idle = not runtime.shard.healthy
+            if runtime.shard.healthy:
+                self._schedule_round(runtime.clock, runtime, 0)
 
-            def fire(sim: Simulator) -> None:
-                if runtime.generation != generation or not runtime.shard.healthy:
-                    return
-                dispatch(sim, runtime)
+    # -- driver protocol ------------------------------------------------ #
+    def live(self) -> bool:
+        # A shard that is down with nothing left on its crash lane will
+        # never come back this run: it must not keep the periodic chains
+        # (and so the epoch) alive for ever.
+        plan = self.engine.fault_plan
+        return any(
+            runtime.shard.shard_id not in self.finished
+            and (runtime.shard.healthy
+                 or (plan is not None
+                     and plan.peek(runtime.shard.shard_id) is not None))
+            for runtime in self.engine._runtimes
+        )
 
-            sim.schedule(at_time, fire, priority=PRIORITY_DISPATCH,
-                         label="server-step")
+    def accepts_faults(self) -> bool:
+        # Any unfinished shard keeps the epoch open to faults, a dead one
+        # included: a fault due after the survivors finished is applied
+        # now, not deferred to the next epoch.
+        return len(self.finished) < len(self.engine._runtimes)
 
-        def maybe_dispatch(sim: Simulator, runtime: _ShardRuntime) -> None:
-            if runtime.dispatch_scheduled or sim.now < runtime.next_free:
-                return
-            if not runtime.shard.healthy or not runtime.shard.has_pending():
-                return
-            runtime.dispatch_scheduled = True
-            schedule_dispatch(sim.now, runtime)
+    def on_shard_down(self, runtime: _ShardRuntime,
+                      flushed: List[ActivationMessage],
+                      parked: List[EndSystem]) -> None:
+        # The crashed shard cannot resume from a rendezvous it was
+        # parked at — and the survivors must not wait for it.
+        self.arrived.pop(runtime.shard.shard_id, None)
+        if not self.arrived:
+            # The rendezvous emptied out: retract its quorum timer so
+            # a later, unrelated park starts a fresh one.
+            self._resolve_rendezvous()
+        self._maybe_fire_sync()
 
-        def release_waiters(sim: Simulator, runtime: _ShardRuntime,
-                            at_time: float) -> None:
-            while runtime.waiting and self._queue_has_room(runtime):
-                try_send(runtime.waiting.popleft(), at_time)
+    def on_shard_up(self, runtime: _ShardRuntime) -> None:
+        # Restart latch for failover/recovery: give the shard a live
+        # round chain when it has gained clients (or come back up)
+        # and its previous chain has died.
+        if not runtime.chain_idle or not runtime.shard.healthy:
+            return
+        if not runtime.active:
+            self._finish_shard(runtime)
+            return
+        self.finished.discard(runtime.shard.shard_id)
+        self._resume(runtime, runtime.round_index + 1)
 
-        def dispatch(sim: Simulator, runtime: _ShardRuntime) -> None:
-            runtime.dispatch_scheduled = False
-            if not runtime.shard.has_pending():
-                # Went idle; the next arrival re-triggers a dispatch.
-                return
-            start_time = sim.now
-            if stop_time is not None and start_time >= stop_time:
-                halt(sim)
-                return
-            if self.config.server_batching:
-                # Batched draining: every message that has arrived by
-                # start_time is folded into one concatenated server step
-                # costing a single server_step_time_s.
-                results = runtime.shard.process_pending_batch(now=start_time)
-            else:
-                results = [runtime.shard.process_next(now=start_time)]
-            self.stats.server_steps += 1
-            if self.obs.enabled:
-                self._obs_drain(runtime, results, start_time)
-            # The pops above freed queue slots; blocked senders go first.
-            release_waiters(sim, runtime, start_time)
-            finish_time = (
-                start_time
-                + self.config.server_step_time_s * runtime.service_factor
+    def on_client_moved(self, end_system: EndSystem, runtime: _ShardRuntime,
+                        was_parked: bool) -> None:
+        self.on_shard_up(runtime)
+
+    # -- the round chain ------------------------------------------------ #
+    def _schedule_round(self, at_time: float, runtime: _ShardRuntime,
+                        round_index: int) -> None:
+        runtime.chain_idle = False
+        self.engine._schedule_for(
+            self.sim, runtime, max(at_time, self.sim.now), PRIORITY_ARRIVAL,
+            "round-start", self._start_round, round_index,
+        )
+
+    def _resume(self, runtime: _ShardRuntime, round_index: int) -> None:
+        """Continue a parked or restarted chain, not before the present."""
+        runtime.clock = max(runtime.clock, self.sim.now)
+        self._schedule_round(runtime.clock, runtime, round_index)
+
+    def _on_arrival(self, sim: Simulator, message: ActivationMessage,
+                    end_system: EndSystem, runtime: _ShardRuntime,
+                    sent_generation: int) -> None:
+        if self.engine._admit(sim, message, end_system, runtime,
+                              sent_generation=sent_generation):
+            runtime.accepted.append(message)
+
+    def _start_round(self, runtime: _ShardRuntime, round_index: int) -> None:
+        engine, sim = self.engine, self.sim
+        runtime.round_index = round_index
+        if engine.obs.tracer.enabled:
+            engine.obs.tracer.instant(
+                "round-start", "control", runtime.clock,
+                pid=runtime.shard.shard_id, args={"round": round_index})
+        if not runtime.active:
+            self._finish_shard(runtime)
+            return
+        senders: List[EndSystem] = list(runtime.blocked)
+        already_queued = {end_system.system_id for end_system in senders}
+        runtime.blocked.clear()
+        senders.extend(
+            end_system for end_system in engine.end_systems
+            if end_system.system_id in runtime.active
+            and end_system.system_id not in already_queued
+        )
+        in_flight = 0
+        last_arrival = runtime.clock
+        latest_loss = runtime.clock
+        for end_system in senders:
+            if end_system.system_id not in runtime.active:
+                continue
+            batch = engine._next_batch(end_system, runtime, self.iterators)
+            if batch is None:
+                continue
+            message, arrivals, lost_at = engine._uplink(
+                end_system, batch, runtime.clock, round_index=round_index
             )
-            self.clock = max(self.clock, finish_time)
-            next_dispatch_at = finish_time
-            for activation_message, gradient_message in results:
-                tracker.update(
-                    {"loss": gradient_message.loss, "accuracy": gradient_message.accuracy},
-                    count=activation_message.batch_size,
+            if lost_at is not None:
+                # The client forgets the batch and ships its next one
+                # when the following round starts — at once when the
+                # link dropped it, not before the give-up deadline when
+                # every retry was lost.
+                engine._abandon(end_system, message.batch_id)
+                latest_loss = max(latest_loss, lost_at)
+                continue
+            in_flight += 1
+            last_arrival = max(last_arrival, arrivals[-1])
+            engine._schedule_arrivals(sim, message, arrivals, end_system,
+                                      runtime, self._on_arrival)
+        engine.stats.rounds += 1
+        if in_flight:
+            engine._schedule_for(
+                sim, runtime, max(last_arrival, sim.now), PRIORITY_DISPATCH,
+                "round-barrier", self._barrier, round_index,
+            )
+        elif runtime.active:
+            # Every send this round was lost in transit; retry
+            # immediately — the simulated clock does not advance
+            # (reliable delivery is the exception: abandoned retry
+            # chains occupied the sender until their give-up
+            # deadlines, so the round clock moves there instead of
+            # spinning at a frozen instant).
+            runtime.clock = max(runtime.clock, latest_loss)
+            self._schedule_round(max(sim.now, runtime.clock), runtime,
+                                 round_index + 1)
+        else:
+            self._finish_shard(runtime)
+
+    def _barrier(self, runtime: _ShardRuntime, round_index: int) -> None:
+        # The shard's queue is drained at every barrier and capacity
+        # is >= 1, so a round that put messages in flight always
+        # lands at least one (the shard's first arrival cannot be
+        # shed).  Queue-dropped messages never reached the server
+        # segment, so they do not hold the barrier back.
+        latest_arrival = max(
+            (message.arrival_time for message in runtime.accepted),
+            default=runtime.clock,
+        )
+        runtime.accepted = []
+        if runtime.service_factor != 1.0:
+            # Chaos straggler: the shard serves slower, so the drain
+            # completes late by the extra service time and every
+            # gradient of the round ships late with it.  The stall is
+            # a real simulated-time delay, so the drain is re-parked
+            # at the stalled instant — a rendezvous quorum timer must
+            # get the chance to fire before the straggler shows up.
+            latest_arrival += (
+                self.engine.config.server_step_time_s
+                * (runtime.service_factor - 1.0)
+            )
+            if latest_arrival > self.sim.now:
+                # A crash during the stall flushes the queued messages
+                # (with notifications); the guard keeps the orphaned
+                # drain from double-processing them.
+                self.engine._schedule_for(
+                    self.sim, runtime, latest_arrival, PRIORITY_DISPATCH,
+                    "straggler-drain", self._drain_round, round_index,
+                    latest_arrival,
                 )
-                end_system = self._by_id[activation_message.end_system_id]
-                if self.config.reliable_delivery:
-                    deliveries, give_up_time = self._send_downlink_reliable(
-                        end_system, gradient_message, finish_time
-                    )
-                    if not deliveries:
-                        # Every retry lost: the client abandons the batch
-                        # at the give-up deadline and moves on then.
-                        key = (end_system.system_id,
-                               gradient_message.batch_id)
-                        pending_giveups[key] = (end_system,
-                                                gradient_message.batch_id)
+                return
+        self._drain_round(runtime, round_index, latest_arrival)
 
-                        def fire_give_up(give_up_sim: Simulator, k=key,
-                                         e=end_system,
-                                         g=gradient_message) -> None:
-                            if pending_giveups.pop(k, None) is None:
-                                return
-                            self.stats.gave_up += 1
-                            e.notify_drop(g.batch_id)
-                            try_send(e, give_up_sim.now)
-
-                        self.clock = max(self.clock, give_up_time)
-                        sim.schedule(give_up_time, fire_give_up,
-                                     priority=PRIORITY_LANDING,
-                                     label="downlink-give-up")
-                        continue
-                    # The earliest copy completes back-propagation; any
-                    # later duplicates are absorbed by the landing guard.
-                    # The shard's flow control waits only on that first
-                    # copy — a spurious duplicate must not throttle it.
-                    arrival = deliveries[0].arrival_time
-                    next_dispatch_at = max(next_dispatch_at, arrival)
-                    self.clock = max(self.clock, arrival)
-                    if self.obs.tracer.enabled:
-                        self._obs_downlink(end_system,
-                                           gradient_message.batch_id,
-                                           finish_time, arrival)
-                    for wire in deliveries:
-                        sim.schedule(
-                            wire.arrival_time,
-                            lambda s, e=end_system,
-                            g=gradient_message: land(s, e, g),
-                            priority=PRIORITY_LANDING,
-                            label="gradient-landing",
-                        )
-                    continue
-                downlink = self._send_downlink(end_system, gradient_message, finish_time)
-                if downlink is None:
-                    end_system.notify_drop(gradient_message.batch_id)
-                    # The client moves on as soon as the step has ended.
-                    sim.schedule(
-                        finish_time,
-                        lambda s, e=end_system: try_send(e, s.now),
-                        priority=PRIORITY_LANDING,
-                        label="gradient-lost",
-                    )
-                    continue
-                next_dispatch_at = max(next_dispatch_at, downlink.arrival_time)
-                self.clock = max(self.clock, downlink.arrival_time)
-                if self.obs.tracer.enabled:
-                    self._obs_downlink(end_system, gradient_message.batch_id,
-                                       finish_time, downlink.arrival_time)
-                sim.schedule(
-                    downlink.arrival_time,
-                    lambda s, e=end_system, g=gradient_message: land(s, e, g),
-                    priority=PRIORITY_LANDING,
-                    label="gradient-landing",
-                )
-            if (
-                self.cluster.num_shards > 1
-                and self._healthy_count() > 1
-                and runtime.shard.steps_since_sync >= self.cluster.sync_every
-            ):
-                # Gossip this shard's weights; peers merge on landing
-                # with a staleness-decayed coefficient.  The broadcast
-                # happens when the step's results ship (finish_time) and
-                # never blocks the pipeline.  With every peer down there
-                # is nobody to gossip with — the cadence counter keeps
-                # running and the next due step after a recovery gossips.
-                runtime.shard.steps_since_sync = 0
-                self.stats.weight_syncs += 1
-                self._broadcast_weights(sim, runtime, finish_time,
-                                        merge_on_landing=True)
-            # "round" checkpoint cadence rides the dispatch event: the
-            # step's state is final and the queue slots it drained are
-            # accounted.
-            self._maybe_round_checkpoint(sim, runtime)
-            # The shard may start its next step once it is free and this
-            # step's gradients have all landed.
-            runtime.next_free = next_dispatch_at
-            runtime.dispatch_scheduled = True
-            schedule_dispatch(next_dispatch_at, runtime)
-
-        def land(sim: Simulator, end_system: EndSystem,
-                 gradient_message: GradientMessage) -> None:
-            if self.config.reliable_delivery:
-                # Only the first copy of a gradient completes the batch;
-                # spurious-timeout duplicates land and evaporate (and
-                # must not mint extra send tokens).
-                key = (end_system.system_id, gradient_message.batch_id)
-                if key in landed:
-                    return
-                landed.add(key)
+    def _drain_round(self, runtime: _ShardRuntime, round_index: int,
+                     latest_arrival: float) -> None:
+        engine = self.engine
+        # The step cannot start before the shard's last accepted message
+        # of the round has arrived.
+        results, send_times = engine._drain(runtime, latest_arrival,
+                                            whole_queue=True)
+        settled = latest_arrival
+        for end_system, gradient_message, arrivals, lost_at in engine._reply(
+                self.tracker, results, send_times):
+            if lost_at is not None:
+                # A give-up deadline also holds the next round back (the
+                # sender was busy retrying until then).
+                engine._abandon(end_system, gradient_message.batch_id)
+                settled = max(settled, lost_at)
+                continue
+            # The earliest copy completes back-propagation; any
+            # spurious-timeout duplicates change nothing (the gradient
+            # is applied inline exactly once).
+            settled = max(settled, arrivals[0])
             end_system.apply_gradient(gradient_message)
-            # The client computes its next batch as soon as the gradient lands.
-            try_send(end_system, sim.now)
+        # Shard-local barrier: this shard's next round starts once its
+        # own gradients have landed (and not before this barrier fired).
+        runtime.clock = max(runtime.clock, settled, self.sim.now)
+        self._round_done(runtime, round_index)
 
-        def halt(sim: Simulator) -> None:
-            # Budget exhausted.  Abandon whatever has not been trained on —
-            # uplinks still in flight and messages sitting in the shard
-            # queues — and make sure the owning clients forget the
-            # activations.
-            if stop_time is not None:
-                self.clock = max(self.clock, stop_time)
-            for message, end_system in in_flight.values():
-                end_system.discard_pending(message.batch_id)
-                self.stats.cancelled_at_stop += 1
-            in_flight.clear()
-            # Pending reliable-delivery give-ups resolve as plain
-            # cancellations: their losses were absorbed into the retry
-            # ledger, so no drop notification is owed (and none may be
-            # issued, or the cross-layer balance would tilt).
-            for end_system, batch_id in pending_giveups.values():
-                end_system.discard_pending(batch_id)
-                self.stats.cancelled_at_stop += 1
-            pending_giveups.clear()
-            # Queue-dropped batches whose NACK is still in flight resolve
-            # as if the NACK had just landed (they were already counted
-            # as queue drops, not cancellations).
-            for end_system, batch_id in self._awaiting_nack.values():
-                end_system.notify_drop(batch_id)
-            self._awaiting_nack.clear()
-            # flush_all also releases the messages' activation-arena
-            # rows on every shard, so a budgeted stop does not pin
-            # staged memory.
-            for message in self.cluster.flush_all():
-                self._by_id[message.end_system_id].discard_pending(message.batch_id)
-                self.stats.cancelled_at_stop += 1
-            for runtime in self._runtimes:
-                runtime.waiting.clear()
-                runtime.in_transit = 0
-            # Stranded sends hold no pending activations — just forget them.
-            self._stranded.clear()
-            sim.stop()
+    def _round_done(self, runtime: _ShardRuntime, round_index: int) -> None:
+        engine, sim = self.engine, self.sim
+        # "round" checkpoint cadence: the barrier just drained the
+        # queue, so the shard is quiescent — capture rides this event.
+        engine._maybe_round_checkpoint(sim, runtime)
+        # The coordinator owns the sync cadence and mode (the trainer
+        # seeds them from TrainingConfig).  A sync needs at least two
+        # healthy shards — with the rest of the cluster down there is
+        # nobody to exchange weights with, so the chain continues
+        # straight into its next round.
+        if ((round_index + 1) % engine.cluster.sync_every == 0
+                and engine._healthy_count() > 1):
+            if engine.cluster.sync_mode == "average":
+                # Park this shard at the rendezvous; the sync fires
+                # once every still-running healthy shard has arrived
+                # — or, with a sync timeout configured, when the
+                # quorum timer the *first* parked shard started runs
+                # out (degraded sync without the stragglers).
+                self.arrived[runtime.shard.shard_id] = round_index
+                if (engine.config.sync_timeout_s is not None
+                        and len(self.arrived) == 1):
+                    self._sync_timer = sim.schedule(
+                        sim.now + engine.config.sync_timeout_s,
+                        self._on_sync_timeout,
+                        priority=PRIORITY_DISPATCH, label="sync-timeout",
+                    )
+                self._maybe_fire_sync()
+                return
+            # Staleness gossip: snapshots broadcast now, merges land
+            # between rounds, and nobody blocks.
+            engine.stats.weight_syncs += 1
+            engine._broadcast_weights(sim, runtime, runtime.clock,
+                                      merge_on_landing=True)
+        self._schedule_round(runtime.clock, runtime, round_index + 1)
 
-        def live() -> bool:
-            if sim.stopped:
-                return False
-            if len(exhausted) < len(self.end_systems):
-                return True
-            return bool(in_flight) or any(
-                runtime.shard.has_pending() for runtime in self._runtimes
+    def _finish_shard(self, runtime: _ShardRuntime) -> None:
+        # Out of data for this epoch.  A rendezvous must not wait for
+        # a shard that will never arrive.
+        runtime.chain_idle = True
+        if runtime.shard.shard_id not in self.finished:
+            self.finished.add(runtime.shard.shard_id)
+            self._maybe_fire_sync()
+
+    # -- the "average" rendezvous ---------------------------------------- #
+    def _resolve_rendezvous(self) -> None:
+        if self._sync_timer is not None:
+            self.sim.cancel(self._sync_timer)
+            self._sync_timer = None
+
+    def _on_sync_timeout(self, sim: Simulator) -> None:
+        # The first shard has been parked at the rendezvous for a
+        # full sync timeout and stragglers are still out there.
+        # With a quorum of the healthy running shards present, fire
+        # a *degraded* sync among the present shards only; otherwise
+        # release everyone un-synced — either way nobody waits on
+        # the stragglers any longer.
+        engine = self.engine
+        self._sync_timer = None
+        if not self.arrived:
+            return
+        healthy_unfinished = sum(
+            1 for runtime in engine._runtimes
+            if runtime.shard.healthy
+            and runtime.shard.shard_id not in self.finished
+        )
+        participants = [
+            runtime for runtime in engine._runtimes
+            if runtime.shard.healthy
+            and (runtime.shard.shard_id in self.arrived
+                 or runtime.shard.shard_id in self.finished)
+        ]
+        quorum_met = (
+            len(self.arrived) >= engine.config.sync_quorum * healthy_unfinished
+            and len(participants) >= 2
+        )
+        name = "quorum-sync" if quorum_met else "sync-timeout"
+        if engine.obs.tracer.enabled:
+            engine.obs.tracer.instant(
+                name, "control", sim.now,
+                args={"present": len(self.arrived),
+                      "running": healthy_unfinished})
+        if quorum_met:
+            engine.stats.quorum_syncs += 1
+            logger.info(
+                "quorum sync: %d/%d running shard(s) present at t=%.4fs; "
+                "syncing without the stragglers", len(self.arrived),
+                healthy_unfinished, sim.now)
+            self._fire_sync(participants, restrict=True)
+            return
+        engine.stats.sync_timeouts += 1
+        logger.info(
+            "sync timeout: quorum not met (%d/%d) at t=%.4fs; releasing "
+            "parked shard(s) un-synced", len(self.arrived), healthy_unfinished,
+            sim.now)
+        for runtime in engine._runtimes:
+            round_index = self.arrived.get(runtime.shard.shard_id)
+            if round_index is not None and runtime.shard.healthy:
+                self._resume(runtime, round_index + 1)
+        self.arrived.clear()
+
+    def _maybe_fire_sync(self) -> None:
+        if not self.arrived:
+            return
+        if any(
+            runtime.shard.shard_id not in self.arrived
+            and runtime.shard.shard_id not in self.finished
+            and runtime.shard.healthy
+            for runtime in self.engine._runtimes
+        ):
+            # The rendezvous waits only for *healthy* running shards;
+            # a crashed shard can never arrive and must not hang the
+            # barrier (its rendezvous entry was dropped at crash time).
+            return
+        self._resolve_rendezvous()
+        # Full-averaging barrier: every healthy shard (finished ones
+        # too — their weights still count) broadcasts its snapshot,
+        # and the parked shards resume once the slowest transfer has
+        # landed.
+        self._fire_sync(
+            [runtime for runtime in self.engine._runtimes if runtime.shard.healthy],
+            restrict=False,
+        )
+
+    def _fire_sync(self, healthy_runtimes: List[_ShardRuntime],
+                   restrict: bool) -> None:
+        engine, sim = self.engine, self.sim
+        sync_start = max([sim.now] + [rt.clock for rt in healthy_runtimes])
+        participant_ids = {
+            runtime.shard.shard_id for runtime in healthy_runtimes
+        }
+        sync_done = sync_start
+        delivered: Dict[int, set] = {}
+        snapshots: Dict[int, Dict] = {}
+        for runtime in healthy_runtimes:
+            sync_done = max(
+                sync_done,
+                engine._broadcast_weights(sim, runtime, sync_start,
+                                          merge_on_landing=False,
+                                          delivered=delivered,
+                                          snapshot_out=snapshots,
+                                          among=participant_ids
+                                          if restrict else None),
+            )
+        complete = all(
+            len(delivered.get(runtime.shard.shard_id, ()))
+            == len(healthy_runtimes) - 1
+            for runtime in healthy_runtimes
+        )
+        # Releases sit behind the parked shard's generation guard: a shard
+        # that crashes (or crashes AND recovers) while the sync is in
+        # flight must not be released here — its chain either died or
+        # was already restarted by the recovery, and a second release
+        # would run a duplicate round chain.
+        releases = [
+            engine._guarded(runtime, self._resume,
+                            self.arrived[runtime.shard.shard_id] + 1)
+            for runtime in engine._runtimes
+            if runtime.shard.shard_id in self.arrived
+        ]
+        self.arrived.clear()
+
+        def apply_average(sim: Simulator) -> None:
+            # Average the snapshots that travelled the wire (every
+            # shard is parked, so nobody trained since broadcast).
+            # Lossy inter-server links: a shard averages only the
+            # snapshots that actually reached it, so replicas may
+            # diverge under loss exactly like a real deployment's.
+            # The coordinator skips shards that crashed since the
+            # broadcast; their rendezvous release below is skipped
+            # too (a recovery restarts the chain instead).  A
+            # quorum-degraded barrier restricts the average (and the
+            # install) to the shards that made the rendezvous —
+            # stragglers neither contribute nor receive.
+            engine.cluster.sync_average(
+                None if complete else delivered, snapshots=snapshots,
+                participants=sorted(participant_ids) if restrict else None,
+            )
+            engine.stats.weight_syncs += 1
+            logger.debug("weight sync: %d participant(s)%s at t=%.4fs",
+                         len(participant_ids),
+                         " (quorum-restricted)" if restrict else "",
+                         sim.now)
+            if engine.obs.tracer.enabled:
+                engine.obs.tracer.span(
+                    "weight-sync", "control", sync_start, sim.now,
+                    args={"participants": len(participant_ids),
+                          "restricted": restrict})
+            # The installed average is durable cluster state: a crash
+            # after this instant can be recovered from it, so it is
+            # every participant's freshest recovery point (unless a
+            # newer checkpoint supersedes it).
+            engine.cluster.last_sync_time_s = sim.now
+            for runtime in engine._runtimes:
+                if runtime.shard.healthy and (
+                    not restrict
+                    or runtime.shard.shard_id in participant_ids
+                ):
+                    runtime.shard.note_recovery_point(sim.now, "sync")
+            for release in releases:
+                release(sim)
+
+        sim.schedule(sync_done, apply_average, priority=PRIORITY_DISPATCH,
+                     label="weight-sync")
+
+
+def _absorbed(sim: Simulator) -> None:
+    """Landing of a spurious-timeout duplicate gradient: it evaporates.
+
+    The earliest copy already completed the batch; a later one must
+    neither apply the gradient again nor mint an extra send token.
+    """
+
+
+class _DispatchLoop(_ModeDriver):
+    """Asynchronous mode: clients pipeline sends, shards step when free.
+
+    Per-shard dispatch state (``next_free``, ``dispatch_scheduled``) lives
+    on the shard runtimes; the driver holds what is outstanding across the
+    deployment.
+    """
+
+    def __init__(self, engine: TrainingEngine, iterators: _Iterators,
+                 stop_time: Optional[float]) -> None:
+        super().__init__(engine, iterators)
+        self.stop_time = stop_time
+        #: Delivered uplinks whose first copy has not arrived yet, by
+        #: activation sequence.
+        self.in_flight: Dict[int, Tuple[ActivationMessage, EndSystem]] = {}
+        #: Reliable delivery: transfers whose every retry was physically
+        #: lost, keyed by (system id, batch id) and resolved by a give-up
+        #: event at the retry chain's final deadline (a budget stop drains
+        #: them as plain cancellations instead — the losses were absorbed,
+        #: so no drop notification is owed).
+        self.pending_giveups: Dict[Tuple[int, int], Tuple[EndSystem, int]] = {}
+        #: Deferred sends of clients whose shard is down: system id ->
+        #: number of sends to re-issue once the client is failed over or
+        #: its shard recovers.
+        self.stranded: Dict[int, int] = {}
+
+    def prime(self) -> None:
+        for runtime in self.engine._runtimes:
+            runtime.next_free = self.engine.clock
+            runtime.dispatch_scheduled = False
+        # Prime the pipeline: every client ships max_in_flight batches.
+        for end_system in self.engine.end_systems:
+            for _ in range(self.engine.config.max_in_flight):
+                self.try_send(end_system, self.engine.clock)
+
+    # -- driver protocol ------------------------------------------------ #
+    def live(self) -> bool:
+        if self.sim.stopped:
+            return False
+        return bool(self.in_flight) or any(
+            runtime.active or runtime.shard.has_pending()
+            for runtime in self.engine._runtimes
+        )
+
+    def on_shard_down(self, runtime: _ShardRuntime,
+                      flushed: List[ActivationMessage],
+                      parked: List[EndSystem]) -> None:
+        # Clients whose batches were shed at the crash (or who were
+        # parked in the dead shard's backpressure queue) immediately
+        # try again; the send strands until failover or recovery.
+        for message in flushed:
+            self.try_send(self.engine._by_id[message.end_system_id], self.sim.now)
+        for end_system in parked:
+            self.try_send(end_system, self.sim.now)
+
+    def on_shard_up(self, runtime: _ShardRuntime) -> None:
+        # Standby clients (never failed over) resume their sends.
+        for system_id in list(runtime.shard.client_ids):
+            for _ in range(self.stranded.pop(system_id, 0)):
+                self.try_send(self.engine._by_id[system_id], self.sim.now)
+        self._maybe_dispatch(runtime)
+
+    def on_client_moved(self, end_system: EndSystem, runtime: _ShardRuntime,
+                        was_parked: bool) -> None:
+        pending_sends = self.stranded.pop(end_system.system_id, 0)
+        if was_parked:
+            pending_sends += 1
+        for _ in range(pending_sends):
+            self.try_send(end_system, self.sim.now)
+
+    # -- client side: send, learn of a loss, land ------------------------ #
+    def try_send(self, end_system: EndSystem, at_time: float) -> None:
+        engine = self.engine
+        system_id = end_system.system_id
+        runtime = engine._runtime_of[system_id]
+        if system_id not in runtime.active or self.sim.stopped:
+            return
+        if self.stop_time is not None and at_time >= self.stop_time:
+            # Past the budget: stop feeding new work into the pipeline.
+            return
+        if not runtime.shard.healthy:
+            # The client's shard is down and nobody has failed it
+            # over (yet): park the send — failover or recovery
+            # re-issues it.
+            self.stranded[system_id] = self.stranded.get(system_id, 0) + 1
+            return
+        batch = engine._next_batch(end_system, runtime, self.iterators)
+        if batch is None:
+            return
+        message, arrivals, lost_at = engine._uplink(end_system, batch, at_time)
+        if lost_at is not None:
+            self._lost(end_system, message.batch_id, lost_at, "uplink")
+            return
+        self.in_flight[message.sequence] = (message, end_system)
+        engine._schedule_arrivals(self.sim, message, arrivals, end_system,
+                                  runtime, self._on_arrival)
+
+    def _lost(self, end_system: EndSystem, batch_id: int, lost_at: float,
+              leg: str) -> None:
+        """A transfer of the client's batch was lost; it moves on at ``lost_at``."""
+        engine = self.engine
+        if engine.config.reliable_delivery:
+            # Every retry was physically lost: the client keeps the
+            # batch pending until the give-up deadline, then abandons it
+            # and computes its next one.
+            key = (end_system.system_id, batch_id)
+            self.pending_giveups[key] = (end_system, batch_id)
+
+            def give_up(sim: Simulator) -> None:
+                if self.pending_giveups.pop(key, None) is None:
+                    return  # already drained by a budget stop
+                engine._abandon(end_system, batch_id)
+                self.try_send(end_system, sim.now)
+
+            self.sim.schedule(lost_at, give_up, priority=PRIORITY_LANDING,
+                              label=f"{leg}-give-up")
+            return
+        engine._abandon(end_system, batch_id)
+        if leg == "uplink":
+            # Dropped in transit; the lost batch is forgotten and the
+            # client immediately computes its next one.
+            self.try_send(end_system, lost_at)
+        else:
+            # The reply fails to appear: the client moves on as soon as
+            # the step has ended.
+            self.sim.schedule(
+                lost_at, lambda s: self.try_send(end_system, s.now),
+                priority=PRIORITY_LANDING, label="gradient-lost",
             )
 
-        def on_shard_down(sim: Simulator, runtime: _ShardRuntime,
-                          flushed, parked) -> None:
-            # Clients whose batches were shed at the crash (or who were
-            # parked in the dead shard's backpressure queue) immediately
-            # try again; the send strands until failover or recovery.
-            for message in flushed:
-                try_send(self._by_id[message.end_system_id], sim.now)
-            for end_system in parked:
-                try_send(end_system, sim.now)
+    def _land(self, end_system: EndSystem, gradient_message: GradientMessage) -> None:
+        end_system.apply_gradient(gradient_message)
+        # The client computes its next batch as soon as the gradient lands.
+        self.try_send(end_system, self.sim.now)
 
-        def on_client_moved(sim: Simulator, end_system: EndSystem,
-                            runtime: _ShardRuntime, was_parked: bool) -> None:
-            pending_sends = self._stranded.pop(end_system.system_id, 0)
-            if was_parked:
-                pending_sends += 1
-            for _ in range(pending_sends):
-                try_send(end_system, sim.now)
+    # -- server side: arrival, dispatch, halt ---------------------------- #
+    def _on_arrival(self, sim: Simulator, message: ActivationMessage,
+                    end_system: EndSystem, runtime: _ShardRuntime,
+                    sent_generation: int) -> None:
+        self.in_flight.pop(message.sequence, None)
+        if self.engine._admit(
+            sim, message, end_system, runtime,
+            # Queue overflow ("drop" policy): the client is NACKed
+            # over the downlink and moves on to its next batch when
+            # the NACK lands.
+            on_notified=lambda s: self.try_send(end_system, s.now),
+            sent_generation=sent_generation,
+        ):
+            self._maybe_dispatch(runtime)
 
-        def on_shard_up(sim: Simulator, runtime: _ShardRuntime) -> None:
-            # Standby clients (never failed over) resume their sends.
-            for system_id in list(runtime.shard.client_ids):
-                for _ in range(self._stranded.pop(system_id, 0)):
-                    try_send(self._by_id[system_id], sim.now)
-            maybe_dispatch(sim, runtime)
+    def _maybe_dispatch(self, runtime: _ShardRuntime) -> None:
+        if runtime.dispatch_scheduled or self.sim.now < runtime.next_free:
+            return
+        if not runtime.shard.healthy or not runtime.shard.has_pending():
+            return
+        self._schedule_dispatch(self.sim.now, runtime)
 
-        self._epoch_hooks = {
-            "live": live,
-            "on_shard_down": on_shard_down,
-            "on_shard_up": on_shard_up,
-            "on_client_moved": on_client_moved,
-        }
-        try:
-            # Prime the pipeline: every client ships max_in_flight batches.
-            for end_system in self.end_systems:
-                for _ in range(self.config.max_in_flight):
-                    try_send(end_system, self.clock)
-            self._schedule_fault_events(sim)
-            self._schedule_checkpoint_events(sim)
-            self._schedule_obs_events(sim)
-            sim.run()
-        finally:
-            self._epoch_hooks = self._inert_hooks()
-        self.stats.events_processed += sim.processed_events
-        return tracker
+    def _schedule_dispatch(self, at_time: float, runtime: _ShardRuntime) -> None:
+        runtime.dispatch_scheduled = True
+        self.engine._schedule_for(self.sim, runtime, at_time, PRIORITY_DISPATCH,
+                                  "server-step", self._dispatch)
+
+    def _dispatch(self, runtime: _ShardRuntime) -> None:
+        engine, sim = self.engine, self.sim
+        runtime.dispatch_scheduled = False
+        if not runtime.shard.has_pending():
+            # Went idle; the next arrival re-triggers a dispatch.
+            return
+        start_time = sim.now
+        if self.stop_time is not None and start_time >= self.stop_time:
+            self._halt(self.stop_time)
+            return
+        # Batched draining folds every message that has arrived by
+        # start_time into one step costing a single server_step_time_s.
+        results, _ = engine._drain(runtime, start_time, whole_queue=False)
+        # The pops above freed queue slots; blocked senders go first.
+        while runtime.blocked and engine._queue_has_room(runtime):
+            self.try_send(runtime.blocked.popleft(), start_time)
+        finish_time = (
+            start_time
+            + engine.config.server_step_time_s * runtime.service_factor
+        )
+        engine.clock = max(engine.clock, finish_time)
+        next_dispatch_at = finish_time
+        # Every gradient ships when the step ends.
+        for end_system, gradient_message, arrivals, lost_at in engine._reply(
+                self.tracker, results, [finish_time] * len(results)):
+            if lost_at is not None:
+                engine.clock = max(engine.clock, lost_at)
+                self._lost(end_system, gradient_message.batch_id, lost_at,
+                           "downlink")
+                continue
+            # The earliest copy completes back-propagation, and the
+            # shard's flow control waits only on it — a spurious
+            # duplicate must not throttle the shard.
+            next_dispatch_at = max(next_dispatch_at, arrivals[0])
+            engine.clock = max(engine.clock, arrivals[0])
+            sim.schedule(
+                arrivals[0],
+                lambda s, e=end_system, g=gradient_message: self._land(e, g),
+                priority=PRIORITY_LANDING, label="gradient-landing",
+            )
+            for arrival in arrivals[1:]:
+                sim.schedule(arrival, _absorbed, priority=PRIORITY_LANDING,
+                             label="gradient-landing")
+        if (
+            engine.cluster.num_shards > 1
+            and engine._healthy_count() > 1
+            and runtime.shard.steps_since_sync >= engine.cluster.sync_every
+        ):
+            # Gossip this shard's weights; peers merge on landing
+            # with a staleness-decayed coefficient.  The broadcast
+            # happens when the step's results ship (finish_time) and
+            # never blocks the pipeline.  With every peer down there
+            # is nobody to gossip with — the cadence counter keeps
+            # running and the next due step after a recovery gossips.
+            runtime.shard.steps_since_sync = 0
+            engine.stats.weight_syncs += 1
+            engine._broadcast_weights(sim, runtime, finish_time,
+                                      merge_on_landing=True)
+        # "round" checkpoint cadence rides the dispatch event: the
+        # step's state is final and the queue slots it drained are
+        # accounted.
+        engine._maybe_round_checkpoint(sim, runtime)
+        # The shard may start its next step once it is free and this
+        # step's gradients have all landed.
+        runtime.next_free = next_dispatch_at
+        self._schedule_dispatch(next_dispatch_at, runtime)
+
+    def _halt(self, stop_time: float) -> None:
+        # Budget exhausted.  Abandon whatever has not been trained on —
+        # uplinks still in flight and messages sitting in the shard
+        # queues — and make sure the owning clients forget the
+        # activations.
+        engine = self.engine
+        engine.clock = max(engine.clock, stop_time)
+        for message, end_system in self.in_flight.values():
+            end_system.discard_pending(message.batch_id)
+            engine.stats.cancelled_at_stop += 1
+        self.in_flight.clear()
+        # Pending reliable-delivery give-ups resolve as plain
+        # cancellations: their losses were absorbed into the retry
+        # ledger, so no drop notification is owed (and none may be
+        # issued, or the cross-layer balance would tilt).
+        for end_system, batch_id in self.pending_giveups.values():
+            end_system.discard_pending(batch_id)
+            engine.stats.cancelled_at_stop += 1
+        self.pending_giveups.clear()
+        # Queue-dropped batches whose NACK is still in flight resolve
+        # as if the NACK had just landed (they were already counted
+        # as queue drops, not cancellations).
+        for end_system, batch_id in engine._awaiting_nack.values():
+            end_system.notify_drop(batch_id)
+        engine._awaiting_nack.clear()
+        # flush_all also releases the messages' activation-arena
+        # rows on every shard, so a budgeted stop does not pin
+        # staged memory.
+        for message in engine.cluster.flush_all():
+            engine._by_id[message.end_system_id].discard_pending(message.batch_id)
+            engine.stats.cancelled_at_stop += 1
+        for runtime in engine._runtimes:
+            runtime.blocked.clear()
+            runtime.in_transit = 0
+        # Stranded sends hold no pending activations — just forget them.
+        self.stranded.clear()
+        self.sim.stop()

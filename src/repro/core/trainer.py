@@ -112,7 +112,7 @@ from ..utils.perf import counters as perf_counters
 from ..utils.rng import SeedSequence
 from .config import TrainingConfig
 from .end_system import EndSystem
-from .engine import EngineStats, TrainingEngine
+from .engine import TrainingEngine
 from .history import EpochRecord, TrainingHistory
 from .scheduling import get_policy
 from .server import CentralServer
@@ -800,9 +800,7 @@ class SpatioTemporalTrainer:
 
     def _restore_engine_stats(self, state: Dict[str, object]) -> None:
         stats = self.engine.stats
-        for field_info in dataclass_fields(EngineStats):
-            if field_info.name == "nack_delay_total_s":
-                continue
+        for field_info in dataclass_fields(stats):
             if field_info.name in state:
                 setattr(stats, field_info.name, state[field_info.name])
         # ``as_dict`` only exposes the mean; rebuild the accumulator so the
@@ -846,17 +844,10 @@ class SpatioTemporalTrainer:
             runtime.last_checkpoint_s = float(run.engine_clock)
         for checkpoint, end_system in zip(run.clients, self.end_systems):
             checkpoint.restore(end_system)
-        # Replay failover moves so topology routing and coordinator
-        # bookkeeping match the checkpoint (hooks are inert between runs).
-        moves = {
-            system_id: shard_id
-            for system_id, shard_id in run.assignment.items()
-            if self.cluster.assignment.get(system_id) != shard_id
-        }
-        if moves:
-            engine._apply_reassignment(None, moves)
-        # Engine statistics restore *after* the replayed moves so the
-        # checkpointed counters win over the replay's side effects.
+        # Replay the moves in effect at the record (failover, scripted
+        # churn) so topology routing and coordinator bookkeeping match it.
+        for system_id, shard_id in sorted(run.assignment.items()):
+            engine._reassign(system_id, shard_id)
         self._restore_engine_stats(run.engine_stats)
         engine.clock = float(run.engine_clock)
         self._clock = engine.clock

@@ -13,12 +13,14 @@ import pytest
 
 from repro.core.config import TrainingConfig
 from repro.core.trainer import SpatioTemporalTrainer
+from repro.simnet.topology import multi_hub_star_topology
 from repro.state import FileCheckpointStore, MemoryCheckpointStore
 
 
-def make_trainer(spec, parts, normalize, **overrides):
+def make_trainer(spec, parts, normalize, topology=None, **overrides):
     config = TrainingConfig.fast_debug(**overrides)
-    return SpatioTemporalTrainer(spec, parts, config, train_transform=normalize)
+    return SpatioTemporalTrainer(spec, parts, config, topology=topology,
+                                 train_transform=normalize)
 
 
 def assert_same_deployment(reference, resumed, atol=1e-9):
@@ -112,6 +114,45 @@ class TestReplayExactRestart:
         assert_same_deployment(reference, resumed)
         assert history.queue_stats["shard_crashes"] == \
             reference.engine.stats.shard_crashes
+
+    def test_with_moves_in_effect_at_the_record(self, tiny_split_spec, tiny_parts4,
+                                                normalize, tmp_path):
+        """A failover move and a scripted ``move`` are both in effect when
+        the record is taken (shard 0 finishes epoch 2 early, crashes, and is
+        still down at the boundary): the restore replays the assignment
+        outside any simulation, and the recovery + failback happen in the
+        resumed epoch exactly as in the twin."""
+        def make_topology():
+            return multi_hub_star_topology(
+                4, 3, assignment=[0, 1, 2, 0],
+                latencies_s=[0.001, 0.01, 0.01, 0.001])
+
+        overrides = dict(COMMON, num_servers=3, mode="synchronous",
+                         server_sync_mode="staleness",
+                         failure_schedule=[(0.12, 0, 0.08)],
+                         failover_policy="rebalance", failover_delay_s=0.001,
+                         chaos_schedule=[("move", 0.02, 1, 2)])
+        reference = make_trainer(tiny_split_spec, tiny_parts4, normalize,
+                                 topology=make_topology(), **overrides)
+        reference.train()
+        trainer = make_trainer(tiny_split_spec, tiny_parts4, normalize,
+                               topology=make_topology(),
+                               checkpoint_dir=str(tmp_path), **overrides)
+        trainer.train(epochs=2)
+        del trainer
+        store = FileCheckpointStore(tmp_path)
+        record = store.latest_run()
+        assert record.assignment == {0: 1, 1: 2, 2: 2, 3: 2}  # 0, 3 failed over; 1 moved
+        assert record.node_health["server_0"] is False
+        resumed = SpatioTemporalTrainer.resume_from_store(
+            store, tiny_split_spec, tiny_parts4, topology=make_topology(),
+            train_transform=normalize)
+        resumed.train()
+        assert_same_deployment(reference, resumed)
+        assert resumed.cluster.assignment == reference.cluster.assignment \
+            == {0: 0, 1: 2, 2: 2, 3: 0}  # failed back; the scripted move stays
+        assert resumed.engine.stats.as_dict() == reference.engine.stats.as_dict()
+        assert resumed.transport.log.summary() == reference.transport.log.summary()
 
     def test_resume_restores_traffic_and_engine_stats(
             self, tiny_split_spec, tiny_parts4, normalize, tmp_path):
