@@ -116,13 +116,10 @@ class EndSystem:
         the real deployment where only raw bytes cross the network.
         """
         self.model.train(True)
-        if not self.has_trainable_parameters:
-            # client_blocks == 0: no gradient will ever flow back, so run
-            # the no-grad fast path instead of building a throwaway graph.
-            with no_grad():
-                outputs = self.model(Tensor(images))
-        else:
-            outputs = self.model(Tensor(images, requires_grad=True))
+        # No gradient for the raw images (nobody reads it): the graph forms
+        # through the segment's weights, and not at all when it has none
+        # (client_blocks == 0).
+        outputs = self.model(Tensor(images))
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         if self.has_trainable_parameters:

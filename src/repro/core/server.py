@@ -311,8 +311,10 @@ class CentralServer:
                     GradientMessage(
                         end_system_id=message.end_system_id,
                         batch_id=message.batch_id,
+                        # order="C": the default "K" would put a
+                        # channels-last (strided) gradient on the wire.
                         gradient=boundary_gradient[start:stop].astype(
-                            message.activations.dtype, copy=True
+                            message.activations.dtype, order="C", copy=True
                         ),
                         loss=message_loss,
                         accuracy=message_accuracy,

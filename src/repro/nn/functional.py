@@ -12,35 +12,47 @@ autograd graph.
 Hot-path design
 ---------------
 The convolution and pooling paths are the throughput bottleneck of every
-split-learning experiment, so they are written to minimise allocations:
+split-learning experiment, and what they cost beyond their GEMMs is data
+movement, so they are written to move each array once:
 
-* patches are gathered through :func:`numpy.lib.stride_tricks.sliding_window_view`
-  (a zero-copy strided view) and rearranged into the GEMM operand with a
-  **single** copy, replacing the seed implementation's im2col-loop copy
-  followed by a transpose-reshape copy;
-* transient buffers (the zero-padded input, the inference-time column
-  matrix, the pooling window matrix) come from the shape-keyed
-  :mod:`repro.utils.perf` workspace cache instead of fresh allocations.
-  Only buffers whose contents are never read by a backward closure after
-  the op returns may live in a workspace — see the cache's safety
-  contract;
-* :func:`col2im` folds non-overlapping windows (stride == kernel, no
-  padding — the paper's ``MaxPooling2D`` case) via a reshape instead of
-  the strided ``+=`` scatter loop;
-* when gradients are disabled (``evaluate``/``predict``), pooling reduces
-  directly over the strided window view and convolution reuses a cached
-  column workspace, so steady-state inference performs no large
-  allocations beyond its outputs;
+* **channels-last in memory, NCHW in shape**: ``conv2d``'s GEMM output
+  ``(N*oh*ow, C_out)`` *is* an NHWC array, returned as a transposed view,
+  and ReLU, max-pool and every backward closure of the conv → ReLU → pool
+  chain allocate their outputs, masks and scratch in the memory order of
+  the array they follow — no pass walks two layouts and nothing is
+  re-laid between layers.  Shapes, state dicts, ``Flatten``/``Dense``
+  weight order and wire payloads (C-contiguous copies) are plain NCHW;
+* **one-copy im2col for every stride** (``_gather_patches``): in a
+  zero-bordered NHWC scratch copy of the input the ``kw`` pixels of a
+  patch row are one contiguous run, so a single ``np.copyto`` from one
+  strided window view writes the patch-major GEMM operand;
+* **layout-stable backward**: the upstream gradient already is the GEMM
+  operand, the col2im fold accumulates its ``kh*kw`` slabs into an NHWC
+  image and hands the interior upstream as a view, and an input that
+  requires no gradient (an end-system's raw images) costs neither the
+  input-gradient GEMM nor the fold;
+* **bit-identical arithmetic**: every GEMM sees the operands it always
+  saw and the fold keeps its ``(i, j)`` order; the bias gradient, the one
+  order-sensitive reduction, is summed from an NCHW re-lay (see
+  ``conv2d``'s backward).  Weights and losses are byte-equal to the
+  per-offset NCHW ops these replaced
+  (``tests/nn/test_channels_last_exact.py``);
+* transient buffers (padded input, inference-time column matrix,
+  patch-gradient matrix, masks) come from the per-tag
+  :mod:`repro.utils.perf` workspace cache.  Only buffers whose contents
+  are never read by a backward closure after the op returns may live in
+  a workspace — see the cache's safety contract;
 * every GEMM goes through the pluggable backend in :mod:`repro.backend`
-  (``conv2d``'s forward product fuses the bias into the GEMM epilogue,
-  :func:`linear` is a single fused affine node, and the blocked backend
-  tiles large products with cache-hot epilogues);
+  (``conv2d``'s forward product fuses the bias — and in inference the
+  activation — into the GEMM epilogue, :func:`linear` is a single fused
+  affine node, the blocked backend tiles large products);
 * :func:`cross_entropy` fuses the log-softmax into the loss: one pass
   computes the per-sample losses and the backward closure emits
-  ``(softmax - one_hot) * scale`` directly, with no intermediate graph
-  nodes;
-* unpadded ``max_pool2d`` training reduces with pairwise maxima (no
-  window matrix or argmax) and recomputes the winner mask in backward.
+  ``(softmax - one_hot) * scale`` directly;
+* unpadded ``max_pool2d`` reduces with pairwise maxima over the strided
+  planes (no window matrix or argmax; in training the winner mask is
+  recomputed in backward), and :func:`col2im` folds non-overlapping
+  windows by slice assignment.
 
 Op-level counters (GEMM calls, conv/pool invocations, workspace traffic)
 are recorded in :data:`repro.utils.perf.counters`.
@@ -54,7 +66,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..backend import get_backend
-from ..utils.perf import counters, workspace
+from ..utils.perf import axis_order, counters, workspace, workspace_like
 from .dtype import get_default_dtype
 from .tensor import Tensor, ensure_tensor, is_grad_enabled
 
@@ -123,55 +135,38 @@ def _strided_windows(padded: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> 
     return windows[:, :, ::sh, ::sw]
 
 
-def _gather_patches_direct(x: np.ndarray, out: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Stride-1 patch gather straight from the *unpadded* input.
+def _gather_patches(x: np.ndarray, out: np.ndarray, sh: int, sw: int,
+                    ph: int, pw: int) -> None:
+    """Fill ``out`` (``(N, oh, ow, kh, kw*C)``) with convolution patches in one copy.
 
-    Rather than materialising a zero-padded copy of ``x`` and gathering
-    from it, each kernel offset copies its clipped in-bounds window and
-    zeroes only the thin boundary strips the padding would have
-    contributed — one full write plus one full read of the image less
-    than the pad-then-gather path.
+    ``x`` is laid out channels-last with a zero border (into transient
+    scratch; an unpadded input that already is channels-last in memory is
+    read in place), where the ``kw`` pixels of a patch row are one
+    contiguous run of ``kw*C`` values.  One strided view exposes every
+    patch row and one ``np.copyto`` writes the patch-major GEMM operand:
+    ``out.reshape(N*oh*ow, kh*kw*C)`` is a zero-copy view.
     """
-    _, _, h, w = x.shape
-    _, oh, ow, kh, kw, _ = out.shape
-    for i in range(kh):
-        di = i - ph
-        r0, r1 = max(0, -di), min(oh, h - di)
-        for j in range(kw):
-            dj = j - pw
-            c0, c1 = max(0, -dj), min(ow, w - dj)
-            view = out[:, :, :, i, j, :]
-            if r0 > 0:
-                view[:, :r0, :, :] = 0.0
-            if r1 < oh:
-                view[:, r1:, :, :] = 0.0
-            if c0 > 0:
-                view[:, r0:r1, :c0, :] = 0.0
-            if c1 < ow:
-                view[:, r0:r1, c1:, :] = 0.0
-            view[:, r0:r1, c0:c1, :] = (
-                x[:, :, r0 + di:r1 + di, c0 + dj:c1 + dj].transpose(0, 2, 3, 1)
-            )
-    return out
-
-
-def _gather_patches(padded: np.ndarray, out: np.ndarray, sh: int, sw: int) -> np.ndarray:
-    """Fill ``out`` (``(N, oh, ow, kh, kw, C)``) with convolution patches.
-
-    Writing the patch-major layout directly — one vectorised slice
-    assignment per kernel offset — is the contiguous-reshape fast path:
-    ``out.reshape(N*oh*ow, kh*kw*C)`` is then a zero-copy view, where the
-    seed implementation paid a second transpose-reshape copy.  Keeping
-    the channel axis *last* makes every slice assignment write
-    contiguous ``C``-sized chunks instead of single strided elements.
-    """
-    _, oh, ow, kh, kw, _ = out.shape
-    for i in range(kh):
-        i_end = i + sh * oh
-        for j in range(kw):
-            j_end = j + sw * ow
-            out[:, :, :, i, j, :] = padded[:, :, i:i_end:sh, j:j_end:sw].transpose(0, 2, 3, 1)
-    return out
+    nhwc = x.transpose(0, 2, 3, 1)
+    if ph or pw or not nhwc.flags.c_contiguous:
+        n, h, w, c = nhwc.shape
+        padded = workspace("conv2d.pad", (n, h + 2 * ph, w + 2 * pw, c), x.dtype)
+        # Zero only the border stripes: the interior is overwritten below.
+        if ph:
+            padded[:, :ph] = 0.0
+            padded[:, ph + h:] = 0.0
+        if pw:
+            padded[:, ph:ph + h, :pw] = 0.0
+            padded[:, ph:ph + h, pw + w:] = 0.0
+        padded[:, ph:ph + h, pw:pw + w] = nhwc
+        nhwc = padded
+    # C-contiguous here; strides from the shape (those NumPy reports for
+    # size-1 axes are arbitrary).  The constructor bounds-checks the view.
+    _, rows, row_pixels, c = nhwc.shape
+    pixel = c * x.itemsize
+    row = row_pixels * pixel
+    windows = np.ndarray(out.shape, x.dtype, buffer=nhwc,
+                         strides=(rows * row, sh * row, sw * pixel, row, x.itemsize))
+    np.copyto(out, windows)
 
 
 def _gather_windows(padded: np.ndarray, out: np.ndarray, sh: int, sw: int) -> np.ndarray:
@@ -315,22 +310,15 @@ def conv2d(
 
     counters.add("conv2d_forward")
     backend = get_backend()
-    # Single-copy rearrangement into the GEMM operand (N*oh*ow, C*kh*kw):
-    # the patches are gathered directly in patch-major order, so the
-    # reshape below is a zero-copy view (no second transpose-copy).
+    # Single-copy rearrangement into the GEMM operand (N*oh*ow, kh*kw*C).
+    patch_shape = (n, out_h, out_w, kh, kw * c_in)
     if requires:
         # The backward pass reads cols_matrix (weight gradient GEMM), so
         # it must own its storage — no workspace reuse here.
-        patches = np.empty((n, out_h, out_w, kh, kw, c_in), dtype=x.dtype)
+        patches = np.empty(patch_shape, dtype=x.dtype)
     else:
-        patches = workspace("conv2d.cols", (n, out_h, out_w, kh, kw, c_in), x.dtype)
-    if sh == 1 and sw == 1:
-        # Stride-1 (the paper's convs): clip per offset instead of
-        # materialising a zero-padded copy of the input.
-        _gather_patches_direct(x, patches, ph, pw)
-    else:
-        padded = _pad_images(x, ph, pw, scratch_tag="conv2d.pad")
-        _gather_patches(padded, patches, sh, sw)
+        patches = workspace("conv2d.cols", patch_shape, x.dtype)
+    _gather_patches(x, patches, sh, sw, ph, pw)
     cols_matrix = patches.reshape(n * out_h * out_w, kh * kw * c_in)
     # Weight rearranged to match the (kh, kw, C) patch order; the copy is
     # kernel-sized (tiny) and shared by forward and backward.
@@ -355,6 +343,8 @@ def conv2d(
 
     def _backward(grad: np.ndarray) -> None:
         counters.add("conv2d_backward")
+        # A no-op when the gradient arrives in this op's own output
+        # layout (channels-last memory), as ReLU/pool backward hand it.
         grad_matrix = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(
             n * out_h * out_w, c_out
         )
@@ -366,7 +356,16 @@ def conv2d(
             )
             weight._accumulate(grad_weight, owned=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)), owned=True)
+            # The one order-sensitive reduction of the conv chain: on a
+            # C-contiguous NCHW array NumPy sums pairwise over H*W and
+            # sequentially over N, and the pinned float32/float64 weight
+            # digests depend on exactly that order — so a channels-last
+            # gradient is re-laid as NCHW scratch before it is summed.
+            nchw = grad
+            if not grad.flags.c_contiguous:
+                nchw = workspace("conv2d.grad_nchw", grad.shape, grad.dtype)
+                np.copyto(nchw, grad)
+            bias._accumulate(nchw.sum(axis=(0, 2, 3)), owned=True)
         if inputs.requires_grad:
             # The patch-gradient matrix is transient scratch — it is fully
             # folded into grad_padded below before the closure returns —
@@ -402,9 +401,8 @@ def conv2d(
                 i_end = i + sh * out_h
                 j_end = j + sw * out_w
                 grad_padded[:, i:i_end:sh, j:j_end:sw, :] += grad_cols[:, :, :, i, j, :]
-            grad_input = np.ascontiguousarray(
-                grad_padded[:, ph:ph + h, pw:pw + w_in, :].transpose(0, 3, 1, 2)
-            )
+            # Handed upstream as a view: channels-last memory, NCHW shape.
+            grad_input = grad_padded[:, ph:ph + h, pw:pw + w_in, :].transpose(0, 3, 1, 2)
             inputs._accumulate(grad_input, owned=True)
 
     out._backward = _backward
@@ -519,12 +517,20 @@ def max_pool2d(inputs: Tensor, kernel_size: IntOrPair = 2, stride: Optional[IntO
 
         def _backward_fused(grad: np.ndarray) -> None:
             counters.add("pool_backward")
-            grad_image = np.zeros((n, c, h, w), dtype=grad.dtype)
+            # Everything below is elementwise, so it runs in the memory
+            # order of the activations (channels-last after a conv).
+            grad_image = np.zeros_like(x, dtype=grad.dtype)
+            if axis_order(grad) != axis_order(out_data):
+                # E.g. the C-contiguous wire gradient a client receives:
+                # re-lay it once instead of striding through it kh*kw times.
+                relaid = workspace_like("max_pool2d.grad", out_data, grad.dtype)
+                np.copyto(relaid, grad)
+                grad = relaid
             # Bool scratch is transient within this closure, so it comes
             # from the workspace cache (no per-step allocations).
-            equal = workspace("max_pool2d.equal", out_data.shape, np.bool_)
-            winner = workspace("max_pool2d.winner", out_data.shape, np.bool_)
-            assigned = workspace("max_pool2d.assigned", out_data.shape, np.bool_)
+            equal = workspace_like("max_pool2d.equal", out_data, np.bool_)
+            winner = workspace_like("max_pool2d.winner", out_data, np.bool_)
+            assigned = workspace_like("max_pool2d.assigned", out_data, np.bool_)
             assigned.fill(False)
             # With stride >= kernel every image cell belongs to at most
             # one window offset, so the masked gradient can be written
@@ -560,25 +566,8 @@ def max_pool2d(inputs: Tensor, kernel_size: IntOrPair = 2, stride: Optional[IntO
     out = Tensor(out_data, requires_grad=requires, dtype=out_data.dtype)
     out._parents = (inputs,)
 
-    non_overlapping = (
-        sh == kh and sw == kw and ph == 0 and pw == 0
-        and out_h * kh == h and out_w * kw == w
-    )
-
     def _backward(grad: np.ndarray) -> None:
         counters.add("pool_backward")
-        if non_overlapping:
-            # Scatter each window's gradient straight into the image:
-            # with stride == kernel every input pixel belongs to exactly
-            # one window, so no intermediate window matrix or fold copy
-            # is needed.
-            grad_image = np.zeros((n, c, h, w), dtype=grad.dtype)
-            folded = grad_image.reshape(n, c, out_h, kh, out_w, kw).transpose(0, 1, 2, 4, 3, 5)
-            win_i, win_j = np.divmod(argmax, kw)
-            n_i, c_i, oh_i, ow_i = np.ogrid[:n, :c, :out_h, :out_w]
-            folded[n_i, c_i, oh_i, ow_i, win_i, win_j] = grad
-            inputs._accumulate(grad_image, owned=True)
-            return
         grad_flat = np.zeros((n, c, out_h, out_w, kh * kw), dtype=grad.dtype)
         np.put_along_axis(grad_flat, argmax[..., None], grad[..., None], axis=-1)
         grad_cols = grad_flat.reshape(n, c, out_h, out_w, kh, kw).transpose(0, 1, 4, 5, 2, 3)

@@ -474,7 +474,7 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         from ..backend import get_backend
-        from ..utils.perf import workspace
+        from ..utils.perf import workspace_like
 
         # One clamping pass via the backend; the winner mask is
         # recovered in backward from the output (out > 0 iff data > 0).
@@ -482,7 +482,7 @@ class Tensor:
         out = self._make_output(out_data, (self,))
 
         def _backward(grad: np.ndarray) -> None:
-            mask = workspace("relu.mask", out_data.shape, np.bool_)
+            mask = workspace_like("relu.mask", out_data, np.bool_)
             np.greater(out_data, 0, out=mask)
             self._accumulate(grad * mask, owned=True)
 

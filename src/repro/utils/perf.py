@@ -7,17 +7,17 @@ Two facilities back the substrate's allocation-aware hot paths:
   ops in :mod:`repro.nn.functional` and :meth:`repro.nn.tensor.Tensor.matmul`
   increment them, so a training run can report *why* it was fast or slow
   (``counters.snapshot()`` / the :func:`track` context manager).
-* :class:`WorkspaceCache` — a shape-and-dtype-keyed pool of scratch
-  arrays.  The im2col/col2im paths burn most of their time allocating and
-  filling large column buffers; buffers obtained through
-  :func:`workspace` are reused across calls instead of reallocated.
+* :class:`WorkspaceCache` — one grow-only scratch buffer per tag.  The
+  im2col/col2im paths burn most of their time allocating and filling
+  large column buffers; arrays obtained through :func:`workspace` are
+  views of a buffer reused across calls instead of reallocated.
 
 Workspace safety contract
 -------------------------
-A workspace buffer is only valid until the *next* request for the same
-``(tag, shape, dtype)`` key.  Callers must therefore only use workspaces
-for transient scratch whose contents are fully consumed before the op
-returns (or, for inference, before the next op of the same shape runs).
+A workspace array is only valid until the *next* request for the same
+tag, whatever its shape or dtype.  Callers must therefore only use
+workspaces for transient scratch whose contents are fully consumed before
+the op returns (or, for inference, before the next op with that tag runs).
 Nothing reachable from an autograd closure may live in a workspace unless
 the closure never reads its contents again.
 """
@@ -25,6 +25,7 @@ the closure never reads its contents again.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Any, Dict, Iterator, Tuple
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
     "WorkspaceCache",
     "workspaces",
     "workspace",
+    "axis_order",
+    "workspace_like",
 ]
 
 
@@ -92,49 +95,34 @@ def track() -> Iterator[Dict[str, int]]:
 
 
 class WorkspaceCache:
-    """Shape/dtype-keyed pool of reusable scratch arrays.
+    """One grow-only scratch buffer per tag.
 
-    The pool is bounded: buffers are evicted least-recently-used once the
-    total cached size exceeds ``max_bytes``, so a long-lived process that
-    sweeps many architectures/batch sizes does not accumulate scratch
-    forever.  The cap is generous relative to one deployment's working
-    set (a paper-CNN training step uses a few tens of MB), so the hot
-    loop never thrashes.
+    A tag names one use site; the batch sizes that pass through it differ
+    (remainder batches, a server drain of 1…N messages), so the cache
+    holds a flat byte buffer per tag, grown to the largest request seen,
+    and hands out a view of its head in the requested shape and dtype.
+    The footprint is therefore one deployment's largest working set, with
+    nothing to evict.
     """
 
-    def __init__(self, max_bytes: int = 256 * 1024 * 1024) -> None:
-        self._buffers: "Dict[Tuple, np.ndarray]" = {}
-        self.max_bytes = int(max_bytes)
+    def __init__(self) -> None:
+        self._buffers: Dict[str, np.ndarray] = {}
 
     def get(self, tag: str, shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
-        """Return a scratch array of ``shape``/``dtype`` for ``tag``.
+        """Return a C-contiguous scratch array of ``shape``/``dtype`` for ``tag``.
 
         Contents are uninitialized (may hold data from a previous use).
         """
-        key = (tag, tuple(shape), np.dtype(dtype))
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = np.empty(shape, dtype=dtype)
-            self._buffers[key] = buffer
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buffer = self._buffers.get(tag)
+        if buffer is None or buffer.nbytes < nbytes:
+            buffer = self._buffers[tag] = np.empty(nbytes, dtype=np.uint8)
             counters.add("workspace_misses")
-            counters.add("workspace_bytes_allocated", buffer.nbytes)
-            self._evict(keep=key)
+            counters.add("workspace_bytes_allocated", nbytes)
         else:
-            # Mark as most recently used (dicts preserve insertion order).
-            self._buffers.pop(key)
-            self._buffers[key] = buffer
             counters.add("workspace_hits")
-        return buffer
-
-    def _evict(self, keep: Tuple) -> None:
-        """Drop least-recently-used buffers until under the byte cap."""
-        while self.cached_bytes > self.max_bytes and len(self._buffers) > 1:
-            oldest = next(iter(self._buffers))
-            if oldest == keep:
-                break
-            evicted = self._buffers.pop(oldest)
-            counters.add("workspace_evictions")
-            counters.add("workspace_bytes_evicted", evicted.nbytes)
+        return buffer[:nbytes].view(dtype).reshape(shape)
 
     def clear(self) -> None:
         """Drop every cached buffer (frees the memory)."""
@@ -156,3 +144,25 @@ workspaces = WorkspaceCache()
 def workspace(tag: str, shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
     """Shorthand for ``workspaces.get(tag, shape, dtype)``."""
     return workspaces.get(tag, shape, dtype)
+
+
+def axis_order(array: np.ndarray) -> Tuple[int, ...]:
+    """``array``'s axes from slowest- to fastest-varying in memory.
+
+    ``(0, 1, 2, 3)`` for a C-contiguous NCHW array, ``(0, 2, 3, 1)`` for
+    one that is channels-last in memory behind an NCHW shape.
+    """
+    strides = array.strides
+    return tuple(sorted(range(array.ndim), key=lambda axis: -abs(strides[axis])))
+
+
+def workspace_like(tag: str, like: np.ndarray, dtype: Any) -> np.ndarray:
+    """Scratch with ``like``'s shape *and* axis order in memory.
+
+    An elementwise pass over operands that share a memory order runs as
+    one flat loop; a C-ordered mask against a channels-last activation
+    would walk one of the two with a stride per element.
+    """
+    order = axis_order(like)
+    buffer = workspaces.get(tag, tuple(like.shape[axis] for axis in order), dtype)
+    return buffer.transpose(sorted(range(like.ndim), key=order.__getitem__))  # inverse of order

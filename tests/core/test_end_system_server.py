@@ -150,6 +150,27 @@ class TestCentralServer:
             processed.append(message.batch_id)
         assert sorted(processed) == [0, 1, 2]
 
+    @pytest.mark.parametrize("drain", ["process_next", "process_pending_batch"])
+    def test_wire_payloads_are_c_contiguous_nchw(self, server, end_system, rng, drain):
+        # Inside the segments activations and gradients are channels-last in
+        # memory; what crosses the wire keeps the NCHW byte order, so payload
+        # bytes and the compression input do not depend on the op layout.
+        images = rng.random((4, 3, 8, 8))
+        for _ in range(2):
+            message = end_system.forward_batch(images, rng.integers(0, 10, 4))
+            assert message.activations.flags.c_contiguous
+            assert message.activations.shape == (4, *end_system.split_spec.smashed_shape)
+            server.receive(message)
+        if drain == "process_next":
+            replies = [server.process_next()[1] for _ in range(2)]
+        else:
+            replies = [reply for _, reply in server.process_pending_batch()]
+        assert len(replies) == 2
+        for reply in replies:
+            assert reply.gradient.flags.c_contiguous
+            assert reply.gradient.shape == message.activations.shape
+            end_system.apply_gradient(reply)
+
     def test_predict_and_evaluate(self, server, end_system, rng):
         images = rng.random((6, 3, 8, 8))
         labels = rng.integers(0, 10, 6)

@@ -1,15 +1,20 @@
-"""Dedicated coverage for `repro.utils.perf.WorkspaceCache` eviction.
+"""Contract of `repro.utils.perf.WorkspaceCache`: one grow-only buffer per tag.
 
-The cache was previously exercised only incidentally through the nn hot
-paths; these tests pin its contract directly: LRU eviction under
-``max_bytes`` pressure, the `_evict` keep-semantics (the buffer that
-triggered the eviction is never evicted, even when it is the oldest),
-and `clear()` under interleaved `get`s.
+A tag names a use site, the shapes that pass through it vary with the batch
+size, so the cache keeps one flat buffer per tag sized to the largest
+request and hands out views of its head.  These tests pin that directly —
+and, through one training + inference step per batch size, that the nn hot
+paths leave one buffer per tag behind however many batch sizes they saw.
 """
 
 import numpy as np
 
-from repro.utils.perf import PerfCounters, WorkspaceCache, counters, track
+from repro.core.models import tiny_cnn_architecture
+from repro.nn import Tensor, no_grad
+from repro.nn import functional as F
+from repro.nn.optim import Adam
+from repro.utils.perf import (PerfCounters, WorkspaceCache, axis_order, counters, track,
+                              workspace_like, workspaces)
 
 
 def fill_marker(buffer, value):
@@ -22,15 +27,20 @@ class TestBasicReuse:
         cache = WorkspaceCache()
         first = cache.get("tag", (4, 4), np.float32)
         second = cache.get("tag", (4, 4), np.float32)
-        assert first is second
+        assert first.__array_interface__["data"] == second.__array_interface__["data"]
+        assert first.shape == second.shape == (4, 4)
+        assert first.flags.c_contiguous and first.flags.writeable
+        assert len(cache) == 1
 
-    def test_distinct_tags_shapes_dtypes_are_distinct_buffers(self):
+    def test_distinct_tags_never_alias(self):
         cache = WorkspaceCache()
-        base = cache.get("a", (4,), np.float32)
-        assert cache.get("b", (4,), np.float32) is not base
-        assert cache.get("a", (5,), np.float32) is not base
-        assert cache.get("a", (4,), np.float64) is not base
-        assert len(cache) == 4
+        buffers = [fill_marker(cache.get(tag, (4,), np.float32), value)
+                   for value, tag in enumerate("abc")]
+        assert len(cache) == 3
+        for value, buffer in enumerate(buffers):
+            np.testing.assert_array_equal(buffer, np.full(4, value, dtype=np.float32))
+        assert not any(np.shares_memory(buffers[i], buffers[j])
+                       for i in range(3) for j in range(i))
 
     def test_hit_and_miss_counters(self):
         cache = WorkspaceCache()
@@ -42,62 +52,46 @@ class TestBasicReuse:
         assert delta["workspace_bytes_allocated"] == 64
 
 
-class TestEviction:
-    def test_lru_evicted_under_byte_pressure(self):
-        # Each float64 buffer of 16 elements is 128 bytes; cap at 3.
-        cache = WorkspaceCache(max_bytes=3 * 128)
-        for name in ("a", "b", "c"):
-            cache.get(name, (16,), np.float64)
-        assert len(cache) == 3
+class TestOneBufferPerTag:
+    def test_growing_shapes_keep_one_buffer_sized_to_the_largest(self):
+        cache = WorkspaceCache()
         with track() as delta:
-            cache.get("d", (16,), np.float64)  # evicts "a" (least recent)
-        assert delta["workspace_evictions"] == 1
-        assert delta["workspace_bytes_evicted"] == 128
-        assert len(cache) == 3
-        # "a" is gone: requesting it again is a miss (and evicts "b").
-        with track() as delta:
-            cache.get("a", (16,), np.float64)
-        assert delta["workspace_misses"] == 1
-
-    def test_recent_use_protects_from_eviction(self):
-        cache = WorkspaceCache(max_bytes=3 * 128)
-        buffers = {name: cache.get(name, (16,), np.float64) for name in "abc"}
-        # Touch "a" so "b" becomes the least recently used.
-        cache.get("a", (16,), np.float64)
-        cache.get("d", (16,), np.float64)
-        assert cache.get("a", (16,), np.float64) is buffers["a"]  # survived
-        with track() as delta:
-            cache.get("b", (16,), np.float64)  # evicted above -> miss
-        assert delta["workspace_misses"] == 1
-
-    def test_evict_keeps_the_triggering_buffer(self):
-        # A single oversized buffer exceeds the cap by itself; _evict must
-        # keep it (it is the buffer being handed out) rather than evict it.
-        cache = WorkspaceCache(max_bytes=100)
-        big = cache.get("big", (64,), np.float64)  # 512 bytes > cap
+            for rows in (1, 3, 7, 16):
+                array = cache.get("t", (rows, 5), np.float32)
+                assert array.shape == (rows, 5) and array.dtype == np.float32
         assert len(cache) == 1
-        assert cache.cached_bytes == 512
-        # And the same oversized buffer is still a hit afterwards.
-        assert cache.get("big", (64,), np.float64) is big
+        assert cache.cached_bytes == 16 * 5 * 4
+        assert delta["workspace_misses"] == 4  # every request outgrew the last
 
-    def test_oversized_newcomer_evicts_everyone_else_but_itself(self):
-        cache = WorkspaceCache(max_bytes=300)
-        for name in ("a", "b"):
-            cache.get(name, (16,), np.float64)
+    def test_shrinking_request_reuses_the_buffer(self):
+        cache = WorkspaceCache()
+        big = cache.get("t", (16, 5), np.float32)
         with track() as delta:
-            huge = cache.get("huge", (64,), np.float64)  # 512 bytes
-        assert delta["workspace_evictions"] == 2
-        assert len(cache) == 1
-        assert cache.get("huge", (64,), np.float64) is huge
+            small = cache.get("t", (2, 5), np.float32)
+            as_bool = cache.get("t", (3, 3), np.bool_)   # another dtype, same tag
+            as_f64 = cache.get("t", (40,), np.float64)   # exactly the capacity
+        assert delta == {"workspace_hits": 3}
+        assert all(np.shares_memory(big, view) for view in (small, as_bool, as_f64))
+        assert as_bool.dtype == np.bool_ and as_f64.dtype == np.float64
+        assert cache.cached_bytes == 16 * 5 * 4
 
-    def test_eviction_cascade_counts_bytes(self):
-        cache = WorkspaceCache(max_bytes=4 * 128)
-        for name in "abcd":
-            cache.get(name, (16,), np.float64)
-        with track() as delta:
-            cache.get("wide", (32,), np.float64)  # 256 bytes -> evict 2 LRU
-        assert delta["workspace_evictions"] == 2
-        assert delta["workspace_bytes_evicted"] == 256
+    def test_empty_request(self):
+        cache = WorkspaceCache()
+        assert cache.get("t", (0, 4), np.float32).shape == (0, 4)
+
+    def test_workspace_like_follows_the_memory_order(self):
+        nchw = np.zeros((2, 3, 4, 5), np.float32)
+        channels_last = np.zeros((2, 4, 5, 3), np.float32).transpose(0, 3, 1, 2)
+        assert axis_order(nchw) == (0, 1, 2, 3)
+        assert axis_order(channels_last) == (0, 2, 3, 1)
+        try:
+            for like in (nchw, channels_last, channels_last[:, :, 1:3]):
+                scratch = workspace_like("test.like", like, np.bool_)
+                assert scratch.shape == like.shape and scratch.dtype == np.bool_
+                assert axis_order(scratch) == axis_order(like)
+                assert scratch.transpose(axis_order(like)).flags.c_contiguous
+        finally:
+            workspaces.clear()
 
 
 class TestClear:
@@ -107,12 +101,12 @@ class TestClear:
         cache.clear()
         assert len(cache) == 0
         assert cache.cached_bytes == 0
-        # A get after clear() is a fresh miss; the old buffer object is
-        # detached from the cache (caller-held references stay valid).
+        # A get after clear() is a fresh miss; the old buffer is detached
+        # from the cache (caller-held references stay valid).
         with track() as delta:
-            second = cache.get("t", (4,), np.float32)
+            second = fill_marker(cache.get("t", (4,), np.float32), 2.0)
         assert delta["workspace_misses"] == 1
-        assert second is not first
+        assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first, np.full(4, 1.0, dtype=np.float32))
         # Interleave more gets and clears.
         cache.get("u", (8,), np.float64)
@@ -120,6 +114,40 @@ class TestClear:
         cache.clear()
         assert len(cache) == 0
         assert cache.get("u", (8,), np.float64).shape == (8,)
+
+
+class TestBatchSizeSweep:
+    """Fails at the parent, where every batch size pinned its own buffers."""
+
+    @staticmethod
+    def _step(model, optimizer, rng, batch):
+        images = rng.standard_normal((batch, 3, 8, 8))
+        labels = rng.integers(0, 10, size=batch)
+        model.train(True)
+        optimizer.zero_grad()
+        F.cross_entropy(model(Tensor(images)), labels).backward()
+        optimizer.step()
+        model.train(False)
+        with no_grad():
+            F.cross_entropy(model(Tensor(images)), labels)
+
+    def test_sweep_leaves_one_buffer_per_tag(self, rng):
+        architecture = tiny_cnn_architecture(image_size=8, num_blocks=2,
+                                             base_filters=4, dense_units=16)
+        model = architecture.build(rng=rng)
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        workspaces.clear()
+        try:
+            self._step(model, optimizer, rng, 200)
+            tags, footprint = len(workspaces), workspaces.cached_bytes
+            assert tags > 0
+            workspaces.clear()
+            for batch in range(1, 201):
+                self._step(model, optimizer, rng, batch)
+            assert len(workspaces) == tags
+            assert workspaces.cached_bytes == footprint
+        finally:
+            workspaces.clear()
 
 
 class TestPerfCounters:
