@@ -20,7 +20,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from ..data.loader import DataLoader
-from ..nn import Sequential, Tensor, no_grad
+from ..nn import Sequential, Tensor, get_default_dtype, no_grad
 from ..nn.optim import Optimizer, get_optimizer
 from .messages import ActivationMessage, GradientMessage
 from .split import SplitSpec
@@ -115,20 +115,24 @@ class EndSystem:
         the server never sees the client-side computation graph, mirroring
         the real deployment where only raw bytes cross the network.
         """
-        self.model.train(True)
-        # No gradient for the raw images (nobody reads it): the graph forms
-        # through the segment's weights, and not at all when it has none
-        # (client_blocks == 0).
-        outputs = self.model(Tensor(images))
         batch_id = self._next_batch_id
         self._next_batch_id += 1
-        if self.has_trainable_parameters:
-            self._pending[batch_id] = outputs
+        if len(self.model) == 0:
+            # client_blocks == 0: ship the images in the default dtype — the
+            # bytes a Tensor round trip through the empty segment would give.
+            activations = np.array(images, dtype=get_default_dtype(), order="C")
+        else:
+            self.model.train(True)
+            # No gradient for the raw images: nobody reads it.
+            outputs = self.model(Tensor(images))
+            if self.has_trainable_parameters:
+                self._pending[batch_id] = outputs
+            activations = outputs.data.copy()
         self.samples_seen += images.shape[0]
         return ActivationMessage(
             end_system_id=self.system_id,
             batch_id=batch_id,
-            activations=outputs.data.copy(),
+            activations=activations,
             labels=np.asarray(labels).copy(),
             round_index=round_index,
             created_at=created_at,

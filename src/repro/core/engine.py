@@ -475,13 +475,14 @@ class TrainingEngine:
     # ------------------------------------------------------------------ #
     # Message kernel: uplink -> arrival -> drain -> reply
     # ------------------------------------------------------------------ #
-    def _ship(self, send: _Send, node: str, payload: object,
+    def _ship(self, send: _Send, node: str, payload: object, size: int,
               at_time: float) -> Tuple[List[Message], Optional[float]]:
         """Carry one transfer over the wire, retrying when delivery is reliable.
 
         ``send`` is the leg's transport method: one call is one physical
         send attempt and returns the wire message (or ``None`` when the
-        network lost it).  Without reliable delivery that single attempt
+        network lost it); ``size`` is the message's wire size, charged to
+        every attempt.  Without reliable delivery that single attempt
         is the whole transfer.  With it the full retry chain is resolved
         eagerly: attempt ``k`` is acknowledged when its copy arrives
         within ``min(cap, timeout * backoff**k)`` (plus seeded jitter) of
@@ -501,13 +502,13 @@ class TrainingEngine:
         """
         config = self.config
         if not config.reliable_delivery:
-            wire = send(node, payload, now=at_time)
+            wire = send(node, payload, now=at_time, size=size)
             return ([], at_time) if wire is None else ([wire], None)
         attempt_time = at_time
         deliveries = []
         give_up_time = at_time
         for attempt in range(config.retry_max + 1):
-            wire = send(node, payload, now=attempt_time, reliable=True)
+            wire = send(node, payload, now=attempt_time, reliable=True, size=size)
             if attempt > 0:
                 self.stats.retries += 1
             timeout = min(
@@ -558,8 +559,7 @@ class TrainingEngine:
         deliveries, lost_at = self._ship(
             self.transport.send_to_server,
             self.system_to_node[end_system.system_id],
-            {"activations": message.activations, "labels": message.labels},
-            at_time,
+            message.payload, message.size_bytes, at_time,
         )
         if lost_at is not None:
             return message, [], lost_at
@@ -573,7 +573,6 @@ class TrainingEngine:
             )
             arrivals.sort()
         message.arrival_time = arrivals[0]
-        message.size_bytes = deliveries[0].size_bytes
         if self.obs.tracer.enabled:
             attempts = self._obs_last_attempts
             self._obs_leg("uplink", end_system, message.batch_id, at_time,
@@ -594,7 +593,7 @@ class TrainingEngine:
         deliveries, lost_at = self._ship(
             self.transport.send_to_end_system,
             self.system_to_node[end_system.system_id],
-            gradient_message.gradient, at_time,
+            gradient_message.gradient, gradient_message.size_bytes, at_time,
         )
         return [wire.arrival_time for wire in deliveries], lost_at
 

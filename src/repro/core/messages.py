@@ -11,6 +11,11 @@ In spatio-temporal split learning the only data crossing the network are
 
 Raw input images never appear in either message, which is the privacy
 property the paper claims.
+
+A message fixes its wire size (``size_bytes``) once, at construction — the
+figure the link charges, the traffic log adds up and the transfer time is
+computed from, for the first send and every retransmission alike.  It
+equals :func:`repro.simnet.link.payload_bytes` of the message's wire form.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict
 
 import numpy as np
+
+from ..simnet.link import DICT_FRAME_BYTES
 
 __all__ = ["ActivationMessage", "GradientMessage"]
 
@@ -52,7 +59,14 @@ class ActivationMessage:
                 f"label count {self.labels.shape[0]}"
             )
         if self.size_bytes == 0:
-            self.size_bytes = int(self.activations.nbytes + self.labels.nbytes)
+            # The wire form is a dictionary (see ``payload``).
+            self.size_bytes = (self.activations.nbytes + self.labels.nbytes
+                               + DICT_FRAME_BYTES)
+
+    @property
+    def payload(self) -> Dict[str, np.ndarray]:
+        """The wire form shipped over the uplink."""
+        return {"activations": self.activations, "labels": self.labels}
 
     @property
     def batch_size(self) -> int:
@@ -86,4 +100,4 @@ class GradientMessage:
     def __post_init__(self) -> None:
         self.gradient = np.asarray(self.gradient)
         if self.size_bytes == 0:
-            self.size_bytes = int(self.gradient.nbytes)
+            self.size_bytes = self.gradient.nbytes

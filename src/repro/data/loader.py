@@ -34,8 +34,10 @@ class DataLoader:
         Drop the final short batch when the dataset size is not a multiple
         of ``batch_size``.
     transform:
-        Optional :class:`~repro.data.transforms.Transform` applied to each
-        image batch.
+        Optional :class:`~repro.data.transforms.Transform`.  A ``pure``
+        one (e.g. ``Normalize``) is applied once to the whole local array,
+        on the first iteration — elementwise, so batches are bit-identical
+        to transforming each one; any other is applied to each image batch.
     seed:
         Seed for the shuffling generator (shuffling is deterministic per
         epoch index so runs are reproducible).
@@ -63,6 +65,8 @@ class DataLoader:
         self._epoch = 0
         # Materialize once; datasets are in-memory arrays in this project.
         self._images, self._labels = dataset.arrays()
+        # A pure transform is applied on the first __iter__, not here.
+        self._transformed = False
 
     def __len__(self) -> int:
         full, remainder = divmod(len(self.dataset), self.batch_size)
@@ -91,17 +95,17 @@ class DataLoader:
         return indices
 
     def __iter__(self) -> Iterator[Batch]:
-        indices = self._epoch_order()
+        transform = self.transform
+        if transform is not None and transform.pure:
+            if not self._transformed:
+                self._images = transform(self._images)
+                self._transformed = True
+            transform = None  # nothing left to do per batch
+        order = self._epoch_order()[:self.num_samples]
         self._epoch += 1
-        limit = len(indices)
-        if self.drop_last:
-            limit = (limit // self.batch_size) * self.batch_size
-        for start in range(0, limit, self.batch_size):
-            batch_indices = indices[start:start + self.batch_size]
-            if self.drop_last and len(batch_indices) < self.batch_size:
-                break
-            images = self._images[batch_indices]
-            labels = self._labels[batch_indices]
-            if self.transform is not None:
-                images = self.transform(images)
-            yield images, labels
+        for start in range(0, len(order), self.batch_size):
+            batch = order[start:start + self.batch_size]
+            images = self._images[batch]
+            if transform is not None:
+                images = transform(images)
+            yield images, self._labels[batch]

@@ -1,10 +1,15 @@
-"""Per-batch image transforms.
+"""Image transforms.
 
 Transforms operate on NumPy arrays of shape ``(N, C, H, W)`` and are
-applied by the :class:`~repro.data.loader.DataLoader` just before a batch
-is handed to the model.  The augmentation transforms (flip, crop, noise)
+applied by the :class:`~repro.data.loader.DataLoader` before a batch is
+handed to the model.  The augmentation transforms (flip, crop, noise)
 are only meaningful on the training loader; normalization is used on both
 sides.
+
+A transform whose output depends on nothing but its input, sample by
+sample, declares ``pure = True``; the loader applies it once to its whole
+local array instead of once per batch.  Anything that draws from an RNG
+is not pure.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ __all__ = [
 class Transform:
     """Base class: callable mapping a batch array to a batch array."""
 
+    #: Whether the output is a per-sample function of the input alone
+    #: (no RNG, no state), so batching does not change the result.
+    pure = False
+
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -36,6 +45,7 @@ class Compose(Transform):
 
     def __init__(self, transforms: Sequence[Transform]) -> None:
         self.transforms = list(transforms)
+        self.pure = all(transform.pure for transform in self.transforms)
 
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         for transform in self.transforms:
@@ -55,6 +65,8 @@ class Normalize(Transform):
     mean / std:
         Per-channel statistics; scalars are broadcast to every channel.
     """
+
+    pure = True
 
     def __init__(self, mean: Sequence[float] = (0.5,), std: Sequence[float] = (0.5,)) -> None:
         self.mean = np.asarray(mean, dtype=np.float64)

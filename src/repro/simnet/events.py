@@ -10,33 +10,39 @@ The design is a classic event-calendar simulator: events carry a
 timestamp, a priority (for deterministic tie-breaking) and a callback;
 :meth:`Simulator.run` pops events in time order and executes them, letting
 callbacks schedule further events.
+
+The calendar is a heap of ``(time, priority, sequence, event)`` tuples;
+``sequence`` is unique, so the heap orders entries with C-level float/int
+comparisons and never compares an :class:`Event`, callback or payload.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Event", "Simulator"]
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class Event:
     """A scheduled occurrence in simulated time.
 
-    Ordering is by ``(time, priority, sequence)`` so that simultaneous
-    events execute in a deterministic order.
+    The handle :meth:`Simulator.schedule` returns and
+    :meth:`Simulator.cancel` tombstones.  Events fire in ``(time,
+    priority, sequence)`` order (ties: the order they were scheduled in);
+    that ordering lives in the heap entries — events are not comparable.
     """
 
     time: float
     priority: int
     sequence: int
-    callback: Callable[["Simulator"], None] = field(compare=False)
-    label: str = field(default="", compare=False)
-    payload: Any = field(default=None, compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[["Simulator"], None]
+    label: str = ""
+    payload: Any = None
+    cancelled: bool = False
 
 
 class Simulator:
@@ -54,7 +60,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -89,8 +95,9 @@ class Simulator:
                 f"cannot schedule an event at {time:.6f}s, simulation time is already "
                 f"{self._now:.6f}s"
             )
-        event = Event(time, priority, next(self._sequence), callback, label, payload)
-        heapq.heappush(self._queue, event)
+        sequence = next(self._sequence)
+        event = Event(time, priority, sequence, callback, label, payload)
+        heapq.heappush(self._queue, (time, priority, sequence, event))
         return event
 
     def schedule_after(
@@ -128,7 +135,7 @@ class Simulator:
                 break
             if max_events is not None and executed >= max_events:
                 break
-            event = self._queue[0]
+            event = self._queue[0][3]
             if event.cancelled:
                 # A cancelled event is discarded without running its
                 # callback or advancing the clock — retracting a pending

@@ -16,9 +16,12 @@ import numpy as np
 
 from .latency import ConstantLatency, LatencyModel
 
-__all__ = ["Message", "Link", "payload_bytes"]
+__all__ = ["Message", "Link", "payload_bytes", "DICT_FRAME_BYTES"]
 
 _MESSAGE_COUNTER = itertools.count()
+
+#: Framing overhead :func:`payload_bytes` charges for a dictionary payload.
+DICT_FRAME_BYTES = 64
 
 
 def payload_bytes(payload: Any) -> int:
@@ -30,7 +33,7 @@ def payload_bytes(payload: Any) -> int:
     if isinstance(payload, np.ndarray):
         return int(payload.nbytes)
     if isinstance(payload, dict):
-        return sum(payload_bytes(value) for value in payload.values()) + 64
+        return sum(payload_bytes(value) for value in payload.values()) + DICT_FRAME_BYTES
     if isinstance(payload, (list, tuple)):
         return sum(payload_bytes(value) for value in payload) + 16
     if payload is None:
@@ -123,12 +126,15 @@ class Link:
         return delay
 
     def send(self, source: str, destination: str, payload: Any, now: float,
-             kind: str = "data") -> Optional[Message]:
+             kind: str = "data", size: Optional[int] = None) -> Optional[Message]:
         """Create a message and stamp its arrival time.
 
-        Returns ``None`` when the message is dropped.
+        ``size`` is the wire size when the sender knows it (activation and
+        gradient messages fix theirs at construction), else it is estimated
+        with :func:`payload_bytes`.  Returns ``None`` on a drop.
         """
-        size = payload_bytes(payload)
+        if size is None:
+            size = payload_bytes(payload)
         self.messages_sent += 1
         if not self.up:
             # One of the endpoints is down: the message is lost without

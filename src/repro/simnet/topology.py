@@ -6,11 +6,17 @@ topology.  :class:`GeoTopology` stores the nodes, their coordinates and
 the per-edge :class:`~repro.simnet.link.Link` objects in a
 :mod:`networkx` graph, and provides factory helpers for the common
 configurations used in the experiments.
+
+Each end-system's ``(hub, uplink, downlink)`` route is resolved by one
+neighbour scan on first use and then remembered (``hub_of`` / ``uplink`` /
+``downlink`` per message are dictionary accesses).  Hence the rule: **mutate
+a topology only through its methods** — they drop the remembered routes
+when the wiring changes; editing ``topology.graph`` directly does not.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .latency import ConstantLatency, DistanceLatency, GaussianLatency, LatencyModel
 from .link import Link
@@ -41,6 +47,14 @@ WORLD_CITIES: Dict[str, Tuple[float, float]] = {
 }
 
 
+class Route(NamedTuple):
+    """Where an end-system's traffic goes: its hub and its two access links."""
+
+    hub: str
+    uplink: Link
+    downlink: Link
+
+
 class GeoTopology:
     """Star (or arbitrary) topology of named nodes connected by links."""
 
@@ -52,6 +66,10 @@ class GeoTopology:
         import networkx as nx
 
         self.graph = nx.Graph()
+        # Resolved routes; every method that rewires the graph drops them.
+        # set_node_up / set_edge_partitioned need not: they only flip
+        # ``Link.up`` on the Link objects a route holds.
+        self._routes: Dict[str, Route] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -62,6 +80,7 @@ class GeoTopology:
         if name in self.graph:
             raise ValueError(f"node {name!r} already exists")
         self.graph.add_node(name, coordinates=coordinates, role=role)
+        self._routes.clear()
 
     def add_link(self, node_a: str, node_b: str, link: Link,
                  downlink: Optional[Link] = None) -> None:
@@ -83,6 +102,7 @@ class GeoTopology:
         # undirected graph reports the endpoints in.
         self.graph.add_edge(node_a, node_b, link=link, downlink=downlink,
                             source=node_a)
+        self._routes.clear()
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -118,24 +138,36 @@ class GeoTopology:
         """Names of all server (hub) nodes, in insertion order."""
         return self.nodes(role="server")
 
-    def hub_of(self, end_system: str) -> str:
-        """The server hub an end-system is connected to.
+    def route(self, end_system: str) -> Route:
+        """An end-system's ``(hub, uplink, downlink)``, scanned once.
 
-        Single-server stars return the one server; in a multi-hub
-        topology every end-system must hang off exactly one hub.
+        Every end-system must hang off exactly one hub (single-server
+        stars: the one server).  The downlink falls back to the uplink on
+        an edge registered without one (symmetric legacy topologies).  A
+        failed resolution raises and is not remembered.
         """
-        if end_system not in self.graph:
-            raise KeyError(f"unknown node {end_system!r}")
-        hubs = [
-            neighbor for neighbor in self.graph.neighbors(end_system)
-            if self.graph.nodes[neighbor].get("role") == "server"
-        ]
-        if len(hubs) != 1:
-            raise ValueError(
-                f"end-system {end_system!r} is connected to {len(hubs)} server "
-                f"hubs ({hubs}); expected exactly one"
-            )
-        return hubs[0]
+        route = self._routes.get(end_system)
+        if route is None:
+            if end_system not in self.graph:
+                raise KeyError(f"unknown node {end_system!r}")
+            hubs = [
+                neighbor for neighbor in self.graph.neighbors(end_system)
+                if self.graph.nodes[neighbor].get("role") == "server"
+            ]
+            if len(hubs) != 1:
+                raise ValueError(
+                    f"end-system {end_system!r} is connected to {len(hubs)} server "
+                    f"hubs ({hubs}); expected exactly one"
+                )
+            hub = hubs[0]
+            route = self._routes[end_system] = Route(
+                hub, self._directional_link(end_system, hub),
+                self._directional_link(hub, end_system))
+        return route
+
+    def hub_of(self, end_system: str) -> str:
+        """The server hub an end-system is connected to."""
+        return self.route(end_system).hub
 
     def coordinates(self, name: str) -> Optional[Tuple[float, float]]:
         """Coordinates of a node (``None`` if it has none)."""
@@ -222,6 +254,7 @@ class GeoTopology:
         self.graph.remove_edge(end_system, old_hub)
         self.graph.add_edge(end_system, new_hub, link=data["link"],
                             downlink=data.get("downlink"), source=end_system)
+        self._routes.pop(end_system, None)
         self._refresh_edge_health(end_system, new_hub)
 
     def _directional_link(self, src: str, dst: str) -> Link:
@@ -237,15 +270,11 @@ class GeoTopology:
 
     def uplink(self, end_system: str) -> Link:
         """Link from an end-system to its server hub."""
-        return self._directional_link(end_system, self.hub_of(end_system))
+        return self.route(end_system).uplink
 
     def downlink(self, end_system: str) -> Link:
-        """Link from the server hub back to an end-system.
-
-        Falls back to the uplink when the edge was registered without a
-        dedicated downlink (symmetric legacy topologies).
-        """
-        return self._directional_link(self.hub_of(end_system), end_system)
+        """Link from the server hub back to an end-system (see :meth:`route`)."""
+        return self.route(end_system).downlink
 
     def inter_server_link(self, src: str, dst: str) -> Link:
         """Link carrying synchronization traffic between two server hubs."""

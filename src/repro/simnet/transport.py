@@ -199,27 +199,26 @@ class Transport:
         return self._clock
 
     def send_to_server(self, end_system: str, payload: Any, now: Optional[float] = None,
-                       kind: str = "activation",
-                       reliable: bool = False) -> Optional[Message]:
+                       kind: str = "activation", reliable: bool = False,
+                       size: Optional[int] = None) -> Optional[Message]:
         """Ship a payload from an end-system to the server.
 
         Returns the stamped :class:`Message`, or ``None`` if the link
         dropped it.  ``reliable=True`` marks the send as covered by a
         retry chain: a loss is absorbed into the retried counters
-        instead of the drop ledger.
+        instead of the drop ledger.  ``size``: see :meth:`Link.send`.
         """
         now = self._advance(now)
-        link = self.topology.uplink(end_system)
-        message = link.send(end_system, self.topology.hub_of(end_system), payload,
-                            now, kind=kind)
+        hub, link, _ = self.topology.route(end_system)
+        message = link.send(end_system, hub, payload, now, kind=kind, size=size)
         if message is not None and self.chaos is not None:
             message = self.chaos.apply(message, "up", self.log)
         self.log.record(message, "up", absorbed=reliable and message is None)
         return message
 
     def send_to_end_system(self, end_system: str, payload: Any, now: Optional[float] = None,
-                           kind: str = "gradient",
-                           reliable: bool = False) -> Optional[Message]:
+                           kind: str = "gradient", reliable: bool = False,
+                           size: Optional[int] = None) -> Optional[Message]:
         """Ship a payload from the server back to an end-system.
 
         Gradient-return traffic travels over the topology's *downlink*
@@ -231,9 +230,8 @@ class Transport:
         lost-NACK fallback already makes it loss-safe).
         """
         now = self._advance(now)
-        link = self.topology.downlink(end_system)
-        message = link.send(self.topology.hub_of(end_system), end_system, payload,
-                            now, kind=kind)
+        hub, _, link = self.topology.route(end_system)
+        message = link.send(hub, end_system, payload, now, kind=kind, size=size)
         if kind == "nack":
             self.log.record(message, "nack")
             return message

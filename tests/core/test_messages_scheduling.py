@@ -29,7 +29,9 @@ class TestMessages:
     def test_activation_message_size_and_batch(self):
         message = make_message(batch_size=3)
         assert message.batch_size == 3
-        assert message.size_bytes == 3 * 8 * 8 + 3 * 8
+        # The wire form is the {"activations", "labels"} dict: arrays + 64 B
+        # of framing (the figure the link and the traffic log charge).
+        assert message.size_bytes == 3 * 8 * 8 + 3 * 8 + 64
 
     def test_activation_message_label_mismatch(self):
         with pytest.raises(ValueError, match="label count"):
