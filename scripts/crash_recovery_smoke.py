@@ -8,7 +8,10 @@ end-to-end:
 * crashes actually happened and every one was recovered from;
 * checkpoints were written and at least one recovery restored from one;
 * the RPO columns (lost simulated seconds / samples per crash) are
-  present and sane — lost work is non-negative and bounded by the run.
+  present and sane — lost work is non-negative and bounded by the run;
+* an asynchronous run whose parked (``standby``) shard never recovers
+  still ends, with the drop balance intact, while interval checkpoints
+  are on (the CI step's ``timeout-minutes`` turns a hang into a failure).
 
 Exit status 0 means the crash-recovery path works on this checkout;
 any assertion failure (or crash in the sweep itself) fails the build.
@@ -22,7 +25,37 @@ from __future__ import annotations
 
 import sys
 
+from repro.core.config import TrainingConfig
+from repro.core.split import SplitSpec
+from repro.core.trainer import SpatioTemporalTrainer
 from repro.experiments import WorkloadSpec, run_server_failover
+from repro.experiments.base import build_workload
+from repro.obs.invariants import assert_drop_balance
+
+
+def never_recovering_shard(workload: WorkloadSpec) -> None:
+    """Asynchronous + ``standby``: shard 1 crashes and stays down."""
+    pieces = build_workload(workload)
+    config = TrainingConfig(
+        epochs=workload.epochs, batch_size=workload.batch_size,
+        mode="asynchronous", num_servers=2, server_sync_mode="staleness",
+        failover_policy="standby", failure_schedule=[(0.01, 1)],
+        checkpoint_every_s=0.005, seed=workload.seed,
+    )
+    trainer = SpatioTemporalTrainer(
+        SplitSpec(pieces["architecture"], client_blocks=1), pieces["parts"],
+        config, train_transform=pieces["normalize"],
+    )
+    trainer.train()
+    stats = trainer.engine.stats
+    assert (stats.shard_crashes, stats.shard_recoveries) == (1, 0)
+    assert stats.checkpoints_written > 0, "no interval capture fired"
+    assert_drop_balance(trainer)
+    stranded = [es.system_id for es in trainer.end_systems
+                if es.samples_seen < workload.epochs * es.num_local_samples]
+    assert stranded, "nobody was parked on the dead shard"
+    print(f"never-recovering shard OK: run ended with clients {stranded} "
+          f"parked, {stats.checkpoints_written} checkpoints")
 
 
 def main() -> int:
@@ -66,6 +99,8 @@ def main() -> int:
         f"implausible rpo_lost_s={rpo_lost_s}"
     )
     assert row[index["rpo_samples"]] >= 0
+
+    never_recovering_shard(workload)
 
     print(f"crash-recovery smoke OK: {crashes} crashes, {recoveries} "
           f"recoveries ({from_checkpoint} from checkpoints), "

@@ -27,7 +27,7 @@ __all__ = ["DropAccountingRule"]
 
 #: Attribute names participating in drop accounting.
 _PROTECTED = ("_pending", "queue", "_queue", "arena", "_arena",
-              "_awaiting_nack", "stranded")
+              "_outstanding", "stranded")
 
 #: Method calls that remove or destroy queued work.
 _MUTATORS = ("clear", "pop", "popleft", "popitem", "remove")

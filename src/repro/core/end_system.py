@@ -99,6 +99,11 @@ class EndSystem:
         """Batches forwarded but not yet updated with a server gradient."""
         return len(self._pending)
 
+    @property
+    def pending_batch_ids(self) -> Tuple[int, ...]:
+        """Ids of the batches whose activations are still stored."""
+        return tuple(self._pending)
+
     # ------------------------------------------------------------------ #
     # Training-side API
     # ------------------------------------------------------------------ #
@@ -163,15 +168,6 @@ class EndSystem:
         outputs.backward(message.gradient)
         self.optimizer.step()
         self.updates_applied += 1
-
-    def has_pending(self, batch_id: int) -> bool:
-        """Whether ``batch_id`` is still awaiting its server gradient.
-
-        Reliable delivery can land duplicate gradient copies; only the
-        first completes back-propagation — the engine guards the landing
-        with this check so later copies are silently dropped.
-        """
-        return batch_id in self._pending
 
     def discard_pending(self, batch_id: Optional[int] = None) -> int:
         """Drop pending activations (all of them when ``batch_id`` is ``None``).

@@ -22,6 +22,8 @@ The kernel, in loop order:
   lost_at)`` again, and the driver is told ``delivered`` or ``lost``.
 * ``_abandon`` — the client learns a transfer is lost: the one place a
   lost transfer joins the drop ledger.
+* ``_deliver`` / ``_forget`` — the only two ways a batch ends: its
+  gradient is applied, or the client stops waiting for it.
 * ``_schedule_for`` — a shard's chain events sit behind a **generation
   guard**: a crash or recovery bumps the generation and everything
   scheduled under the old one dies when it fires.
@@ -36,9 +38,28 @@ attempt in the transport's drop ledger that the client learns of at
 once (no event, no RNG draw); a lost reliable one is ``retry_max + 1``
 attempts absorbed into the retry counters, a jitter draw each, and a
 give-up deadline in the future (``EngineStats.gave_up`` is its ledger
-term; asynchronously it is an event a budget stop can cancel) — and a
+term; asynchronously it is an event a budget stop pre-empts) — and a
 merely *late* copy leaves several arrivals in flight.  Event counts, RNG
 streams and ledger terms all differ, hence ``lost_at`` in the outcome.
+
+An end-system that ships a batch owns it until the gradient comes back
+or it learns the batch is lost, and the engine keeps that ownership in
+**one ledger**, ``TrainingEngine.outstanding``: ``(system id, batch id)
+→ state``.  ``_uplink`` creates the entry right after the forward pass
+(``uplink``); ``_admit`` moves it to ``queued``, or — a full queue — to
+``awaiting_nack`` while the NACK travels; ``_reply`` moves it to
+``downlink`` once the gradient ships; a lost transfer waits in
+``awaiting_giveup`` until the driver abandons it.  Only two kernel
+helpers remove an entry, and they are the only engine code that touches
+a client's pending activation: ``_deliver`` (``apply_gradient``) and
+``_forget`` (``notify_drop``, or an uncounted ``discard_pending`` when a
+budget stop cancels the batch).  "A sibling copy already settled this
+batch" is "its key is gone"; a budget stop is one loop over the ledger,
+so nothing in flight — a gradient landing from another shard included —
+can outlive it; and the leak check (:mod:`repro.obs.invariants`) reads
+the ledger, so it means something even for clients that store no
+activation (``client_blocks=0``).  ``EndSystem._pending`` remains the
+tensor store; its keys are a subset of the ledger's.
 
 A **driver** owns one run's simulator, tracker and mode state, and
 implements :class:`_Driver` — ``live``, ``accepts_faults``,
@@ -51,9 +72,13 @@ arrivals → barrier → drain → reply* per shard and holds the sync
 rendezvous (``arrived``, ``finished``, the quorum timer);
 :class:`_DispatchLoop` (asynchronous, see
 :meth:`TrainingEngine.run_asynchronous`) steps a shard whenever it is
-free and holds what is outstanding (``in_flight``, ``pending_giveups``,
-``stranded``).  Per-shard state — blocked senders, clients with data
-left, round clock, generation — lives on :class:`_ShardRuntime`.
+free and holds only ``stranded`` — sends deferred by an outage, which
+are not batches.  Both answer ``live`` through one ``_reachable(runtime)``
+— the shard is healthy, or its crash lane still holds its recovery, or
+its failover has yet to fire — so clients with data left on a shard that
+nothing can bring back never keep a run alive.  Per-shard state —
+blocked senders, clients with data left, round clock, generation —
+lives on :class:`_ShardRuntime`.
 
 The engine is **shard-generalized**: a single-shard cluster runs the
 exact event chains the pre-cluster engine ran (pinned to 1e-9 by
@@ -125,7 +150,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Deque, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -169,6 +195,14 @@ _Callback = Callable[[Simulator], None]
 _Send = Callable[..., Optional[Message]]
 _OnArrival = Callable[
     [Simulator, ActivationMessage, EndSystem, "_ShardRuntime", int], None]
+
+#: Where a forwarded batch is, from the client's forward pass until it
+#: applies the gradient or forgets the batch (``TrainingEngine.outstanding``):
+#: on the uplink wire, in a shard queue, on the downlink wire (its gradient
+#: shipped), shed by a full queue with the NACK still travelling, or lost
+#: with the client yet to learn (a retry chain's give-up deadline).
+_UPLINK, _QUEUED, _DOWNLINK, _AWAITING_NACK, _AWAITING_GIVEUP = (
+    "uplink", "queued", "downlink", "awaiting_nack", "awaiting_giveup")
 
 #: Event priorities: at equal simulated times, arrivals are admitted and
 #: gradients land *before* the server dispatches, so a step always sees
@@ -251,7 +285,7 @@ class _ShardRuntime:
     __slots__ = ("shard", "in_transit", "blocked", "accepted",
                  "next_free", "dispatch_scheduled", "clock", "active",
                  "generation", "round_index", "chain_idle", "last_checkpoint_s",
-                 "service_factor")
+                 "service_factor", "failovers_due")
 
     def __init__(self, shard: ServerShard) -> None:
         self.shard = shard
@@ -293,6 +327,9 @@ class _ShardRuntime:
         #: an un-straggled shard's timing is bit-identical to a build
         #: without the chaos plane).
         self.service_factor = 1.0
+        #: Failover events scheduled by a crash of this shard that have
+        #: not fired yet: until they do, its clients may still be moved.
+        self.failovers_due = 0
 
 
 class _Driver:
@@ -339,6 +376,19 @@ class _ModeDriver(_Driver):
     def prime(self) -> None:
         """Reset the shards' mode state and schedule the run's first events."""
         raise NotImplementedError
+
+    def _reachable(self, runtime: _ShardRuntime) -> bool:
+        """Whether ``runtime``'s clients can still be served this run.
+
+        A shard that is down, with nothing left on its crash lane and its
+        failover already fired, never comes back: clients still assigned
+        to it keep their data, and must not keep the periodic chains (and
+        so the run) alive for ever.
+        """
+        plan = self.engine.fault_plan
+        return (runtime.shard.healthy or runtime.failovers_due > 0
+                or (plan is not None
+                    and plan.peek(runtime.shard.shard_id) is not None))
 
 
 class TrainingEngine:
@@ -407,9 +457,11 @@ class TrainingEngine:
             system_id: self._runtimes[shard_index]
             for system_id, shard_index in cluster.assignment.items()
         }
-        # Queue-dropped batches whose NACK is still in flight, keyed by
-        # activation sequence; a budget stop resolves them immediately.
-        self._awaiting_nack: Dict[int, Tuple[EndSystem, int]] = {}
+        #: The outstanding-work ledger: every batch a client has forwarded
+        #: and neither applied a gradient for nor forgotten, ``(system id,
+        #: batch id) -> state``.  ``_uplink`` creates an entry, the kernel
+        #: moves it, and only ``_deliver`` and ``_forget`` remove one.
+        self._outstanding: Dict[Tuple[int, int], str] = {}
         self.fault_plan = fault_plan
         self.failover = failover
         self.checkpoint_store = checkpoint_store
@@ -447,6 +499,34 @@ class TrainingEngine:
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
+    @property
+    def outstanding(self) -> Mapping[Tuple[int, int], str]:
+        """Read-only view of the ledger: ``(system id, batch id) -> state``.
+
+        Empty after every run — a budget stop included — or a batch leaked.
+        """
+        return MappingProxyType(self._outstanding)
+
+    def _deliver(self, end_system: EndSystem,
+                 gradient_message: GradientMessage) -> None:
+        """The gradient reached its client: the batch is done."""
+        del self._outstanding[end_system.system_id, gradient_message.batch_id]
+        end_system.apply_gradient(gradient_message)
+
+    def _forget(self, end_system: EndSystem, batch_id: int,
+                notify: bool = True) -> None:
+        """The client stops waiting for ``batch_id``.
+
+        It is told of the loss (``notify_drop``, a term of the drop
+        ledger) — or, when a budget stop merely cancels the batch,
+        discards the activation uncounted.
+        """
+        del self._outstanding[end_system.system_id, batch_id]
+        if notify:
+            end_system.notify_drop(batch_id)
+        else:
+            end_system.discard_pending(batch_id)
+
     def _queue_has_room(self, runtime: _ShardRuntime) -> bool:
         capacity = self.config.max_queue_size
         if capacity is None:
@@ -550,18 +630,21 @@ class TrainingEngine:
         with the earliest and ``lost_at`` is ``None``.  When it was lost,
         ``arrivals`` is empty and ``lost_at`` is when the client learns
         (see :meth:`_ship`); the batch stays pending at the client until
-        the driver calls :meth:`_abandon`.
+        the driver calls :meth:`_abandon`, at ``lost_at`` at the latest.
         """
         images, labels = batch
         message = end_system.forward_batch(
             images, labels, round_index=round_index, created_at=at_time
         )
+        key = (end_system.system_id, message.batch_id)
+        self._outstanding[key] = _UPLINK
         deliveries, lost_at = self._ship(
             self.transport.send_to_server,
             self.system_to_node[end_system.system_id],
             message.payload, message.size_bytes, at_time,
         )
         if lost_at is not None:
+            self._outstanding[key] = _AWAITING_GIVEUP
             return message, [], lost_at
         arrivals = [wire.arrival_time for wire in deliveries]
         if self._dedup_enabled:
@@ -628,6 +711,11 @@ class TrainingEngine:
         downlink degrades to an immediate notification — the same
         timeout abstraction lost gradients use — so nothing ever leaks.
         """
+        def land_nack(landing_sim: Simulator) -> None:
+            self._forget(end_system, message.batch_id)
+            if on_notified is not None:
+                on_notified(landing_sim)
+
         self.stats.nacks_sent += 1
         sent_at = sim.now
         nack = self.transport.send_to_end_system(
@@ -643,33 +731,24 @@ class TrainingEngine:
                     "nack-lost", "message", sent_at,
                     pid=self._runtime_of[end_system.system_id].shard.shard_id,
                     tid=end_system.system_id, args={"batch": message.batch_id})
-            end_system.notify_drop(message.batch_id)
-            if on_notified is not None:
-                on_notified(sim)
+            land_nack(sim)  # the timeout abstraction: it "lands" at once
             return
-        self._awaiting_nack[message.sequence] = (end_system, message.batch_id)
+        self._outstanding[end_system.system_id, message.batch_id] = _AWAITING_NACK
         self.stats.nack_delay_total_s += nack.arrival_time - sent_at
         if self.obs.tracer.enabled:
             self.obs.tracer.span(
                 "nack", "message", sent_at, nack.arrival_time,
                 pid=self._runtime_of[end_system.system_id].shard.shard_id,
                 tid=end_system.system_id, args={"batch": message.batch_id})
-
-        def land_nack(landing_sim: Simulator) -> None:
-            if self._awaiting_nack.pop(message.sequence, None) is None:
-                return  # already resolved by a budget stop
-            end_system.notify_drop(message.batch_id)
-            if on_notified is not None:
-                on_notified(landing_sim)
-
         sim.schedule(nack.arrival_time, land_nack, priority=PRIORITY_LANDING,
                      label="queue-nack")
 
     def _admit(self, sim: Simulator, message: ActivationMessage,
                end_system: EndSystem, runtime: _ShardRuntime,
-               on_notified=None, sent_generation: Optional[int] = None) -> bool:
+               sent_generation: int, on_notified=None) -> bool:
         """Resolve an arrival: enqueue it, or shed it and NACK the client."""
         runtime.in_transit -= 1
+        key = (end_system.system_id, message.batch_id)
         if self._dedup_enabled and runtime.shard.has_seen(message.sequence):
             # Duplicate copy (retransmission or chaos clone) of a
             # sequence the shard already ruled on: absorb it silently.
@@ -684,11 +763,7 @@ class TrainingEngine:
                     pid=runtime.shard.shard_id, tid=end_system.system_id,
                     args={"batch": message.batch_id})
             return False
-        stale = (
-            sent_generation is not None
-            and runtime.generation != sent_generation
-        )
-        if not runtime.shard.healthy or stale:
+        if not runtime.shard.healthy or runtime.generation != sent_generation:
             # The hub died while the message was in flight — or crashed
             # *and recovered* before it landed, which severs the message's
             # round/dispatch chain just the same (connections do not
@@ -696,20 +771,18 @@ class TrainingEngine:
             # notification path a queue drop uses; there is no server
             # context left to NACK from, so the client learns immediately
             # (the timeout abstraction again).
-            if message.metadata.get("reliability_resolved"):
+            if key not in self._outstanding:
                 # A sibling copy of this transfer already resolved the
                 # batch's fate at this dead/severed shard: later copies
                 # must neither notify again nor mint another send token.
                 return False
-            if self._dedup_enabled:
-                message.metadata["reliability_resolved"] = True
             self.stats.failover_dropped += 1
             if self.obs.tracer.enabled:
                 self.obs.tracer.instant(
                     "failover-drop", "message", sim.now,
                     pid=runtime.shard.shard_id, tid=end_system.system_id,
                     args={"batch": message.batch_id})
-            end_system.notify_drop(message.batch_id)
+            self._forget(end_system, message.batch_id)
             if on_notified is not None:
                 on_notified(sim)
             return False
@@ -718,14 +791,11 @@ class TrainingEngine:
             # rules on, so a copy landing later takes the dedup branch
             # above — including copies of a *rejected* sequence, which
             # must not trigger a second NACK.
-            outcome = runtime.shard.admit(message)
-            if outcome == "ok":
-                self._obs_admit(sim, message, runtime, end_system)
-                return True
-            if outcome == "dup":  # raced with the has_seen check above
-                self.stats.deduped += 1
-                return False
-        elif runtime.shard.receive(message):
+            admitted = runtime.shard.admit(message) == "ok"
+        else:
+            admitted = runtime.shard.receive(message)
+        if admitted:
+            self._outstanding[key] = _QUEUED
             self._obs_admit(sim, message, runtime, end_system)
             return True
         self.stats.queue_drops += 1
@@ -799,8 +869,9 @@ class TrainingEngine:
 
         Yields ``(end_system, gradient_message, arrivals, lost_at)`` per
         result, the downlink's outcome: the driver decides when a
-        delivered gradient completes back-propagation, and must pass a
-        lost one on to :meth:`_abandon` no later than ``lost_at``.
+        delivered gradient completes back-propagation (:meth:`_deliver`),
+        and must pass a lost one on to :meth:`_abandon` no later than
+        ``lost_at``.
         """
         for (activation_message, gradient_message), send_time in zip(results, send_times):
             tracker.update(
@@ -809,6 +880,8 @@ class TrainingEngine:
             )
             end_system = self._by_id[activation_message.end_system_id]
             arrivals, lost_at = self._downlink(end_system, gradient_message, send_time)
+            self._outstanding[end_system.system_id, gradient_message.batch_id] = (
+                _DOWNLINK if arrivals else _AWAITING_GIVEUP)
             if arrivals and self.obs.tracer.enabled:
                 self._obs_leg("downlink", end_system, gradient_message.batch_id,
                               send_time, arrivals[0])
@@ -824,7 +897,7 @@ class TrainingEngine:
         """
         if self.config.reliable_delivery:
             self.stats.gave_up += 1
-        end_system.notify_drop(batch_id)
+        self._forget(end_system, batch_id)
 
     @staticmethod
     def _guarded(runtime: _ShardRuntime, fn: Callable[..., None],
@@ -1192,13 +1265,14 @@ class TrainingEngine:
                          len(flushed), shard.shard_id)
         for message in flushed:
             self.stats.failover_dropped += 1
-            self._by_id[message.end_system_id].notify_drop(message.batch_id)
+            self._forget(self._by_id[message.end_system_id], message.batch_id)
         # Blocked senders hold no pending work; pull them off the dead
         # shard's deques — failover or recovery re-triggers their sends.
         parked = list(runtime.blocked)
         runtime.blocked.clear()
         self._driver.on_shard_down(runtime, flushed, parked)
         if self.failover is not None:
+            runtime.failovers_due += 1
             sim.schedule(
                 sim.now + max(0.0, self.config.failover_delay_s),
                 lambda s, rt=runtime: self._failover_clients(s, rt),
@@ -1209,6 +1283,7 @@ class TrainingEngine:
     def _failover_clients(self, sim: Simulator, dead_runtime: _ShardRuntime) -> None:
         """Reassign a dead shard's clients to the healthy survivors."""
         shard = dead_runtime.shard
+        dead_runtime.failovers_due -= 1
         if shard.healthy:
             return  # recovered before the failover delay elapsed
         # The coordinator keeps each shard's client list sorted and in
@@ -1375,6 +1450,7 @@ class TrainingEngine:
         """Run one driver's simulation to completion with every plane attached."""
         for runtime in self._runtimes:
             runtime.in_transit = 0
+            runtime.failovers_due = 0
             runtime.blocked.clear()
             runtime.active = {
                 system_id for system_id in driver.iterators
@@ -1478,22 +1554,17 @@ class _RoundChain(_ModeDriver):
 
     # -- driver protocol ------------------------------------------------ #
     def live(self) -> bool:
-        # A shard that is down with nothing left on its crash lane will
-        # never come back this run: it must not keep the periodic chains
-        # (and so the epoch) alive for ever.
-        plan = self.engine.fault_plan
         return any(
             runtime.shard.shard_id not in self.finished
-            and (runtime.shard.healthy
-                 or (plan is not None
-                     and plan.peek(runtime.shard.shard_id) is not None))
+            and self._reachable(runtime)
             for runtime in self.engine._runtimes
         )
 
     def accepts_faults(self) -> bool:
         # Any unfinished shard keeps the epoch open to faults, a dead one
         # included: a fault due after the survivors finished is applied
-        # now, not deferred to the next epoch.
+        # now, not deferred to the next epoch (folding this into ``live``
+        # moves the fault golden's ``scripted-synchronous-chaos`` cell).
         return len(self.finished) < len(self.engine._runtimes)
 
     def on_shard_down(self, runtime: _ShardRuntime,
@@ -1541,8 +1612,7 @@ class _RoundChain(_ModeDriver):
     def _on_arrival(self, sim: Simulator, message: ActivationMessage,
                     end_system: EndSystem, runtime: _ShardRuntime,
                     sent_generation: int) -> None:
-        if self.engine._admit(sim, message, end_system, runtime,
-                              sent_generation=sent_generation):
+        if self.engine._admit(sim, message, end_system, runtime, sent_generation):
             runtime.accepted.append(message)
 
     def _start_round(self, runtime: _ShardRuntime, round_index: int) -> None:
@@ -1660,7 +1730,7 @@ class _RoundChain(_ModeDriver):
             # spurious-timeout duplicates change nothing (the gradient
             # is applied inline exactly once).
             settled = max(settled, arrivals[0])
-            end_system.apply_gradient(gradient_message)
+            engine._deliver(end_system, gradient_message)
         # Shard-local barrier: this shard's next round starts once its
         # own gradients have landed (and not before this barrier fired).
         runtime.clock = max(runtime.clock, settled, self.sim.now)
@@ -1883,23 +1953,14 @@ class _DispatchLoop(_ModeDriver):
     """Asynchronous mode: clients pipeline sends, shards step when free.
 
     Per-shard dispatch state (``next_free``, ``dispatch_scheduled``) lives
-    on the shard runtimes; the driver holds what is outstanding across the
-    deployment.
+    on the shard runtimes and every forwarded batch in the engine's
+    ledger; the driver holds only the sends deferred by an outage.
     """
 
     def __init__(self, engine: TrainingEngine, iterators: _Iterators,
                  stop_time: Optional[float]) -> None:
         super().__init__(engine, iterators)
         self.stop_time = stop_time
-        #: Delivered uplinks whose first copy has not arrived yet, by
-        #: activation sequence.
-        self.in_flight: Dict[int, Tuple[ActivationMessage, EndSystem]] = {}
-        #: Reliable delivery: transfers whose every retry was physically
-        #: lost, keyed by (system id, batch id) and resolved by a give-up
-        #: event at the retry chain's final deadline (a budget stop drains
-        #: them as plain cancellations instead — the losses were absorbed,
-        #: so no drop notification is owed).
-        self.pending_giveups: Dict[Tuple[int, int], Tuple[EndSystem, int]] = {}
         #: Deferred sends of clients whose shard is down: system id ->
         #: number of sends to re-issue once the client is failed over or
         #: its shard recovers.
@@ -1916,10 +1977,11 @@ class _DispatchLoop(_ModeDriver):
 
     # -- driver protocol ------------------------------------------------ #
     def live(self) -> bool:
-        if self.sim.stopped:
-            return False
-        return bool(self.in_flight) or any(
-            runtime.active or runtime.shard.has_pending()
+        # An uplink on the wire, queued work, or a client with data left
+        # that its shard can still serve.
+        return _UPLINK in self.engine._outstanding.values() or any(
+            runtime.shard.has_pending()
+            or (runtime.active and self._reachable(runtime))
             for runtime in self.engine._runtimes
         )
 
@@ -1954,7 +2016,7 @@ class _DispatchLoop(_ModeDriver):
         engine = self.engine
         system_id = end_system.system_id
         runtime = engine._runtime_of[system_id]
-        if system_id not in runtime.active or self.sim.stopped:
+        if system_id not in runtime.active:
             return
         if self.stop_time is not None and at_time >= self.stop_time:
             # Past the budget: stop feeding new work into the pipeline.
@@ -1972,7 +2034,6 @@ class _DispatchLoop(_ModeDriver):
         if lost_at is not None:
             self._lost(end_system, message.batch_id, lost_at, "uplink")
             return
-        self.in_flight[message.sequence] = (message, end_system)
         engine._schedule_arrivals(self.sim, message, arrivals, end_system,
                                   runtime, self._on_arrival)
 
@@ -1984,12 +2045,7 @@ class _DispatchLoop(_ModeDriver):
             # Every retry was physically lost: the client keeps the
             # batch pending until the give-up deadline, then abandons it
             # and computes its next one.
-            key = (end_system.system_id, batch_id)
-            self.pending_giveups[key] = (end_system, batch_id)
-
             def give_up(sim: Simulator) -> None:
-                if self.pending_giveups.pop(key, None) is None:
-                    return  # already drained by a budget stop
                 engine._abandon(end_system, batch_id)
                 self.try_send(end_system, sim.now)
 
@@ -2010,7 +2066,7 @@ class _DispatchLoop(_ModeDriver):
             )
 
     def _land(self, end_system: EndSystem, gradient_message: GradientMessage) -> None:
-        end_system.apply_gradient(gradient_message)
+        self.engine._deliver(end_system, gradient_message)
         # The client computes its next batch as soon as the gradient lands.
         self.try_send(end_system, self.sim.now)
 
@@ -2018,14 +2074,12 @@ class _DispatchLoop(_ModeDriver):
     def _on_arrival(self, sim: Simulator, message: ActivationMessage,
                     end_system: EndSystem, runtime: _ShardRuntime,
                     sent_generation: int) -> None:
-        self.in_flight.pop(message.sequence, None)
         if self.engine._admit(
-            sim, message, end_system, runtime,
+            sim, message, end_system, runtime, sent_generation,
             # Queue overflow ("drop" policy): the client is NACKed
             # over the downlink and moves on to its next batch when
             # the NACK lands.
             on_notified=lambda s: self.try_send(end_system, s.now),
-            sent_generation=sent_generation,
         ):
             self._maybe_dispatch(runtime)
 
@@ -2109,39 +2163,27 @@ class _DispatchLoop(_ModeDriver):
         self._schedule_dispatch(next_dispatch_at, runtime)
 
     def _halt(self, stop_time: float) -> None:
-        # Budget exhausted.  Abandon whatever has not been trained on —
-        # uplinks still in flight and messages sitting in the shard
-        # queues — and make sure the owning clients forget the
-        # activations.
+        # Budget exhausted: every outstanding batch is resolved here, by
+        # its state — the stop is terminal, no event fires after it.
         engine = self.engine
         engine.clock = max(engine.clock, stop_time)
-        for message, end_system in self.in_flight.values():
-            end_system.discard_pending(message.batch_id)
-            engine.stats.cancelled_at_stop += 1
-        self.in_flight.clear()
-        # Pending reliable-delivery give-ups resolve as plain
-        # cancellations: their losses were absorbed into the retry
-        # ledger, so no drop notification is owed (and none may be
-        # issued, or the cross-layer balance would tilt).
-        for end_system, batch_id in self.pending_giveups.values():
-            end_system.discard_pending(batch_id)
-            engine.stats.cancelled_at_stop += 1
-        self.pending_giveups.clear()
-        # Queue-dropped batches whose NACK is still in flight resolve
-        # as if the NACK had just landed (they were already counted
-        # as queue drops, not cancellations).
-        for end_system, batch_id in engine._awaiting_nack.values():
-            end_system.notify_drop(batch_id)
-        engine._awaiting_nack.clear()
-        # flush_all also releases the messages' activation-arena
-        # rows on every shard, so a budgeted stop does not pin
-        # staged memory.
-        for message in engine.cluster.flush_all():
-            engine._by_id[message.end_system_id].discard_pending(message.batch_id)
-            engine.stats.cancelled_at_stop += 1
-        for runtime in engine._runtimes:
-            runtime.blocked.clear()
-            runtime.in_transit = 0
-        # Stranded sends hold no pending activations — just forget them.
-        self.stranded.clear()
+        # The queued messages' storage: flush_all also releases their
+        # activation-arena rows on every shard, so a budgeted stop does
+        # not pin staged memory.
+        engine.cluster.flush_all()
+        for (system_id, batch_id), state in list(engine._outstanding.items()):
+            # A queue-dropped batch whose NACK is still travelling
+            # resolves as if it had just landed (it was already counted
+            # as a queue drop).  Everything else — on either wire, queued,
+            # or waiting out a give-up deadline whose losses the retry
+            # ledger absorbed — is a plain cancellation: no drop
+            # notification is owed, and one would tilt the balance.
+            end_system = engine._by_id[system_id]
+            if state == _AWAITING_NACK:
+                engine._forget(end_system, batch_id)
+            else:
+                engine._forget(end_system, batch_id, notify=False)
+                engine.stats.cancelled_at_stop += 1
+        # Blocked and stranded *sends* hold no batch: the next run resets
+        # the shard runtimes and this driver dies with the run.
         self.sim.stop()

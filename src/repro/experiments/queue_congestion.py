@@ -38,6 +38,7 @@ import numpy as np
 from ..core.config import TrainingConfig
 from ..core.split import SplitSpec
 from ..core.trainer import SpatioTemporalTrainer
+from ..obs.invariants import assert_drop_balance
 from ..simnet.topology import star_topology
 from ..utils.logging import get_logger
 from .base import ExperimentResult, WorkloadSpec, build_workload
@@ -146,14 +147,7 @@ def run_queue_congestion(
                     train_transform=pieces["normalize"],
                 )
                 history = trainer.train()
-                leaked = sum(
-                    end_system.pending_batches for end_system in trainer.end_systems
-                )
-                if leaked:
-                    raise AssertionError(
-                        f"{leaked} pending activations leaked under capacity="
-                        f"{capacity} backpressure={backpressure!r} policy={policy!r}"
-                    )
+                assert_drop_balance(trainer)
                 queue_dropped = history.queue_stats["dropped"]
                 logger.info(
                     "congestion policy=%s capacity=%s backpressure=%s dropped=%d "

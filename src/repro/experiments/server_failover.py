@@ -48,6 +48,7 @@ import numpy as np
 from ..core.config import TrainingConfig
 from ..core.split import SplitSpec
 from ..core.trainer import SpatioTemporalTrainer
+from ..obs.invariants import assert_drop_balance
 from ..simnet.topology import multi_hub_star_topology
 from ..utils.logging import get_logger
 from .base import ExperimentResult, WorkloadSpec, build_workload
@@ -185,14 +186,7 @@ def run_server_failover(
                     stats = trainer.engine.stats
                     # Leak-freedom is part of the experiment's contract:
                     # a crash must never leave a client waiting forever.
-                    leaked = sum(es.pending_batches
-                                 for es in trainer.end_systems)
-                    if leaked:
-                        raise AssertionError(
-                            f"{leaked} pending activations leaked under "
-                            f"churn (mtbf={mtbf_s}, policy={policy}, "
-                            f"sync={sync_mode}, ckpt={checkpoint_every_s})"
-                        )
+                    assert_drop_balance(trainer)
                     queue_stats = history.queue_stats
                     downtime = queue_stats.get("total_downtime_s", 0.0)
                     recovered_from = "/".join(str(queue_stats.get(key, 0)) for key in (

@@ -56,7 +56,9 @@ class DropBalance:
     failover_dropped: int
     deduped: int
     gave_up: int
-    #: Client-side activations still awaiting a gradient (must be 0).
+    #: Batches still awaiting a gradient after the run (must be 0): the
+    #: larger of the clients' pending activations and the engine's ledger
+    #: (a client without trainable layers stores no activation).
     leaked: int = 0
 
     @property
@@ -121,8 +123,8 @@ def drop_balance(trainer: object) -> DropBalance:
     """Evaluate the balance on a live trainer (duck-typed).
 
     Works on anything exposing the ``SpatioTemporalTrainer`` surface:
-    ``transport.log``, ``engine.stats``, ``cluster.shards`` and
-    ``end_systems``.
+    ``transport.log``, ``engine.stats``, ``engine.outstanding``,
+    ``cluster.shards`` and ``end_systems``.
     """
     log = trainer.transport.log  # type: ignore[attr-defined]
     stats = trainer.engine.stats  # type: ignore[attr-defined]
@@ -137,7 +139,8 @@ def drop_balance(trainer: object) -> DropBalance:
         failover_dropped=stats.failover_dropped,
         deduped=stats.deduped,
         gave_up=stats.gave_up,
-        leaked=sum(es.pending_batches for es in end_systems),
+        leaked=max(sum(es.pending_batches for es in end_systems),
+                   len(trainer.engine.outstanding)),  # type: ignore[attr-defined]
     )
 
 
@@ -157,6 +160,16 @@ def assert_drop_balance(trainer: object) -> DropBalance:
     balance = drop_balance(trainer)
     if balance.notified != balance.expected:
         raise AssertionError(balance.describe())
+    outstanding = trainer.engine.outstanding  # type: ignore[attr-defined]
+    untracked = [
+        (es.system_id, batch_id)
+        for es in trainer.end_systems  # type: ignore[attr-defined]
+        for batch_id in es.pending_batch_ids
+        if (es.system_id, batch_id) not in outstanding
+    ]
+    if untracked:
+        raise AssertionError(
+            f"pending activations missing from the engine's ledger: {untracked}")
     if balance.leaked:
         raise AssertionError(f"{balance.leaked} pending activations leaked")
     return balance

@@ -181,6 +181,16 @@ class TestDropAccounting:
     def test_quiet_inside_approved_modules(self):
         assert unsuppressed(self.BAD, path="src/repro/core/server.py") == []
 
+    def test_engine_ledger_and_deferred_sends_are_protected(self):
+        source = """
+            def purge(engine, driver):
+                del engine._outstanding[0, 1]
+                driver.stranded.clear()
+        """
+        findings = unsuppressed(source, path="src/repro/core/trainer.py")
+        assert rule_ids(findings) == ["RL003"] * 2
+        assert unsuppressed(source, path="src/repro/core/engine.py") == []
+
     def test_quiet_for_reads_and_init(self):
         assert unsuppressed("""
             class Monitor:

@@ -6,6 +6,9 @@ payload pins memory), and no end-system holding a pending activation —
 on every shard, not just the first.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,11 @@ from repro.core.models import tiny_cnn_architecture
 from repro.core.server import CentralServer
 from repro.core.split import SplitSpec
 from repro.core.trainer import SpatioTemporalTrainer
+from repro.obs.invariants import assert_drop_balance
 from repro.simnet.topology import multi_hub_star_topology
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+import engine_kernel_golden as kernel_golden  # noqa: E402
 
 
 def make_message(spec, system_id, batch_id, rows=4):
@@ -28,6 +35,19 @@ def make_message(spec, system_id, batch_id, rows=4):
         labels=rng.integers(0, 10, rows),
         arrival_time=float(batch_id),
     )
+
+
+def _record_halted_states(trainer):
+    """The ledger states a budget stop finds, recorded as `_halt` runs."""
+    halted = []
+    flush_all = trainer.cluster.flush_all
+
+    def recording_flush_all():
+        halted.extend(trainer.engine.outstanding.values())
+        return flush_all()
+
+    trainer.cluster.flush_all = recording_flush_all
+    return halted
 
 
 @pytest.fixture
@@ -117,5 +137,26 @@ class TestBudgetStopAcrossShards:
                                         topology=topology, train_transform=normalize)
         trainer.train_time_budget(0.06)
         assert trainer.engine.stats.nacks_sent > 0
-        assert not trainer.engine._awaiting_nack
+        assert not trainer.engine.outstanding
         assert all(es.pending_batches == 0 for es in trainer.end_systems)
+
+    @pytest.mark.parametrize("delivery", ["unreliable", "reliable"])
+    def test_budget_stop_resolves_landings_from_the_other_shard(
+            self, delivery, tiny_split_spec, tiny_parts4, normalize):
+        # The kernel-golden workload on two shards: the shard whose
+        # dispatch halts the run has no landing of its own in flight, but
+        # the *other* shard's gradients are still on the downlink.  At the
+        # parent commit `_halt` never saw them and a client kept the
+        # pending activation for ever.
+        trainer = kernel_golden.make_trainer(
+            tiny_split_spec, tiny_parts4, normalize,
+            dict(kernel_golden.BASE, **kernel_golden.MODES["async"],
+                 **kernel_golden.DELIVERY[delivery], server_step_time_s=0.01))
+        halted = _record_halted_states(trainer)
+        trainer.train_time_budget(kernel_golden.BUDGET_S)
+        assert_drop_balance(trainer)
+        assert all(es.pending_batches == 0 for es in trainer.end_systems)
+        assert not trainer.engine.outstanding
+        assert halted.count("downlink") > 0
+        cancelled = [state for state in halted if state != "awaiting_nack"]
+        assert trainer.engine.stats.cancelled_at_stop == len(cancelled)

@@ -17,6 +17,7 @@ from repro.core.config import TrainingConfig
 from repro.core.trainer import SpatioTemporalTrainer
 from repro.data.partition import IIDPartitioner
 from repro.obs.invariants import assert_drop_balance
+from repro.simnet.events import Simulator
 
 
 @pytest.fixture(scope="module")
@@ -71,13 +72,27 @@ def test_golden_is_not_vacuous(parent_golden):
         assert batched["weights_sha256"] != permsg["weights_sha256"]
 
 
+@pytest.fixture
+def event_budget(monkeypatch):
+    """Bound every simulation, so a run that feeds itself for ever fails
+    the test instead of hanging the suite."""
+    run = Simulator.run
+
+    def bounded(sim, until=None, max_events=None):
+        now = run(sim, until=until, max_events=5000)
+        assert sim.stopped or not sim.pending_events, "the run never ends"
+        return now
+
+    monkeypatch.setattr(Simulator, "run", bounded)
+
+
 @pytest.mark.parametrize("periodic", [
     dict(checkpoint_every_s=0.005, checkpoint_mode="interval"),
     dict(obs_enabled=True, obs_flush_every_s=0.005),
 ], ids=["interval-checkpoints", "obs-flushes"])
 @pytest.mark.parametrize("policy", ["rebalance", "standby"])
 def test_never_recovering_shard_does_not_keep_the_epoch_alive(
-        periodic, policy, tiny_split_spec, tiny_parts4, normalize):
+        periodic, policy, tiny_split_spec, tiny_parts4, normalize, event_budget):
     """An open-ended crash leaves a shard that is never ``finished``; the
     periodic chains must not wait for it (at the parent commit this epoch
     never ends)."""
@@ -94,3 +109,59 @@ def test_never_recovering_shard_does_not_keep_the_epoch_alive(
         assert trainer.engine.stats.checkpoints_written > 0
     else:
         assert trainer.obs.flushes > 1
+
+
+PERIODIC = {
+    "interval-checkpoints": dict(checkpoint_every_s=0.01),
+    "obs-flushes": dict(obs_enabled=True, obs_flush_every_s=0.01),
+    "both": dict(checkpoint_every_s=0.01, obs_enabled=True, obs_flush_every_s=0.01),
+}
+
+#: Outages that leave clients with data on a shard nothing can bring back:
+#: parked by ``standby`` on a shard that stays down, or moved nowhere by
+#: ``rebalance`` because no shard survived.
+UNREACHABLE = {
+    "standby-one-shard": dict(failover_policy="standby", failure_schedule=[(0.02, 1)]),
+    "rebalance-total-outage": dict(failover_policy="rebalance",
+                                   failure_schedule=[(0.02, 0), (0.02, 1)]),
+}
+
+
+def _async_trainer(spec, parts, normalize, **overrides):
+    return golden.make_trainer(
+        spec, parts, normalize,
+        dict(golden.BASE, **golden.MODES["async"], **overrides))
+
+
+@pytest.mark.parametrize("periodic", sorted(PERIODIC))
+@pytest.mark.parametrize("outage", sorted(UNREACHABLE))
+def test_stranded_clients_do_not_keep_the_dispatch_loop_alive(
+        outage, periodic, tiny_split_spec, tiny_parts4, normalize, event_budget):
+    """The asynchronous twin: stranded clients never exhaust their data, and
+    at the parent commit the periodic chains re-armed themselves for ever."""
+    trainer = _async_trainer(tiny_split_spec, tiny_parts4, normalize,
+                             **UNREACHABLE[outage], **PERIODIC[periodic])
+    trainer.train()
+    stats = trainer.engine.stats
+    assert stats.shard_crashes == len(UNREACHABLE[outage]["failure_schedule"])
+    assert stats.shard_recoveries == 0
+    assert_drop_balance(trainer)  # balanced, nothing pending, ledger empty
+    # The stranded clients kept their data: the run ended without them.
+    assert any(es.samples_seen < 2 * es.num_local_samples
+               for es in trainer.end_systems)
+
+
+@pytest.mark.parametrize("periodic", sorted(PERIODIC))
+def test_a_recovery_on_the_crash_lane_keeps_the_run_alive(
+        periodic, tiny_split_spec, tiny_parts4, normalize, event_budget):
+    """While its crash lane still holds the recovery the dead shard counts
+    as reachable: the run waits, and its parked clients finish their data."""
+    trainer = _async_trainer(tiny_split_spec, tiny_parts4, normalize,
+                             failover_policy="standby",
+                             failure_schedule=[(0.02, 1, 0.05)],
+                             **PERIODIC[periodic])
+    trainer.train()
+    assert trainer.engine.stats.shard_recoveries == 1
+    assert_drop_balance(trainer)
+    assert all(es.samples_seen == 2 * es.num_local_samples
+               for es in trainer.end_systems)

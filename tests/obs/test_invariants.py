@@ -68,8 +68,11 @@ class _StubShard:
 
 
 class _StubEndSystem:
+    system_id = 0
+
     def __init__(self, notified, pending=0):
         self.drops_notified = notified
+        self.pending_batch_ids = tuple(range(pending))
         self.pending_batches = pending
 
 
@@ -77,7 +80,7 @@ class _Stub:
     """Duck-typed trainer exposing just what drop_balance reads."""
 
     def __init__(self, notified=0, queue=0, transport=0, nack=0, sync=0,
-                 failover=0, deduped=0, gave_up=0, pending=0):
+                 failover=0, deduped=0, gave_up=0, pending=0, outstanding=None):
         self.transport = type("T", (), {})()
         self.transport.log = type("L", (), {
             "dropped_messages": transport, "nack_dropped": nack,
@@ -86,6 +89,10 @@ class _Stub:
         self.engine.stats = type("S", (), {
             "failover_dropped": failover, "deduped": deduped,
             "gave_up": gave_up})()
+        # The engine's ledger; by default it holds what the client stores.
+        self.engine.outstanding = {
+            (0, batch_id): "downlink"
+            for batch_id in range(pending if outstanding is None else outstanding)}
         self.cluster = type("C", (), {})()
         self.cluster.shards = [_StubShard(queue)]
         self.end_systems = [_StubEndSystem(notified, pending)]
@@ -102,8 +109,19 @@ class TestLiveEvaluation:
             assert_drop_balance(_Stub(notified=1))
 
     def test_leak_raises(self):
-        with pytest.raises(AssertionError, match="pending activations leaked"):
+        with pytest.raises(AssertionError, match="3 pending activations leaked"):
             assert_drop_balance(_Stub(pending=3))
+
+    def test_ledger_entry_without_a_stored_activation_is_a_leak(self):
+        # client_blocks == 0: the client stores nothing, the ledger still knows.
+        assert drop_balance(_Stub(outstanding=2)).leaked == 2
+        with pytest.raises(AssertionError, match="2 pending activations leaked"):
+            assert_drop_balance(_Stub(outstanding=2))
+
+    def test_stored_activation_missing_from_the_ledger_raises(self):
+        with pytest.raises(AssertionError, match=r"missing from the engine's "
+                                                 r"ledger: \[\(0, 1\), \(0, 2\)\]"):
+            assert_drop_balance(_Stub(pending=3, outstanding=1))
 
     def test_drop_balance_reads_all_terms(self):
         record = drop_balance(_Stub(notified=5, queue=1, transport=2, nack=1,
