@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
 Each benchmark regenerates one of the paper's tables/figures (or one of
-the ablations DESIGN.md calls out) on the laptop-scale workload and
+the ablations README.md lists with the experiments) on the laptop-scale workload and
 prints the resulting table, so that running::
 
     pytest benchmarks/ --benchmark-only -s

@@ -1,7 +1,7 @@
 """Benchmark — extension: compressing / perturbing the smashed activations.
 
-Not part of the paper's evaluation; DESIGN.md lists it as the natural
-follow-up ablation.  Expected shape: 8-bit quantization cuts uplink
+Not part of the paper's evaluation; README.md lists it with the
+experiments as the ``compression`` ablation.  Expected shape: 8-bit quantization cuts uplink
 traffic ~8x with little accuracy cost; Gaussian noise at the cut improves
 the leakage metric (higher reconstruction NMSE) at some accuracy cost;
 nothing inflates traffic above the uncompressed baseline.

@@ -1,8 +1,9 @@
 """Compression and perturbation of the smashed activations (extension).
 
 The paper ships the first block's activations to the server uncompressed.
-Two natural extensions from the split-learning literature — both listed as
-follow-up work in DESIGN.md — are implemented here:
+Two natural extensions from the split-learning literature — beyond the
+paper's evaluation; README.md lists them with the experiments as the
+``compression`` ablation — are implemented here:
 
 * **Compression** reduces the uplink volume of every activation message:
   :class:`Uint8Quantizer` (8-bit affine quantization, 8x smaller than

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
+from ..nn import Conv2D, Dense, Flatten, MaxPool2D, Module, ReLU, Sequential
 
 __all__ = [
     "CNNArchitecture",
@@ -128,9 +128,27 @@ class CNNArchitecture:
         """Instantiate the full network with freshly initialized parameters."""
         if rng is None:
             rng = np.random.default_rng(seed)
-        layers = []
+        model = self.build_blocks(self.num_blocks, rng=rng)
+        model.append(Flatten(), name="flatten")
+        model.append(Dense(self.flattened_size, self.dense_units, rng=rng), name="dense1")
+        model.append(ReLU(), name="dense1_relu")
+        model.append(Dense(self.dense_units, self.num_classes, rng=rng), name="output")
+        return model
+
+    def build_blocks(self, count: int, rng: Optional[np.random.Generator] = None,
+                     seed: Optional[int] = None) -> Sequential:
+        """Instantiate blocks ``L1 .. L{count}`` only.
+
+        The blocks draw their initialization first, so for the same seed
+        these are exactly the first ``3 * count`` layers of :meth:`build`.
+        """
+        if not 0 <= count <= self.num_blocks:
+            raise ValueError(f"count must be in [0, {self.num_blocks}], got {count}")
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        layers: List[Tuple[str, Module]] = []
         in_channels = self.in_channels
-        for index, out_channels in enumerate(self.filters):
+        for index, out_channels in enumerate(self.filters[:count]):
             block = f"L{index + 1}"
             layers.append((f"{block}_conv", Conv2D(
                 in_channels, out_channels, kernel_size=self.kernel_size,
@@ -139,10 +157,6 @@ class CNNArchitecture:
             layers.append((f"{block}_relu", ReLU()))
             layers.append((f"{block}_pool", MaxPool2D(2)))
             in_channels = out_channels
-        layers.append(("flatten", Flatten()))
-        layers.append(("dense1", Dense(self.flattened_size, self.dense_units, rng=rng)))
-        layers.append(("dense1_relu", ReLU()))
-        layers.append(("output", Dense(self.dense_units, self.num_classes, rng=rng)))
         return Sequential(layers)
 
     def describe(self) -> str:

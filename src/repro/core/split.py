@@ -95,10 +95,15 @@ class SplitSpec:
 
     def build_client_segment(self, rng: Optional[np.random.Generator] = None,
                              seed: Optional[int] = None) -> Sequential:
-        """Instantiate a fresh client segment (blocks ``L1 .. L{client_blocks}``)."""
-        model = self.build_full_model(rng=rng, seed=seed)
-        head, _ = model.split_at(self._cut_index(model))
-        return head
+        """Instantiate a fresh client segment (blocks ``L1 .. L{client_blocks}``).
+
+        Only those blocks are constructed (an empty ``Sequential`` when the
+        cut is 0).  Their initialization draws come first in the seeded
+        stream, so the weights equal the head of :meth:`build_full_model`
+        for the same ``seed``.  A caller passing ``rng=`` now sees fewer
+        draws consumed than a full build: the server half is never drawn.
+        """
+        return self.architecture.build_blocks(self.client_blocks, rng=rng, seed=seed)
 
     def build_server_segment(self, rng: Optional[np.random.Generator] = None,
                              seed: Optional[int] = None) -> Sequential:

@@ -1,7 +1,8 @@
 """Extension ablation — compressing or perturbing the smashed activations.
 
 The paper ships raw float activations from every end-system to the server.
-This ablation (called out as follow-up work in DESIGN.md) asks what happens
+This ablation (beyond the paper's evaluation; README.md's experiment list
+names it ``compression``) asks what happens
 to the three quantities the system cares about — accuracy, uplink traffic
 and privacy leakage — when the cut-layer traffic is
 

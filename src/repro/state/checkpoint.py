@@ -471,36 +471,38 @@ class RunCheckpoint:
     @classmethod
     def from_payload(cls, arrays: Dict[str, np.ndarray],
                      meta: Dict[str, Any]) -> "RunCheckpoint":
-        def sub_arrays(prefix: str) -> Dict[str, np.ndarray]:
-            return {key[len(prefix):]: value for key, value in arrays.items()
-                    if key.startswith(prefix)}
+        # One pass: ``"<component>::<name>"`` → groups[component][name].
+        # ``transit_times`` has no prefix and groups under its own name.
+        groups: Dict[str, Dict[str, np.ndarray]] = {}
+        for key, value in arrays.items():
+            component, _, name = key.partition("::")
+            groups.setdefault(component, {})[name] = value
 
         shards = [
-            ShardCheckpoint.from_payload(sub_arrays(f"shard{index}::"), shard_meta)
+            ShardCheckpoint.from_payload(groups.get(f"shard{index}", {}), shard_meta)
             for index, shard_meta in enumerate(meta["shards"])
         ]
         clients = [
-            ClientCheckpoint.from_payload(sub_arrays(f"client{index}::"), client_meta)
+            ClientCheckpoint.from_payload(groups.get(f"client{index}", {}), client_meta)
             for index, client_meta in enumerate(meta["clients"])
         ]
         last_sync_snapshot = None
         if meta["has_sync_snapshot"]:
+            snapshot = groups.get("sync_snapshot", {})
             last_sync_snapshot = {
-                name: np.asarray(arrays[f"sync_snapshot::{name}"])
-                for name in meta["sync_snapshot_names"]
+                name: np.asarray(snapshot[name]) for name in meta["sync_snapshot_names"]
             }
         traffic = dict(meta["traffic"])
-        traffic["transit_times"] = [
-            float(value) for value in np.asarray(arrays.get("transit_times", []))
-        ]
+        transit_times = groups.get("transit_times", {}).get("", np.empty(0, dtype=np.float64))
+        traffic["transit_times"] = [float(value) for value in np.asarray(transit_times)]
+        link_rngs = groups.get("link_rng", {})
         link_states: Dict[str, Dict[str, Any]] = {}
         for key, counters in meta["links"].items():
             state = dict(counters)
-            state["rng"] = np.asarray(arrays[f"link_rng::{key}"], dtype=np.uint8)
+            state["rng"] = np.asarray(link_rngs[key], dtype=np.uint8)
             link_states[key] = state
-        rng_streams = {key[len("stream::"):]: np.asarray(value, dtype=np.uint8)
-                       for key, value in arrays.items()
-                       if key.startswith("stream::")}
+        rng_streams = {key: np.asarray(value, dtype=np.uint8)
+                       for key, value in groups.get("stream", {}).items()}
         return cls(
             epoch=int(meta["epoch"]),
             engine_clock=float(meta["engine_clock"]),
