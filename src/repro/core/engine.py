@@ -864,15 +864,18 @@ class TrainingEngine:
         self, tracker: MetricTracker,
         results: List[Tuple[ActivationMessage, GradientMessage]],
         send_times: List[float],
-    ) -> Iterator[Tuple[EndSystem, GradientMessage, List[float], Optional[float]]]:
+    ) -> List[Tuple[EndSystem, GradientMessage, List[float], Optional[float]]]:
         """Account a step's results and ship each gradient back at its time.
 
-        Yields ``(end_system, gradient_message, arrivals, lost_at)`` per
+        Returns ``(end_system, gradient_message, arrivals, lost_at)`` per
         result, the downlink's outcome: the driver decides when a
         delivered gradient completes back-propagation (:meth:`_deliver`),
         and must pass a lost one on to :meth:`_abandon` no later than
-        ``lost_at``.
+        ``lost_at``.  Every gradient ships before the driver sees any
+        outcome; what the drivers do with one (apply a gradient, forget a
+        batch, schedule an event) draws on no stream a later send draws on.
         """
+        replies = []
         for (activation_message, gradient_message), send_time in zip(results, send_times):
             tracker.update(
                 {"loss": gradient_message.loss, "accuracy": gradient_message.accuracy},
@@ -885,7 +888,8 @@ class TrainingEngine:
             if arrivals and self.obs.tracer.enabled:
                 self._obs_leg("downlink", end_system, gradient_message.batch_id,
                               send_time, arrivals[0])
-            yield end_system, gradient_message, arrivals, lost_at
+            replies.append((end_system, gradient_message, arrivals, lost_at))
+        return replies
 
     def _abandon(self, end_system: EndSystem, batch_id: int) -> None:
         """The client learns that a transfer of its batch was lost.

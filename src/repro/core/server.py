@@ -53,20 +53,19 @@ def _segment_means(values: np.ndarray, segments: List[Tuple[int, int]]) -> List[
         values = values.astype(np.float64)
     flat = values.reshape(values.shape[0], -1) if values.ndim > 1 else values
     row_width = flat.shape[1] if values.ndim > 1 else 1
+    bounds = np.array(segments, dtype=np.int64).reshape(-1, 2)
+    starts, stops = bounds[:, 0], bounds[:, 1]
     monotone = (
-        segments
-        and segments[0][0] == 0
-        and segments[-1][1] == values.shape[0]
-        and all(stop == next_start for (_, stop), (next_start, _) in zip(segments, segments[1:]))
-        and all(stop > start for start, stop in segments)
+        len(bounds) > 0
+        and starts[0] == 0
+        and stops[-1] == values.shape[0]
+        and np.array_equal(stops[:-1], starts[1:])
+        and bool((stops > starts).all())
     )
     if monotone:
-        starts = np.fromiter((start for start, _ in segments), dtype=np.int64,
-                             count=len(segments))
         sums = np.add.reduceat(flat.sum(axis=1) if values.ndim > 1 else flat, starts)
-        counts = np.fromiter(((stop - start) * row_width for start, stop in segments),
-                             dtype=np.float64, count=len(segments))
-        return [float(value) for value in sums / counts]
+        counts = ((stops - starts) * row_width).astype(np.float64)
+        return (sums / counts).tolist()
     return [
         float(flat[start:stop].mean()) if stop > start else 0.0
         for start, stop in segments
@@ -298,12 +297,18 @@ class CentralServer:
         # per-sample losses and arg-max hit flags are segment-averaged —
         # replacing the per-message loss/accuracy calls of the original
         # implementation (identical values, O(messages) fewer dispatches).
+        # The wire gradients are row slices of ONE C-order copy of the
+        # boundary gradient (a channels-last or channel-major gradient
+        # must not reach the wire strided); the slices are C-contiguous and
+        # disjoint.  A message of another dtype than the union (ragged
+        # traffic) gets a converted copy.
         replies: List[GradientMessage] = []
         with no_grad():
             per_sample = np.asarray(per_sample_tensor.data)
             hits = logits.data.argmax(axis=-1) == np.asarray(labels).reshape(-1)
             losses = _segment_means(per_sample, segments)
             accuracies = _segment_means(hits, segments)
+            wire = np.array(boundary_gradient, order="C")
             for message, (start, stop), message_loss, message_accuracy in zip(
                 messages, segments, losses, accuracies
             ):
@@ -311,11 +316,8 @@ class CentralServer:
                     GradientMessage(
                         end_system_id=message.end_system_id,
                         batch_id=message.batch_id,
-                        # order="C": the default "K" would put a
-                        # channels-last (strided) gradient on the wire.
-                        gradient=boundary_gradient[start:stop].astype(
-                            message.activations.dtype, order="C", copy=True
-                        ),
+                        gradient=wire[start:stop].astype(message.activations.dtype,
+                                                         copy=False),
                         loss=message_loss,
                         accuracy=message_accuracy,
                     )

@@ -28,7 +28,8 @@ movement, so they are written to move each array once:
   strided window view writes the patch-major GEMM operand;
 * **layout-stable backward**: the upstream gradient already is the GEMM
   operand, the col2im fold accumulates its ``kh*kw`` slabs into an NHWC
-  image and hands the interior upstream as a view, and an input that
+  image (channel-major for a 2-4 channel input, whose NHWC runs are too
+  short) and hands the interior upstream as a view, and an input that
   requires no gradient (an end-system's raw images) costs neither the
   input-gradient GEMM nor the fold;
 * **bit-identical arithmetic**: every GEMM sees the operands it always
@@ -375,19 +376,36 @@ def conv2d(
                 out=workspace("conv2d.grad_cols",
                               (n * out_h * out_w, kh * kw * c_in), grad.dtype),
             )  # (N*oh*ow, kh*kw*C)
-            # Fold the patch gradients in their native patch-major layout:
-            # each kernel offset reads contiguous C-sized chunks of the
-            # GEMM output and accumulates into an NHWC padded image,
-            # avoiding the badly-strided reads a transposed col2im view
-            # would incur.
-            grad_cols = grad_cols_matrix.reshape(n, out_h, out_w, kh, kw, c_in)
-            padded_shape = (n, h + 2 * ph, w_in + 2 * pw, c_in)
+            # Fold the patch gradients into a padded image, indexed as
+            # (n, oh, ow, kh, kw, C) / NHWC whatever the memory order.
+            # Each offset's ``+=`` walks runs of C values in the GEMM's
+            # patch-major output and the NHWC image, so a few-channel
+            # input (runs of 2-4 values) re-lays the GEMM output once,
+            # channel-major, and folds into a CNHW image: the runs become
+            # image rows.  Offsets, order and zero strips are unchanged,
+            # so every element sees the same additions either way.
+            # Fold-only speed-up of the channel-major layout, 74×C×8×8
+            # input, 3x3 kernel, stride 1, float32 / float64, on a 2-vCPU
+            # Xeon with NumPy 2.4: C 1 ×0.95 / ×0.86, 2 ×3.2 / ×2.7,
+            # 3 ×2.4 / ×1.7, 4 ×1.8 / ×1.2, 6 ×1.2 / ×0.94, 8 ×0.93 /
+            # ×0.83; the paper's 16-64 channel layers ×0.9 down to ×0.2.
+            padded_hw = (h + 2 * ph, w_in + 2 * pw)
+            if 2 <= c_in <= 4:
+                channel_major = workspace("conv2d.grad_cols_t", grad_cols_matrix.shape[::-1],
+                                          grad.dtype)
+                np.copyto(channel_major, grad_cols_matrix.T)
+                grad_cols = channel_major.reshape(kh, kw, c_in, n, out_h, out_w).transpose(
+                    3, 4, 5, 0, 1, 2)
+                padded_shape, to_nhwc = (c_in, n, *padded_hw), (1, 2, 3, 0)
+            else:
+                grad_cols = grad_cols_matrix.reshape(n, out_h, out_w, kh, kw, c_in)
+                padded_shape, to_nhwc = (n, *padded_hw, c_in), (0, 1, 2, 3)
             if sh == 1 and sw == 1:
                 # Stride-1 fast path: offset (0, 0) covers all but the
                 # trailing kh-1 rows / kw-1 cols, so assign it into
                 # uninitialized memory (zeroing only those strips) and
                 # skip both the full zero fill and one accumulation pass.
-                grad_padded = np.empty(padded_shape, dtype=grad.dtype)
+                grad_padded = np.empty(padded_shape, dtype=grad.dtype).transpose(to_nhwc)
                 if kh > 1:
                     grad_padded[:, out_h:, :, :] = 0.0
                 if kw > 1:
@@ -395,13 +413,14 @@ def conv2d(
                 grad_padded[:, :out_h, :out_w, :] = grad_cols[:, :, :, 0, 0, :]
                 offsets = [(i, j) for i in range(kh) for j in range(kw)][1:]
             else:
-                grad_padded = np.zeros(padded_shape, dtype=grad.dtype)
+                grad_padded = np.zeros(padded_shape, dtype=grad.dtype).transpose(to_nhwc)
                 offsets = [(i, j) for i in range(kh) for j in range(kw)]
             for i, j in offsets:
                 i_end = i + sh * out_h
                 j_end = j + sw * out_w
                 grad_padded[:, i:i_end:sh, j:j_end:sw, :] += grad_cols[:, :, :, i, j, :]
-            # Handed upstream as a view: channels-last memory, NCHW shape.
+            # Handed upstream as a view: NCHW shape over channels-last (or,
+            # for a few-channel input, channel-major) memory.
             grad_input = grad_padded[:, ph:ph + h, pw:pw + w_in, :].transpose(0, 3, 1, 2)
             inputs._accumulate(grad_input, owned=True)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class MetricTracker:
 
     _totals: Dict[str, float] = field(default_factory=dict)
     _counts: Dict[str, int] = field(default_factory=dict)
-    history: List[Dict[str, float]] = field(default_factory=list)
 
     def update(self, values: Dict[str, float], count: int = 1) -> None:
         """Add a batch of metric values weighted by ``count`` samples."""
@@ -106,7 +105,6 @@ class MetricTracker:
         for name, value in values.items():
             self._totals[name] = self._totals.get(name, 0.0) + float(value) * count
             self._counts[name] = self._counts.get(name, 0) + count
-        self.history.append(dict(values))
 
     def average(self, name: str) -> float:
         """Weighted average of metric ``name`` over all updates."""
@@ -122,4 +120,3 @@ class MetricTracker:
         """Clear all recorded values."""
         self._totals.clear()
         self._counts.clear()
-        self.history.clear()

@@ -147,7 +147,8 @@ class Link:
             self.messages_dropped += 1
             return None
         self.bytes_sent += size
-        message = Message(
+        # Every field given: no default-factory call per send.
+        return Message(
             source=source,
             destination=destination,
             payload=payload,
@@ -155,8 +156,9 @@ class Link:
             arrival_time=now + self.transfer_time(size),
             size_bytes=size,
             kind=kind,
+            message_id=next(_MESSAGE_COUNTER),
+            metadata={},
         )
-        return message
 
     def stats(self) -> Dict[str, float]:
         """Traffic counters for this link."""

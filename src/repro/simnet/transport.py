@@ -67,6 +67,18 @@ class TrafficLog:
         drop (only a chain that exhausts its retries ever reaches the
         drop ledger, as a single ``gave_up``).
         """
+        # The common case first: a delivered activation or gradient.
+        if message is not None:
+            if direction == "up":
+                self.uplink_messages += 1
+                self.uplink_bytes += message.size_bytes
+                self.transit_times.append(message.transit_time)
+                return
+            if direction == "down":
+                self.downlink_messages += 1
+                self.downlink_bytes += message.size_bytes
+                self.transit_times.append(message.transit_time)
+                return
         if direction not in {"up", "down", "nack", "sync"}:
             raise ValueError(f"unknown traffic direction {direction!r}")
         if message is None:
@@ -94,22 +106,14 @@ class TrafficLog:
             else:
                 self.sync_dropped += 1
             return
-        if direction == "up":
-            self.uplink_messages += 1
-            self.uplink_bytes += message.size_bytes
-        elif direction == "down":
-            self.downlink_messages += 1
-            self.downlink_bytes += message.size_bytes
-        elif direction == "nack":
+        # Control traffic stays out of the transit-time statistics; it
+        # would skew the latency headline.
+        if direction == "nack":
             self.nack_messages += 1
             self.nack_bytes += message.size_bytes
         else:
             self.sync_messages += 1
             self.sync_bytes += message.size_bytes
-        # Only the payload-bearing directions feed the transit-time
-        # statistics; control traffic would skew the latency headline.
-        if direction in {"up", "down"}:
-            self.transit_times.append(message.transit_time)
 
     # ------------------------------------------------------------------ #
     # Chaos-plane bookkeeping (repro.chaos.MessageChaos calls these; the
@@ -208,7 +212,13 @@ class Transport:
         retry chain: a loss is absorbed into the retried counters
         instead of the drop ledger.  ``size``: see :meth:`Link.send`.
         """
-        now = self._advance(now)
+        # _advance, inlined on the two per-message legs.
+        if now is None:
+            now = self._clock
+        else:
+            now = float(now)
+            if now > self._clock:
+                self._clock = now
         hub, link, _ = self.topology.route(end_system)
         message = link.send(end_system, hub, payload, now, kind=kind, size=size)
         if message is not None and self.chaos is not None:
@@ -229,7 +239,12 @@ class Transport:
         control channel is exempt from both chaos and retries (its PR 2
         lost-NACK fallback already makes it loss-safe).
         """
-        now = self._advance(now)
+        if now is None:
+            now = self._clock
+        else:
+            now = float(now)
+            if now > self._clock:
+                self._clock = now
         hub, _, link = self.topology.route(end_system)
         message = link.send(hub, end_system, payload, now, kind=kind, size=size)
         if kind == "nack":

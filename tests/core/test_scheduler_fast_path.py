@@ -11,9 +11,11 @@ per-message work without the per-message Python the fast path removed:
 * a pure transform (``Normalize``) runs once per loader, not once per batch;
 * a zero-layer client segment builds no ``Tensor`` per message.
 
-Each assertion fails at the parent commit (``2506a29``).
+Each assertion fails at the parent commit (``2506a29``).  A 200-client pass
+guards the message kernel's own per-message calls the same way.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -22,8 +24,11 @@ import pytest
 import repro.core.end_system as end_system_module
 import repro.simnet.link as link_module
 from repro.core.config import TrainingConfig
+from repro.core.engine import TrainingEngine
 from repro.core.split import SplitSpec
 from repro.core.trainer import SpatioTemporalTrainer
+from repro.data.datasets import SyntheticCIFAR10
+from repro.data.partition import IIDPartitioner
 from repro.data.transforms import Normalize
 
 EPOCHS = 2
@@ -92,6 +97,55 @@ def test_per_message_python_is_gone(counted_run, tiny_parts):
     assert counts["normalize"] == len(trainer.end_systems)  # once per loader
     assert counts["normalized_samples"] == samples
     assert counts["client_tensors"] == 0
+
+
+def test_message_kernel_call_overhead_on_a_200_client_pass(tiny_architecture, normalize,
+                                                           monkeypatch):
+    """The kernel's per-message calls on the ``fanout_async`` shape (200
+    end-systems, batch 1, cut 0): ``_reply`` hands each server step's
+    outcomes back as one list, not a generator, and ``Link.send`` builds
+    its wire ``Message`` with every field given, so no default factory runs
+    per send.  Both fail at ``96f113e``."""
+    clients = 200
+    dataset = SyntheticCIFAR10(num_samples=2 * clients, image_size=8, seed=3)
+    parts = IIDPartitioner(clients, seed=3).partition(dataset)
+    trainer = SpatioTemporalTrainer(
+        SplitSpec(tiny_architecture, client_blocks=0), parts,
+        TrainingConfig(epochs=1, batch_size=1, mode="asynchronous", seed=0),
+        train_transform=normalize)
+    counts = Counter()
+
+    reply = TrainingEngine._reply
+
+    def counted_reply(self, *args, **kwargs):
+        replies = reply(self, *args, **kwargs)
+        counts["replies"] += 1
+        counts["reply_lists"] += type(replies) is list
+        return replies
+
+    monkeypatch.setattr(TrainingEngine, "_reply", counted_reply)
+
+    message = link_module.Message
+    fields = dataclasses.fields(message)
+    factory_fields = {field.name for field in fields
+                      if field.default_factory is not dataclasses.MISSING}
+    assert factory_fields  # the guard has something to guard
+
+    def counted_message(*args, **kwargs):
+        given = set(kwargs) | {field.name for field in fields[:len(args)]}
+        counts["wire_messages"] += 1
+        counts["default_factory_calls"] += len(factory_fields - given)
+        return message(*args, **kwargs)
+
+    monkeypatch.setattr(link_module, "Message", counted_message)
+
+    trainer.train()
+    log = trainer.transport.log
+    assert log.uplink_messages == log.downlink_messages == len(dataset)
+    assert counts["replies"] == trainer.engine.stats.server_steps > 0
+    assert counts["reply_lists"] == counts["replies"]
+    assert counts["wire_messages"] == 2 * len(dataset)
+    assert counts["default_factory_calls"] == 0
 
 
 def test_the_bytes_charged_are_still_the_recursive_estimate(counted_run):

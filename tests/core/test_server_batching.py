@@ -9,9 +9,10 @@ nothing beyond float64 round-off from BLAS blocking.
 import numpy as np
 import pytest
 
+import repro.core.server as server_module
 from repro.core.config import TrainingConfig
 from repro.core.messages import ActivationMessage
-from repro.core.server import CentralServer
+from repro.core.server import CentralServer, _segment_means
 from repro.core.trainer import SpatioTemporalTrainer
 from repro.nn import Tensor
 from repro.nn.losses import get_loss
@@ -142,6 +143,92 @@ class TestProcessBatchAccounting:
         drained_created = [activation.created_at for activation, _ in results]
         assert drained_created == sorted(drained_created)
         assert not server.has_pending()
+
+
+class TestReplyPath:
+    """Each reply's wire gradient is what the per-message copy produced:
+    ``boundary[start:stop].astype(dtype, order="C", copy=True)``."""
+
+    @staticmethod
+    def _replies_and_boundary(server, messages, staged, monkeypatch):
+        smashed = []
+
+        def recording_tensor(*args, **kwargs):
+            tensor = Tensor(*args, **kwargs)
+            smashed.append(tensor)
+            return tensor
+
+        monkeypatch.setattr(server_module, "Tensor", recording_tensor)
+        replies = server.process_batch(messages, staged=staged)
+        (boundary,) = [tensor.grad for tensor in smashed if tensor.requires_grad]
+        return replies, boundary
+
+    @staticmethod
+    def _assert_parent_replies(replies, messages, boundary, segments):
+        for reply, message, (start, stop) in zip(replies, messages, segments):
+            expected = boundary[start:stop].astype(message.activations.dtype,
+                                                   order="C", copy=True)
+            assert reply.gradient.dtype == expected.dtype
+            assert reply.gradient.shape == expected.shape
+            assert reply.gradient.flags.c_contiguous
+            assert reply.gradient.tobytes() == expected.tobytes()
+            assert reply.size_bytes == expected.nbytes
+
+    def test_staged_drain(self, tiny_split_spec, monkeypatch):
+        from repro.core.scheduling import StalenessPriorityPolicy
+
+        server = CentralServer(tiny_split_spec, seed=4,
+                               queue_policy=StalenessPriorityPolicy())
+        messages = make_messages(tiny_split_spec, count=5, batch_sizes=[2, 1, 3, 1, 2])
+        # Drained oldest-created first: not the staging order, so the
+        # segments into the arena view are out of order.
+        for message, created in zip(messages, [4.0, 0.0, 3.0, 1.0, 2.0]):
+            message.created_at = created
+            server.receive(message)
+        drained = server.queue.drain(now=10.0)
+        staged = server.arena.gather(drained)
+        assert staged is not None
+        assert staged.segments != sorted(staged.segments)
+        replies, boundary = self._replies_and_boundary(server, drained, staged, monkeypatch)
+        # The boundary of a 4-channel conv input is not C-contiguous.
+        assert not boundary.flags.c_contiguous
+        self._assert_parent_replies(replies, drained, boundary, staged.segments)
+
+    def test_concatenated_drain_with_ragged_dtypes(self, tiny_split_spec, monkeypatch):
+        server = CentralServer(tiny_split_spec, seed=4, use_arena=False)
+        messages = make_messages(tiny_split_spec, count=3, batch_sizes=[3, 1, 2])
+        messages[1].activations = messages[1].activations.astype(np.float32)
+        replies, boundary = self._replies_and_boundary(server, messages, None, monkeypatch)
+        assert boundary.dtype == np.float64 and replies[1].gradient.dtype == np.float32
+        self._assert_parent_replies(replies, messages, boundary, [(0, 3), (3, 4), (4, 6)])
+
+
+class TestSegmentMeans:
+    def _per_segment(self, values, segments):
+        values = values.astype(np.float64) if values.dtype == np.bool_ else values
+        return [float(values[start:stop].mean()) if stop > start else 0.0
+                for start, stop in segments]
+
+    @pytest.mark.parametrize("segments", [
+        [(0, 2), (2, 3), (3, 6)],            # tiling, in order
+        [(3, 6), (0, 2), (2, 3)],            # tiling, out of order
+        [(0, 2), (2, 2), (2, 6)],            # an empty segment
+        [(1, 3), (3, 6)],                    # not from row 0
+        [(0, 2), (3, 6)],                    # a gap
+        [],
+    ])
+    @pytest.mark.parametrize("kind", ["float", "bool", "rows"])
+    def test_matches_per_segment_means(self, segments, kind, rng):
+        values = {"float": rng.standard_normal(6), "bool": rng.random(6) < 0.5,
+                  "rows": rng.standard_normal((6, 2, 3))}[kind]
+        means = _segment_means(values, segments)
+        expected = self._per_segment(values, segments)
+        if kind == "rows":
+            # A tiling sums multi-element rows first, then rows per segment.
+            assert means == pytest.approx(expected, rel=1e-14, abs=0.0)
+        else:
+            assert means == expected
+        assert all(type(mean) is float for mean in means)
 
 
 class TestTrainerIntegration:

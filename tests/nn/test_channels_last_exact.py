@@ -76,7 +76,15 @@ CONV_CASES = {
     "non-square": ((3, 2, 7, 10), 5, (3, 2), (1, 2), (2, 0)),
     "one-channel-1x1": ((2, 1, 5, 6), 1, (1, 1), (1, 1), (0, 0)),
     "batch-1": ((1, 3, 6, 6), 4, (3, 3), (1, 1), (1, 1)),
+    # The input-gradient fold is channel-major for 2-4 input channels.
+    "fanout-L1": ((74, 3, 8, 8), 2, (3, 3), (1, 1), (1, 1)),      # fanout_async's server
+    "laptop-L2": ((32, 8, 8, 8), 16, (3, 3), (1, 1), (1, 1)),     # laptop server, cut 1
+    "fold-c4": ((6, 4, 7, 9), 3, (3, 3), (1, 1), (1, 1)),         # last channel-major C
+    "fold-c5": ((6, 5, 7, 9), 3, (3, 3), (1, 1), (1, 1)),         # first channels-last C
+    "fold-c2-stride2": ((5, 2, 9, 11), 3, (3, 3), (2, 2), (1, 1)),
 }
+CHANNEL_MAJOR_FOLDS = ["fanout-L1", "fold-c4", "fold-c2-stride2", "tiny-L1", "stride2-pad1"]
+CHANNELS_LAST_FOLDS = ["laptop-L2", "fold-c5", "one-channel-1x1", "paper-L3"]
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
@@ -111,6 +119,49 @@ def test_conv2d_matches_the_parent(name, dtype, rng):
                                     activation=activation)
                 expected, _ = ref.conv2d(x, w, b, stride, padding, activation=activation)
                 assert_identical(inferred.data, expected)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+@pytest.mark.parametrize("name", CHANNEL_MAJOR_FOLDS + CHANNELS_LAST_FOLDS)
+def test_conv2d_zero_gradient_keeps_its_signed_zeros(name, zero, dtype, rng):
+    """An all-zero upstream gradient (either sign) must fold to exactly the
+    parent's zeros, byte for byte: a zero strip left unwritten, a stale
+    scratch row or an offset added twice would show as a non-zero or a
+    flipped sign."""
+    shape, c_out, kernel, stride, padding = CONV_CASES[name]
+    x = signed(rng, shape, dtype)
+    w = rng.standard_normal((c_out, shape[1], *kernel)).astype(dtype)
+    b = rng.standard_normal(c_out).astype(dtype)
+    expected_out, backward = ref.conv2d(x, w, b, stride, padding)
+    grad = np.full(expected_out.shape, zero, dtype=dtype)
+    expected_grads = backward(grad)
+
+    for grad_layout in LAYOUTS:
+        # Scratch and fresh buffers hold stale non-zeros from the last step.
+        F.conv2d(Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, dtype=dtype),
+                 stride=stride, padding=padding)._backward(signed(rng, grad.shape, dtype))
+        tensors = [Tensor(x, requires_grad=True, dtype=dtype),
+                   Tensor(w, requires_grad=True, dtype=dtype),
+                   Tensor(b, requires_grad=True, dtype=dtype)]
+        F.conv2d(*tensors, stride=stride, padding=padding)._backward(lay(grad, grad_layout))
+        for tensor, expected in zip(tensors, expected_grads):
+            assert_identical(tensor.grad, expected)
+
+
+@pytest.mark.parametrize("name", CHANNEL_MAJOR_FOLDS + CHANNELS_LAST_FOLDS)
+def test_conv2d_folds_few_channel_inputs_channel_major(name, rng):
+    """The layout of the input gradient is a shape rule: 2-4 input channels
+    fold channel-major, every other count keeps the channels-last fold."""
+    shape, c_out, kernel, stride, padding = CONV_CASES[name]
+    inputs = Tensor(signed(rng, shape, np.float64), requires_grad=True)
+    weight = Tensor(rng.standard_normal((c_out, shape[1], *kernel)))
+    out = F.conv2d(inputs, weight, stride=stride, padding=padding)
+    out._backward(signed(rng, out.shape, np.float64))
+    expected_order = (1, 0, 2, 3) if name in CHANNEL_MAJOR_FOLDS else (0, 2, 3, 1)
+    real = [axis for axis in range(4) if shape[axis] > 1]
+    assert ([axis for axis in axis_order(inputs.grad) if axis in real]
+            == [axis for axis in expected_order if axis in real])
 
 
 def test_conv2d_without_input_gradient_skips_only_that_gradient(rng):

@@ -116,7 +116,7 @@ class TestMetrics:
         tracker = MetricTracker()
         tracker.update({"x": 1.0})
         tracker.reset()
-        assert tracker.history == []
+        assert tracker.averages() == {}
         with pytest.raises(KeyError):
             tracker.average("x")
 
