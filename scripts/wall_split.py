@@ -11,7 +11,10 @@ One warm-up pass is discarded; each row is the median over ``--passes``
 timed passes of the milliseconds spent inside that entry point (outermost
 calls only), and its share of the pass's ``train()`` wall time.  The last
 row is what none of the disjoint top-level rows cover: the event engine's
-own Python, the simulator and the queue.
+own Python, the simulator and the queue.  On ``storm_cluster`` the
+"checkpoint writes" row (``save_shard``/``save_run``: serialise, write,
+manifest commit) and the "obs flush/export" row keep those costs out of
+the remainder.
 
 The accumulators cost about a microsecond a call, so the split is for
 telling where the time goes, never for an end-to-end number (that is
@@ -60,6 +63,15 @@ ENTRY_POINTS: Tuple[Tuple[str, bool, List[Tuple[str, str, str, bool]]], ...] = (
     ]),
     ("loader", False, [
         ("repro.data.loader", "DataLoader", "__iter__", True),
+    ]),
+    ("checkpoint writes", False, [
+        ("repro.state.store", "CheckpointStore", "save_shard", False),
+        ("repro.state.store", "CheckpointStore", "save_run", False),
+    ]),
+    ("obs flush/export", False, [
+        ("repro.obs.plane", "Observability", "flush", False),
+        ("repro.obs.plane", "Observability", "write", False),
+        ("repro.obs.plane", "Observability", "write_trace", False),
     ]),
 )
 REMAINDER = "engine, simulator, queue (rest)"

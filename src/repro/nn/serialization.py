@@ -13,12 +13,17 @@ versa.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import struct
+import sys
+import zlib
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .layers.base import Module
 from .optim import Optimizer
@@ -54,17 +59,112 @@ def _array_to_json(array: np.ndarray) -> object:
     return json.loads(np.asarray(array, dtype=np.uint8).tobytes().decode())
 
 
+# --------------------------------------------------------------------------- #
+# Stored-zip writer: np.savez's bytes without zipfile
+# --------------------------------------------------------------------------- #
+# np.savez opens one zipfile member per array with force_zip64=True on a
+# seekable buffer and ZipInfo's default timestamp (1980-01-01 00:00), so
+# every byte of its archive is a function of the member names and their
+# .npy bytes.  The constants below are the fields zipfile writes for such a
+# member (zipfile's struct formats, ZIP64_VERSION, ZIP64_LIMIT and
+# ZIP_FILECOUNT_LIMIT).
+_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
+_ZIP64_EXTRA = struct.Struct("<HHQQ")
+_CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
+_END_RECORD = struct.Struct("<4s4H2LH")
+_ZIP64_END_RECORD = struct.Struct("<4sQ2H2L4Q")
+_ZIP64_LOCATOR = struct.Struct("<4sLQL")
+_ZIP64_VERSION = 45
+_DOS_DATE = (1 << 5) | 1  # 1980-01-01; the DOS time field is 0
+_CREATE_SYSTEM = 0 if sys.platform == "win32" else 3
+_EXTERNAL_ATTR = 0o600 << 16
+#: Past this, zipfile adds zip64 size/offset fields to the central directory,
+#: which this writer does not produce (2 GiB - 1 bytes).
+_ZIP32_LIMIT = (1 << 31) - 1
+_FILECOUNT_LIMIT = (1 << 16) - 1
+#: Kinds whose .npy body is the raw buffer (np.savez pickles the others).
+_RAW_KINDS = frozenset("biufcmMSUV")
+
+
+@functools.lru_cache(maxsize=1024)
+def _npy_header(dtype: np.dtype, shape: Tuple[int, ...], fortran_order: bool) -> bytes:
+    """The .npy header ``np.save`` writes before such an array's buffer."""
+    buffer = io.BytesIO()
+    npy_format.write_array_header_1_0(buffer, {
+        "descr": npy_format.dtype_to_descr(dtype),
+        "fortran_order": fortran_order,
+        "shape": shape,
+    })
+    return buffer.getvalue()
+
+
+def _npy_parts(key: str, array: np.ndarray) -> Tuple[bytes, np.ndarray]:
+    """``(header, buffer)`` of the .npy member for ``array``; the buffer is the
+    array itself (or its transpose) whenever its memory is contiguous."""
+    dtype = array.dtype
+    if dtype.hasobject or dtype.kind not in _RAW_KINDS:
+        raise ValueError(f"state entry {key!r} has dtype {dtype}: checkpoints hold "
+                         "fixed-width numeric/bytes arrays only, never pickled objects")
+    if array.flags.c_contiguous:
+        fortran_order, data = False, array
+    elif array.flags.f_contiguous:
+        fortran_order, data = True, array.T
+    else:
+        fortran_order, data = False, array.copy(order="C")
+    return _npy_header(dtype, array.shape, fortran_order), data
+
+
 def dump_state_dict(state: Dict[str, np.ndarray]) -> bytes:
     """Serialise a state dictionary to the bytes of a stored ``.npz`` archive.
 
-    Members are ``ZIP_STORED``: float weights and optimizer slots are
-    incompressible (deflate saved ~13 % at ~25 MB/s), so the archive is
-    built once in memory and callers checksum / write these exact bytes.
+    The bytes are exactly what ``np.savez(file, array_0=..., ...,
+    __manifest__=<JSON key list>)`` writes, built without ``zipfile``. Each
+    member is a ``ZIP_STORED`` entry: a local header with the zip64 extra
+    ``force_zip64`` adds, the ``.npy`` header (cached per dtype, shape and
+    memory order), then the array's own buffer (C- or F-contiguous data is
+    not copied) and one CRC-32. After the members come the central directory
+    and the end record, with a zip64 end record when there are more than
+    65 535 members. Float weights and optimizer slots do not compress
+    (deflate saved ~13 % at ~25 MB/s), so callers checksum and write these
+    exact bytes.
+
+    Raises ``ValueError`` naming the key, and returns no archive, for an
+    array ``np.savez`` would pickle (object or other non-fixed-width dtypes)
+    and for an archive whose member sizes or offsets pass 2 GiB - 1 bytes,
+    where ``zipfile`` switches to zip64 size fields.
     """
-    arrays = {f"array_{index}": np.asarray(value) for index, value in enumerate(state.values())}
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays, **{_MANIFEST_KEY: _json_to_array(list(state.keys()))})
-    return buffer.getvalue()
+    members: List[Tuple[str, bytes, np.ndarray]] = [
+        (key, b"array_%d.npy" % index, np.asarray(value))
+        for index, (key, value) in enumerate(state.items())]
+    members.append((_MANIFEST_KEY, _MANIFEST_KEY.encode() + b".npy",
+                    _json_to_array(list(state.keys()))))
+    parts: List[Any] = []
+    directory: List[bytes] = []
+    offset = 0
+    for key, name, array in members:
+        header, data = _npy_parts(key, array)
+        size = len(header) + data.nbytes
+        if size > _ZIP32_LIMIT or offset > _ZIP32_LIMIT:
+            raise ValueError(f"state entry {key!r} puts the checkpoint archive past "
+                             f"{_ZIP32_LIMIT} bytes, which needs zip64 size fields")
+        crc = zlib.crc32(data, zlib.crc32(header))
+        parts += (_LOCAL_HEADER.pack(b"PK\x03\x04", _ZIP64_VERSION, 0, 0, 0, 0, _DOS_DATE,
+                                     crc, 0xFFFFFFFF, 0xFFFFFFFF, len(name), _ZIP64_EXTRA.size),
+                  name, _ZIP64_EXTRA.pack(1, 16, size, size), header, data)
+        directory += (_CENTRAL_HEADER.pack(b"PK\x01\x02", _ZIP64_VERSION, _CREATE_SYSTEM,
+                                           _ZIP64_VERSION, 0, 0, 0, 0, _DOS_DATE, crc, size,
+                                           size, len(name), 0, 0, 0, 0, _EXTERNAL_ATTR, offset),
+                      name)
+        offset += _LOCAL_HEADER.size + len(name) + _ZIP64_EXTRA.size + size
+    count, directory_size = len(members), sum(map(len, directory))
+    parts += directory
+    if count > _FILECOUNT_LIMIT or offset > _ZIP32_LIMIT or directory_size > _ZIP32_LIMIT:
+        parts += (_ZIP64_END_RECORD.pack(b"PK\x06\x06", 44, _ZIP64_VERSION, _ZIP64_VERSION,
+                                         0, 0, count, count, directory_size, offset),
+                  _ZIP64_LOCATOR.pack(b"PK\x06\x07", 0, offset + directory_size, 1))
+    parts.append(_END_RECORD.pack(b"PK\x05\x06", 0, 0, min(count, 0xFFFF), min(count, 0xFFFF),
+                                  min(directory_size, 0xFFFFFFFF), min(offset, 0xFFFFFFFF), 0))
+    return b"".join(parts)
 
 
 def save_state_dict(state: Dict[str, np.ndarray], path: PathLike) -> Path:

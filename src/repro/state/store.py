@@ -9,29 +9,41 @@ the flat npz payload and ``meta`` a JSON-able dict.
 :class:`MemoryCheckpointStore` is the in-process reference: deep copies
 in, deep copies out, nothing shared with the live objects.
 
-:class:`FileCheckpointStore` is the durable backend.  A write is one
-pass over the record and crash-consistent:
+:class:`FileCheckpointStore` is the durable backend.  A write costs
+O(the new record) and is crash-consistent:
 
 1. the record is serialised once, in memory, as a *stored*
-   (``ZIP_STORED``) npz and those bytes are CRC-32'd — weights and Adam
-   slots are incompressible float noise, so deflate bought ~13 % of the
-   bytes at ~25 MB/s and was most of the write time; stored payloads are
-   ~15 % larger and nothing is read back to checksum it,
+   (``ZIP_STORED``) npz — :func:`~repro.nn.serialization.dump_state_dict`
+   writes ``np.savez``'s exact bytes from the arrays' own buffers, and
+   refuses (``ValueError``, nothing on disk touched) an array it would
+   have to pickle — and those bytes are CRC-32'd; weights and Adam slots
+   are incompressible float noise, so deflate bought ~13 % of the bytes at
+   ~25 MB/s, and nothing is read back to checksum it,
 2. the bytes are written to a ``*.tmp`` file which is atomically renamed
    onto its final name (``os.replace``), and only then
 3. the versioned ``manifest.json`` — compact JSON, also temp-then-rename
    — is updated to reference the new file and its checksum; payloads the
    retention bound (``keep``) retires are unlinked after that commit.
 
+The manifest text is the join of each record's compact JSON, cached by
+version: a record is encoded once, at the first write that needs it (its
+own save, or the first save after opening a directory that already holds
+it), so a store opened only to resume encodes nothing, and pruned records
+leave the cache with their manifest entries.  The store therefore owns a
+record's ``meta`` once :meth:`CheckpointStore.save` returns; callers must
+not mutate it afterwards.
+
 A crash at any point leaves either the old manifest (the new payload is
 an unreferenced orphan) or the new one (the payload rename already
 happened), never a manifest pointing at a half-written or deleted file.
+A write that raises unlinks its own temp files before re-raising.
 Loads walk the manifest newest-first; each candidate file is read once,
 the checksum is verified on those bytes and the arrays are parsed from
 the same buffer (``np.load`` reads stored and older deflated members
 alike), falling back to the previous intact checkpoint when the newest
-is truncated or corrupted; stale ``*.tmp`` droppings are ignored by
-loads and swept by the next save.
+is truncated or corrupted; stale ``*.tmp`` droppings a killed writer left
+are ignored by loads and swept by each store's first save (the directory
+is listed once per store, not once per write).
 """
 
 from __future__ import annotations
@@ -196,6 +208,9 @@ class FileCheckpointStore(CheckpointStore):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._manifest = self._load_manifest()
+        #: Compact JSON text of each manifest record, by version.
+        self._record_texts: Dict[int, str] = {}
+        self._swept = False
 
     # ------------------------------------------------------------------ #
     # Manifest handling
@@ -203,6 +218,10 @@ class FileCheckpointStore(CheckpointStore):
     @property
     def _manifest_path(self) -> Path:
         return self.directory / self.MANIFEST_NAME
+
+    @property
+    def _manifest_temp_path(self) -> Path:
+        return self._manifest_path.with_suffix(".json.tmp")
 
     def _load_manifest(self) -> Dict[str, Any]:
         empty: Dict[str, Any] = {"format": self.FORMAT, "next_version": 1, "records": []}
@@ -221,11 +240,25 @@ class FileCheckpointStore(CheckpointStore):
             )
         return manifest
 
+    def _record_text(self, record: Dict[str, Any]) -> str:
+        text = self._record_texts.get(record["version"])
+        if text is None:
+            text = self._record_texts[record["version"]] = _compact_json(record)
+        return text
+
+    def _manifest_text(self) -> str:
+        """``json.dumps(self._manifest, separators=(",", ":"))``, with each
+        record's text taken from the cache (encoded on first use)."""
+        fields: List[str] = []
+        for key, value in self._manifest.items():
+            text = ("[" + ",".join(map(self._record_text, value)) + "]"
+                    if key == "records" else _compact_json(value))
+            fields.append(f"{_compact_json(key)}:{text}")
+        return "{" + ",".join(fields) + "}"
+
     def _write_manifest(self) -> None:
-        tmp = self._manifest_path.with_suffix(".json.tmp")
-        # Compact separators and no indent keep json on its C encoder; the
-        # whole manifest is re-serialised on every write.
-        tmp.write_text(json.dumps(self._manifest, separators=(",", ":")))
+        tmp = self._manifest_temp_path
+        tmp.write_text(self._manifest_text())
         os.replace(tmp, self._manifest_path)
 
     # ------------------------------------------------------------------ #
@@ -234,32 +267,35 @@ class FileCheckpointStore(CheckpointStore):
     def _write_record(self, kind: str, scope: str, sim_time: float,
                       arrays: Dict[str, np.ndarray],
                       meta: Dict[str, Any]) -> Tuple[int, int]:
-        # Sweep the ``*.tmp`` droppings a killed writer left behind.
-        self._unlink_quietly(self.directory.glob("*.tmp"))
+        # One pass: the archive is built once in memory (a refused array
+        # raises here, before the disk is touched), and the bytes that are
+        # checksummed are the bytes that are written — no read-back.
+        payload = dump_state_dict(arrays)
+        self._sweep_stale_temps()
         version = int(self._manifest["next_version"])
         self._manifest["next_version"] = version + 1
         file_name = f"ckpt_{version:06d}_{kind}_{scope}.npz"
-        final_path = self.directory / file_name
         temp_path = self.directory / (file_name + ".tmp")
-        # One pass: the archive is built once in memory, and the bytes that
-        # are checksummed are the bytes that are written — no read-back.
-        payload = dump_state_dict(arrays)
-        temp_path.write_bytes(payload)
-        # Payload first, manifest second: a crash in between leaves an
-        # orphan file the manifest never references — not a manifest
-        # entry pointing at garbage.
-        os.replace(temp_path, final_path)
-        self._manifest["records"].append({
-            "version": version,
-            "kind": kind,
-            "scope": scope,
-            "sim_time": float(sim_time),
-            "file": file_name,
-            "checksum": zlib.crc32(payload) & 0xFFFFFFFF,
-            "meta": meta,
-        })
-        doomed = self._prune(kind, scope)
-        self._write_manifest()
+        try:
+            temp_path.write_bytes(payload)
+            # Payload first, manifest second: a crash in between leaves an
+            # orphan file the manifest never references — not a manifest
+            # entry pointing at garbage.
+            os.replace(temp_path, self.directory / file_name)
+            self._manifest["records"].append({
+                "version": version,
+                "kind": kind,
+                "scope": scope,
+                "sim_time": float(sim_time),
+                "file": file_name,
+                "checksum": zlib.crc32(payload) & 0xFFFFFFFF,
+                "meta": meta,
+            })
+            doomed = self._prune(kind, scope)
+            self._write_manifest()
+        except BaseException:
+            self._unlink_quietly([temp_path, self._manifest_temp_path])
+            raise
         # Unlink only what the committed manifest no longer references: a
         # crash before this point leaves orphans, never a dangling entry.
         self._unlink_quietly(self.directory / name for name in doomed)
@@ -309,12 +345,23 @@ class FileCheckpointStore(CheckpointStore):
         for path in paths:
             try:
                 path.unlink()
-            except OSError:  # pragma: no cover - best-effort cleanup
+            except OSError:
                 pass
+
+    def _sweep_stale_temps(self) -> None:
+        """Unlink the ``*.tmp`` droppings a killed writer left behind; runs
+        at this store's first save only (its own failed writes clean up)."""
+        if self._swept:
+            return
+        self._swept = True
+        with os.scandir(self.directory) as entries:
+            stale = [Path(entry.path) for entry in entries if entry.name.endswith(".tmp")]
+        self._unlink_quietly(stale)
 
     def _prune(self, kind: str, scope: str) -> List[str]:
         """Drop records beyond the per-scope retention bound (``keep``
-        newest) from the manifest; returns their payload file names."""
+        newest) from the manifest and the text cache; returns their
+        payload file names."""
         if self.keep is None:
             return []
         matching = [record for record in self._manifest["records"]
@@ -325,4 +372,11 @@ class FileCheckpointStore(CheckpointStore):
             record for record in self._manifest["records"]
             if record["version"] not in doomed_versions
         ]
+        for version in doomed_versions:
+            self._record_texts.pop(version, None)
         return [record["file"] for record in doomed]
+
+
+def _compact_json(value: Any) -> str:
+    # Compact separators and no indent keep json on its C encoder.
+    return json.dumps(value, separators=(",", ":"))

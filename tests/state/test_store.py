@@ -20,11 +20,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.config import TrainingConfig
 from repro.core.trainer import SpatioTemporalTrainer
 from repro.nn.serialization import dump_state_dict
 from repro.server.worker import flatten_state_dict
 from repro.state import FileCheckpointStore, MemoryCheckpointStore, ShardCheckpoint
+from repro.state import store as store_module
 from repro.state.store import load_state_dict  # the benchmark imports it from here
+
+from payload_reference import full_manifest_text, savez_state_dict
 
 #: A checkpoint directory written by the commit before the single-pass write
 #: path (PR 13, 31edc10): deflated npz members, ``indent=2`` manifest.  See
@@ -51,6 +55,14 @@ def assert_loads(store, value: float, kind="shard", scope="shard-0"):
     np.testing.assert_array_equal(arrays["weights"], np.full((4, 3), value))
     np.testing.assert_array_equal(arrays["bias"], np.arange(3.0) + value)
     assert meta["value"] == value
+
+
+def assert_manifest_is_a_fresh_encode(store):
+    """The manifest text on disk equals a full re-encode of the store's
+    manifest, and of the manifest a store opened afterwards reads back."""
+    text = (store.directory / FileCheckpointStore.MANIFEST_NAME).read_text()
+    assert text == full_manifest_text(store)
+    assert text == full_manifest_text(FileCheckpointStore(store.directory))
 
 
 @pytest.mark.parametrize("backend", ["memory", "file"])
@@ -88,20 +100,27 @@ def test_versions_listing(tmp_path):
 def test_reopen_persists(tmp_path):
     store = FileCheckpointStore(tmp_path)
     write(store, 1.0)
+    assert_manifest_is_a_fresh_encode(store)
     write(store, 2.0)
+    assert_manifest_is_a_fresh_encode(store)
     reopened = FileCheckpointStore(tmp_path)
     assert_loads(reopened, 2.0)
+    write(reopened, 3.0)  # records read from disk join the cached text
+    assert_manifest_is_a_fresh_encode(reopened)
 
 
 def test_keep_prunes_old_records(tmp_path):
     store = FileCheckpointStore(tmp_path, keep=2)
     for value in (1.0, 2.0, 3.0, 4.0):
         write(store, value)
+        write(store, value, scope="shard-1")
+        assert_manifest_is_a_fresh_encode(store)
+    assert sorted(store._record_texts) == [row["version"] for row in store.versions()]
     rows = store.versions(kind="shard", scope="shard-0")
     assert [row["sim_time"] for row in rows] == [3.0, 4.0]
     # Pruned payload files are actually gone from disk.
     npz_files = sorted(path.name for path in tmp_path.glob("*.npz"))
-    assert len(npz_files) == 2
+    assert len(npz_files) == 4  # two per scope
     assert_loads(store, 4.0)
 
 
@@ -242,6 +261,7 @@ def test_killed_while_writing_temp_always_falls_back(tmp_path, die_after):
     write(survivor, 3.0)
     assert list(tmp_path.glob("*.tmp")) == []
     assert_loads(FileCheckpointStore(tmp_path), 3.0)
+    assert_manifest_is_a_fresh_encode(survivor)
 
 
 def test_killed_between_rename_and_manifest(tmp_path):
@@ -327,6 +347,9 @@ def test_killed_between_manifest_commit_and_prune(tmp_path, keep, committed):
     np.testing.assert_array_equal(loaded.weights["w"], np.full((4, 3), loaded.sim_time))
     # Every record the on-disk manifest references still has its payload.
     assert all((tmp_path / row["file"]).exists() for row in survivor.versions())
+    survivor.save_shard(shard_checkpoint(float(keep + 2)))  # prunes again
+    assert_manifest_is_a_fresh_encode(survivor)
+    assert len(survivor.versions()) == keep
 
 
 # --------------------------------------------------------------------------- #
@@ -385,6 +408,7 @@ def test_manifest_is_one_compact_format_1_document(tmp_path):
     write(store, 1.0)
     write(store, 2.0, kind="run", scope="run")
     text = (tmp_path / FileCheckpointStore.MANIFEST_NAME).read_text()
+    assert_manifest_is_a_fresh_encode(store)  # with a run record in it
     assert "\n" not in text and ", " not in text and '": ' not in text
     manifest = json.loads(text)
     assert list(manifest) == ["format", "next_version", "records"]
@@ -430,6 +454,148 @@ def test_parent_commit_checkpoints_still_restore(tiny_split_spec, tiny_parts4,
     for key, value in state.items():
         np.testing.assert_array_equal(value, expected[key])
 
-    # ... and a new-format write lands beside the old records.
+    # ... and a new-format write lands beside the old records, re-encoding
+    # the indented manifest as exactly the compact document.
     store.save_shard(store.latest_shard(0))
     assert len(FileCheckpointStore(legacy / "checkpoints").versions()) == 4
+    assert_manifest_is_a_fresh_encode(store)
+
+
+# --------------------------------------------------------------------------- #
+# Write path at O(new record): one encode, no zipfile, one listing per store
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def encoded(monkeypatch):
+    """Versions of the manifest records JSON-encoded while the test runs
+    (``"manifest"`` for a whole-manifest encode)."""
+    calls = []
+    real_dumps = json.dumps
+
+    def spying_dumps(value, *args, **kwargs):
+        if isinstance(value, dict) and "checksum" in value:
+            calls.append(value["version"])
+        elif isinstance(value, dict) and "records" in value:
+            calls.append("manifest")
+        return real_dumps(value, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spying_dumps)
+    return calls
+
+
+@pytest.fixture
+def listings(tmp_path, monkeypatch):
+    """Every ``os.scandir``/``os.listdir`` of ``tmp_path``."""
+    calls = []
+    for name in ("scandir", "listdir"):
+        real = getattr(os, name)
+
+        def spy(path=".", _real=real, _name=name):
+            if isinstance(path, (str, os.PathLike)) and Path(path) == tmp_path:
+                calls.append(_name)
+            return _real(path)
+
+        monkeypatch.setattr(os, name, spy)
+    return calls
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the checkpoint write path must not call np.savez / zipfile")
+
+
+def test_each_save_encodes_its_own_record_once(tmp_path, monkeypatch, encoded):
+    store = FileCheckpointStore(tmp_path, keep=2)
+    for value in (1.0, 2.0, 3.0):
+        write(store, value)
+        write(store, value, scope="shard-1")
+    monkeypatch.setattr(np, "savez", refuse)
+    monkeypatch.setattr(zipfile, "ZipFile", refuse)
+    del encoded[:]
+    for value in (4.0, 5.0):
+        version = write(store, value)
+        assert encoded[-1:] == [version] and len(encoded) == 1
+        del encoded[:]
+    # A store opened on the directory encodes the records it read from disk
+    # once, at its first save, and then only what it appends.
+    reopened = FileCheckpointStore(tmp_path, keep=2)
+    version = write(reopened, 6.0)
+    assert sorted(encoded) == [row["version"] for row in reopened.versions()]
+    del encoded[:]
+    assert write(reopened, 7.0, scope="shard-1") == version + 1
+    assert encoded == [version + 1]
+
+
+def test_directory_is_listed_at_most_once_per_store(tmp_path, listings):
+    store = FileCheckpointStore(tmp_path, keep=1)
+    for value in (1.0, 2.0, 3.0, 4.0):
+        write(store, value)
+    assert len(listings) <= 1
+    reopened = FileCheckpointStore(tmp_path, keep=1)
+    assert_loads(reopened, 4.0)
+    write(reopened, 5.0)
+    write(reopened, 6.0)
+    assert len(listings) <= 2
+
+
+@pytest.mark.parametrize("failing", ["payload", "manifest"])
+def test_a_failed_write_unlinks_its_own_temp_files(tmp_path, monkeypatch, failing):
+    store = FileCheckpointStore(tmp_path)
+    write(store, 1.0)
+    real_replace = os.replace
+
+    def replace(source, target):
+        if (Path(target).name == FileCheckpointStore.MANIFEST_NAME) == (failing == "manifest"):
+            raise OSError("disk full")
+        return real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        write(store, 2.0)
+    monkeypatch.setattr(os, "replace", real_replace)
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert_loads(FileCheckpointStore(tmp_path), 1.0)
+
+
+def test_object_arrays_are_refused_before_the_disk_is_touched(tmp_path):
+    """``np.savez`` used to pickle an object array and the store committed
+    the record; every later load of it failed to parse and silently fell
+    back to the previous record."""
+    store = FileCheckpointStore(tmp_path)
+    write(store, 1.0)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    arrays, meta = record(2.0)
+    arrays["clients/ids"] = np.array([{"id": 1}, None], dtype=object)
+    with pytest.raises(ValueError, match="'clients/ids'"):
+        store.save("shard", "shard-0", 2.0, arrays, meta)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    assert_loads(FileCheckpointStore(tmp_path), 1.0)
+    assert write(store, 3.0) == 2  # the refused record took no version
+    assert_loads(FileCheckpointStore(tmp_path), 3.0)
+
+
+def test_a_checkpointing_run_writes_the_reference_bytes(
+        tiny_split_spec, tiny_parts4, normalize, tmp_path, monkeypatch, encoded):
+    """A tiny checkpointing run leaves the same directory, byte for byte,
+    as the same run with the previous write functions patched in."""
+    directory = tmp_path / "checkpoints"  # run records hold the config, path included
+
+    def run():
+        shutil.rmtree(directory, ignore_errors=True)
+        config = TrainingConfig.fast_debug(epochs=2, num_servers=2, server_sync_every=2,
+                                           checkpoint_every_s=0.005,
+                                           checkpoint_dir=str(directory))
+        SpatioTemporalTrainer(tiny_split_spec, tiny_parts4, config,
+                              train_transform=normalize).train()
+        return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "dump_state_dict", savez_state_dict)
+        patch.setattr(FileCheckpointStore, "_manifest_text", full_manifest_text)
+        reference = run()
+    written = run()
+    assert written.keys() == reference.keys() and len(written) > 5
+    assert all(written[name] == reference[name] for name in written)
+    # Opening the store to resume reads the manifest and encodes nothing.
+    del encoded[:]
+    store = FileCheckpointStore(directory)
+    assert store.latest_run() is not None and store.latest_shard(0) is not None
+    assert encoded == []
