@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from ..core.models import paper_cnn_architecture, tiny_cnn_architecture
+from ..core.models import CNNArchitecture, paper_cnn_architecture, tiny_cnn_architecture
 from ..core.split import SplitSpec
 from ..core.trainer import SpatioTemporalTrainer
 from ..data.datasets import SyntheticCIFAR10, train_test_split
@@ -33,6 +33,8 @@ __all__ = [
     "build_trainer",
     "resume_trainer",
     "run_job",
+    "scale_architecture",
+    "scale_image_size",
 ]
 
 
@@ -49,14 +51,16 @@ class MaterializedWorkload:
     split_spec: SplitSpec
 
 
-def _image_size(scale: str) -> int:
+def scale_image_size(scale: str) -> int:
+    """Input image side length of a workload scale (``"paper"``/``"laptop"``)."""
     return 32 if scale == "paper" else 16
 
 
-def _architecture(scale: str) -> Any:
+def scale_architecture(scale: str) -> CNNArchitecture:
+    """The CNN of a workload scale: Fig. 3's, or its 3-block laptop twin."""
     if scale == "paper":
         return paper_cnn_architecture()
-    return tiny_cnn_architecture(image_size=_image_size(scale), num_blocks=3,
+    return tiny_cnn_architecture(image_size=scale_image_size(scale), num_blocks=3,
                                  base_filters=8, dense_units=64)
 
 
@@ -69,7 +73,7 @@ def build_workload(workload: JobWorkload) -> MaterializedWorkload:
     """
     dataset = SyntheticCIFAR10(
         num_samples=workload.num_samples,
-        image_size=_image_size(workload.scale),
+        image_size=scale_image_size(workload.scale),
         seed=workload.seed,
         pixel_noise=0.15,
         deformation_noise=0.3,
@@ -80,7 +84,7 @@ def build_workload(workload: JobWorkload) -> MaterializedWorkload:
         workload.partition, workload.num_end_systems, seed=workload.seed,
         **workload.partition_kwargs)
     parts = partitioner.partition(train)
-    architecture = _architecture(workload.scale)
+    architecture = scale_architecture(workload.scale)
     normalize = Normalize(mean=[0.5, 0.5, 0.5], std=[0.5, 0.5, 0.5])
     return MaterializedWorkload(
         dataset=dataset,

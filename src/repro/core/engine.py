@@ -45,11 +45,16 @@ streams and ledger terms all differ, hence ``lost_at`` in the outcome.
 An end-system that ships a batch owns it until the gradient comes back
 or it learns the batch is lost, and the engine keeps that ownership in
 **one ledger**, ``TrainingEngine.outstanding``: ``(system id, batch id)
-→ state``.  ``_uplink`` creates the entry right after the forward pass
+→ state``.  ``_uplink`` creates the entry once the activations are shipped
 (``uplink``); ``_admit`` moves it to ``queued``, or — a full queue — to
 ``awaiting_nack`` while the NACK travels; ``_reply`` moves it to
 ``downlink`` once the gradient ships; a lost transfer waits in
-``awaiting_giveup`` until the driver abandons it.  Only two kernel
+``awaiting_giveup`` until the driver abandons it.  Every one of those
+writes goes through ``_enter``, and the trace is the ledger's history:
+with tracing on, ``_enter`` emits the event the ``_TRANSITION_EVENTS``
+table gives the state it writes (``uplink``/``downlink``/``nack`` spans, a
+``queue-admit`` instant), and ``_forget`` the table's event for a traced
+exit (``nack-lost``, ``failover-drop``).  Only two kernel
 helpers remove an entry, and they are the only engine code that touches
 a client's pending activation: ``_deliver`` (``apply_gradient``) and
 ``_forget`` (``notify_drop``, or an uncounted ``discard_pending`` when a
@@ -203,6 +208,26 @@ _OnArrival = Callable[
 #: with the client yet to learn (a retry chain's give-up deadline).
 _UPLINK, _QUEUED, _DOWNLINK, _AWAITING_NACK, _AWAITING_GIVEUP = (
     "uplink", "queued", "downlink", "awaiting_nack", "awaiting_giveup")
+#: The two exits that leave a trace event: a NACK the downlink lost, and an
+#: uplink copy shed by a dead or restarted hub.
+_NACK_LOST, _FAILOVER_DROP = "nack-lost", "failover-drop"
+
+#: The trace is the ledger's history.  With tracing on, ``_enter`` emits the
+#: event of the state it writes, and ``_forget`` the event of a traced
+#: exit: ``(event name, span?, sampled?)``.  A span runs from the
+#: transition to the copy's arrival; an instant marks the transition.  A
+#: sampled event appears only for the batches the tracer samples
+#: (``_trace_key``), so a sampled batch is traced end to end; the others
+#: mark losses and appear for every batch.  ``awaiting_giveup`` has no
+#: event (a retry shows up only as the uplink span's ``attempts`` arg).
+_TRANSITION_EVENTS: Dict[str, Tuple[str, bool, bool]] = {
+    _UPLINK: ("uplink", True, True),
+    _QUEUED: ("queue-admit", False, True),
+    _AWAITING_NACK: ("nack", True, False),
+    _DOWNLINK: ("downlink", True, True),
+    _NACK_LOST: ("nack-lost", False, False),
+    _FAILOVER_DROP: ("failover-drop", False, False),
+}
 
 #: Event priorities: at equal simulated times, arrivals are admitted and
 #: gradients land *before* the server dispatches, so a step always sees
@@ -459,8 +484,8 @@ class TrainingEngine:
         }
         #: The outstanding-work ledger: every batch a client has forwarded
         #: and neither applied a gradient for nor forgotten, ``(system id,
-        #: batch id) -> state``.  ``_uplink`` creates an entry, the kernel
-        #: moves it, and only ``_deliver`` and ``_forget`` remove one.
+        #: batch id) -> state``.  ``_enter`` is its only writer, and only
+        #: ``_deliver`` and ``_forget`` remove an entry.
         self._outstanding: Dict[Tuple[int, int], str] = {}
         self.fault_plan = fault_plan
         self.failover = failover
@@ -477,9 +502,6 @@ class TrainingEngine:
             "engine.queue_wait_seconds", QUEUE_WAIT_BOUNDS_S)
         self._obs_retries = self.obs.registry.histogram(
             "engine.retries_per_transfer", RETRY_BOUNDS)
-        #: Attempts shipped by the most recent reliable transfer (trace
-        #: span annotation only; stays 0 with reliability off).
-        self._obs_last_attempts = 0
         reliable = config.reliable_delivery
         #: Retry-timeout jitter stream (reliable delivery only): seeded
         #: from the run seed so identical configs retry identically;
@@ -507,6 +529,19 @@ class TrainingEngine:
         """
         return MappingProxyType(self._outstanding)
 
+    def _enter(self, key: Tuple[int, int], state: str, at: float,
+               until: float = 0.0, runtime: Optional[_ShardRuntime] = None,
+               size: int = 0, attempts: int = 1) -> None:
+        """Batch ``key`` enters ``state`` at ``at``: the ledger's one writer.
+
+        With tracing on, the state's event (``_TRANSITION_EVENTS``) is
+        emitted too; see :meth:`_trace` for ``until``, ``runtime``,
+        ``size`` and ``attempts``.
+        """
+        self._outstanding[key] = state
+        if self.obs.tracer.enabled:
+            self._trace(key, state, at, until, runtime, size, attempts)
+
     def _deliver(self, end_system: EndSystem,
                  gradient_message: GradientMessage) -> None:
         """The gradient reached its client: the batch is done."""
@@ -514,18 +549,73 @@ class TrainingEngine:
         end_system.apply_gradient(gradient_message)
 
     def _forget(self, end_system: EndSystem, batch_id: int,
-                notify: bool = True) -> None:
+                notify: bool = True, exit_event: Optional[str] = None,
+                at: float = 0.0,
+                runtime: Optional[_ShardRuntime] = None) -> None:
         """The client stops waiting for ``batch_id``.
 
         It is told of the loss (``notify_drop``, a term of the drop
         ledger) — or, when a budget stop merely cancels the batch,
-        discards the activation uncounted.
+        discards the activation uncounted.  A traced exit (``nack-lost``,
+        ``failover-drop``) is emitted at ``at`` the way :meth:`_enter`
+        emits a state's event.
         """
-        del self._outstanding[end_system.system_id, batch_id]
+        key = (end_system.system_id, batch_id)
+        del self._outstanding[key]
+        if exit_event is not None and self.obs.tracer.enabled:
+            self._trace(key, exit_event, at, runtime=runtime)
         if notify:
             end_system.notify_drop(batch_id)
         else:
             end_system.discard_pending(batch_id)
+
+    def _trace(self, key: Tuple[int, int], event: str, at: float,
+               until: float = 0.0, runtime: Optional[_ShardRuntime] = None,
+               size: int = 0, attempts: int = 1) -> None:
+        """Emit ``event``'s row of ``_TRANSITION_EVENTS`` for batch ``key``.
+
+        A span ends at ``until``.  The event sits on ``runtime``'s shard,
+        the client's current one by default.  Its args are the batch, a
+        wire leg's ``size`` (``bytes``) when given, ``attempts`` when the
+        transfer was retried, and the queue's depth for ``queue-admit``.
+        """
+        row = _TRANSITION_EVENTS.get(event)
+        if row is None:
+            return
+        name, span, sampled = row
+        system_id, batch_id = key
+        tracer = self.obs.tracer
+        if sampled and not tracer.sampled(self._trace_key(system_id, batch_id)):
+            return
+        if runtime is None:
+            runtime = self._runtime_of[system_id]
+        pid = runtime.shard.shard_id
+        args: Dict[str, object] = {"batch": batch_id}
+        if size:
+            args["bytes"] = size
+        if attempts > 1:
+            args["attempts"] = attempts
+        if event == _QUEUED:
+            args["depth"] = len(runtime.shard.queue)
+        if span:
+            tracer.span(name, "message", at, until, pid=pid, tid=system_id,
+                        args=args)
+        else:
+            tracer.instant(name, "message", at, pid=pid, tid=system_id,
+                           args=args)
+
+    @staticmethod
+    def _trace_key(system_id: int, batch_id: int) -> int:
+        """Run-local sampling key for a message's lifecycle.
+
+        ``message.sequence`` is a *process-wide* counter, so keying the
+        sampler on it would make same-seed runs in one process trace
+        different subsets.  Mixing the client id into its batch id is
+        run-local, collision-free across clients and shared by every
+        leg of the batch's journey (uplink, admit, wait, downlink), so
+        a sampled batch is traced end to end.
+        """
+        return system_id * 1_000_003 + batch_id
 
     def _queue_has_room(self, runtime: _ShardRuntime) -> bool:
         capacity = self.config.max_queue_size
@@ -556,7 +646,7 @@ class TrainingEngine:
     # Message kernel: uplink -> arrival -> drain -> reply
     # ------------------------------------------------------------------ #
     def _ship(self, send: _Send, node: str, payload: object, size: int,
-              at_time: float) -> Tuple[List[Message], Optional[float]]:
+              at_time: float) -> Tuple[List[Message], Optional[float], int]:
         """Carry one transfer over the wire, retrying when delivery is reliable.
 
         ``send`` is the leg's transport method: one call is one physical
@@ -572,18 +662,19 @@ class TrainingEngine:
         deduplicates).  The chain ends at the first in-deadline arrival
         or after ``retry_max`` retransmissions.
 
-        Returns ``(deliveries, lost_at)``: the wire messages that
-        physically made it, sorted by arrival (possibly several), and —
-        only when there are none — the time at which the sender learns
-        the transfer is lost: ``at_time`` itself for an unreliable send,
-        the chain's final deadline for a reliable one.  A reliable
-        transfer counts as lost only when every attempt was physically
-        lost — a copy that arrives after its deadline still completes it.
+        Returns ``(deliveries, lost_at, attempts)``: the wire messages
+        that physically made it, sorted by arrival (possibly several);
+        only when there are none, the time at which the sender learns the
+        transfer is lost (``at_time`` itself for an unreliable send, the
+        chain's final deadline for a reliable one); and the number of send
+        attempts.  A reliable transfer counts as lost only when every
+        attempt was physically lost — a copy that arrives after its
+        deadline still completes it.
         """
         config = self.config
         if not config.reliable_delivery:
             wire = send(node, payload, now=at_time, size=size)
-            return ([], at_time) if wire is None else ([wire], None)
+            return ([], at_time, 1) if wire is None else ([wire], None, 1)
         attempt_time = at_time
         deliveries = []
         give_up_time = at_time
@@ -610,10 +701,9 @@ class TrainingEngine:
             attempt_time = deadline
         deliveries.sort(key=lambda wire: wire.arrival_time)
         if self.obs.enabled:
-            # ``attempt`` leaks the last loop index: attempts = index + 1.
-            self._obs_last_attempts = attempt + 1
             self._obs_retries.observe(attempt)
-        return deliveries, (None if deliveries else give_up_time)
+        # ``attempt`` leaks the last loop index: attempts = index + 1.
+        return deliveries, (None if deliveries else give_up_time), attempt + 1
 
     def _uplink(
         self, end_system: EndSystem, batch: _Batch, at_time: float,
@@ -637,14 +727,13 @@ class TrainingEngine:
             images, labels, round_index=round_index, created_at=at_time
         )
         key = (end_system.system_id, message.batch_id)
-        self._outstanding[key] = _UPLINK
-        deliveries, lost_at = self._ship(
+        deliveries, lost_at, attempts = self._ship(
             self.transport.send_to_server,
             self.system_to_node[end_system.system_id],
             message.payload, message.size_bytes, at_time,
         )
         if lost_at is not None:
-            self._outstanding[key] = _AWAITING_GIVEUP
+            self._enter(key, _AWAITING_GIVEUP, at_time)
             return message, [], lost_at
         arrivals = [wire.arrival_time for wire in deliveries]
         if self._dedup_enabled:
@@ -656,11 +745,8 @@ class TrainingEngine:
             )
             arrivals.sort()
         message.arrival_time = arrivals[0]
-        if self.obs.tracer.enabled:
-            attempts = self._obs_last_attempts
-            self._obs_leg("uplink", end_system, message.batch_id, at_time,
-                          arrivals[0], bytes=message.size_bytes,
-                          **({"attempts": attempts} if attempts > 1 else {}))
+        self._enter(key, _UPLINK, at_time, arrivals[0], size=message.size_bytes,
+                    attempts=attempts)
         return message, arrivals, None
 
     def _downlink(
@@ -673,7 +759,7 @@ class TrainingEngine:
         one that completes back-propagation; later ones are spurious-
         timeout duplicates.
         """
-        deliveries, lost_at = self._ship(
+        deliveries, lost_at, _ = self._ship(
             self.transport.send_to_end_system,
             self.system_to_node[end_system.system_id],
             gradient_message.gradient, gradient_message.size_bytes, at_time,
@@ -711,8 +797,10 @@ class TrainingEngine:
         downlink degrades to an immediate notification — the same
         timeout abstraction lost gradients use — so nothing ever leaks.
         """
-        def land_nack(landing_sim: Simulator) -> None:
-            self._forget(end_system, message.batch_id)
+        def land_nack(landing_sim: Simulator,
+                      exit_event: Optional[str] = None) -> None:
+            self._forget(end_system, message.batch_id, exit_event=exit_event,
+                         at=landing_sim.now)
             if on_notified is not None:
                 on_notified(landing_sim)
 
@@ -726,20 +814,12 @@ class TrainingEngine:
         )
         if nack is None:
             self.stats.nacks_lost += 1
-            if self.obs.tracer.enabled:
-                self.obs.tracer.instant(
-                    "nack-lost", "message", sent_at,
-                    pid=self._runtime_of[end_system.system_id].shard.shard_id,
-                    tid=end_system.system_id, args={"batch": message.batch_id})
-            land_nack(sim)  # the timeout abstraction: it "lands" at once
+            # The timeout abstraction: the NACK "lands" at once.
+            land_nack(sim, _NACK_LOST)
             return
-        self._outstanding[end_system.system_id, message.batch_id] = _AWAITING_NACK
+        self._enter((end_system.system_id, message.batch_id), _AWAITING_NACK,
+                    sent_at, nack.arrival_time)
         self.stats.nack_delay_total_s += nack.arrival_time - sent_at
-        if self.obs.tracer.enabled:
-            self.obs.tracer.span(
-                "nack", "message", sent_at, nack.arrival_time,
-                pid=self._runtime_of[end_system.system_id].shard.shard_id,
-                tid=end_system.system_id, args={"batch": message.batch_id})
         sim.schedule(nack.arrival_time, land_nack, priority=PRIORITY_LANDING,
                      label="queue-nack")
 
@@ -757,11 +837,9 @@ class TrainingEngine:
             # client notification, whatever that fate was.
             runtime.shard.queue.charge_drop()
             self.stats.deduped += 1
-            if self.obs.tracer.enabled:
-                self.obs.tracer.instant(
-                    "dedup", "message", sim.now,
-                    pid=runtime.shard.shard_id, tid=end_system.system_id,
-                    args={"batch": message.batch_id})
+            self.obs.tracer.instant(
+                "dedup", "message", sim.now, pid=runtime.shard.shard_id,
+                tid=end_system.system_id, args={"batch": message.batch_id})
             return False
         if not runtime.shard.healthy or runtime.generation != sent_generation:
             # The hub died while the message was in flight — or crashed
@@ -777,12 +855,8 @@ class TrainingEngine:
                 # must neither notify again nor mint another send token.
                 return False
             self.stats.failover_dropped += 1
-            if self.obs.tracer.enabled:
-                self.obs.tracer.instant(
-                    "failover-drop", "message", sim.now,
-                    pid=runtime.shard.shard_id, tid=end_system.system_id,
-                    args={"batch": message.batch_id})
-            self._forget(end_system, message.batch_id)
+            self._forget(end_system, message.batch_id, exit_event=_FAILOVER_DROP,
+                         at=sim.now, runtime=runtime)
             if on_notified is not None:
                 on_notified(sim)
             return False
@@ -795,42 +869,14 @@ class TrainingEngine:
         else:
             admitted = runtime.shard.receive(message)
         if admitted:
-            self._outstanding[key] = _QUEUED
-            self._obs_admit(sim, message, runtime, end_system)
+            self._enter(key, _QUEUED, sim.now, runtime=runtime)
             return True
         self.stats.queue_drops += 1
-        if self.obs.tracer.enabled:
-            self.obs.tracer.instant(
-                "queue-drop", "message", sim.now,
-                pid=runtime.shard.shard_id, tid=end_system.system_id,
-                args={"batch": message.batch_id})
+        self.obs.tracer.instant(
+            "queue-drop", "message", sim.now, pid=runtime.shard.shard_id,
+            tid=end_system.system_id, args={"batch": message.batch_id})
         self._send_nack(sim, message, end_system, on_notified=on_notified)
         return False
-
-    @staticmethod
-    def _trace_key(system_id: int, batch_id: int) -> int:
-        """Run-local sampling key for a message's lifecycle.
-
-        ``message.sequence`` is a *process-wide* counter, so keying the
-        sampler on it would make same-seed runs in one process trace
-        different subsets.  Mixing the client id into its batch id is
-        run-local, collision-free across clients and shared by every
-        leg of the batch's journey (uplink, admit, wait, downlink), so
-        a sampled batch is traced end to end.
-        """
-        return system_id * 1_000_003 + batch_id
-
-    def _obs_admit(self, sim: Simulator, message: ActivationMessage,
-                   runtime: _ShardRuntime, end_system: EndSystem) -> None:
-        """Trace a successful queue admission (arena staging included)."""
-        tracer = self.obs.tracer
-        if tracer.enabled and tracer.sampled(
-                self._trace_key(message.end_system_id, message.batch_id)):
-            tracer.instant("queue-admit", "message", sim.now,
-                           pid=runtime.shard.shard_id,
-                           tid=end_system.system_id,
-                           args={"batch": message.batch_id,
-                                 "depth": len(runtime.shard.queue)})
 
     def _drain(
         self, runtime: _ShardRuntime, now: float, whole_queue: bool,
@@ -883,11 +929,11 @@ class TrainingEngine:
             )
             end_system = self._by_id[activation_message.end_system_id]
             arrivals, lost_at = self._downlink(end_system, gradient_message, send_time)
-            self._outstanding[end_system.system_id, gradient_message.batch_id] = (
-                _DOWNLINK if arrivals else _AWAITING_GIVEUP)
-            if arrivals and self.obs.tracer.enabled:
-                self._obs_leg("downlink", end_system, gradient_message.batch_id,
-                              send_time, arrivals[0])
+            key = (end_system.system_id, gradient_message.batch_id)
+            if arrivals:
+                self._enter(key, _DOWNLINK, send_time, arrivals[0])
+            else:
+                self._enter(key, _AWAITING_GIVEUP, send_time)
             replies.append((end_system, gradient_message, arrivals, lost_at))
         return replies
 
@@ -1010,10 +1056,8 @@ class TrainingEngine:
         logger.debug("checkpoint: shard %d captured at t=%.4fs (round %d, "
                      "%d samples)", shard.shard_id, sim.now,
                      runtime.round_index, shard.samples_processed)
-        if self.obs.tracer.enabled:
-            self.obs.tracer.instant(
-                "checkpoint", "control", sim.now, pid=shard.shard_id,
-                args={"samples": shard.samples_processed})
+        self.obs.tracer.instant("checkpoint", "control", sim.now, pid=shard.shard_id,
+                                args={"samples": shard.samples_processed})
 
     def _schedule_periodic(self, sim: Simulator, at_time: float, every: float,
                            action: _Callback, priority: int, label: str) -> None:
@@ -1104,22 +1148,6 @@ class TrainingEngine:
                         start_time + step_time, pid=shard_id,
                         args={"batches": len(results)})
 
-    def _obs_leg(self, name: str, end_system: EndSystem, batch_id: int,
-                 sent_at: float, arrival_time: float, **args: object) -> None:
-        """Trace one delivered uplink or downlink (only when the tracer is on).
-
-        Both legs share the batch's run-local key, so a sampled batch's
-        whole round trip appears in the trace (or none of it does).
-        """
-        tracer = self.obs.tracer
-        if not tracer.sampled(self._trace_key(end_system.system_id, batch_id)):
-            return
-        tracer.span(
-            name, "message", sent_at, arrival_time,
-            pid=self._runtime_of[end_system.system_id].shard.shard_id,
-            tid=end_system.system_id, args={"batch": batch_id, **args},
-        )
-
     @staticmethod
     def _reset_optimizer(shard: ServerShard) -> None:
         """Deterministically clear a recovered shard's optimizer moments.
@@ -1206,11 +1234,9 @@ class TrainingEngine:
                 self._recover_shard(sim, runtime)
             return
         self.stats.chaos_events += 1
-        if self.obs.tracer.enabled:
-            self.obs.tracer.instant(
-                f"chaos-{event.kind}", "chaos", sim.now,
-                args={"phase": event.phase, "target": int(event.target)},
-            )
+        self.obs.tracer.instant(
+            f"chaos-{event.kind}", "chaos", sim.now,
+            args={"phase": event.phase, "target": int(event.target)})
         topology = self.transport.topology
         if event.kind in ("flap", "leave"):
             node = self.system_to_node[int(event.target)]
@@ -1260,9 +1286,8 @@ class TrainingEngine:
         self.transport.topology.set_node_up(shard.node_name, False)
         logger.info("shard %d (%s) crashed at t=%.4fs", shard.shard_id,
                     shard.node_name, sim.now)
-        if self.obs.tracer.enabled:
-            self.obs.tracer.instant("shard-crash", "control", sim.now,
-                                    pid=shard.shard_id)
+        self.obs.tracer.instant("shard-crash", "control", sim.now,
+                                pid=shard.shard_id)
         flushed = shard.flush_queue()
         if flushed:
             logger.debug("crash shed %d queued batch(es) from shard %d",
@@ -1352,9 +1377,8 @@ class TrainingEngine:
         if moved:
             logger.info("failover: reassigned %d client(s) at t=%.4fs", moved,
                         sim.now)
-            if self.obs.tracer.enabled:
-                self.obs.tracer.instant("failover", "control", sim.now,
-                                        args={"clients": moved})
+            self.obs.tracer.instant("failover", "control", sim.now,
+                                    args={"clients": moved})
 
     def _recover_shard(self, sim: Simulator, runtime: _ShardRuntime) -> None:
         """Apply a shard recovery: restore state, fail clients back, restart.
@@ -1431,11 +1455,9 @@ class TrainingEngine:
         logger.info("shard %d restored from %s (downtime %.4fs, "
                     "rpo_lost_s=%.4f)", shard.shard_id, restored_from,
                     sim.now - crash_time, shard.rpo_lost_s)
-        if self.obs.tracer.enabled:
-            self.obs.tracer.instant(
-                "shard-recovery", "control", sim.now, pid=shard.shard_id,
-                args={"source": restored_from,
-                      "downtime_s": sim.now - crash_time})
+        self.obs.tracer.instant(
+            "shard-recovery", "control", sim.now, pid=shard.shard_id,
+            args={"source": restored_from, "downtime_s": sim.now - crash_time})
         if self.failover is not None and self.failover.failback:
             self._apply_reassignment(
                 sim,
@@ -1622,10 +1644,9 @@ class _RoundChain(_ModeDriver):
     def _start_round(self, runtime: _ShardRuntime, round_index: int) -> None:
         engine, sim = self.engine, self.sim
         runtime.round_index = round_index
-        if engine.obs.tracer.enabled:
-            engine.obs.tracer.instant(
-                "round-start", "control", runtime.clock,
-                pid=runtime.shard.shard_id, args={"round": round_index})
+        engine.obs.tracer.instant(
+            "round-start", "control", runtime.clock,
+            pid=runtime.shard.shard_id, args={"round": round_index})
         if not runtime.active:
             self._finish_shard(runtime)
             return
@@ -1816,11 +1837,9 @@ class _RoundChain(_ModeDriver):
             and len(participants) >= 2
         )
         name = "quorum-sync" if quorum_met else "sync-timeout"
-        if engine.obs.tracer.enabled:
-            engine.obs.tracer.instant(
-                name, "control", sim.now,
-                args={"present": len(self.arrived),
-                      "running": healthy_unfinished})
+        engine.obs.tracer.instant(
+            name, "control", sim.now,
+            args={"present": len(self.arrived), "running": healthy_unfinished})
         if quorum_met:
             engine.stats.quorum_syncs += 1
             logger.info(
@@ -1922,11 +1941,10 @@ class _RoundChain(_ModeDriver):
                          len(participant_ids),
                          " (quorum-restricted)" if restrict else "",
                          sim.now)
-            if engine.obs.tracer.enabled:
-                engine.obs.tracer.span(
-                    "weight-sync", "control", sync_start, sim.now,
-                    args={"participants": len(participant_ids),
-                          "restricted": restrict})
+            engine.obs.tracer.span(
+                "weight-sync", "control", sync_start, sim.now,
+                args={"participants": len(participant_ids),
+                      "restricted": restrict})
             # The installed average is durable cluster state: a crash
             # after this instant can be recovered from it, so it is
             # every participant's freshest recovery point (unless a

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class ActivationMessage:
     arrival_time: float = 0.0
     size_bytes: int = 0
     sequence: int = field(default_factory=lambda: next(_ACTIVATION_COUNTER))
-    #: Engine-side annotations riding the message (reliable delivery
-    #: stamps the wire-arrival list and give-up/resolution flags here).
-    metadata: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.activations = np.asarray(self.activations)
@@ -95,7 +92,6 @@ class GradientMessage:
     created_at: float = 0.0
     arrival_time: float = 0.0
     size_bytes: int = 0
-    metadata: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.gradient = np.asarray(self.gradient)

@@ -65,20 +65,19 @@ class SchedulingPolicy:
         raise NotImplementedError
 
     def drain_order(self, pending: List[ActivationMessage],
-                    now: float) -> Optional[List[int]]:
+                    now: float) -> List[int]:
         """Order (indices into ``pending``) for draining *everything* at once.
 
+        It must equal the order repeated :meth:`select` calls would pop.
         Stateless policies whose choice is a fixed per-message sort key
-        return the full order directly, letting
-        :meth:`ParameterQueue.drain` sort once — O(n log n) — instead of
-        running one O(n) :meth:`select` per pop (O(n²), the dominant
-        server-side cost beyond ~100 queued clients).  Stateful policies
-        may *simulate* their feedback loop (without mutating their
-        state — :meth:`notify_processed` still fires per message during
-        the drain) to the same end; only policies that cannot predict
-        their own choices return ``None`` and keep the generic pop loop.
+        sort once — O(n log n) — instead of running one O(n)
+        :meth:`select` per pop (O(n²), the dominant server-side cost
+        beyond ~100 queued clients).  Stateful policies *simulate* their
+        feedback loop without mutating their state
+        (:meth:`notify_processed` still fires per message during the
+        drain).
         """
-        return None
+        raise NotImplementedError
 
     def notify_processed(self, message: ActivationMessage) -> None:
         """Hook called after the selected message has been processed."""
@@ -102,7 +101,7 @@ class _KeySortedPolicy(SchedulingPolicy):
         return min(range(len(pending)), key=lambda index: self._key(pending[index]))
 
     def drain_order(self, pending: List[ActivationMessage],
-                    now: float) -> Optional[List[int]]:
+                    now: float) -> List[int]:
         return sorted(range(len(pending)), key=lambda index: self._key(pending[index]))
 
 
@@ -138,7 +137,7 @@ class RoundRobinPolicy(SchedulingPolicy):
         return min(candidates, key=lambda index: pending[index].sequence)
 
     def drain_order(self, pending: List[ActivationMessage],
-                    now: float) -> Optional[List[int]]:
+                    now: float) -> List[int]:
         """Simulate the full cycle without mutating policy state.
 
         The only feedback :meth:`select` consumes is which system the
@@ -207,7 +206,7 @@ class WeightedFairPolicy(SchedulingPolicy):
         )
 
     def drain_order(self, pending: List[ActivationMessage],
-                    now: float) -> Optional[List[int]]:
+                    now: float) -> List[int]:
         """Simulate the fairness feedback loop with a heap, state untouched.
 
         Within one system the selection key always prefers the lowest
@@ -313,25 +312,19 @@ class ParameterQueue:
         """Pop every pending message in policy order.
 
         The drain timestamp defaults to the latest pending arrival —
-        resolved **once** for the whole drain.  Every built-in policy
-        now hands back a full drain order: the stateless ones (FIFO,
-        staleness) as a single O(n log n) sort, the stateful ones
-        (round-robin, weighted-fair) by *simulating* their own feedback
-        loop without touching policy state — so no drain pays the
-        generic loop's O(n²) selection cost.  The pop loop remains the
-        fallback for third-party policies returning ``None``, and the
-        recorded statistics are identical either way.
+        resolved **once** for the whole drain.  The policy hands back the
+        full order (:meth:`SchedulingPolicy.drain_order`): the stateless
+        ones (FIFO, staleness) as a single O(n log n) sort, the stateful
+        ones (round-robin, weighted-fair) by *simulating* their own
+        feedback loop without touching policy state — so no drain pays
+        a per-pop O(n²) selection cost, and the recorded statistics are
+        those a pop loop would record.
         """
         if not self._pending:
             return []
         if now is None:
             now = max(message.arrival_time for message in self._pending)
         order = self.policy.drain_order(self._pending, now)
-        if order is None:
-            messages = []
-            while self._pending:
-                messages.append(self.pop(now))
-            return messages
         messages = [self._pending[index] for index in order]
         self._pending.clear()
         for message in messages:

@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..api.jobspec import JobWorkload
 from ..api.runtime import build_workload as _materialize_workload
-from ..core.models import CNNArchitecture, paper_cnn_architecture, tiny_cnn_architecture
+from ..api.runtime import scale_architecture, scale_image_size
+from ..core.models import CNNArchitecture
 from ..utils.tables import format_table
 
 __all__ = ["WorkloadSpec", "ExperimentResult", "build_workload"]
@@ -71,14 +72,11 @@ class WorkloadSpec:
     @property
     def image_size(self) -> int:
         """Input image side length for this scale."""
-        return 32 if self.scale == "paper" else 16
+        return scale_image_size(self.scale)
 
     def architecture(self) -> CNNArchitecture:
         """CNN architecture matching the scale."""
-        if self.scale == "paper":
-            return paper_cnn_architecture()
-        return tiny_cnn_architecture(image_size=self.image_size, num_blocks=3,
-                                     base_filters=8, dense_units=64)
+        return scale_architecture(self.scale)
 
     @classmethod
     def paper(cls, **overrides) -> "WorkloadSpec":

@@ -1,12 +1,33 @@
 """Span-based tracing of message lifecycles and control-plane events.
 
-The engine emits spans (uplink flight, queue wait, server step,
-downlink flight) and instants (drops, retries, nacks, crashes,
-failover, sync rendezvous / quorum timeouts, checkpoints) into a
-bounded ring buffer, which exports as Chrome trace-event JSON — load
-``trace.json`` in Perfetto / ``chrome://tracing`` and the run reads as
-a timeline: one row per client (``tid``), one process per shard
-(``pid``).
+The engine emits spans and instants into a bounded ring buffer, which
+exports as Chrome trace-event JSON — load ``trace.json`` in Perfetto /
+``chrome://tracing`` and the run reads as a timeline: one row per client
+(``tid``), one process per shard (``pid``).  The message events are the
+history of the engine's outstanding-work ledger, one per transition
+(``_TRANSITION_EVENTS`` in :mod:`repro.core.engine`):
+
+=================  =======  ==========================================
+event              kind     emitted when
+=================  =======  ==========================================
+``uplink``         span     a batch enters ``uplink`` (``attempts``
+                            arg when the transfer was retried)
+``queue-admit``    instant  a batch enters ``queued``
+``nack``           span     a batch enters ``awaiting_nack``
+``downlink``       span     a batch enters ``downlink``
+``nack-lost``      instant  exit: the NACK was lost
+``failover-drop``  instant  exit: a dead or restarted hub shed the copy
+``queue-wait``     span     not a transition: a drained message's wait
+``server-step``    span     not a transition: one per drain
+``queue-drop``     instant  not a transition: a full queue shed a copy
+``dedup``          instant  not a transition: a duplicate was absorbed
+=================  =======  ==========================================
+
+A retry has no event of its own, and neither has a lost transfer
+(``awaiting_giveup``).  The control plane adds ``round-start``,
+``weight-sync`` (a span), ``quorum-sync`` / ``sync-timeout``,
+``checkpoint``, ``shard-crash``, ``shard-recovery``, ``failover`` and
+``chaos-<kind>`` instants.
 
 Sampling is *seeded and order-independent*: whether a message is traced
 depends only on ``(seed, key)`` through a splitmix64 mix — the engine

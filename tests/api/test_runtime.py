@@ -1,6 +1,7 @@
 """The runtime facade: materialization determinism and trainer wiring."""
 
 import numpy as np
+import pytest
 
 from repro.api import (JobSpec, JobWorkload, build_trainer, build_workload,
                        resume_trainer, run_job)
@@ -45,6 +46,22 @@ class TestBuildWorkload:
         legacy_images, _ = legacy["train"].arrays()
         modern_images, _ = modern.train.arrays()
         assert np.array_equal(legacy_images, modern_images)
+
+    @pytest.mark.parametrize("scale", ["paper", "laptop"])
+    def test_one_scale_to_architecture_mapping(self, scale):
+        """WorkloadSpec and the runtime build the same network per scale."""
+        from repro.experiments.base import WorkloadSpec
+
+        spec = WorkloadSpec(scale=scale, num_samples=40, num_end_systems=2)
+        pieces = build_workload(JobWorkload(scale=scale, num_samples=40,
+                                            num_end_systems=2))
+
+        def layers(architecture):
+            return [(name, parameter.shape) for name, parameter
+                    in architecture.build(seed=0).named_parameters()]
+
+        assert layers(spec.architecture()) == layers(pieces.architecture)
+        assert pieces.train.arrays()[0].shape[-1] == spec.image_size
 
 
 class TestBuildTrainer:
