@@ -7,23 +7,28 @@ paper's evaluation; README.md lists them with the experiments as the
 
 * **Compression** reduces the uplink volume of every activation message:
   :class:`Uint8Quantizer` (8-bit affine quantization, 8x smaller than
-  float64) and :class:`TopKSparsifier` (keep only the largest-magnitude
-  fraction of entries).
+  float64, 4x smaller than float32) and :class:`TopKSparsifier` (keep
+  only the largest-magnitude fraction of entries).
 * **Perturbation** improves privacy at the cut:
   :class:`GaussianNoisePerturbation` clips each sample's activation norm
   and adds calibrated Gaussian noise (the Gaussian mechanism used by
   DP-SGD-style defenses).
 
 All transforms implement the :class:`ActivationTransform` interface:
-``apply`` returns the (lossy) activations the server will train on plus
-the number of bytes that would actually cross the wire, so experiments can
-report the accuracy / traffic / leakage trade-off.
+``apply`` returns the (lossy) activations the server will train on, in the
+input's dtype, plus the number of bytes that cross the wire.  A transform
+is a cut-layer *codec*: set as an
+:class:`~repro.core.end_system.EndSystem`'s ``codec``, it encodes every
+activation message that end-system ships, and the message's
+``size_bytes`` is the codec's wire bytes plus labels and framing — so
+links, queues, retries and the traffic log all see the compressed size.  No decode stage exists: ``apply`` already returns what
+the server reconstructs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +49,6 @@ class TransformResult:
 
     activations: np.ndarray
     wire_bytes: int
-    metadata: Dict[str, float]
 
 
 class ActivationTransform:
@@ -70,7 +74,6 @@ class NoCompression(ActivationTransform):
         return TransformResult(
             activations=activations,
             wire_bytes=int(activations.nbytes),
-            metadata={},
         )
 
 
@@ -92,28 +95,15 @@ class Uint8Quantizer(ActivationTransform):
         self.levels = levels
 
     def apply(self, activations: np.ndarray) -> TransformResult:
-        activations = np.asarray(activations, dtype=np.float64)
+        activations = np.asarray(activations)
+        # One byte per entry plus the two float parameters (min, scale).
+        wire_bytes = int(activations.size + 16)
         minimum = float(activations.min())
-        maximum = float(activations.max())
-        scale = (maximum - minimum) / (self.levels - 1)
+        scale = (float(activations.max()) - minimum) / (self.levels - 1)
         if scale == 0.0:
-            # Constant tensor: one byte per element is still what the wire carries.
-            return TransformResult(
-                activations=activations.copy(),
-                wire_bytes=int(activations.size + 16),
-                metadata={"scale": 0.0, "min": minimum},
-            )
+            return TransformResult(activations=activations.copy(), wire_bytes=wire_bytes)
         quantized = np.clip(np.round((activations - minimum) / scale), 0, self.levels - 1)
-        dequantized = quantized * scale + minimum
-        return TransformResult(
-            activations=dequantized,
-            wire_bytes=int(activations.size + 16),  # one byte per entry + the two floats
-            metadata={
-                "scale": scale,
-                "min": minimum,
-                "quantization_mse": float(np.mean((dequantized - activations) ** 2)),
-            },
-        )
+        return TransformResult(activations=quantized * scale + minimum, wire_bytes=wire_bytes)
 
 
 class TopKSparsifier(ActivationTransform):
@@ -131,7 +121,7 @@ class TopKSparsifier(ActivationTransform):
         self.keep_fraction = keep_fraction
 
     def apply(self, activations: np.ndarray) -> TransformResult:
-        activations = np.asarray(activations, dtype=np.float64)
+        activations = np.asarray(activations)
         flat = activations.reshape(-1)
         keep = max(1, int(round(flat.size * self.keep_fraction)))
         if keep >= flat.size:
@@ -141,14 +131,10 @@ class TopKSparsifier(ActivationTransform):
         kept_indices = partition[threshold_index:]
         sparse = np.zeros_like(flat)
         sparse[kept_indices] = flat[kept_indices]
-        wire_bytes = keep * (8 + 4)  # float64 value + uint32 index per entry
         return TransformResult(
             activations=sparse.reshape(activations.shape),
-            wire_bytes=int(wire_bytes),
-            metadata={
-                "kept_entries": float(keep),
-                "kept_fraction": keep / flat.size,
-            },
+            # One value in the activations' dtype + one uint32 index per entry.
+            wire_bytes=int(keep * (activations.itemsize + 4)),
         )
 
 
@@ -176,21 +162,17 @@ class GaussianNoisePerturbation(ActivationTransform):
         self._rng = np.random.default_rng(seed)
 
     def apply(self, activations: np.ndarray) -> TransformResult:
-        activations = np.asarray(activations, dtype=np.float64)
+        activations = np.asarray(activations)
         batch = activations.shape[0]
         flat = activations.reshape(batch, -1)
         norms = np.linalg.norm(flat, axis=1, keepdims=True)
         scales = np.minimum(1.0, self.clip_norm / np.maximum(norms, 1e-12))
-        clipped = flat * scales
-        noise_std = self.noise_multiplier * self.clip_norm
-        noised = clipped + self._rng.normal(0.0, noise_std, size=clipped.shape)
+        noise = self._rng.normal(0.0, self.noise_multiplier * self.clip_norm,
+                                 size=flat.shape)
+        noised = flat * scales + noise.astype(flat.dtype, copy=False)
         return TransformResult(
             activations=noised.reshape(activations.shape),
             wire_bytes=int(activations.nbytes),
-            metadata={
-                "noise_std": noise_std,
-                "mean_clip_scale": float(scales.mean()),
-            },
         )
 
 

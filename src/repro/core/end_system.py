@@ -10,7 +10,11 @@ Each end-system (a hospital in the paper's motivating scenario) owns
 During training the end-system pushes a batch through its client segment,
 ships the resulting smashed activations (plus labels) to the centralized
 server, and later — when the server's gradient message arrives — finishes
-back-propagation through its local layers and applies the update.
+back-propagation through its local layers and applies the update.  An
+optional cut-layer codec (:mod:`repro.core.compression`) encodes the
+activations before they ship; the server trains on what the codec
+reconstructs and the client back-propagates the server's gradient through
+its own, uncompressed outputs.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import numpy as np
 from ..data.loader import DataLoader
 from ..nn import Sequential, Tensor, get_default_dtype, no_grad
 from ..nn.optim import Optimizer, get_optimizer
+from ..simnet.link import DICT_FRAME_BYTES
+from .compression import ActivationTransform
 from .messages import ActivationMessage, GradientMessage
 from .split import SplitSpec
 
@@ -58,6 +64,10 @@ class EndSystem:
         seed: Optional[int] = None,
     ) -> None:
         self.system_id = int(system_id)
+        #: Cut-layer transform applied to every activation message this
+        #: end-system ships; ``None`` ships the raw activations, the
+        #: paper's wire form.
+        self.codec: Optional[ActivationTransform] = None
         self.loader = loader
         self.split_spec = split_spec
         self.model: Sequential = split_spec.build_client_segment(seed=seed)
@@ -118,7 +128,9 @@ class EndSystem:
 
         The returned message holds a *detached copy* of the activations:
         the server never sees the client-side computation graph, mirroring
-        the real deployment where only raw bytes cross the network.
+        the real deployment where only raw bytes cross the network.  With a
+        ``codec`` the message carries the codec's reconstruction and its
+        ``size_bytes`` is the codec's wire bytes plus labels and framing.
         """
         batch_id = self._next_batch_id
         self._next_batch_id += 1
@@ -134,13 +146,20 @@ class EndSystem:
                 self._pending[batch_id] = outputs
             activations = outputs.data.copy()
         self.samples_seen += images.shape[0]
+        labels = np.asarray(labels).copy()
+        size_bytes = 0  # the message sizes its raw wire form
+        if self.codec is not None:
+            encoded = self.codec.apply(activations)
+            activations = encoded.activations
+            size_bytes = encoded.wire_bytes + labels.nbytes + DICT_FRAME_BYTES
         return ActivationMessage(
             end_system_id=self.system_id,
             batch_id=batch_id,
             activations=activations,
-            labels=np.asarray(labels).copy(),
+            labels=labels,
             round_index=round_index,
             created_at=created_at,
+            size_bytes=size_bytes,
         )
 
     def apply_gradient(self, message: GradientMessage) -> None:

@@ -14,8 +14,12 @@ property the paper claims.
 
 A message fixes its wire size (``size_bytes``) once, at construction — the
 figure the link charges, the traffic log adds up and the transfer time is
-computed from, for the first send and every retransmission alike.  It
-equals :func:`repro.simnet.link.payload_bytes` of the message's wire form.
+computed from, for the first send and every retransmission alike.  By
+default it equals :func:`repro.simnet.link.payload_bytes` of the message's
+wire form.  When the sending end-system has a cut-layer codec
+(:mod:`repro.core.compression`), the end-system sets it instead: the
+codec's wire bytes plus the labels plus the dictionary framing, while
+``activations`` holds what the server reconstructs.
 """
 
 from __future__ import annotations

@@ -94,6 +94,7 @@ from ..cluster.shard import ServerShard
 from ..data.datasets import Dataset
 from ..data.loader import DataLoader
 from ..data.transforms import Transform
+from ..nn.metrics import MetricTracker
 from ..nn.serialization import pack_rng_state, restore_rng_state
 from ..obs.plane import Observability
 from ..obs.registry import Sample, samples_from_mapping
@@ -558,26 +559,15 @@ class SpatioTemporalTrainer:
                 tracker = self.engine.run_synchronous_epoch(iterators)
             else:
                 tracker = self.engine.run_asynchronous(iterators)
-            self._clock = self.engine.clock
-            wall = time.perf_counter() - start
-
-            averages = tracker.averages()
-            record = EpochRecord(
-                epoch=epoch,
-                train_loss=averages.get("loss", float("nan")),
-                train_accuracy=averages.get("accuracy", 0.0),
-                simulated_time_s=self.engine.clock - epoch_start_clock,
-                wall_time_s=wall,
-                batches=self.cluster.batches_processed,
-                samples=self.cluster.samples_processed,
-            )
             should_evaluate = test_dataset is not None and (
                 (epoch + 1) % max(evaluate_every, 1) == 0 or epoch == epochs - 1
             )
-            if should_evaluate:
-                last_evaluation = self.evaluate(test_dataset)
-                record.test_loss = last_evaluation["loss"]
-                record.test_accuracy = last_evaluation["accuracy"]
+            record, evaluation = self._close_epoch(
+                epoch, tracker, epoch_start_clock, start,
+                test_dataset if should_evaluate else None,
+            )
+            if evaluation is not None:
+                last_evaluation = evaluation
             history.append(record)
             self._write_run_checkpoint(epoch + 1)
             if on_epoch_end is not None:
@@ -588,15 +578,46 @@ class SpatioTemporalTrainer:
                 f"{record.test_accuracy:.4f}" if record.test_accuracy is not None else "n/a",
             )
 
+        return self._close_run(history, test_dataset, last_evaluation)
+
+    def _close_epoch(self, epoch: int, tracker: MetricTracker, start_clock: float,
+                     start: float, test_dataset: Optional[Dataset],
+                     ) -> Tuple[EpochRecord, Optional[Dict[str, object]]]:
+        """An epoch's record, evaluated on ``test_dataset`` when one is given.
+
+        ``start_clock`` / ``start`` are the simulated and ``perf_counter``
+        times the epoch began at.
+        """
+        self._clock = self.engine.clock
+        averages = tracker.averages()
+        record = EpochRecord(
+            epoch=epoch,
+            train_loss=averages.get("loss", float("nan")),
+            train_accuracy=averages.get("accuracy", 0.0),
+            simulated_time_s=self.engine.clock - start_clock,
+            wall_time_s=time.perf_counter() - start,
+            batches=self.cluster.batches_processed,
+            samples=self.cluster.samples_processed,
+        )
+        evaluation = None
+        if test_dataset is not None:
+            evaluation = self.evaluate(test_dataset)
+            record.test_loss = evaluation["loss"]
+            record.test_accuracy = evaluation["accuracy"]
+        return record, evaluation
+
+    def _close_run(self, history: TrainingHistory, test_dataset: Optional[Dataset],
+                   evaluation: Optional[Dict[str, object]]) -> TrainingHistory:
+        """End of a run: obs flush/export, traffic, queue stats, per-system accuracy."""
         self._finalize_obs()
         history.traffic = self.transport.log.summary()
         history.queue_stats = self._queue_stats()
         if test_dataset is not None:
-            # The final epoch always evaluates, so reuse its result instead
-            # of re-running the full test set a second time.
-            if last_evaluation is None:
-                last_evaluation = self.evaluate(test_dataset)
-            history.per_system_accuracy = last_evaluation["per_system_accuracy"]
+            # A run's last epoch always evaluates, so reuse its result
+            # instead of re-running the full test set a second time.
+            if evaluation is None:
+                evaluation = self.evaluate(test_dataset)
+            history.per_system_accuracy = evaluation["per_system_accuracy"]
         return history
 
     def evaluate(self, dataset: Dataset, batch_size: Optional[int] = None) -> Dict[str, object]:
@@ -676,27 +697,9 @@ class SpatioTemporalTrainer:
             tracker = self.engine.run_asynchronous(
                 iterators, stop_time=start_clock + simulated_seconds
             )
-        self._clock = self.engine.clock
-        averages = tracker.averages()
-        record = EpochRecord(
-            epoch=0,
-            train_loss=averages.get("loss", float("nan")),
-            train_accuracy=averages.get("accuracy", 0.0),
-            simulated_time_s=self.engine.clock - start_clock,
-            wall_time_s=time.perf_counter() - start,
-            batches=self.cluster.batches_processed,
-            samples=self.cluster.samples_processed,
-        )
-        if test_dataset is not None:
-            evaluation = self.evaluate(test_dataset)
-            record.test_loss = evaluation["loss"]
-            record.test_accuracy = evaluation["accuracy"]
-            history.per_system_accuracy = evaluation["per_system_accuracy"]
+        record, evaluation = self._close_epoch(0, tracker, start_clock, start, test_dataset)
         history.append(record)
-        self._finalize_obs()
-        history.traffic = self.transport.log.summary()
-        history.queue_stats = self._queue_stats()
-        return history
+        return self._close_run(history, test_dataset, evaluation)
 
     # ------------------------------------------------------------------ #
     # Durable run checkpoints (coordinator restart)

@@ -12,6 +12,14 @@ and privacy leakage — when the cut-layer traffic is
 
 compared against the paper's uncompressed baseline.
 
+Every row trains through :class:`~repro.core.trainer.SpatioTemporalTrainer`
+with Table I's configuration (synchronous, ``fifo``, per-message server
+updates, the workload's epochs, batch size and seed); the row's transform
+is the codec of every end-system, so it encodes each activation message
+before it ships.  Uplink traffic is the transport log's, framing and
+labels included, so the ``none`` row equals Table I's row at the same cut.
+Leakage is measured on what end-system 0's codec puts on the wire.
+
 Expected shape: 8-bit quantization is essentially free (large traffic
 saving, negligible accuracy change); aggressive sparsification and noise
 trade accuracy for traffic/privacy respectively.
@@ -23,16 +31,12 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..core.compression import ActivationTransform, get_transform
+from ..core.compression import get_transform
 from ..core.config import TrainingConfig
-from ..core.end_system import EndSystem
 from ..core.privacy import LinearReconstructionAttack
-from ..core.server import CentralServer
 from ..core.split import SplitSpec
-from ..data.loader import DataLoader
-from ..nn.metrics import MetricTracker, accuracy
+from ..core.trainer import SpatioTemporalTrainer
 from ..utils.logging import get_logger
-from ..utils.rng import SeedSequence
 from .base import ExperimentResult, WorkloadSpec, build_workload
 
 __all__ = ["run_compression", "DEFAULT_TRANSFORMS"]
@@ -48,77 +52,15 @@ DEFAULT_TRANSFORMS: Sequence[Dict] = (
 )
 
 
-def _train_with_transform(
-    workload: WorkloadSpec,
-    pieces: Dict,
-    spec: SplitSpec,
-    transform: ActivationTransform,
-) -> Dict[str, float]:
-    """Train one split deployment where every uplink passes through ``transform``."""
-    config = TrainingConfig(epochs=workload.epochs, batch_size=workload.batch_size,
-                            seed=workload.seed, server_batching=False)
-    seeds = SeedSequence(workload.seed)
-    normalize = pieces["normalize"]
-    end_systems = []
-    for system_id, part in enumerate(pieces["parts"]):
-        loader = DataLoader(part, batch_size=config.batch_size, shuffle=True,
-                            transform=normalize, seed=config.seed + system_id)
-        end_systems.append(EndSystem(
-            system_id, loader, spec,
-            optimizer_kwargs=config.client_optimizer_kwargs,
-            seed=int(seeds.generator(f"client-{system_id}").integers(0, 2 ** 31)),
-        ))
-    server = CentralServer(
-        spec, optimizer_kwargs=config.server_optimizer_kwargs,
-        seed=int(seeds.generator("server").integers(0, 2 ** 31)),
-    )
-
-    uplink_bytes = 0
-    tracker = MetricTracker()
-    for epoch in range(config.epochs):
-        iterators = {system.system_id: system.batches(epoch) for system in end_systems}
-        active = set(iterators)
-        while active:
-            for system in end_systems:
-                if system.system_id not in active:
-                    continue
-                try:
-                    images, labels = next(iterators[system.system_id])
-                except StopIteration:
-                    active.discard(system.system_id)
-                    continue
-                message = system.forward_batch(images, labels)
-                result = transform.apply(message.activations)
-                message.activations = result.activations
-                uplink_bytes += result.wire_bytes + message.labels.nbytes
-                gradient = server.process(message)
-                system.apply_gradient(gradient)
-                tracker.update({"loss": gradient.loss, "accuracy": gradient.accuracy},
-                               count=message.batch_size)
-
-    # Evaluation: mean accuracy over end-system heads, as the trainer does.
-    test_images, test_labels = pieces["test"].arrays()
-    test_images = normalize(test_images)
-    accuracies = []
-    for system in end_systems:
-        logits = server.predict(system.forward_inference(test_images))
-        accuracies.append(accuracy(logits, test_labels))
-
-    # Leakage: how well can a linear adversary invert what actually crossed
-    # the wire (i.e. the transformed activations of end-system 0)?
-    probe_raw, _ = pieces["test"].arrays()
-    probe = probe_raw[:200]
-    smashed = transform.apply(end_systems[0].forward_inference(normalize(probe))).activations
-    split_index = probe.shape[0] // 2
-    attack = LinearReconstructionAttack(ridge=1e-3).fit(smashed[:split_index], probe[:split_index])
-    leakage = attack.evaluate(smashed[split_index:], probe[split_index:])
-
-    return {
-        "accuracy": float(np.mean(accuracies)),
-        "train_accuracy": tracker.averages().get("accuracy", 0.0),
-        "uplink_megabytes": uplink_bytes / 1e6,
-        "reconstruction_nmse": leakage["reconstruction_nmse"],
-    }
+def _leakage(trainer: SpatioTemporalTrainer, pieces: Dict) -> float:
+    """Reconstruction NMSE of a linear adversary on end-system 0's wire activations."""
+    probe = pieces["test"].arrays()[0][:200]
+    client = trainer.end_systems[0]
+    smashed = client.codec.apply(
+        client.forward_inference(pieces["normalize"](probe))).activations
+    half = probe.shape[0] // 2
+    attack = LinearReconstructionAttack(ridge=1e-3).fit(smashed[:half], probe[:half])
+    return attack.evaluate(smashed[half:], probe[half:])["reconstruction_nmse"]
 
 
 def run_compression(
@@ -168,18 +110,28 @@ def _run_compression_sweep(
     for transform_spec in transforms:
         kwargs = dict(transform_spec)
         name = kwargs.pop("name")
-        transform = get_transform(name, **kwargs)
-        metrics = _train_with_transform(workload, pieces, spec, transform)
-        if baseline_megabytes is None:
-            baseline_megabytes = metrics["uplink_megabytes"]
         label = name if not kwargs else f"{name}({', '.join(f'{k}={v}' for k, v in kwargs.items())})"
-        logger.info("compression transform=%s accuracy=%.2f%%", label,
-                    100.0 * metrics["accuracy"])
+        if name == "gaussian_noise":
+            kwargs.setdefault("seed", workload.seed)
+        codec = get_transform(name, **kwargs)
+        # Table I's configuration, so the ``none`` row is Table I's row.
+        config = TrainingConfig(epochs=workload.epochs, batch_size=workload.batch_size,
+                                seed=workload.seed, server_batching=False)
+        trainer = SpatioTemporalTrainer(spec, pieces["parts"], config,
+                                        train_transform=pieces["normalize"])
+        for end_system in trainer.end_systems:
+            end_system.codec = codec
+        history = trainer.train(test_dataset=pieces["test"], evaluate_every=10 ** 6)
+        accuracy_pct = 100.0 * (history.final_test_accuracy or 0.0)
+        megabytes = history.traffic.get("uplink_megabytes", 0.0)
+        if baseline_megabytes is None:
+            baseline_megabytes = megabytes
+        logger.info("compression transform=%s accuracy=%.2f%%", label, accuracy_pct)
         result.add_row([
             label,
-            100.0 * metrics["accuracy"],
-            metrics["uplink_megabytes"],
-            metrics["uplink_megabytes"] / max(baseline_megabytes, 1e-12),
-            metrics["reconstruction_nmse"],
+            accuracy_pct,
+            megabytes,
+            megabytes / max(baseline_megabytes, 1e-12),
+            _leakage(trainer, pieces),
         ])
     return result

@@ -46,9 +46,11 @@ class TestUint8Quantizer:
         np.testing.assert_allclose(result.activations, constant)
 
     def test_fewer_levels_more_error(self, activations):
-        fine = Uint8Quantizer(levels=256).apply(activations)
-        coarse = Uint8Quantizer(levels=4).apply(activations)
-        assert coarse.metadata["quantization_mse"] > fine.metadata["quantization_mse"]
+        def mse(levels):
+            result = Uint8Quantizer(levels=levels).apply(activations)
+            return np.mean((result.activations - activations) ** 2)
+
+        assert mse(4) > mse(256)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -147,3 +149,25 @@ class TestFactoryAndProperties:
         baseline = NoCompression().apply(data).wire_bytes
         assert Uint8Quantizer().apply(data).wire_bytes <= baseline + 16
         assert TopKSparsifier(keep_fraction=0.5).apply(data).wire_bytes <= baseline
+
+
+ALL_CODECS = (NoCompression(), Uint8Quantizer(), TopKSparsifier(keep_fraction=0.25),
+              GaussianNoisePerturbation(seed=0))
+
+
+class TestDtypePolicy:
+    """Codecs keep the activations' dtype and size value bytes from its itemsize."""
+
+    @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda codec: codec.name)
+    def test_float32_stays_float32(self, codec, activations):
+        result = codec.apply(activations.astype(np.float32))
+        assert result.activations.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_wire_bytes(self, dtype, activations):
+        values = activations.astype(dtype)  # 512 entries
+        itemsize = np.dtype(dtype).itemsize
+        assert NoCompression().apply(values).wire_bytes == 512 * itemsize
+        assert Uint8Quantizer().apply(values).wire_bytes == 512 + 16
+        assert TopKSparsifier(keep_fraction=0.25).apply(values).wire_bytes == 128 * (itemsize + 4)
+        assert GaussianNoisePerturbation(seed=0).apply(values).wire_bytes == 512 * itemsize

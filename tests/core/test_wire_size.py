@@ -10,6 +10,7 @@ figure the link, the traffic log and the transfer-time formula all use.
 import numpy as np
 import pytest
 
+from repro.core.compression import TopKSparsifier, Uint8Quantizer
 from repro.core.config import TrainingConfig
 from repro.core.messages import ActivationMessage, GradientMessage
 from repro.core.trainer import SpatioTemporalTrainer
@@ -107,3 +108,24 @@ def test_an_explicit_size_is_kept_and_payload_is_the_wire_form():
     assert set(message.payload) == {"activations", "labels"}
     assert message.payload["activations"] is message.activations
     assert message.payload["labels"] is message.labels
+
+
+@pytest.mark.parametrize("batch_size", [1, 32])
+def test_a_codec_sets_the_charged_size(trainer, batch_size):
+    """The encoding end-system fixes the compressed size; links, log and timing use it."""
+    engine, log = trainer.engine, trainer.transport.log
+    end_system = trainer.end_systems[0]
+    link = trainer.topology.uplink(end_system.node_name)
+    end_system.codec = Uint8Quantizer()
+    message, arrivals, _ = engine._uplink(end_system, make_batch(batch_size), 0.0)
+    assert message.activations.dtype == trainer.wire_dtype
+    assert message.size_bytes == (message.activations.size + 16
+                                  + message.labels.nbytes + 64)
+    assert message.size_bytes == log.uplink_bytes == link.bytes_sent
+    assert arrivals[0] == pytest.approx(link.expected_transfer_time(message.size_bytes))
+
+    end_system.codec = TopKSparsifier(keep_fraction=0.25)
+    message, _, _ = engine._uplink(end_system, make_batch(batch_size), 1.0)
+    keep = round(message.activations.size * 0.25)
+    assert message.size_bytes == (keep * (trainer.wire_dtype.itemsize + 4)
+                                  + message.labels.nbytes + 64)

@@ -384,6 +384,20 @@ class TestClientsSweepAndBaselines:
         relative = result.column("uplink_vs_baseline")
         assert relative[0] == pytest.approx(1.0)
 
+    def test_compression_none_row_is_table1_row(self, quick_workload):
+        """The sweep trains through the trainer: its raw row is Table I's L1 row."""
+        none = run_compression(workload=quick_workload, transforms=({"name": "none"},))
+        table1 = run_table1(workload=quick_workload, client_block_range=[1])
+        assert none.column("accuracy_pct") == table1.column("accuracy_pct")
+        assert none.column("uplink_megabytes") == table1.column("uplink_megabytes")
+
+    def test_compression_sweep_is_reproducible(self):
+        workload = WorkloadSpec.laptop(num_samples=240, epochs=1, batch_size=16)
+        noise = ({"name": "gaussian_noise", "noise_multiplier": 0.25, "clip_norm": 5.0},)
+        first = run_compression(workload=workload, transforms=noise)
+        second = run_compression(workload=workload, transforms=noise)
+        assert first.rows == second.rows
+
     def test_baselines_comparison_rows(self, quick_workload):
         result = run_baselines_comparison(
             workload=quick_workload,
