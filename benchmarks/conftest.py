@@ -20,9 +20,12 @@ import json
 import platform
 from pathlib import Path
 
+from typing import Any, Dict
+
 import pytest
 
-from repro.experiments.base import WorkloadSpec
+from repro.api import JobSpec
+from repro.experiments import get_experiment, on_preset
 
 # Seed-tree timings of the substrate group (mean ms, measured before the
 # fast-compute-substrate work landed) so BENCH_substrate.json always shows
@@ -66,9 +69,9 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture(scope="session")
-def bench_workload(request) -> WorkloadSpec:
-    """Laptop-scale workload shared by the experiment benchmarks."""
-    return WorkloadSpec.laptop(
+def bench_workload(request) -> Dict[str, Any]:
+    """Laptop-preset workload shared by the experiment benchmarks."""
+    return dict(
         num_samples=request.config.getoption("--bench-samples"),
         epochs=request.config.getoption("--bench-epochs"),
         num_end_systems=4,
@@ -78,15 +81,20 @@ def bench_workload(request) -> WorkloadSpec:
 
 
 @pytest.fixture(scope="session")
-def quick_bench_workload(request) -> WorkloadSpec:
+def quick_bench_workload(request) -> Dict[str, Any]:
     """Smaller workload for the per-configuration micro-benchmarks."""
-    return WorkloadSpec.laptop(
+    return dict(
         num_samples=max(400, request.config.getoption("--bench-samples") // 3),
         epochs=max(2, request.config.getoption("--bench-epochs") // 3),
         num_end_systems=4,
         batch_size=32,
         seed=0,
     )
+
+
+def bench_spec(experiment: str, workload: Dict[str, Any], **changes: Any) -> JobSpec:
+    """``experiment``'s base spec on the laptop preset with ``workload`` and ``changes``."""
+    return on_preset(get_experiment(experiment).base_spec(), **workload, **changes)
 
 
 def run_once(benchmark, function, *args, **kwargs):

@@ -11,13 +11,14 @@ requires the first block(s).
 
 import pytest
 
-from conftest import run_once
+from conftest import bench_spec, run_once
 from repro.experiments.baselines_comparison import run_baselines_comparison
 
 
 @pytest.mark.benchmark(group="baselines")
 def test_paradigm_comparison(benchmark, quick_bench_workload):
-    result = run_once(benchmark, run_baselines_comparison, workload=quick_bench_workload)
+    result = run_once(benchmark, run_baselines_comparison,
+                      bench_spec("baselines", quick_bench_workload))
     print()
     print(result.to_table())
 

@@ -10,13 +10,13 @@ everything.
 
 import pytest
 
-from conftest import run_once
+from conftest import bench_spec, run_once
 from repro.experiments.clients_sweep import run_clients_sweep
 
 
 @pytest.mark.benchmark(group="clients")
 def test_accuracy_vs_number_of_end_systems(benchmark, bench_workload):
-    result = run_once(benchmark, run_clients_sweep, workload=bench_workload,
+    result = run_once(benchmark, run_clients_sweep, bench_spec("clients_sweep", bench_workload),
                       num_end_systems=(1, 2, 4, 8))
     print()
     print(result.to_table())

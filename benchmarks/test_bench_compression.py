@@ -9,13 +9,13 @@ nothing inflates traffic above the uncompressed baseline.
 
 import pytest
 
-from conftest import run_once
+from conftest import bench_spec, run_once
 from repro.experiments.compression import run_compression
 
 
 @pytest.mark.benchmark(group="compression")
 def test_cut_layer_transform_tradeoffs(benchmark, quick_bench_workload):
-    result = run_once(benchmark, run_compression, workload=quick_bench_workload)
+    result = run_once(benchmark, run_compression, bench_spec("compression", quick_bench_workload))
     print()
     print(result.to_table("{:.3f}"))
 

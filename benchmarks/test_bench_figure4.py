@@ -10,13 +10,13 @@ highest for the input and lowest for the post-pooling activation.
 
 import pytest
 
-from conftest import run_once
+from conftest import bench_spec, run_once
 from repro.experiments.figure4 import run_figure4
 
 
 @pytest.mark.benchmark(group="figure4")
 def test_figure4_leakage_decreases_through_the_first_block(benchmark, bench_workload):
-    result = run_once(benchmark, run_figure4, workload=bench_workload,
+    result = run_once(benchmark, run_figure4, bench_spec("figure4", bench_workload),
                       num_probe_images=200)
     print()
     print(result.to_table("{:.3f}"))
@@ -38,8 +38,9 @@ def test_figure4_leakage_decreases_through_the_first_block(benchmark, bench_work
 @pytest.mark.benchmark(group="figure4")
 def test_figure4_deeper_cuts_leak_no_more_than_first_block(benchmark, quick_bench_workload):
     """Extension of Fig. 4: pushing the cut deeper does not increase leakage."""
-    result = run_once(benchmark, run_figure4, workload=quick_bench_workload,
-                      client_blocks=2, num_probe_images=150, train_first=False)
+    result = run_once(benchmark, run_figure4,
+                      bench_spec("figure4", quick_bench_workload, client_blocks=2),
+                      num_probe_images=150, train_first=False)
     print()
     print(result.to_table("{:.3f}"))
     layers = result.column("layer")

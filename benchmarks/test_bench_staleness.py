@@ -13,23 +13,15 @@ Jain fairness index than plain FIFO.
 
 import pytest
 
-from conftest import run_once
+from conftest import bench_spec, run_once
 from repro.experiments.staleness import run_staleness
-from repro.experiments.base import WorkloadSpec
 
 
 @pytest.mark.benchmark(group="staleness")
 def test_scheduling_policies_under_heterogeneous_latency(benchmark, bench_workload):
-    workload = WorkloadSpec.laptop(
-        num_samples=bench_workload.num_samples,
-        epochs=bench_workload.epochs,
-        num_end_systems=4,
-        partition="dirichlet",
-        partition_kwargs={"alpha": 0.5},
-        batch_size=bench_workload.batch_size,
-        seed=bench_workload.seed,
-    )
-    result = run_once(benchmark, run_staleness, workload=workload)
+    spec = bench_spec("staleness", bench_workload, partition="dirichlet",
+                      partition_kwargs={"alpha": 0.5})
+    result = run_once(benchmark, run_staleness, spec)
     print()
     print(result.to_table("{:.3f}"))
 

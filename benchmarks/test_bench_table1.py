@@ -15,13 +15,13 @@ degradation stays within a few percentage points (the paper's is 5.43 %).
 
 import pytest
 
-from conftest import run_once
+from conftest import bench_spec, run_once
 from repro.experiments.table1 import run_table1
 
 
 @pytest.mark.benchmark(group="table1")
 def test_table1_accuracy_vs_split_depth(benchmark, bench_workload):
-    result = run_once(benchmark, run_table1, workload=bench_workload)
+    result = run_once(benchmark, run_table1, bench_spec("table1", bench_workload))
     print()
     print(result.to_table())
 
@@ -49,7 +49,7 @@ def test_table1_privacy_preserving_cut_is_near_optimal(benchmark, bench_workload
     per-end-system first block needs enough local data/epochs to train;
     with a starved budget the gap widens artificially.
     """
-    result = run_once(benchmark, run_table1, workload=bench_workload,
+    result = run_once(benchmark, run_table1, bench_spec("table1", bench_workload),
                       client_block_range=[0, 1])
     print()
     print(result.to_table())

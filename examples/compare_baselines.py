@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import WorkloadSpec, run_baselines_comparison
+from repro.experiments import get_experiment, on_preset, run_baselines_comparison
 
 
 def main() -> None:
@@ -34,16 +34,18 @@ def main() -> None:
                         help="CNN blocks held by each end-system for the split variants")
     args = parser.parse_args()
 
-    workload = WorkloadSpec.laptop(
+    spec = on_preset(
+        get_experiment("baselines").base_spec(),
         num_samples=args.samples,
         epochs=args.epochs,
         num_end_systems=args.end_systems,
+        client_blocks=args.client_blocks,
     )
-    print(f"workload: {workload.num_samples} samples across "
-          f"{workload.num_end_systems} clients, {workload.epochs} epochs/rounds each\n")
+    print(f"workload: {spec.workload.num_samples} samples across "
+          f"{spec.workload.num_end_systems} clients, {spec.config.epochs} epochs/rounds each\n")
     print("training all four paradigms (this takes a few minutes)...\n")
 
-    result = run_baselines_comparison(workload=workload, client_blocks=args.client_blocks)
+    result = run_baselines_comparison(spec)
     print(result.to_table())
     print()
     print("How to read this table:")

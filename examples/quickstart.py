@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 
-from repro.api import JobSpec, JobWorkload, build_trainer, build_workload
+from repro.api import JobSpec, JobWorkload, build_split, build_trainer, build_workload
 from repro.core.config import TrainingConfig
 from repro.core.privacy import leakage_report
 from repro.utils.tables import format_table
@@ -48,15 +48,16 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------ #
-    # 2. Materialize it: dataset, shards, architecture, split.
+    # 2. Materialize it: dataset, shards, architecture; cut it.
     # ------------------------------------------------------------------ #
     pieces = build_workload(spec.workload)
     print(f"dataset: {len(pieces.train)} train / {len(pieces.test)} test "
           f"samples, {len(pieces.parts)} end-systems "
           f"({[len(shard) for shard in pieces.parts]} samples each)")
     print(f"architecture: {pieces.architecture.describe()}")
-    print(f"split: end-systems hold {pieces.split_spec.label}; smashed "
-          f"activation shape {pieces.split_spec.smashed_shape}")
+    split = build_split(spec, pieces)
+    print(f"split: end-systems hold {split.label}; smashed "
+          f"activation shape {split.smashed_shape}")
 
     # ------------------------------------------------------------------ #
     # 3. Train synchronously over a simulated star network.

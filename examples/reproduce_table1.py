@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import WorkloadSpec, run_table1
+from repro.experiments import get_experiment, on_preset, run_table1
 
 
 def parse_args() -> argparse.Namespace:
@@ -31,19 +31,18 @@ def parse_args() -> argparse.Namespace:
 
 def main() -> None:
     args = parse_args()
-    factory = WorkloadSpec.paper if args.scale == "paper" else WorkloadSpec.laptop
     overrides = {"num_end_systems": args.end_systems, "seed": args.seed}
     if args.samples is not None:
         overrides["num_samples"] = args.samples
     if args.epochs is not None:
         overrides["epochs"] = args.epochs
-    workload = factory(**overrides)
+    spec = on_preset(get_experiment("table1").base_spec(), args.scale, **overrides)
 
-    print(f"workload: scale={workload.scale}, {workload.num_samples} samples, "
-          f"{workload.num_end_systems} end-systems, {workload.epochs} epochs")
+    print(f"workload: scale={spec.workload.scale}, {spec.workload.num_samples} samples, "
+          f"{spec.workload.num_end_systems} end-systems, {spec.config.epochs} epochs")
     print("running the Table-I sweep (this trains one model per row)...\n")
 
-    result = run_table1(workload=workload)
+    result = run_table1(spec)
     print(result.to_table())
     print()
 

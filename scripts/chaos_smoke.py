@@ -28,10 +28,8 @@ import sys
 
 import numpy as np
 
+from repro.api import JobSpec, JobWorkload, build_trainer, build_workload
 from repro.core.config import TrainingConfig
-from repro.core.split import SplitSpec
-from repro.core.trainer import SpatioTemporalTrainer
-from repro.experiments import WorkloadSpec, build_workload
 from repro.obs.invariants import assert_drop_balance
 from repro.simnet.topology import multi_hub_star_topology
 
@@ -43,52 +41,47 @@ CHAOS_SCHEDULE = [
     ("leave", 0.06, 0.02, 3),
 ]
 
-
-def run_once(pieces, spec, workload):
-    latencies = list(np.linspace(0.002, 0.03, workload.num_end_systems))
-    topology = multi_hub_star_topology(
-        workload.num_end_systems, 3,
-        assigner="latency_aware",
-        latencies_s=latencies,
-        drop_probability=0.1,
-        inter_server_latency_s=0.005,
-        seed=workload.seed,
-    )
-    config = TrainingConfig(
-        epochs=workload.epochs,
-        batch_size=workload.batch_size,
+SPEC = JobSpec(
+    name="chaos-smoke",
+    workload=JobWorkload(num_samples=320, num_end_systems=8),
+    config=TrainingConfig(
+        epochs=1,
+        batch_size=16,
         num_servers=3,
         shard_assigner="latency_aware",
-        server_sync_every=1,
-        server_sync_mode="average",
         server_step_time_s=0.004,
         reliable_delivery=True,
         retry_timeout_s=0.01,
-        retry_max=3,
         sync_quorum=0.5,
         sync_timeout_s=0.02,
         chaos_schedule=CHAOS_SCHEDULE,
         chaos_corrupt_probability=0.05,
         chaos_duplicate_probability=0.1,
         chaos_reorder_probability=0.1,
+    ),
+)
+
+
+def run_once(pieces):
+    workload = SPEC.workload
+    latencies = list(np.linspace(0.002, 0.03, workload.num_end_systems))
+    topology = multi_hub_star_topology(
+        workload.num_end_systems, SPEC.config.num_servers,
+        assigner=SPEC.config.shard_assigner,
+        latencies_s=latencies,
+        drop_probability=0.1,
+        inter_server_latency_s=0.005,
         seed=workload.seed,
     )
-    trainer = SpatioTemporalTrainer(
-        spec, pieces["parts"], config, topology=topology,
-        train_transform=pieces["normalize"],
-    )
+    trainer = build_trainer(SPEC, pieces=pieces, topology=topology)
     history = trainer.train()
     return trainer, history
 
 
 def main() -> int:
-    workload = WorkloadSpec.laptop(
-        num_samples=320, num_end_systems=8, epochs=1, batch_size=16,
-    )
-    pieces = build_workload(workload)
-    spec = SplitSpec(pieces["architecture"], client_blocks=1)
+    pieces = build_workload(SPEC.workload)
 
-    trainer, history = run_once(pieces, spec, workload)
+    trainer, history = run_once(pieces)
     log = trainer.transport.log
     stats = trainer.engine.stats
 
@@ -104,7 +97,7 @@ def main() -> int:
 
     # Same seed, same faults, same ledger — chaos is a regression tool
     # only because it is deterministic.
-    twin, twin_history = run_once(pieces, spec, workload)
+    twin, twin_history = run_once(pieces)
     assert_drop_balance(twin)
     assert log.summary() == twin.transport.log.summary(), (
         "same-seed runs produced different traffic ledgers"

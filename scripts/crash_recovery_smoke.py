@@ -25,51 +25,52 @@ from __future__ import annotations
 
 import sys
 
+from repro.api import JobSpec, JobWorkload, build_trainer
 from repro.core.config import TrainingConfig
-from repro.core.split import SplitSpec
-from repro.core.trainer import SpatioTemporalTrainer
-from repro.experiments import WorkloadSpec, run_server_failover
-from repro.experiments.base import build_workload
+from repro.experiments import get_experiment, on_preset, run_server_failover
 from repro.obs.invariants import assert_drop_balance
 
+#: Asynchronous + ``standby``: shard 1 crashes and stays down.
+NEVER_RECOVERING = JobSpec(
+    name="never-recovering-shard",
+    workload=JobWorkload(num_samples=240, num_end_systems=8),
+    config=TrainingConfig(
+        epochs=1, batch_size=16, mode="asynchronous", num_servers=2,
+        server_sync_mode="staleness", failover_policy="standby",
+        failure_schedule=[(0.01, 1)], checkpoint_every_s=0.005,
+    ),
+)
 
-def never_recovering_shard(workload: WorkloadSpec) -> None:
-    """Asynchronous + ``standby``: shard 1 crashes and stays down."""
-    pieces = build_workload(workload)
-    config = TrainingConfig(
-        epochs=workload.epochs, batch_size=workload.batch_size,
-        mode="asynchronous", num_servers=2, server_sync_mode="staleness",
-        failover_policy="standby", failure_schedule=[(0.01, 1)],
-        checkpoint_every_s=0.005, seed=workload.seed,
-    )
-    trainer = SpatioTemporalTrainer(
-        SplitSpec(pieces["architecture"], client_blocks=1), pieces["parts"],
-        config, train_transform=pieces["normalize"],
-    )
+
+def never_recovering_shard() -> None:
+    """The run must end, with the dead shard's clients parked."""
+    trainer = build_trainer(NEVER_RECOVERING)
     trainer.train()
     stats = trainer.engine.stats
     assert (stats.shard_crashes, stats.shard_recoveries) == (1, 0)
     assert stats.checkpoints_written > 0, "no interval capture fired"
     assert_drop_balance(trainer)
+    epochs = NEVER_RECOVERING.config.epochs
     stranded = [es.system_id for es in trainer.end_systems
-                if es.samples_seen < workload.epochs * es.num_local_samples]
+                if es.samples_seen < epochs * es.num_local_samples]
     assert stranded, "nobody was parked on the dead shard"
     print(f"never-recovering shard OK: run ended with clients {stranded} "
           f"parked, {stats.checkpoints_written} checkpoints")
 
 
 def main() -> int:
-    workload = WorkloadSpec.laptop(
+    spec = on_preset(
+        get_experiment("server_failover").base_spec(),
         num_samples=240, num_end_systems=8, epochs=1, batch_size=16,
+        failure_mttr_s=0.01,
+        server_sync_every=1000,  # no sync snapshot: checkpoints or bust
     )
     result = run_server_failover(
-        workload=workload,
+        spec,
         mtbf_values_s=(0.02,),
-        mttr_s=0.01,
         checkpoint_every_values_s=(0.002,),
         failover_policies=("standby",),
         sync_modes=("average",),
-        server_sync_every=1000,  # no sync snapshot: checkpoints or bust
         near_latency_s=0.002,
         far_latency_s=0.03,
     )
@@ -100,7 +101,7 @@ def main() -> int:
     )
     assert row[index["rpo_samples"]] >= 0
 
-    never_recovering_shard(workload)
+    never_recovering_shard()
 
     print(f"crash-recovery smoke OK: {crashes} crashes, {recoveries} "
           f"recoveries ({from_checkpoint} from checkpoints), "

@@ -35,16 +35,31 @@ from pathlib import Path
 
 import numpy as np
 
+from dataclasses import replace
+
+from repro.api import JobSpec, JobWorkload, build_trainer, build_workload
 from repro.core.config import TrainingConfig
-from repro.core.split import SplitSpec
-from repro.core.trainer import SpatioTemporalTrainer
-from repro.experiments import WorkloadSpec, build_workload
 from repro.obs.invariants import assert_drop_balance, drop_balance_from_metrics
 from repro.obs.tracing import validate_chrome_trace
 from repro.simnet.topology import star_topology
 
+SPEC = JobSpec(
+    name="obs-smoke",
+    workload=JobWorkload(num_samples=320, num_end_systems=8),
+    config=TrainingConfig(
+        epochs=1,
+        batch_size=16,
+        mode="asynchronous",
+        max_queue_size=2,
+        server_step_time_s=0.004,
+        reliable_delivery=True,
+        retry_timeout_s=0.01,
+    ),
+)
 
-def run_once(pieces, spec, workload, obs_dir=None, obs_enabled=True):
+
+def run_once(pieces, obs_dir=None, obs_enabled=True):
+    workload = SPEC.workload
     latencies = list(np.linspace(0.002, 0.03, workload.num_end_systems))
     topology = star_topology(
         workload.num_end_systems,
@@ -52,46 +67,21 @@ def run_once(pieces, spec, workload, obs_dir=None, obs_enabled=True):
         drop_probability=0.1,
         seed=workload.seed,
     )
-    obs_knobs = {}
+    config = SPEC.config
     if obs_enabled:
-        obs_knobs = dict(
-            obs_enabled=True,
-            obs_trace_sample_rate=1.0,
-            obs_flush_every_s=0.05,
-            obs_dir=obs_dir,
-        )
-    config = TrainingConfig(
-        epochs=workload.epochs,
-        batch_size=workload.batch_size,
-        mode="asynchronous",
-        max_in_flight=1,
-        max_queue_size=2,
-        queue_backpressure="drop",
-        server_step_time_s=0.004,
-        reliable_delivery=True,
-        retry_timeout_s=0.01,
-        retry_max=3,
-        seed=workload.seed,
-        **obs_knobs,
-    )
-    trainer = SpatioTemporalTrainer(
-        spec, pieces["parts"], config, topology=topology,
-        train_transform=pieces["normalize"],
-    )
+        config = replace(config, obs_enabled=True, obs_trace_sample_rate=1.0,
+                         obs_flush_every_s=0.05, obs_dir=obs_dir)
+    trainer = build_trainer(replace(SPEC, config=config), pieces=pieces, topology=topology)
     history = trainer.train()
     return trainer, history
 
 
 def main() -> int:
-    workload = WorkloadSpec.laptop(
-        num_samples=320, num_end_systems=8, epochs=1, batch_size=16,
-    )
-    pieces = build_workload(workload)
-    spec = SplitSpec(pieces["architecture"], client_blocks=1)
+    pieces = build_workload(SPEC.workload)
 
     with tempfile.TemporaryDirectory(prefix="obs_smoke_") as tmp:
         out = Path(tmp) / "run"
-        trainer, history = run_once(pieces, spec, workload, obs_dir=str(out))
+        trainer, history = run_once(pieces, obs_dir=str(out))
 
         # The smoke must exercise the plane, not sail past it.
         obs = history.observability()
@@ -148,7 +138,7 @@ def main() -> int:
             ]
 
         twin_out = Path(tmp) / "twin"
-        twin, _ = run_once(pieces, spec, workload, obs_dir=str(twin_out))
+        twin, _ = run_once(pieces, obs_dir=str(twin_out))
         assert physics_rows(twin_out / "metrics.jsonl") == physics_rows(metrics_path), (
             "same-seed runs exported different metrics"
         )
@@ -157,7 +147,7 @@ def main() -> int:
         )
 
         # Inertness: obs-off reaches the identical physical run.
-        off, _ = run_once(pieces, spec, workload, obs_enabled=False)
+        off, _ = run_once(pieces, obs_enabled=False)
         assert not off.obs.enabled and off.obs.flushes == 0
         assert off.transport.log.summary() == trainer.transport.log.summary(), (
             "enabling obs changed the traffic ledger"

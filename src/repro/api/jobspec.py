@@ -53,9 +53,10 @@ def _reject_unknown_keys(payload: Mapping[str, Any], known: set,
 class JobWorkload:
     """Deterministic description of a job's dataset, partition and model.
 
-    Mirrors the experiment harness's ``WorkloadSpec`` (same presets, same
-    synthetic dataset) plus the split cut, so a JobSpec fully determines
-    the deployment.  Everything is derived from ``seed`` — two workers
+    The synthetic dataset, its partition, the CNN of ``scale`` and the
+    split cut, so a JobSpec fully determines the deployment (the
+    experiment harness describes its runs with the same class).
+    Everything is derived from ``seed`` — two workers
     materializing the same workload build bit-identical datasets, which
     is what makes crash-resumed jobs replay-exact.
     """

@@ -25,11 +25,13 @@ from ..core.trainer import SpatioTemporalTrainer
 from ..data.datasets import SyntheticCIFAR10, train_test_split
 from ..data.partition import get_partitioner
 from ..data.transforms import Normalize
+from ..simnet.topology import GeoTopology
 from .jobspec import JobSpec, JobWorkload
 
 __all__ = [
     "MaterializedWorkload",
     "build_workload",
+    "build_split",
     "build_trainer",
     "resume_trainer",
     "run_job",
@@ -48,7 +50,6 @@ class MaterializedWorkload:
     parts: Any
     architecture: Any
     normalize: Any
-    split_spec: SplitSpec
 
 
 def scale_image_size(scale: str) -> int:
@@ -65,11 +66,11 @@ def scale_architecture(scale: str) -> CNNArchitecture:
 
 
 def build_workload(workload: JobWorkload) -> MaterializedWorkload:
-    """Materialize a workload description into datasets, parts and split.
+    """Materialize a workload description into datasets, parts and model.
 
-    This is the single implementation behind both the public API and the
-    experiment harness (``repro.experiments.base.build_workload``
-    delegates here).
+    The one implementation behind the public API, the run-server worker
+    and the experiment harness.  The cut is not materialized: the same
+    pieces serve every ``client_blocks`` (see :func:`build_split`).
     """
     dataset = SyntheticCIFAR10(
         num_samples=workload.num_samples,
@@ -93,21 +94,28 @@ def build_workload(workload: JobWorkload) -> MaterializedWorkload:
         parts=parts,
         architecture=architecture,
         normalize=normalize,
-        split_spec=SplitSpec(architecture, client_blocks=workload.client_blocks),
     )
+
+
+def build_split(spec: JobSpec, pieces: MaterializedWorkload) -> SplitSpec:
+    """The cut ``spec`` names (``workload.client_blocks``) on ``pieces``' model."""
+    return SplitSpec(pieces.architecture, client_blocks=spec.workload.client_blocks)
 
 
 def build_trainer(spec: JobSpec, *,
                   checkpoint_store: Optional[Any] = None,
                   checkpoint_dir: Optional[str] = None,
                   pieces: Optional[MaterializedWorkload] = None,
+                  topology: Optional[GeoTopology] = None,
                   ) -> SpatioTemporalTrainer:
     """Construct a fresh trainer for ``spec``.
 
     ``checkpoint_dir`` overrides ``spec.config.checkpoint_dir`` (the
     run-server redirects it into the job directory); ``checkpoint_store``
     wins over both when given.  Pass ``pieces`` to reuse an
-    already-materialized workload instead of rebuilding the dataset.
+    already-materialized workload instead of rebuilding the dataset; the
+    cut always comes from ``spec``.  ``topology`` is the network the
+    trainer runs on (default: the trainer's uniform star).
     """
     config = spec.config
     if checkpoint_dir is not None:
@@ -115,9 +123,10 @@ def build_trainer(spec: JobSpec, *,
     if pieces is None:
         pieces = build_workload(spec.workload)
     return SpatioTemporalTrainer(
-        pieces.split_spec,
+        build_split(spec, pieces),
         pieces.parts,
         config=config,
+        topology=topology,
         train_transform=pieces.normalize,
         checkpoint_store=checkpoint_store,
     )
@@ -137,7 +146,7 @@ def resume_trainer(spec: JobSpec, store: Any, *,
         pieces = build_workload(spec.workload)
     return SpatioTemporalTrainer.resume_from_store(
         store,
-        pieces.split_spec,
+        build_split(spec, pieces),
         pieces.parts,
         train_transform=pieces.normalize,
     )

@@ -16,12 +16,13 @@ from typing import Dict, Optional
 from ..data.datasets import Dataset
 from ..data.loader import DataLoader
 from ..data.transforms import Transform
-from ..nn import Sequential, Tensor, no_grad
+from ..nn import Sequential, Tensor
 from ..nn.losses import get_loss
 from ..nn.metrics import MetricTracker, accuracy
 from ..nn.optim import get_optimizer
 from ..utils.logging import get_logger
 from ..core.history import EpochRecord, TrainingHistory
+from .evaluation import evaluate_forward
 
 __all__ = ["CentralizedTrainer"]
 
@@ -74,22 +75,7 @@ class CentralizedTrainer:
                  transform: Optional[Transform] = None) -> Dict[str, float]:
         """Loss and accuracy on a held-out dataset."""
         self.model.train(False)
-        images, labels = dataset.arrays()
-        if transform is not None:
-            images = transform(images)
-        total_loss = 0.0
-        total_correct = 0.0
-        total = 0
-        for start in range(0, images.shape[0], batch_size):
-            stop = start + batch_size
-            batch_images, batch_labels = images[start:stop], labels[start:stop]
-            with no_grad():
-                logits = self.model(Tensor(batch_images))
-                loss = self.loss_fn(logits, batch_labels)
-            total_loss += float(loss.item()) * batch_images.shape[0]
-            total_correct += accuracy(logits, batch_labels) * batch_images.shape[0]
-            total += batch_images.shape[0]
-        return {"loss": total_loss / total, "accuracy": total_correct / total}
+        return evaluate_forward(self.model, self.loss_fn, dataset, batch_size, transform)
 
     def fit(
         self,

@@ -20,13 +20,14 @@ import numpy as np
 from ..data.datasets import Dataset
 from ..data.loader import DataLoader
 from ..data.transforms import Transform
-from ..nn import Sequential, Tensor, no_grad
+from ..nn import Sequential, Tensor
 from ..nn.losses import get_loss
 from ..nn.metrics import MetricTracker, accuracy
 from ..nn.optim import get_optimizer
 from ..utils.logging import get_logger
 from ..core.history import EpochRecord, TrainingHistory
 from ..core.models import CNNArchitecture
+from .evaluation import evaluate_forward
 
 __all__ = ["FedAvgTrainer", "average_state_dicts"]
 
@@ -144,21 +145,9 @@ class FedAvgTrainer:
                  transform: Optional[Transform] = None) -> Dict[str, float]:
         """Loss and accuracy of the current global model."""
         self.global_model.train(False)
-        images, labels = dataset.arrays()
-        transform = transform if transform is not None else self.transform
-        if transform is not None:
-            images = transform(images)
-        total_loss, total_correct, total = 0.0, 0.0, 0
-        for start in range(0, images.shape[0], batch_size):
-            stop = start + batch_size
-            batch_images, batch_labels = images[start:stop], labels[start:stop]
-            with no_grad():
-                logits = self.global_model(Tensor(batch_images))
-                loss = self.loss_fn(logits, batch_labels)
-            total_loss += float(loss.item()) * batch_images.shape[0]
-            total_correct += accuracy(logits, batch_labels) * batch_images.shape[0]
-            total += batch_images.shape[0]
-        return {"loss": total_loss / total, "accuracy": total_correct / total}
+        return evaluate_forward(
+            self.global_model, self.loss_fn, dataset, batch_size,
+            transform if transform is not None else self.transform)
 
     def fit(self, test_dataset: Optional[Dataset] = None, rounds: int = 10,
             eval_transform: Optional[Transform] = None) -> TrainingHistory:

@@ -21,13 +21,14 @@ import numpy as np
 from ..data.datasets import Dataset
 from ..data.loader import DataLoader
 from ..data.transforms import Transform
-from ..nn import Tensor, no_grad
+from ..nn import Tensor
 from ..nn.losses import get_loss
 from ..nn.metrics import MetricTracker, accuracy
 from ..nn.optim import get_optimizer
 from ..utils.logging import get_logger
 from ..core.history import EpochRecord, TrainingHistory
 from ..core.split import SplitSpec
+from .evaluation import evaluate_forward
 
 __all__ = ["SequentialSplitTrainer"]
 
@@ -118,21 +119,9 @@ class SequentialSplitTrainer:
         """Loss and accuracy of the combined client+server model."""
         self.client_model.train(False)
         self.server_model.train(False)
-        images, labels = dataset.arrays()
-        transform = transform if transform is not None else self.transform
-        if transform is not None:
-            images = transform(images)
-        total_loss, total_correct, total = 0.0, 0.0, 0
-        for start in range(0, images.shape[0], batch_size):
-            stop = start + batch_size
-            batch_images, batch_labels = images[start:stop], labels[start:stop]
-            with no_grad():
-                logits = self.server_model(self.client_model(Tensor(batch_images)))
-                loss = self.loss_fn(logits, batch_labels)
-            total_loss += float(loss.item()) * batch_images.shape[0]
-            total_correct += accuracy(logits, batch_labels) * batch_images.shape[0]
-            total += batch_images.shape[0]
-        return {"loss": total_loss / total, "accuracy": total_correct / total}
+        return evaluate_forward(
+            lambda images: self.server_model(self.client_model(images)), self.loss_fn,
+            dataset, batch_size, transform if transform is not None else self.transform)
 
     def fit(self, test_dataset: Optional[Dataset] = None, epochs: int = 10,
             eval_transform: Optional[Transform] = None) -> TrainingHistory:

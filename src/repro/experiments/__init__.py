@@ -1,6 +1,6 @@
 """Experiment harness: one module per paper table/figure plus ablations."""
 
-from .base import ExperimentResult, WorkloadSpec, build_workload
+from .base import PRESETS, ExperimentResult, on_preset, respec
 from .baselines_comparison import run_baselines_comparison
 from .chaos_matrix import run_chaos_matrix
 from .clients_sweep import run_clients_sweep
@@ -21,8 +21,9 @@ from .table1 import PAPER_TABLE1, run_table1
 
 __all__ = [
     "ExperimentResult",
-    "WorkloadSpec",
-    "build_workload",
+    "PRESETS",
+    "on_preset",
+    "respec",
     "run_table1",
     "run_figure4",
     "run_staleness",

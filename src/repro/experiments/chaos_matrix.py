@@ -45,15 +45,13 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..core.config import TrainingConfig
-from ..core.split import SplitSpec
-from ..core.trainer import SpatioTemporalTrainer
+from ..api import JobSpec, build_trainer, build_workload
 from ..obs.invariants import assert_drop_balance
 from ..simnet.topology import multi_hub_star_topology
 from ..utils.logging import get_logger
-from .base import ExperimentResult, WorkloadSpec, build_workload
+from .base import ExperimentResult, on_preset, respec
 
-__all__ = ["run_chaos_matrix", "DEFAULT_REGIMES"]
+__all__ = ["run_chaos_matrix", "base_spec", "DEFAULT_REGIMES"]
 
 logger = get_logger("experiments.chaos_matrix")
 
@@ -87,14 +85,21 @@ DEFAULT_REGIMES: Dict[str, Dict[str, object]] = {
 }
 
 
+def base_spec() -> JobSpec:
+    """The matrix's job: 16 end-systems on two latency-aware shards, ``"average"`` sync.
+
+    Reliable delivery, where a cell turns it on, retries after 10 ms up
+    to three times.
+    """
+    return on_preset(
+        JobSpec(name="chaos_matrix"), num_end_systems=16, num_samples=640, epochs=2,
+        batch_size=16, num_servers=2, shard_assigner="latency_aware", retry_timeout_s=0.01)
+
+
 def run_chaos_matrix(
-    workload: Optional[WorkloadSpec] = None,
+    spec: Optional[JobSpec] = None,
     regimes: Optional[Dict[str, Dict[str, object]]] = None,
     reliability_values: Sequence[bool] = (False, True),
-    num_servers: int = 2,
-    retry_timeout_s: float = 0.01,
-    retry_max: int = 3,
-    client_blocks: int = 1,
     near_latency_s: float = 0.002,
     far_latency_s: float = 0.05,
     inter_server_latency_s: float = 0.005,
@@ -114,18 +119,16 @@ def run_chaos_matrix(
     ``trace.json`` — the JSONL round-trips through ``python -m repro.obs
     report`` (which re-checks the drop balance from the export alone).
     """
-    workload = workload if workload is not None else WorkloadSpec.laptop(
-        num_end_systems=16, num_samples=640, epochs=2, batch_size=16,
-    )
+    spec = spec if spec is not None else base_spec()
+    workload, config = spec.workload, spec.config
     regimes = regimes if regimes is not None else DEFAULT_REGIMES
     pieces = build_workload(workload)
-    spec = SplitSpec(pieces["architecture"], client_blocks=client_blocks)
     latencies = list(np.linspace(near_latency_s, far_latency_s,
                                  workload.num_end_systems))
 
     result = ExperimentResult(
         name="Chaos matrix — fault regimes x reliable delivery "
-             f"({workload.num_end_systems}-client star, {num_servers} shards)",
+             f"({workload.num_end_systems}-client star, {config.num_servers} shards)",
         headers=[
             "regime",
             "reliable",
@@ -151,13 +154,13 @@ def run_chaos_matrix(
                      "the transport-side half of the dependability story",
         },
         metadata={
-            "workload": workload.__dict__.copy(),
+            "workload": spec.to_json_dict(),
             "regimes": {name: dict(overrides)
                         for name, overrides in regimes.items()},
             "reliability_values": [bool(v) for v in reliability_values],
-            "num_servers": num_servers,
-            "retry_timeout_s": retry_timeout_s,
-            "retry_max": retry_max,
+            "num_servers": config.num_servers,
+            "retry_timeout_s": config.retry_timeout_s,
+            "retry_max": config.retry_max,
             "latency_range_s": [near_latency_s, far_latency_s],
             "inter_server_latency_s": inter_server_latency_s,
         },
@@ -169,8 +172,8 @@ def run_chaos_matrix(
         for reliable in reliability_values:
             topology = multi_hub_star_topology(
                 workload.num_end_systems,
-                num_servers,
-                assigner="latency_aware",
+                config.num_servers,
+                assigner=config.shard_assigner,
                 latencies_s=latencies,
                 drop_probability=link_drop,
                 inter_server_latency_s=inter_server_latency_s,
@@ -185,26 +188,9 @@ def run_chaos_matrix(
                     "obs_trace_sample_rate": obs_trace_sample_rate,
                     "obs_dir": f"{obs_dir}/{cell}",
                 }
-            config = TrainingConfig(
-                epochs=workload.epochs,
-                batch_size=workload.batch_size,
-                num_servers=num_servers,
-                shard_assigner="latency_aware",
-                server_sync_every=1,
-                server_sync_mode="average",
-                reliable_delivery=bool(reliable),
-                retry_timeout_s=retry_timeout_s,
-                retry_max=retry_max,
-                seed=workload.seed,
-                **obs_knobs,
-                **overrides,
-            )
-            trainer = SpatioTemporalTrainer(
-                spec, pieces["parts"], config, topology=topology,
-                train_transform=pieces["normalize"],
-            )
-            history = trainer.train(pieces["test"],
-                                    evaluate_every=workload.epochs)
+            row = respec(spec, reliable_delivery=bool(reliable), **obs_knobs, **overrides)
+            trainer = build_trainer(row, pieces=pieces, topology=topology)
+            history = trainer.train(pieces.test, evaluate_every=config.epochs)
             # The leak-freedom contract is part of the experiment, not
             # just the test suite (see repro.obs.invariants).
             assert_drop_balance(trainer)

@@ -6,9 +6,9 @@ List everything that can be reproduced::
 
     repro-experiments list
 
-Reproduce Table I on its canonical workload (each experiment defines its
-own default — the congestion and sharding sweeps use a 100+ client
-star; pass any workload flag to override)::
+Reproduce Table I on its base spec (each experiment defines its own —
+the congestion and sharding sweeps use a 100+ client star; any workload
+flag puts the experiment on the laptop or paper preset instead)::
 
     repro-experiments run table1
 
@@ -34,13 +34,13 @@ import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..api import ApiError, JobSpec, RunClient, ServerUnavailable
 from ..backend import available_backends, get_backend, set_backend
 from ..utils.logging import set_verbosity
-from .base import WorkloadSpec
-from .registry import get_experiment, list_experiments, run_experiment
+from .base import ExperimentResult, on_preset
+from .registry import ExperimentEntry, get_experiment, list_experiments
 
 __all__ = ["main", "build_parser"]
 
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", choices=["laptop", "paper"], default=None,
                         help="workload size: quick laptop run or full paper-scale run "
-                             "(default: the experiment's canonical workload for 'run', "
+                             "(default: the experiment's base spec for 'run', "
                              "laptop for 'run-all')")
     parser.add_argument("--num-samples", type=int, default=None,
                         help="override the synthetic dataset size")
@@ -122,39 +122,32 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _workload_from_args(args: argparse.Namespace,
-                        required: bool = True) -> Optional[WorkloadSpec]:
-    """Build the workload the CLI flags describe.
+                        required: bool = True) -> Optional[Dict[str, Any]]:
+    """The preset workload fields the CLI flags set (see :func:`on_preset`).
 
     With ``required=False`` (the single-experiment ``run`` command) and
     no workload flag given, returns ``None`` so the experiment runs on
-    its **own canonical workload** — e.g. ``queue_congestion`` and
+    its **own base spec** — e.g. ``queue_congestion`` and
     ``server_sharding`` default to a 100+ client star that a generic
     4-client override would defeat.
     """
     if getattr(args, "backend", None) is not None:
         set_backend(args.backend)
-    overridden = (
-        args.scale is not None
-        or args.num_samples is not None
-        or args.end_systems is not None
-        or args.epochs is not None
-        or args.batch_size is not None
-        or args.seed is not None
-    )
-    if not required and not overridden:
+    flags = {"scale": args.scale, "num_samples": args.num_samples,
+             "num_end_systems": args.end_systems, "epochs": args.epochs,
+             "batch_size": args.batch_size, "seed": args.seed}
+    changes = {name: value for name, value in flags.items() if value is not None}
+    if not required and not changes:
         return None
-    factory = WorkloadSpec.paper if args.scale == "paper" else WorkloadSpec.laptop
-    overrides = {}
-    if args.num_samples is not None:
-        overrides["num_samples"] = args.num_samples
-    if args.end_systems is not None:
-        overrides["num_end_systems"] = args.end_systems
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    overrides["seed"] = args.seed if args.seed is not None else 0
-    return factory(**overrides)
+    return changes
+
+
+def _run(entry: ExperimentEntry, changes: Optional[Dict[str, Any]]) -> ExperimentResult:
+    """Run ``entry`` on its base spec, on a preset workload when ``changes`` is given."""
+    spec = entry.base_spec()
+    if changes is not None:
+        spec = on_preset(spec, **changes)
+    return entry.runner(spec=spec)
 
 
 def _command_list() -> int:
@@ -164,12 +157,7 @@ def _command_list() -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    entry = get_experiment(args.experiment)
-    workload = _workload_from_args(args, required=False)
-    if workload is None:
-        result = entry.runner()
-    else:
-        result = entry.runner(workload=workload)
+    result = _run(get_experiment(args.experiment), _workload_from_args(args, required=False))
     if args.json:
         print(json.dumps(result.as_dict(), indent=2, default=str))
     else:
@@ -178,12 +166,12 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_run_all(args: argparse.Namespace) -> int:
-    workload = _workload_from_args(args)
+    changes = _workload_from_args(args)
     output_dir: Optional[Path] = args.output_dir
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
     for entry in list_experiments():
-        result = run_experiment(entry.name, workload=workload)
+        result = _run(entry, changes)
         table = result.to_table()
         print(table)
         print()

@@ -16,28 +16,32 @@ Table I's depth tradeoff.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Sequence
 
-from ..core.config import TrainingConfig
-from ..core.split import SplitSpec
-from ..core.trainer import SpatioTemporalTrainer
+from ..api import JobSpec, build_trainer, build_workload
 from ..utils.logging import get_logger
-from .base import ExperimentResult, WorkloadSpec, build_workload
+from .base import ExperimentResult, on_preset, respec
 
-__all__ = ["run_clients_sweep"]
+__all__ = ["base_spec", "run_clients_sweep"]
 
 logger = get_logger("experiments.clients_sweep")
 
 
+def base_spec() -> JobSpec:
+    """The sweep's job: the laptop workload at the L1 cut, Table I's config.
+
+    Per-message server updates keep accuracy comparable across client
+    counts.
+    """
+    return on_preset(JobSpec(name="clients_sweep"), server_batching=False)
+
+
 def run_clients_sweep(
-    workload: Optional[WorkloadSpec] = None,
+    spec: Optional[JobSpec] = None,
     num_end_systems: Sequence[int] = (1, 2, 4, 8),
-    client_blocks: int = 1,
-    queue_policy: str = "fifo",
 ) -> ExperimentResult:
-    """Sweep the number of end-systems at a fixed cut."""
-    workload = workload if workload is not None else WorkloadSpec.laptop()
+    """Sweep the number of end-systems at ``spec``'s cut."""
+    spec = spec if spec is not None else base_spec()
     result = ExperimentResult(
         name="Ablation — accuracy vs. number of end-systems (fixed cut)",
         headers=[
@@ -53,40 +57,27 @@ def run_clients_sweep(
             "claim": "multiple end-systems sharing one server retain near-optimal accuracy",
         },
         metadata={
-            "workload": workload.__dict__.copy(),
-            "client_blocks": client_blocks,
-            "queue_policy": queue_policy,
+            "workload": spec.to_json_dict(),
+            "client_blocks": spec.workload.client_blocks,
+            "queue_policy": spec.config.queue_policy,
         },
     )
 
     for count in num_end_systems:
-        scaled = replace(workload, num_end_systems=count)
-        pieces = build_workload(scaled)
-        architecture = pieces["architecture"]
-        spec = SplitSpec(architecture, client_blocks=client_blocks)
-        config = TrainingConfig(
-            epochs=scaled.epochs,
-            batch_size=scaled.batch_size,
-            queue_policy=queue_policy,
-            seed=scaled.seed,
-            # Keep the paper's per-message server updates so accuracy is
-            # comparable across client counts.
-            server_batching=False,
-        )
-        trainer = SpatioTemporalTrainer(
-            spec, pieces["parts"], config, train_transform=pieces["normalize"]
-        )
-        history = trainer.train(test_dataset=pieces["test"], evaluate_every=10 ** 6)
+        scaled = respec(spec, num_end_systems=count)
+        pieces = build_workload(scaled.workload)
+        history = build_trainer(scaled, pieces=pieces).train(
+            test_dataset=pieces.test, evaluate_every=10 ** 6)
         per_system = list((history.per_system_accuracy or {}).values())
         accuracy_pct = 100.0 * (history.final_test_accuracy or 0.0)
         logger.info("clients_sweep M=%d accuracy=%.2f%%", count, accuracy_pct)
         result.add_row([
             count,
-            client_blocks,
+            spec.workload.client_blocks,
             accuracy_pct,
             100.0 * (sum(per_system) / len(per_system)) if per_system else accuracy_pct,
             100.0 * min(per_system) if per_system else accuracy_pct,
-            min(len(part) for part in pieces["parts"]),
+            min(len(part) for part in pieces.parts),
             history.traffic.get("uplink_megabytes", 0.0),
         ])
     return result

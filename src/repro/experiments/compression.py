@@ -12,9 +12,9 @@ and privacy leakage — when the cut-layer traffic is
 
 compared against the paper's uncompressed baseline.
 
-Every row trains through :class:`~repro.core.trainer.SpatioTemporalTrainer`
-with Table I's configuration (synchronous, ``fifo``, per-message server
-updates, the workload's epochs, batch size and seed); the row's transform
+Every row trains the spec (by default Table I's: synchronous, ``fifo``,
+per-message server updates) on a trainer from
+:func:`repro.api.build_trainer`; the row's transform
 is the codec of every end-system, so it encodes each activation message
 before it ships.  Uplink traffic is the transport log's, framing and
 labels included, so the ``none`` row equals Table I's row at the same cut.
@@ -31,15 +31,15 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..api import JobSpec, MaterializedWorkload, build_trainer, build_workload
 from ..core.compression import get_transform
-from ..core.config import TrainingConfig
 from ..core.privacy import LinearReconstructionAttack
-from ..core.split import SplitSpec
 from ..core.trainer import SpatioTemporalTrainer
+from ..nn.dtype import default_dtype
 from ..utils.logging import get_logger
-from .base import ExperimentResult, WorkloadSpec, build_workload
+from .base import ExperimentResult, on_preset
 
-__all__ = ["run_compression", "DEFAULT_TRANSFORMS"]
+__all__ = ["run_compression", "base_spec", "DEFAULT_TRANSFORMS"]
 
 logger = get_logger("experiments.compression")
 
@@ -52,21 +52,25 @@ DEFAULT_TRANSFORMS: Sequence[Dict] = (
 )
 
 
-def _leakage(trainer: SpatioTemporalTrainer, pieces: Dict) -> float:
+def _leakage(trainer: SpatioTemporalTrainer, pieces: MaterializedWorkload) -> float:
     """Reconstruction NMSE of a linear adversary on end-system 0's wire activations."""
-    probe = pieces["test"].arrays()[0][:200]
+    probe = pieces.test.arrays()[0][:200]
     client = trainer.end_systems[0]
     smashed = client.codec.apply(
-        client.forward_inference(pieces["normalize"](probe))).activations
+        client.forward_inference(pieces.normalize(probe))).activations
     half = probe.shape[0] // 2
     attack = LinearReconstructionAttack(ridge=1e-3).fit(smashed[:half], probe[:half])
     return attack.evaluate(smashed[half:], probe[half:])["reconstruction_nmse"]
 
 
+def base_spec() -> JobSpec:
+    """The sweep's job: Table I's, so the ``none`` row is Table I's L1 row."""
+    return on_preset(JobSpec(name="compression"), server_batching=False)
+
+
 def run_compression(
-    workload: Optional[WorkloadSpec] = None,
+    spec: Optional[JobSpec] = None,
     transforms: Sequence[Dict] = DEFAULT_TRANSFORMS,
-    client_blocks: int = 1,
 ) -> ExperimentResult:
     """Sweep cut-layer transforms and report accuracy / traffic / leakage.
 
@@ -75,63 +79,48 @@ def run_compression(
     float wire format, so the sweep pins that baseline regardless of the
     library's float32 training default.
     """
-    from ..nn.dtype import default_dtype
-
+    spec = spec if spec is not None else base_spec()
     with default_dtype(np.float64):
-        return _run_compression_sweep(workload, transforms, client_blocks)
+        pieces = build_workload(spec.workload)
+        result = ExperimentResult(
+            name="Extension — compressing / perturbing the smashed activations",
+            headers=[
+                "transform",
+                "accuracy_pct",
+                "uplink_megabytes",
+                "uplink_vs_baseline",
+                "reconstruction_nmse",
+            ],
+            paper_reference={
+                "claim": "the paper ships raw activations; this ablation explores the "
+                         "accuracy / traffic / privacy trade-off of compressing them",
+            },
+            metadata={"workload": spec.to_json_dict(),
+                      "client_blocks": spec.workload.client_blocks},
+        )
 
-
-def _run_compression_sweep(
-    workload: Optional[WorkloadSpec],
-    transforms: Sequence[Dict],
-    client_blocks: int,
-) -> ExperimentResult:
-    workload = workload if workload is not None else WorkloadSpec.laptop()
-    pieces = build_workload(workload)
-    spec = SplitSpec(pieces["architecture"], client_blocks=client_blocks)
-
-    result = ExperimentResult(
-        name="Extension — compressing / perturbing the smashed activations",
-        headers=[
-            "transform",
-            "accuracy_pct",
-            "uplink_megabytes",
-            "uplink_vs_baseline",
-            "reconstruction_nmse",
-        ],
-        paper_reference={
-            "claim": "the paper ships raw activations; this ablation explores the "
-                     "accuracy / traffic / privacy trade-off of compressing them",
-        },
-        metadata={"workload": workload.__dict__.copy(), "client_blocks": client_blocks},
-    )
-
-    baseline_megabytes: Optional[float] = None
-    for transform_spec in transforms:
-        kwargs = dict(transform_spec)
-        name = kwargs.pop("name")
-        label = name if not kwargs else f"{name}({', '.join(f'{k}={v}' for k, v in kwargs.items())})"
-        if name == "gaussian_noise":
-            kwargs.setdefault("seed", workload.seed)
-        codec = get_transform(name, **kwargs)
-        # Table I's configuration, so the ``none`` row is Table I's row.
-        config = TrainingConfig(epochs=workload.epochs, batch_size=workload.batch_size,
-                                seed=workload.seed, server_batching=False)
-        trainer = SpatioTemporalTrainer(spec, pieces["parts"], config,
-                                        train_transform=pieces["normalize"])
-        for end_system in trainer.end_systems:
-            end_system.codec = codec
-        history = trainer.train(test_dataset=pieces["test"], evaluate_every=10 ** 6)
-        accuracy_pct = 100.0 * (history.final_test_accuracy or 0.0)
-        megabytes = history.traffic.get("uplink_megabytes", 0.0)
-        if baseline_megabytes is None:
-            baseline_megabytes = megabytes
-        logger.info("compression transform=%s accuracy=%.2f%%", label, accuracy_pct)
-        result.add_row([
-            label,
-            accuracy_pct,
-            megabytes,
-            megabytes / max(baseline_megabytes, 1e-12),
-            _leakage(trainer, pieces),
-        ])
+        baseline_megabytes: Optional[float] = None
+        for transform_spec in transforms:
+            kwargs = dict(transform_spec)
+            name = kwargs.pop("name")
+            label = name if not kwargs else f"{name}({', '.join(f'{k}={v}' for k, v in kwargs.items())})"
+            if name == "gaussian_noise":
+                kwargs.setdefault("seed", spec.workload.seed)
+            codec = get_transform(name, **kwargs)
+            trainer = build_trainer(spec, pieces=pieces)
+            for end_system in trainer.end_systems:
+                end_system.codec = codec
+            history = trainer.train(test_dataset=pieces.test, evaluate_every=10 ** 6)
+            accuracy_pct = 100.0 * (history.final_test_accuracy or 0.0)
+            megabytes = history.traffic.get("uplink_megabytes", 0.0)
+            if baseline_megabytes is None:
+                baseline_megabytes = megabytes
+            logger.info("compression transform=%s accuracy=%.2f%%", label, accuracy_pct)
+            result.add_row([
+                label,
+                accuracy_pct,
+                megabytes,
+                megabytes / max(baseline_megabytes, 1e-12),
+                _leakage(trainer, pieces),
+            ])
     return result

@@ -25,15 +25,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-
-from ..core.config import TrainingConfig
+from ..api import JobSpec, build_trainer, build_workload
 from ..core.privacy import leakage_report
-from ..core.split import SplitSpec
-from ..core.trainer import SpatioTemporalTrainer
 from ..utils.logging import get_logger
-from .base import ExperimentResult, WorkloadSpec, build_workload
+from .base import ExperimentResult, on_preset, respec
 
-__all__ = ["run_figure4", "PAPER_FIGURE4"]
+__all__ = ["run_figure4", "base_spec", "PAPER_FIGURE4"]
 
 logger = get_logger("experiments.figure4")
 
@@ -45,9 +42,13 @@ PAPER_FIGURE4: Dict[str, str] = {
 }
 
 
+def base_spec() -> JobSpec:
+    """The probe's job: the laptop workload, the figure's L1 cut."""
+    return on_preset(JobSpec(name="figure4"), server_batching=False)
+
+
 def run_figure4(
-    workload: Optional[WorkloadSpec] = None,
-    client_blocks: int = 1,
+    spec: Optional[JobSpec] = None,
     num_probe_images: int = 200,
     train_first: bool = True,
     attack_ridge: float = 1e-3,
@@ -56,48 +57,36 @@ def run_figure4(
 
     Parameters
     ----------
-    client_blocks:
-        How many blocks the probed end-system holds (1 reproduces the
-        figure; larger values extend it to deeper cuts).
+    spec:
+        The probed job; defaults to :func:`base_spec`.  Its
+        ``workload.client_blocks`` is how many blocks the probed
+        end-system holds (1 reproduces the figure; larger values extend
+        it to deeper cuts).
     num_probe_images:
         How many raw images are pushed through the client segment for the
         correlation / reconstruction analysis.
     train_first:
-        When ``True`` the split model is briefly trained before probing,
-        so the activations come from realistic (not randomly initialized)
-        filters; disable for a faster, initialization-only probe.
+        When ``True`` the split model is briefly trained (a third of the
+        spec's epochs, at least one) before probing, so the activations
+        come from realistic (not randomly initialized) filters; disable
+        for a faster, initialization-only probe.
     """
-    workload = workload if workload is not None else WorkloadSpec.laptop()
-    if client_blocks < 1:
+    spec = spec if spec is not None else base_spec()
+    if spec.workload.client_blocks < 1:
         raise ValueError("figure 4 requires at least one client block")
-    pieces = build_workload(workload)
-    architecture = pieces["architecture"]
-    spec = SplitSpec(architecture, client_blocks=client_blocks)
-
-    config = TrainingConfig(
-        epochs=max(1, workload.epochs // 3),
-        batch_size=workload.batch_size,
-        seed=workload.seed,
-        server_batching=False,
-    )
-    trainer = SpatioTemporalTrainer(
-        spec, pieces["parts"], config, train_transform=pieces["normalize"]
-    )
+    pieces = build_workload(spec.workload)
+    trainer = build_trainer(respec(spec, epochs=max(1, spec.config.epochs // 3)),
+                            pieces=pieces)
     if train_first:
         trainer.train(test_dataset=None)
 
     # Probe the first end-system's segment with raw (un-normalized) images:
     # Fig. 4 is about what crosses the wire, and the wire carries the
     # activations of whatever the client feeds its own layers.
-    images, _ = pieces["test"].arrays()
+    images, _ = pieces.test.arrays()
     probe = images[: min(num_probe_images, images.shape[0])]
-    probe_normalized = pieces["normalize"](probe)
-    report = leakage_report(
-        trainer.end_systems[0].model, probe_normalized, ridge=attack_ridge
-    )
-    # Correlation/reconstruction targets are the original [0,1] images, so
-    # re-express the metrics against the raw probe for interpretability.
-    raw_report = leakage_report(trainer.end_systems[0].model, probe, ridge=attack_ridge)
+    # Correlation/reconstruction targets are the original [0,1] images.
+    report = leakage_report(trainer.end_systems[0].model, probe, ridge=attack_ridge)
 
     result = ExperimentResult(
         name="Figure 4 — privacy of smashed activations (leakage per layer)",
@@ -112,13 +101,13 @@ def run_figure4(
         ],
         paper_reference={"figure": "4", "observations": dict(PAPER_FIGURE4)},
         metadata={
-            "workload": workload.__dict__.copy(),
-            "client_blocks": client_blocks,
+            "workload": spec.to_json_dict(),
+            "client_blocks": spec.workload.client_blocks,
             "trained": train_first,
             "num_probe_images": int(probe.shape[0]),
         },
     )
-    for entry in raw_report:
+    for entry in report:
         result.add_row([
             entry.layer,
             "x".join(str(dim) for dim in entry.activation_shape),

@@ -35,15 +35,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.config import TrainingConfig
-from ..core.split import SplitSpec
-from ..core.trainer import SpatioTemporalTrainer
+from ..api import JobSpec, build_trainer, build_workload
 from ..obs.invariants import assert_drop_balance
 from ..simnet.topology import star_topology
 from ..utils.logging import get_logger
-from .base import ExperimentResult, WorkloadSpec, build_workload
+from .base import ExperimentResult, on_preset, respec
 
-__all__ = ["run_queue_congestion"]
+__all__ = ["base_spec", "run_queue_congestion"]
 
 logger = get_logger("experiments.queue_congestion")
 
@@ -56,31 +54,38 @@ def _spread_latencies(num_end_systems: int, near_s: float, far_s: float) -> List
     return list(np.linspace(near_s, far_s, num_end_systems))
 
 
+def base_spec() -> JobSpec:
+    """The sweep's job: 100 end-systems, asynchronous, one batch in flight, 4 ms steps.
+
+    Per-message server steps (``server_batching=False``) let the queue
+    actually fill while the server is busy; batched draining would empty
+    it every step and hide the contention being measured.
+    """
+    return on_preset(
+        JobSpec(name="queue_congestion"), num_end_systems=100, num_samples=2000, epochs=1,
+        batch_size=16, mode="asynchronous", server_step_time_s=0.004, server_batching=False)
+
+
 def run_queue_congestion(
-    workload: Optional[WorkloadSpec] = None,
+    spec: Optional[JobSpec] = None,
     capacities: Sequence[Optional[int]] = DEFAULT_CAPACITIES,
     backpressures: Sequence[str] = ("drop", "block"),
     policies: Sequence[str] = ("fifo", "round_robin"),
-    client_blocks: int = 1,
-    max_in_flight: int = 1,
-    server_step_time_s: float = 0.004,
     near_latency_s: float = 0.002,
     far_latency_s: float = 0.12,
 ) -> ExperimentResult:
     """Sweep queue capacity × backpressure × scheduling under congestion.
 
     Training runs in asynchronous mode for one pass over every client's
-    local shard, with per-message server steps (``server_batching=False``)
-    so queue occupancy actually builds up while the server is busy.
-    Unbounded capacity is only paired with the ``"drop"`` label (the two
-    backpressure policies are indistinguishable without a bound).
+    local shard (whatever ``spec``'s epoch budget), with per-message
+    server steps so queue occupancy actually builds up while the server
+    is busy.  Unbounded capacity is only paired with the ``"drop"`` label
+    (the two backpressure policies are indistinguishable without a
+    bound).
     """
-    workload = workload if workload is not None else WorkloadSpec.laptop(
-        num_end_systems=100, num_samples=2000, epochs=1, batch_size=16,
-    )
+    spec = spec if spec is not None else base_spec()
+    workload, config = spec.workload, spec.config
     pieces = build_workload(workload)
-    architecture = pieces["architecture"]
-    spec = SplitSpec(architecture, client_blocks=client_blocks)
     latencies = _spread_latencies(workload.num_end_systems, near_latency_s, far_latency_s)
 
     result = ExperimentResult(
@@ -106,13 +111,13 @@ def run_queue_congestion(
                      "late/sparse arrivals from geo-distributed end-systems",
         },
         metadata={
-            "workload": workload.__dict__.copy(),
+            "workload": spec.to_json_dict(),
             "capacities": [capacity for capacity in capacities],
             "backpressures": list(backpressures),
             "policies": list(policies),
-            "client_blocks": client_blocks,
-            "max_in_flight": max_in_flight,
-            "server_step_time_s": server_step_time_s,
+            "client_blocks": workload.client_blocks,
+            "max_in_flight": config.max_in_flight,
+            "server_step_time_s": config.server_step_time_s,
             "latency_range_s": [near_latency_s, far_latency_s],
         },
     )
@@ -127,25 +132,9 @@ def run_queue_congestion(
                     latencies_s=latencies,
                     seed=workload.seed,
                 )
-                config = TrainingConfig(
-                    epochs=1,
-                    batch_size=workload.batch_size,
-                    queue_policy=policy,
-                    max_queue_size=capacity,
-                    queue_backpressure=backpressure,
-                    mode="asynchronous",
-                    max_in_flight=max_in_flight,
-                    server_step_time_s=server_step_time_s,
-                    seed=workload.seed,
-                    # Per-message steps let the queue actually fill while
-                    # the server is busy; batched draining would empty it
-                    # every step and hide the contention being measured.
-                    server_batching=False,
-                )
-                trainer = SpatioTemporalTrainer(
-                    spec, pieces["parts"], config, topology=topology,
-                    train_transform=pieces["normalize"],
-                )
+                row = respec(spec, epochs=1, queue_policy=policy, max_queue_size=capacity,
+                             queue_backpressure=backpressure)
+                trainer = build_trainer(row, pieces=pieces, topology=topology)
                 history = trainer.train()
                 assert_drop_balance(trainer)
                 queue_dropped = history.queue_stats["dropped"]

@@ -45,15 +45,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.config import TrainingConfig
-from ..core.split import SplitSpec
-from ..core.trainer import SpatioTemporalTrainer
+from ..api import JobSpec, build_trainer, build_workload
 from ..obs.invariants import assert_drop_balance
 from ..simnet.topology import multi_hub_star_topology
 from ..utils.logging import get_logger
-from .base import ExperimentResult, WorkloadSpec, build_workload
+from .base import ExperimentResult, on_preset, respec
 
-__all__ = ["run_server_failover"]
+__all__ = ["base_spec", "run_server_failover"]
 
 logger = get_logger("experiments.server_failover")
 
@@ -66,18 +64,24 @@ DEFAULT_MTBF_S = (None, 0.5, 0.1)
 DEFAULT_CHECKPOINT_S = (None, 0.02)
 
 
+def base_spec() -> JobSpec:
+    """The sweep's job: 40 end-systems on two latency-aware shards synced every round.
+
+    A crashed shard is down 50 ms on average (``failure_mttr_s``) and its
+    clients fail over after 2 ms (``failover_delay_s``).
+    """
+    return on_preset(
+        JobSpec(name="server_failover"), num_end_systems=40, num_samples=1600, epochs=2,
+        batch_size=16, num_servers=2, shard_assigner="latency_aware", failure_mttr_s=0.05,
+        failover_delay_s=0.002)
+
+
 def run_server_failover(
-    workload: Optional[WorkloadSpec] = None,
+    spec: Optional[JobSpec] = None,
     mtbf_values_s: Sequence[Optional[float]] = DEFAULT_MTBF_S,
-    mttr_s: float = 0.05,
     checkpoint_every_values_s: Sequence[Optional[float]] = DEFAULT_CHECKPOINT_S,
     failover_policies: Sequence[str] = ("rebalance", "standby"),
     sync_modes: Sequence[str] = ("average", "staleness"),
-    num_servers: int = 2,
-    shard_assigner: str = "latency_aware",
-    server_sync_every: int = 1,
-    failover_delay_s: float = 0.002,
-    client_blocks: int = 1,
     near_latency_s: float = 0.002,
     far_latency_s: float = 0.08,
     inter_server_latency_s: float = 0.005,
@@ -92,17 +96,15 @@ def run_server_failover(
     store: the overhead of serializing the snapshot is what is being
     measured, not the filesystem underneath it.
     """
-    workload = workload if workload is not None else WorkloadSpec.laptop(
-        num_end_systems=40, num_samples=1600, epochs=2, batch_size=16,
-    )
+    spec = spec if spec is not None else base_spec()
+    workload, config = spec.workload, spec.config
     pieces = build_workload(workload)
-    spec = SplitSpec(pieces["architecture"], client_blocks=client_blocks)
     latencies = list(np.linspace(near_latency_s, far_latency_s,
                                  workload.num_end_systems))
 
     result = ExperimentResult(
         name="Server failover — dependability under shard churn "
-             f"({workload.num_end_systems}-client star, {num_servers} shards)",
+             f"({workload.num_end_systems}-client star, {config.num_servers} shards)",
         headers=[
             "mtbf_s",
             "policy",
@@ -130,16 +132,16 @@ def run_server_failover(
                      "server-side half of that",
         },
         metadata={
-            "workload": workload.__dict__.copy(),
+            "workload": spec.to_json_dict(),
             "mtbf_values_s": list(mtbf_values_s),
-            "mttr_s": mttr_s,
+            "mttr_s": config.failure_mttr_s,
             "checkpoint_every_values_s": list(checkpoint_every_values_s),
             "failover_policies": list(failover_policies),
             "sync_modes": list(sync_modes),
-            "num_servers": num_servers,
-            "shard_assigner": shard_assigner,
-            "server_sync_every": server_sync_every,
-            "failover_delay_s": failover_delay_s,
+            "num_servers": config.num_servers,
+            "shard_assigner": config.shard_assigner,
+            "server_sync_every": config.server_sync_every,
+            "failover_delay_s": config.failover_delay_s,
             "latency_range_s": [near_latency_s, far_latency_s],
             "inter_server_latency_s": inter_server_latency_s,
         },
@@ -157,32 +159,17 @@ def run_server_failover(
                         continue
                     topology = multi_hub_star_topology(
                         workload.num_end_systems,
-                        num_servers,
-                        assigner=shard_assigner,
+                        config.num_servers,
+                        assigner=config.shard_assigner,
                         latencies_s=latencies,
                         inter_server_latency_s=inter_server_latency_s,
                         seed=workload.seed,
                     )
-                    config = TrainingConfig(
-                        epochs=workload.epochs,
-                        batch_size=workload.batch_size,
-                        num_servers=num_servers,
-                        shard_assigner=shard_assigner,
-                        server_sync_every=server_sync_every,
-                        server_sync_mode=sync_mode,
-                        failure_mtbf_s=mtbf_s,
-                        failure_mttr_s=mttr_s,
-                        failover_policy=policy,
-                        failover_delay_s=failover_delay_s,
-                        checkpoint_every_s=checkpoint_every_s,
-                        seed=workload.seed,
-                    )
-                    trainer = SpatioTemporalTrainer(
-                        spec, pieces["parts"], config, topology=topology,
-                        train_transform=pieces["normalize"],
-                    )
-                    history = trainer.train(pieces["test"],
-                                            evaluate_every=workload.epochs)
+                    row = respec(spec, server_sync_mode=sync_mode, failure_mtbf_s=mtbf_s,
+                                 failover_policy=policy,
+                                 checkpoint_every_s=checkpoint_every_s)
+                    trainer = build_trainer(row, pieces=pieces, topology=topology)
+                    history = trainer.train(pieces.test, evaluate_every=config.epochs)
                     stats = trainer.engine.stats
                     # Leak-freedom is part of the experiment's contract:
                     # a crash must never leave a client waiting forever.

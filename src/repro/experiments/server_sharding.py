@@ -29,14 +29,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.config import TrainingConfig
-from ..core.split import SplitSpec
-from ..core.trainer import SpatioTemporalTrainer
+from ..api import JobSpec, build_trainer, build_workload
 from ..simnet.topology import multi_hub_star_topology
 from ..utils.logging import get_logger
-from .base import ExperimentResult, WorkloadSpec, build_workload
+from .base import ExperimentResult, on_preset, respec
 
-__all__ = ["run_server_sharding"]
+__all__ = ["base_spec", "run_server_sharding"]
 
 logger = get_logger("experiments.server_sharding")
 
@@ -48,13 +46,16 @@ def _spread_latencies(num_end_systems: int, near_s: float, far_s: float):
     return list(np.linspace(near_s, far_s, num_end_systems))
 
 
+def base_spec() -> JobSpec:
+    """The sweep's job: 100 end-systems, latency-aware shards averaged every round."""
+    return on_preset(
+        JobSpec(name="server_sharding"), num_end_systems=100, num_samples=2000, epochs=2,
+        batch_size=16, shard_assigner="latency_aware")
+
+
 def run_server_sharding(
-    workload: Optional[WorkloadSpec] = None,
+    spec: Optional[JobSpec] = None,
     shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
-    shard_assigner: str = "latency_aware",
-    server_sync_every: int = 1,
-    server_sync_mode: str = "average",
-    client_blocks: int = 1,
     near_latency_s: float = 0.002,
     far_latency_s: float = 0.12,
     inter_server_latency_s: float = 0.005,
@@ -66,11 +67,9 @@ def run_server_sharding(
     round waits for the farthest client, while latency-aware shards wait
     only for their own band.
     """
-    workload = workload if workload is not None else WorkloadSpec.laptop(
-        num_end_systems=100, num_samples=2000, epochs=2, batch_size=16,
-    )
+    spec = spec if spec is not None else base_spec()
+    workload, config = spec.workload, spec.config
     pieces = build_workload(workload)
-    spec = SplitSpec(pieces["architecture"], client_blocks=client_blocks)
     latencies = _spread_latencies(workload.num_end_systems, near_latency_s, far_latency_s)
 
     result = ExperimentResult(
@@ -95,12 +94,12 @@ def run_server_sharding(
                      "horizontal path past that bottleneck",
         },
         metadata={
-            "workload": workload.__dict__.copy(),
+            "workload": spec.to_json_dict(),
             "shard_counts": list(shard_counts),
-            "shard_assigner": shard_assigner,
-            "server_sync_every": server_sync_every,
-            "server_sync_mode": server_sync_mode,
-            "client_blocks": client_blocks,
+            "shard_assigner": config.shard_assigner,
+            "server_sync_every": config.server_sync_every,
+            "server_sync_mode": config.server_sync_mode,
+            "client_blocks": workload.client_blocks,
             "latency_range_s": [near_latency_s, far_latency_s],
             "inter_server_latency_s": inter_server_latency_s,
         },
@@ -110,25 +109,14 @@ def run_server_sharding(
         topology = multi_hub_star_topology(
             workload.num_end_systems,
             num_servers,
-            assigner=shard_assigner,
+            assigner=config.shard_assigner,
             latencies_s=latencies,
             inter_server_latency_s=inter_server_latency_s,
             seed=workload.seed,
         )
-        config = TrainingConfig(
-            epochs=workload.epochs,
-            batch_size=workload.batch_size,
-            num_servers=num_servers,
-            shard_assigner=shard_assigner,
-            server_sync_every=server_sync_every,
-            server_sync_mode=server_sync_mode,
-            seed=workload.seed,
-        )
-        trainer = SpatioTemporalTrainer(
-            spec, pieces["parts"], config, topology=topology,
-            train_transform=pieces["normalize"],
-        )
-        history = trainer.train(pieces["test"], evaluate_every=workload.epochs)
+        trainer = build_trainer(respec(spec, num_servers=num_servers), pieces=pieces,
+                                topology=topology)
+        history = trainer.train(pieces.test, evaluate_every=config.epochs)
         wall_time = sum(record.wall_time_s for record in history.records)
         balance = "/".join(str(count) for count in trainer.cluster.clients_per_shard())
         logger.info(
@@ -138,7 +126,7 @@ def run_server_sharding(
         )
         result.add_row([
             num_servers,
-            shard_assigner,
+            config.shard_assigner,
             balance,
             100.0 * history.final_train_accuracy,
             100.0 * (history.final_test_accuracy or 0.0),

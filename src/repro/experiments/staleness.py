@@ -29,14 +29,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.config import TrainingConfig
-from ..core.split import SplitSpec
-from ..core.trainer import SpatioTemporalTrainer
+from ..api import JobSpec, build_trainer, build_workload
 from ..simnet.topology import star_topology
 from ..utils.logging import get_logger
-from .base import ExperimentResult, WorkloadSpec, build_workload
+from .base import ExperimentResult, on_preset, respec
 
-__all__ = ["run_staleness"]
+__all__ = ["base_spec", "run_staleness"]
 
 logger = get_logger("experiments.staleness")
 
@@ -45,13 +43,23 @@ logger = get_logger("experiments.staleness")
 DEFAULT_LATENCIES_S = (0.002, 0.020, 0.080, 0.200)
 
 
+def base_spec() -> JobSpec:
+    """The ablation's job: one Dirichlet(0.5) shard per default latency.
+
+    Asynchronous, two batches in flight per client, a 20 ms server step
+    and per-message server updates: batched draining would collapse the
+    queue contention the ablation measures.
+    """
+    return on_preset(
+        JobSpec(name="staleness"), num_end_systems=len(DEFAULT_LATENCIES_S),
+        partition="dirichlet", partition_kwargs={"alpha": 0.5}, mode="asynchronous",
+        max_in_flight=2, server_step_time_s=0.02, server_batching=False)
+
+
 def run_staleness(
-    workload: Optional[WorkloadSpec] = None,
+    spec: Optional[JobSpec] = None,
     policies: Sequence[str] = ("fifo", "round_robin", "staleness", "weighted_fair"),
     latencies_s: Sequence[float] = DEFAULT_LATENCIES_S,
-    client_blocks: int = 1,
-    max_in_flight: int = 2,
-    server_step_time_s: float = 0.02,
     simulated_budget_s: Optional[float] = None,
 ) -> ExperimentResult:
     """Compare queue scheduling policies under heterogeneous latencies.
@@ -62,25 +70,21 @@ def run_staleness(
     determines how the server's limited throughput is divided — which is
     exactly the bias the paper's queue discussion is about.
     """
-    workload = workload if workload is not None else WorkloadSpec.laptop(
-        num_end_systems=len(DEFAULT_LATENCIES_S), partition="dirichlet",
-        partition_kwargs={"alpha": 0.5},
-    )
+    spec = spec if spec is not None else base_spec()
+    workload, config = spec.workload, spec.config
     if workload.num_end_systems != len(latencies_s):
         raise ValueError(
             f"workload has {workload.num_end_systems} end-systems but "
             f"{len(latencies_s)} latencies were given"
         )
     pieces = build_workload(workload)
-    architecture = pieces["architecture"]
-    spec = SplitSpec(architecture, client_blocks=client_blocks)
     if simulated_budget_s is None:
         # Budget sized so the server could process roughly `epochs` passes
         # over the data if it were never starved: batches/pass * step time.
         total_batches_per_pass = sum(
-            max(1, len(part) // workload.batch_size) for part in pieces["parts"]
+            max(1, len(part) // config.batch_size) for part in pieces.parts
         )
-        simulated_budget_s = workload.epochs * total_batches_per_pass * server_step_time_s
+        simulated_budget_s = config.epochs * total_batches_per_pass * config.server_step_time_s
 
     result = ExperimentResult(
         name="Queue scheduling ablation — arrival bias under heterogeneous latency",
@@ -99,11 +103,11 @@ def run_staleness(
             "claim": "parameter scheduling is required to avoid bias from late/sparse arrivals",
         },
         metadata={
-            "workload": workload.__dict__.copy(),
+            "workload": spec.to_json_dict(),
             "latencies_s": list(latencies_s),
-            "client_blocks": client_blocks,
-            "max_in_flight": max_in_flight,
-            "server_step_time_s": server_step_time_s,
+            "client_blocks": workload.client_blocks,
+            "max_in_flight": config.max_in_flight,
+            "server_step_time_s": config.server_step_time_s,
             "simulated_budget_s": simulated_budget_s,
         },
     )
@@ -115,23 +119,9 @@ def run_staleness(
             jitter_std_s=0.002,
             seed=workload.seed,
         )
-        config = TrainingConfig(
-            epochs=workload.epochs,
-            batch_size=workload.batch_size,
-            queue_policy=policy,
-            mode="asynchronous",
-            max_in_flight=max_in_flight,
-            server_step_time_s=server_step_time_s,
-            seed=workload.seed,
-            # The staleness ablation studies per-message queue contention;
-            # batched draining would collapse the contention it measures.
-            server_batching=False,
-        )
-        trainer = SpatioTemporalTrainer(
-            spec, pieces["parts"], config, topology=topology,
-            train_transform=pieces["normalize"],
-        )
-        history = trainer.train_time_budget(simulated_budget_s, test_dataset=pieces["test"])
+        trainer = build_trainer(respec(spec, queue_policy=policy), pieces=pieces,
+                                topology=topology)
+        history = trainer.train_time_budget(simulated_budget_s, test_dataset=pieces.test)
         per_system = history.per_system_accuracy or {}
         accuracies = list(per_system.values())
         spread = (max(accuracies) - min(accuracies)) * 100.0 if accuracies else 0.0

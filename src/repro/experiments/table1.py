@@ -24,13 +24,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..core.config import TrainingConfig
-from ..core.split import SplitSpec
-from ..core.trainer import SpatioTemporalTrainer
+from ..api import JobSpec, build_trainer, build_workload
 from ..utils.logging import get_logger
-from .base import ExperimentResult, WorkloadSpec, build_workload
+from .base import ExperimentResult, on_preset, respec
 
-__all__ = ["PAPER_TABLE1", "run_table1"]
+__all__ = ["PAPER_TABLE1", "base_spec", "run_table1"]
 
 logger = get_logger("experiments.table1")
 
@@ -44,26 +42,34 @@ PAPER_TABLE1: Dict[int, float] = {
 }
 
 
+def base_spec() -> JobSpec:
+    """Table I's job: the laptop workload, synchronous, ``fifo``.
+
+    The paper's per-message server updates (``server_batching=False``):
+    batched draining changes the step count per epoch.
+    """
+    return on_preset(JobSpec(name="table1"), server_batching=False)
+
+
 def run_table1(
-    workload: Optional[WorkloadSpec] = None,
+    spec: Optional[JobSpec] = None,
     client_block_range: Optional[List[int]] = None,
-    queue_policy: str = "fifo",
 ) -> ExperimentResult:
     """Reproduce Table I: sweep the cut depth and measure test accuracy.
 
     Parameters
     ----------
-    workload:
-        Dataset / architecture / budget description; defaults to the
-        laptop-scale workload.
+    spec:
+        The job every row trains, at the row's cut; defaults to
+        :func:`base_spec`.
     client_block_range:
         Which cuts to evaluate.  Defaults to ``0 .. num_blocks - 1`` (the
         paper stops one block short of moving the entire feature extractor
         to the end-systems).
     """
-    workload = workload if workload is not None else WorkloadSpec.laptop()
-    pieces = build_workload(workload)
-    architecture = pieces["architecture"]
+    spec = spec if spec is not None else base_spec()
+    pieces = build_workload(spec.workload)
+    architecture = pieces.architecture
     if client_block_range is None:
         client_block_range = list(range(architecture.num_blocks))
 
@@ -80,35 +86,23 @@ def run_table1(
         ],
         paper_reference={"table": "I", "values_pct": dict(PAPER_TABLE1)},
         metadata={
-            "workload": workload.__dict__.copy(),
-            "queue_policy": queue_policy,
+            "workload": spec.to_json_dict(),
+            "queue_policy": spec.config.queue_policy,
             "architecture": architecture.describe(),
         },
     )
 
     baseline_accuracy: Optional[float] = None
     for client_blocks in client_block_range:
-        spec = SplitSpec(architecture, client_blocks=client_blocks)
-        config = TrainingConfig(
-            epochs=workload.epochs,
-            batch_size=workload.batch_size,
-            queue_policy=queue_policy,
-            seed=workload.seed,
-            # Table I reproduces the paper's per-message server updates;
-            # batched draining changes the step count per epoch.
-            server_batching=False,
-        )
-        trainer = SpatioTemporalTrainer(
-            spec, pieces["parts"], config, train_transform=pieces["normalize"]
-        )
-        history = trainer.train(test_dataset=pieces["test"], evaluate_every=10 ** 6)
+        trainer = build_trainer(respec(spec, client_blocks=client_blocks), pieces=pieces)
+        history = trainer.train(test_dataset=pieces.test, evaluate_every=10 ** 6)
         accuracy_pct = 100.0 * (history.final_test_accuracy or 0.0)
         if baseline_accuracy is None:
             baseline_accuracy = accuracy_pct
         degradation = baseline_accuracy - accuracy_pct
         logger.info("table1 cut=%d accuracy=%.2f%%", client_blocks, accuracy_pct)
         result.add_row([
-            spec.label,
+            trainer.split_spec.label,
             client_blocks,
             accuracy_pct,
             degradation,

@@ -16,7 +16,7 @@ when the wiring changes; editing ``topology.graph`` directly does not.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .latency import ConstantLatency, DistanceLatency, GaussianLatency, LatencyModel
 from .link import Link
@@ -227,13 +227,6 @@ class GeoTopology:
         data["partitioned"] = bool(partitioned)
         self._refresh_edge_health(node_a, node_b)
 
-    def is_edge_partitioned(self, node_a: str, node_b: str) -> bool:
-        """Whether the edge between two nodes is administratively partitioned."""
-        try:
-            return bool(self.graph.edges[node_a, node_b].get("partitioned", False))
-        except KeyError:
-            raise KeyError(f"no link between {node_a!r} and {node_b!r}") from None
-
     def reroute_end_system(self, end_system: str, new_hub: str) -> None:
         """Reattach an end-system's access links to a different server hub.
 
@@ -331,6 +324,71 @@ def _make_latency_model(latency_s: float, jitter_std_s: float) -> LatencyModel:
     return ConstantLatency(latency_s)
 
 
+def _edge_latencies(num_end_systems: int, latencies_s: Optional[Iterable[float]],
+                    downlink_latencies_s: Optional[Iterable[float]]
+                    ) -> Tuple[List[float], List[float]]:
+    """Per-end-system uplink and downlink mean latencies (default: 5 ms up, same down)."""
+    if num_end_systems <= 0:
+        raise ValueError("need at least one end-system")
+    latencies = list(latencies_s) if latencies_s is not None else [0.005] * num_end_systems
+    if len(latencies) != num_end_systems:
+        raise ValueError(f"expected {num_end_systems} latencies, got {len(latencies)}")
+    down_latencies = (
+        list(downlink_latencies_s) if downlink_latencies_s is not None else list(latencies)
+    )
+    if len(down_latencies) != num_end_systems:
+        raise ValueError(
+            f"expected {num_end_systems} downlink latencies, got {len(down_latencies)}"
+        )
+    return latencies, down_latencies
+
+
+def _add_end_systems(
+    topology: GeoTopology,
+    hubs: Sequence[str],
+    latencies: Sequence[float],
+    down_latencies: Sequence[float],
+    bandwidth_bps: Optional[float],
+    jitter_std_s: float,
+    drop_probability: float,
+    seed: Optional[int],
+    downlink_bandwidth_bps: Optional[float],
+    downlink_drop_probability: Optional[float],
+) -> None:
+    """Attach ``end_system_i`` to ``hubs[i]`` by an uplink and an independent downlink.
+
+    Link seeds are ``seed + i`` (uplink) and ``seed + M + i`` (downlink),
+    so every star with the same clients draws the same per-link streams
+    whatever its hubs.  The downlink's bandwidth and loss default to the
+    uplink's.
+    """
+    num_end_systems = len(latencies)
+    down_bandwidth = (
+        downlink_bandwidth_bps if downlink_bandwidth_bps is not None else bandwidth_bps
+    )
+    down_drop = (
+        downlink_drop_probability if downlink_drop_probability is not None else drop_probability
+    )
+    for index, latency_s in enumerate(latencies):
+        name = f"end_system_{index}"
+        topology.add_node(name, role="end_system")
+        uplink = Link(
+            latency=_make_latency_model(latency_s, jitter_std_s),
+            bandwidth_bps=bandwidth_bps,
+            drop_probability=drop_probability,
+            seed=None if seed is None else seed + index,
+            direction="up",
+        )
+        downlink = Link(
+            latency=_make_latency_model(down_latencies[index], jitter_std_s),
+            bandwidth_bps=down_bandwidth,
+            drop_probability=down_drop,
+            seed=None if seed is None else seed + num_end_systems + index,
+            direction="down",
+        )
+        topology.add_link(name, hubs[index], uplink, downlink=downlink)
+
+
 def star_topology(
     num_end_systems: int,
     latencies_s: Optional[Iterable[float]] = None,
@@ -363,46 +421,13 @@ def star_topology(
         Optional asymmetric overrides for the gradient-return direction;
         each defaults to the corresponding uplink value.
     """
-    if num_end_systems <= 0:
-        raise ValueError("need at least one end-system")
-    latencies = list(latencies_s) if latencies_s is not None else [0.005] * num_end_systems
-    if len(latencies) != num_end_systems:
-        raise ValueError(
-            f"expected {num_end_systems} latencies, got {len(latencies)}"
-        )
-    down_latencies = (
-        list(downlink_latencies_s) if downlink_latencies_s is not None else list(latencies)
-    )
-    if len(down_latencies) != num_end_systems:
-        raise ValueError(
-            f"expected {num_end_systems} downlink latencies, got {len(down_latencies)}"
-        )
-    down_bandwidth = (
-        downlink_bandwidth_bps if downlink_bandwidth_bps is not None else bandwidth_bps
-    )
-    down_drop = (
-        downlink_drop_probability if downlink_drop_probability is not None else drop_probability
-    )
+    latencies, down_latencies = _edge_latencies(
+        num_end_systems, latencies_s, downlink_latencies_s)
     topology = GeoTopology()
     topology.add_node(GeoTopology.SERVER, role="server")
-    for index, latency_s in enumerate(latencies):
-        name = f"end_system_{index}"
-        topology.add_node(name, role="end_system")
-        uplink = Link(
-            latency=_make_latency_model(latency_s, jitter_std_s),
-            bandwidth_bps=bandwidth_bps,
-            drop_probability=drop_probability,
-            seed=None if seed is None else seed + index,
-            direction="up",
-        )
-        downlink = Link(
-            latency=_make_latency_model(down_latencies[index], jitter_std_s),
-            bandwidth_bps=down_bandwidth,
-            drop_probability=down_drop,
-            seed=None if seed is None else seed + num_end_systems + index,
-            direction="down",
-        )
-        topology.add_link(name, GeoTopology.SERVER, uplink, downlink=downlink)
+    _add_end_systems(topology, [GeoTopology.SERVER] * num_end_systems, latencies,
+                     down_latencies, bandwidth_bps, jitter_std_s, drop_probability, seed,
+                     downlink_bandwidth_bps, downlink_drop_probability)
     return topology
 
 
@@ -443,13 +468,10 @@ def multi_hub_star_topology(
     inter_server_latency_s / inter_server_bandwidth_bps / inter_server_drop_probability:
         Parameters shared by every inter-server link.
     """
-    if num_end_systems <= 0:
-        raise ValueError("need at least one end-system")
+    latencies, down_latencies = _edge_latencies(
+        num_end_systems, latencies_s, downlink_latencies_s)
     if num_servers <= 0:
         raise ValueError("need at least one server")
-    latencies = list(latencies_s) if latencies_s is not None else [0.005] * num_end_systems
-    if len(latencies) != num_end_systems:
-        raise ValueError(f"expected {num_end_systems} latencies, got {len(latencies)}")
     if assignment is None:
         from ..cluster.assigner import get_assigner
 
@@ -463,44 +485,14 @@ def multi_hub_star_topology(
         )
     if assignment and not all(0 <= shard < num_servers for shard in assignment):
         raise ValueError(f"assignment indices must be in [0, {num_servers})")
-    down_latencies = (
-        list(downlink_latencies_s) if downlink_latencies_s is not None else list(latencies)
-    )
-    if len(down_latencies) != num_end_systems:
-        raise ValueError(
-            f"expected {num_end_systems} downlink latencies, got {len(down_latencies)}"
-        )
-    down_bandwidth = (
-        downlink_bandwidth_bps if downlink_bandwidth_bps is not None else bandwidth_bps
-    )
-    down_drop = (
-        downlink_drop_probability if downlink_drop_probability is not None else drop_probability
-    )
     topology = GeoTopology()
     hubs = [f"server_{index}" for index in range(num_servers)]
     for hub in hubs:
         topology.add_node(hub, role="server")
-    # Client-edge link seeds replicate star_topology (uplink: seed+i,
-    # downlink: seed+M+i) so a 1-hub cluster is RNG-identical to the
-    # classic star; inter-server links draw from seed+2M onwards.
-    for index, latency_s in enumerate(latencies):
-        name = f"end_system_{index}"
-        topology.add_node(name, role="end_system")
-        uplink = Link(
-            latency=_make_latency_model(latency_s, jitter_std_s),
-            bandwidth_bps=bandwidth_bps,
-            drop_probability=drop_probability,
-            seed=None if seed is None else seed + index,
-            direction="up",
-        )
-        downlink = Link(
-            latency=_make_latency_model(down_latencies[index], jitter_std_s),
-            bandwidth_bps=down_bandwidth,
-            drop_probability=down_drop,
-            seed=None if seed is None else seed + num_end_systems + index,
-            direction="down",
-        )
-        topology.add_link(name, hubs[assignment[index]], uplink, downlink=downlink)
+    # Inter-server links draw from seed+2M onwards, after the client edges.
+    _add_end_systems(topology, [hubs[shard] for shard in assignment], latencies,
+                     down_latencies, bandwidth_bps, jitter_std_s, drop_probability, seed,
+                     downlink_bandwidth_bps, downlink_drop_probability)
     pair_index = 0
     for left in range(num_servers):
         for right in range(left + 1, num_servers):

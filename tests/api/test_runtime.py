@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.api import (JobSpec, JobWorkload, build_trainer, build_workload,
-                       resume_trainer, run_job)
+from repro.api import (JobSpec, JobWorkload, build_split, build_trainer,
+                       build_workload, resume_trainer, run_job)
+from repro.api.runtime import scale_architecture, scale_image_size
+from repro.core.config import TrainingConfig
+from repro.simnet.topology import star_topology
 from repro.state import FileCheckpointStore
 
 
@@ -30,29 +33,8 @@ class TestBuildWorkload:
             assert np.array_equal(images_a, images_b)
             assert np.array_equal(labels_a, labels_b)
 
-    def test_split_matches_workload(self):
-        pieces = build_workload(
-            JobWorkload(num_samples=160, num_end_systems=2, client_blocks=2))
-        assert pieces.split_spec.client_blocks == 2
-
-    def test_experiment_harness_delegates_here(self):
-        """repro.experiments.build_workload is a shim over this module."""
-        from repro.experiments.base import WorkloadSpec
-        from repro.experiments.base import build_workload as legacy_build
-
-        legacy = legacy_build(WorkloadSpec.laptop(num_samples=160,
-                                                  num_end_systems=2, seed=3))
-        modern = build_workload(tiny_workload())
-        legacy_images, _ = legacy["train"].arrays()
-        modern_images, _ = modern.train.arrays()
-        assert np.array_equal(legacy_images, modern_images)
-
     @pytest.mark.parametrize("scale", ["paper", "laptop"])
-    def test_one_scale_to_architecture_mapping(self, scale):
-        """WorkloadSpec and the runtime build the same network per scale."""
-        from repro.experiments.base import WorkloadSpec
-
-        spec = WorkloadSpec(scale=scale, num_samples=40, num_end_systems=2)
+    def test_scale_sets_network_and_image_size(self, scale):
         pieces = build_workload(JobWorkload(scale=scale, num_samples=40,
                                             num_end_systems=2))
 
@@ -60,8 +42,8 @@ class TestBuildWorkload:
             return [(name, parameter.shape) for name, parameter
                     in architecture.build(seed=0).named_parameters()]
 
-        assert layers(spec.architecture()) == layers(pieces.architecture)
-        assert pieces.train.arrays()[0].shape[-1] == spec.image_size
+        assert layers(scale_architecture(scale)) == layers(pieces.architecture)
+        assert pieces.train.arrays()[0].shape[-1] == scale_image_size(scale)
 
 
 class TestBuildTrainer:
@@ -69,6 +51,29 @@ class TestBuildTrainer:
         spec = JobSpec.fast_debug(epochs=1, checkpoint_every_s=0.05)
         trainer = build_trainer(spec, checkpoint_dir=str(tmp_path / "ckpt"))
         assert trainer.config.checkpoint_dir == str(tmp_path / "ckpt")
+
+    def test_cut_comes_from_the_spec_not_the_pieces(self, tmp_path):
+        """Pieces materialized for one cut train the cut the spec names."""
+        cut1 = JobSpec(workload=JobWorkload(num_samples=160, num_end_systems=2,
+                                            client_blocks=1))
+        cut2 = JobSpec(workload=JobWorkload(num_samples=160, num_end_systems=2,
+                                            client_blocks=2),
+                       config=TrainingConfig.fast_debug(
+                           epochs=2, checkpoint_every_s=0.05,
+                           checkpoint_dir=str(tmp_path)))
+        pieces = build_workload(cut1.workload)
+        assert build_split(cut2, pieces).client_blocks == 2
+        trainer = build_trainer(cut2, pieces=pieces)
+        assert trainer.split_spec.client_blocks == 2
+        trainer.train(epochs=1)
+        resumed = resume_trainer(cut2, FileCheckpointStore(tmp_path), pieces=pieces)
+        assert resumed.split_spec.client_blocks == 2
+
+    def test_topology_is_passed_through(self):
+        spec = JobSpec.fast_debug(epochs=1)
+        topology = star_topology(spec.workload.num_end_systems, latencies_s=[0.001, 0.2])
+        trainer = build_trainer(spec, topology=topology)
+        assert trainer.topology is topology
 
     def test_pieces_reused(self):
         spec = JobSpec.fast_debug(epochs=1)

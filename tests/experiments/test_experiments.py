@@ -2,15 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.api import JobSpec, build_workload
 from repro.experiments import (
     PAPER_TABLE1,
+    PRESETS,
     ExperimentResult,
-    WorkloadSpec,
-    build_workload,
     get_experiment,
     list_experiments,
+    on_preset,
+    respec,
     run_baselines_comparison,
     run_chaos_matrix,
     run_clients_sweep,
@@ -24,38 +27,48 @@ from repro.experiments import (
     run_table1,
 )
 from repro.experiments.cli import build_parser, main
+from repro.nn.dtype import default_dtype
 
 
-@pytest.fixture(scope="module")
-def quick_workload():
-    """The smallest workload that still exercises every experiment code path."""
-    return WorkloadSpec.laptop(num_samples=240, num_end_systems=2, epochs=1, batch_size=16)
+def laptop(name, **changes):
+    """Experiment ``name``'s base spec on a small laptop workload."""
+    quick = {"num_samples": 240, "num_end_systems": 2, "epochs": 1, "batch_size": 16}
+    return on_preset(get_experiment(name).base_spec(), **{**quick, **changes})
 
 
-class TestWorkloadSpec:
-    def test_laptop_and_paper_presets(self):
-        laptop = WorkloadSpec.laptop()
-        paper = WorkloadSpec.paper()
-        assert laptop.image_size == 16
-        assert paper.image_size == 32
-        assert paper.architecture().num_blocks == 5
-        assert laptop.architecture().num_blocks == 3
+class TestSpecs:
+    def test_presets_set_the_workload_budget_and_seed(self):
+        spec = respec(JobSpec(), client_blocks=2, queue_policy="staleness", seed=4)
+        paper = on_preset(spec, "paper", num_end_systems=3)
+        assert paper.workload.scale == "paper"
+        assert paper.workload.num_samples == 6000
+        assert paper.workload.num_end_systems == 3
+        assert (paper.config.epochs, paper.config.batch_size) == (15, 64)
+        assert paper.workload.seed == paper.config.seed == 0
+        # The cut and the rest of the configuration stay the spec's.
+        assert paper.workload.client_blocks == 2
+        assert paper.config.queue_policy == "staleness"
+        pieces = build_workload(paper.workload)
+        assert pieces.architecture.num_blocks == 5
+        assert set(PRESETS["laptop"]) == set(PRESETS["paper"])
 
-    def test_validation(self):
+    def test_respec_routes_each_field(self):
+        spec = respec(JobSpec(), client_blocks=2, num_servers=3, seed=7)
+        assert spec.workload.client_blocks == 2
+        assert spec.config.num_servers == 3
+        assert spec.workload.seed == spec.config.seed == 7
+        with pytest.raises(TypeError):
+            respec(spec, no_such_field=1)
         with pytest.raises(ValueError):
-            WorkloadSpec(scale="huge")
+            respec(spec, num_samples=10, num_end_systems=4)
         with pytest.raises(ValueError):
-            WorkloadSpec(num_end_systems=0)
-        with pytest.raises(ValueError):
-            WorkloadSpec(num_samples=10, num_end_systems=4)
+            respec(spec, num_servers=0)
 
-    def test_build_workload_pieces(self, quick_workload):
-        pieces = build_workload(quick_workload)
-        assert len(pieces["parts"]) == quick_workload.num_end_systems
-        total = sum(len(part) for part in pieces["parts"])
-        assert total == len(pieces["train"])
-        images, _ = pieces["test"].arrays()
-        assert images.shape[1:] == (3, quick_workload.image_size, quick_workload.image_size)
+    def test_every_base_spec_is_a_valid_job(self):
+        for entry in list_experiments():
+            spec = entry.base_spec()
+            assert JobSpec.from_json_dict(spec.to_json_dict()) == spec
+            assert spec.workload.seed == spec.config.seed
 
 
 class TestExperimentResult:
@@ -97,29 +110,30 @@ class TestRegistry:
 
 
 class TestTable1:
-    def test_rows_match_requested_cuts(self, quick_workload):
-        result = run_table1(workload=quick_workload, client_block_range=[0, 1])
+    def test_rows_match_requested_cuts(self):
+        result = run_table1(laptop("table1"), client_block_range=[0, 1])
         assert result.column("client_blocks") == [0, 1]
         labels = result.column("layers_at_end_systems")
         assert labels[0].startswith("Nothing")
         assert labels[1] == "L1"
 
-    def test_accuracy_within_bounds_and_reference_attached(self, quick_workload):
-        result = run_table1(workload=quick_workload, client_block_range=[0, 1])
+    def test_accuracy_within_bounds_and_reference_attached(self):
+        result = run_table1(laptop("table1"), client_block_range=[0, 1])
         for accuracy in result.column("accuracy_pct"):
             assert 0.0 <= accuracy <= 100.0
         assert result.paper_reference["values_pct"] == PAPER_TABLE1
         # The centralized row's degradation is zero by construction.
         assert result.column("degradation_pct")[0] == pytest.approx(0.0)
 
-    def test_registry_dispatch(self, quick_workload):
-        result = run_experiment("table1", workload=quick_workload, client_block_range=[1])
+    def test_registry_dispatch(self):
+        result = run_experiment("table1", laptop("table1"), client_block_range=[1])
         assert len(result.rows) == 1
+        assert result.metadata["workload"] == laptop("table1").to_json_dict()
 
 
 class TestFigure4:
-    def test_layer_rows_and_monotone_leakage(self, quick_workload):
-        result = run_figure4(workload=quick_workload, num_probe_images=60, train_first=False)
+    def test_layer_rows_and_monotone_leakage(self):
+        result = run_figure4(laptop("figure4"), num_probe_images=60, train_first=False)
         layers = result.column("layer")
         assert layers[0] == "input"
         assert "L1_pool" in layers
@@ -127,36 +141,32 @@ class TestFigure4:
         # Post-pooling activations must not reconstruct better than the input.
         assert nmse["L1_pool"] >= nmse["input"] - 1e-6
 
-    def test_requires_at_least_one_block(self, quick_workload):
+    def test_requires_at_least_one_block(self):
         with pytest.raises(ValueError):
-            run_figure4(workload=quick_workload, client_blocks=0)
+            run_figure4(laptop("figure4", client_blocks=0))
 
 
 class TestStaleness:
-    def test_policies_reported(self, quick_workload):
-        workload = WorkloadSpec.laptop(num_samples=240, num_end_systems=2, epochs=1,
-                                       batch_size=16)
-        result = run_staleness(workload=workload, policies=("fifo", "weighted_fair"),
+    def test_policies_reported(self):
+        result = run_staleness(laptop("staleness"), policies=("fifo", "weighted_fair"),
                                latencies_s=(0.002, 0.1), simulated_budget_s=0.5)
         assert result.column("policy") == ["fifo", "weighted_fair"]
         for fairness in result.column("fairness_index"):
             assert 0.0 < fairness <= 1.0
 
-    def test_latency_count_must_match(self, quick_workload):
+    def test_latency_count_must_match(self):
         with pytest.raises(ValueError, match="latencies"):
-            run_staleness(workload=quick_workload, latencies_s=(0.1,) * 5)
+            run_staleness(laptop("staleness"), latencies_s=(0.1,) * 5)
 
 
 class TestQueueCongestion:
     def test_sweep_rows_and_backpressure_contract(self):
-        workload = WorkloadSpec.laptop(num_samples=240, num_end_systems=8, epochs=1,
-                                       batch_size=8)
         result = run_queue_congestion(
-            workload=workload,
+            laptop("queue_congestion", num_end_systems=8, batch_size=8,
+                   server_step_time_s=0.01),
             capacities=(2, None),
             backpressures=("drop", "block"),
             policies=("fifo",),
-            server_step_time_s=0.01,
             near_latency_s=0.002,
             far_latency_s=0.02,
         )
@@ -175,10 +185,8 @@ class TestQueueCongestion:
         assert blocked[("unbounded", "drop")] == 0
 
     def test_registry_dispatch(self):
-        workload = WorkloadSpec.laptop(num_samples=240, num_end_systems=4, epochs=1,
-                                       batch_size=16)
         result = run_experiment(
-            "queue_congestion", workload=workload, capacities=(2,),
+            "queue_congestion", laptop("queue_congestion", num_end_systems=4), capacities=(2,),
             backpressures=("drop",), policies=("fifo",),
         )
         assert len(result.rows) == 1
@@ -187,10 +195,8 @@ class TestQueueCongestion:
 
 class TestServerSharding:
     def test_shard_sweep_rows_and_sync_accounting(self):
-        workload = WorkloadSpec.laptop(num_samples=240, num_end_systems=8, epochs=1,
-                                       batch_size=16)
         result = run_server_sharding(
-            workload=workload, shard_counts=(1, 2),
+            laptop("server_sharding", num_end_systems=8), shard_counts=(1, 2),
             near_latency_s=0.002, far_latency_s=0.03,
         )
         assert result.column("num_servers") == [1, 2]
@@ -213,10 +219,9 @@ class TestServerSharding:
         arrivals at the (per-shard) barrier — the freshness win sharding
         actually buys in the synchronous regime.
         """
-        workload = WorkloadSpec.laptop(num_samples=240, num_end_systems=8, epochs=1,
-                                       batch_size=16)
         result = run_server_sharding(
-            workload=workload, shard_counts=(1, 2), shard_assigner="latency_aware",
+            laptop("server_sharding", num_end_systems=8, shard_assigner="latency_aware"),
+            shard_counts=(1, 2),
             near_latency_s=0.002, far_latency_s=0.2, inter_server_latency_s=0.001,
         )
         waits = dict(zip(result.column("num_servers"),
@@ -229,9 +234,7 @@ class TestServerSharding:
         assert times[2] <= times[1] * 1.1
 
     def test_registry_dispatch(self):
-        workload = WorkloadSpec.laptop(num_samples=240, num_end_systems=4, epochs=1,
-                                       batch_size=16)
-        result = run_experiment("server_sharding", workload=workload,
+        result = run_experiment("server_sharding", laptop("server_sharding", num_end_systems=4),
                                 shard_counts=(2,))
         assert len(result.rows) == 1
         assert result.column("num_servers") == [2]
@@ -239,12 +242,9 @@ class TestServerSharding:
 
 class TestServerFailover:
     def test_sweep_rows_and_churn_accounting(self):
-        workload = WorkloadSpec.laptop(num_samples=240, num_end_systems=8, epochs=1,
-                                       batch_size=16)
         result = run_server_failover(
-            workload=workload,
+            laptop("server_failover", num_end_systems=8, failure_mttr_s=0.01),
             mtbf_values_s=(None, 0.02),
-            mttr_s=0.01,
             checkpoint_every_values_s=(None,),
             failover_policies=("rebalance", "standby"),
             sync_modes=("average",),
@@ -277,16 +277,13 @@ class TestServerFailover:
         work per crash.  ``server_sync_every`` is huge so the sync
         snapshot never exists — without a store, every recovery rewinds
         to the initial weights and the RPO is the whole run so far."""
-        workload = WorkloadSpec.laptop(num_samples=240, num_end_systems=8, epochs=1,
-                                       batch_size=16)
         result = run_server_failover(
-            workload=workload,
+            laptop("server_failover", num_end_systems=8, failure_mttr_s=0.01,
+                   server_sync_every=1000),
             mtbf_values_s=(0.02,),
-            mttr_s=0.01,
             checkpoint_every_values_s=(None, 0.002),
             failover_policies=("standby",),
             sync_modes=("average",),
-            server_sync_every=1000,
             near_latency_s=0.002, far_latency_s=0.03,
         )
         assert len(result.rows) == 2
@@ -308,10 +305,8 @@ class TestServerFailover:
         assert on[index["rpo_samples"]] <= off[index["rpo_samples"]]
 
     def test_registry_dispatch(self):
-        workload = WorkloadSpec.laptop(num_samples=240, num_end_systems=4, epochs=1,
-                                       batch_size=16)
         result = run_experiment(
-            "server_failover", workload=workload,
+            "server_failover", laptop("server_failover", num_end_systems=4),
             mtbf_values_s=(0.05,), failover_policies=("rebalance",),
             sync_modes=("staleness",), checkpoint_every_values_s=(None,),
         )
@@ -321,14 +316,12 @@ class TestServerFailover:
 
 class TestChaosMatrix:
     def test_matrix_rows_and_reliability_contract(self):
-        workload = WorkloadSpec.laptop(num_samples=240, num_end_systems=8, epochs=1,
-                                       batch_size=16)
         regimes = {
             "clean": {},
             "lossy": {"link_drop": 0.2},
         }
         result = run_chaos_matrix(
-            workload=workload, regimes=regimes,
+            laptop("chaos_matrix", num_end_systems=8), regimes=regimes,
             near_latency_s=0.002, far_latency_s=0.03,
         )
         # regime x {off, on}; the runner re-asserts the drop balance per
@@ -354,10 +347,8 @@ class TestChaosMatrix:
             assert 0.0 <= row[index["train_accuracy_pct"]] <= 100.0
 
     def test_registry_dispatch(self):
-        workload = WorkloadSpec.laptop(num_samples=240, num_end_systems=4, epochs=1,
-                                       batch_size=16)
         result = run_experiment(
-            "chaos_matrix", workload=workload,
+            "chaos_matrix", laptop("chaos_matrix", num_end_systems=4),
             regimes={"clean": {}}, reliability_values=(False,),
         )
         assert len(result.rows) == 1
@@ -366,14 +357,14 @@ class TestChaosMatrix:
 
 class TestClientsSweepAndBaselines:
     def test_clients_sweep_rows(self):
-        workload = WorkloadSpec.laptop(num_samples=240, epochs=1, batch_size=16)
-        result = run_clients_sweep(workload=workload, num_end_systems=(1, 2))
+        result = run_clients_sweep(laptop("clients_sweep", num_end_systems=4),
+                                   num_end_systems=(1, 2))
         assert result.column("num_end_systems") == [1, 2]
         assert all(0 <= value <= 100 for value in result.column("accuracy_pct"))
 
-    def test_compression_rows_and_traffic_ordering(self, quick_workload):
+    def test_compression_rows_and_traffic_ordering(self):
         result = run_compression(
-            workload=quick_workload,
+            laptop("compression"),
             transforms=({"name": "none"}, {"name": "uint8"}),
         )
         labels = result.column("transform")
@@ -384,23 +375,23 @@ class TestClientsSweepAndBaselines:
         relative = result.column("uplink_vs_baseline")
         assert relative[0] == pytest.approx(1.0)
 
-    def test_compression_none_row_is_table1_row(self, quick_workload):
+    def test_compression_none_row_is_table1_row(self):
         """The sweep trains through the trainer: its raw row is Table I's L1 row."""
-        none = run_compression(workload=quick_workload, transforms=({"name": "none"},))
-        table1 = run_table1(workload=quick_workload, client_block_range=[1])
+        none = run_compression(laptop("compression"), transforms=({"name": "none"},))
+        table1 = run_table1(laptop("table1"), client_block_range=[1])
         assert none.column("accuracy_pct") == table1.column("accuracy_pct")
         assert none.column("uplink_megabytes") == table1.column("uplink_megabytes")
 
     def test_compression_sweep_is_reproducible(self):
-        workload = WorkloadSpec.laptop(num_samples=240, epochs=1, batch_size=16)
+        spec = laptop("compression", num_end_systems=4)
         noise = ({"name": "gaussian_noise", "noise_multiplier": 0.25, "clip_norm": 5.0},)
-        first = run_compression(workload=workload, transforms=noise)
-        second = run_compression(workload=workload, transforms=noise)
+        first = run_compression(spec, transforms=noise)
+        second = run_compression(spec, transforms=noise)
         assert first.rows == second.rows
 
-    def test_baselines_comparison_rows(self, quick_workload):
+    def test_baselines_comparison_rows(self):
         result = run_baselines_comparison(
-            workload=quick_workload,
+            laptop("baselines"),
             methods=("centralized", "spatio_temporal"),
         )
         methods = result.column("method")
@@ -408,6 +399,22 @@ class TestClientsSweepAndBaselines:
         leak = dict(zip(methods, result.column("raw_data_leaves_client")))
         assert leak["centralized"] == "yes"
         assert leak["spatio_temporal"] == "no"
+
+
+    def test_baseline_uplink_counts_the_shipped_dtype(self):
+        """At float32 every method ships 4-byte values, not 8-byte ones."""
+        spec = laptop("baselines")
+        with default_dtype(np.float32):
+            result = run_baselines_comparison(
+                spec, methods=("sequential_split", "fedavg", "spatio_temporal"))
+        uplink = dict(zip(result.column("method"), result.column("uplink_megabytes")))
+        # The trainer's log adds labels and 64 B of framing per message to
+        # the same smashed activations the sequential baseline ships.
+        assert uplink["sequential_split"] == pytest.approx(uplink["spatio_temporal"], rel=0.02)
+        assert uplink["sequential_split"] < uplink["spatio_temporal"]
+        parameters = result.metadata["full_model_parameters"]
+        assert uplink["fedavg"] == pytest.approx(
+            spec.config.epochs * spec.workload.num_end_systems * parameters * 4 / 1e6)
 
 
 class TestCLI:
@@ -438,14 +445,13 @@ class TestCLI:
         assert args.scale == "paper"
         assert args.seed == 3
 
-    def test_run_without_flags_uses_the_experiments_canonical_workload(self):
+    def test_run_without_flags_uses_the_experiments_base_spec(self):
         from repro.experiments.cli import _workload_from_args
 
         bare = build_parser().parse_args(["run", "server_sharding"])
         assert _workload_from_args(bare, required=False) is None
         tuned = build_parser().parse_args(["run", "server_sharding", "--epochs", "1"])
-        workload = _workload_from_args(tuned, required=False)
-        assert workload is not None and workload.epochs == 1
+        assert _workload_from_args(tuned, required=False) == {"epochs": 1}
         # run-all keeps the explicit shared workload either way.
         shared = build_parser().parse_args(["run-all"])
         assert _workload_from_args(shared) is not None

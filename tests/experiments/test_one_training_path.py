@@ -3,8 +3,11 @@
 The client step (``forward_batch`` / ``apply_gradient``) and the server
 step (``CentralServer.process``) are driven by the engine alone; a study
 that needs a different wire form sets a codec on the end-systems instead
-of running a private loop.  Checked by AST, so a new module is covered the
-day it is added.
+of running a private loop.  An experiment describes each run as a
+``JobSpec`` and gets its trainer from ``repro.api.build_trainer``: no
+module under ``repro.experiments`` builds a trainer or a split itself or
+names the harness-only workload class the JobSpec replaced.  Checked by
+AST, so a new module is covered the day it is added.
 """
 
 import ast
@@ -22,6 +25,11 @@ MODULES = sorted(
     for package in (repro.experiments, repro.baselines)
     for path in Path(package.__file__).parent.glob("*.py")
 )
+EXPERIMENT_MODULES = [path for path in MODULES if path.parent.name == "experiments"]
+#: Built only by ``repro.api.build_trainer`` / ``build_split``.
+TRAINER_CONSTRUCTORS = {"SpatioTemporalTrainer", "SplitSpec"}
+#: The deleted harness twin of ``JobWorkload``, spelled so this file does not name it.
+DELETED_NAMES = {"Workload" + "Spec"}
 
 
 def _offences(source):
@@ -35,6 +43,28 @@ def _offences(source):
             found.append((node.lineno, func.attr))
         if isinstance(func, ast.Name) and func.id in FORBIDDEN_CONSTRUCTORS:
             found.append((node.lineno, func.id))
+    return found
+
+
+def _name(node):
+    """The identifier a ``Name`` / ``Attribute`` / import alias node spells, if any."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rsplit(".", 1)[-1]
+    return None
+
+
+def _spec_offences(source):
+    """``(line, name)`` for every hand-built trainer or split and every deleted name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _name(node.func) in TRAINER_CONSTRUCTORS:
+            found.append((node.lineno, _name(node.func)))
+        elif _name(node) in DELETED_NAMES:
+            found.append((node.lineno, _name(node)))
     return found
 
 
@@ -56,4 +86,23 @@ def test_detector_sees_a_private_loop():
     )
     assert sorted(_offences(loop)) == [
         (1, "CentralServer"), (2, "forward_batch"), (3, "apply_gradient"), (3, "process"),
+    ]
+
+
+@pytest.mark.parametrize("path", EXPERIMENT_MODULES, ids=lambda path: path.name)
+def test_experiments_build_trainers_from_job_specs(path):
+    assert _spec_offences(path.read_text()) == []
+
+
+def test_detector_sees_a_hand_built_trainer():
+    deleted = sorted(DELETED_NAMES)[0]
+    source = (
+        f"from .base import {deleted}\n"
+        "split = SplitSpec(architecture, client_blocks=1)\n"
+        "trainer = core.trainer.SpatioTemporalTrainer(split, parts, config)\n"
+        f"workload = base.{deleted}.laptop()\n"
+        "trainer = build_trainer(spec, pieces=pieces)\n"
+    )
+    assert sorted(_spec_offences(source)) == [
+        (1, deleted), (2, "SplitSpec"), (3, "SpatioTemporalTrainer"), (4, deleted),
     ]
