@@ -6,7 +6,7 @@ considers split learning").  FedAvg (McMahan et al., 2017) is the
 canonical alternative: every client trains a *complete* local copy of the
 model on its own data for a few local epochs and the server averages the
 resulting weights, so no activations are exchanged but every client must
-be able to run the full network.  The baseline-comparison benchmark puts
+be able to run the full network.  The ``baselines`` experiment puts
 the two side by side on the same data partition.
 """
 

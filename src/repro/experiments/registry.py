@@ -1,7 +1,7 @@
 """Registry mapping experiment names to their runners.
 
-The registry is what the CLI (``repro-experiments``) and the benchmark
-harness iterate over; adding a new experiment means registering its
+The registry is what the CLI (``repro-experiments``) and the paper-shape
+tests look experiments up in; adding a new experiment means registering its
 runner and base spec here with the paper artefact it reproduces.
 """
 

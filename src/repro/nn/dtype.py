@@ -8,8 +8,9 @@ manager) switches the whole stack between fast ``float32`` training and
 
 The library default is **float32**: the split-learning workloads are
 memory-bandwidth bound on the im2col/GEMM hot path, and halving the
-element size roughly doubles end-to-end throughput (see
-``benchmarks/test_bench_substrate.py``).  The test suite pins ``float64``
+element size roughly doubles end-to-end throughput.  The repo benchmark's
+``paper_sync`` workload (``benchmarks/e2e/run.py``) trains the paper CNN at
+this default.  The test suite pins ``float64``
 through the same policy hook so that central-difference gradient checks
 stay exact.
 

@@ -104,6 +104,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:  # rfile.read(-1) would block until the client hangs up
+            raise ValueError(f"Content-Length must not be negative, got {length}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("request body must be a JSON object")

@@ -52,12 +52,18 @@ def assert_same_weights(reference, other, atol=0.0):
 
 
 class TestInertDefaults:
+    @pytest.mark.parametrize("reliability", [
+        {},
+        # Reliable delivery with nothing to repair: the ack timeout sits
+        # above the worst round trip, so no retransmission ever fires.
+        dict(reliable_delivery=True, retry_timeout_s=0.5, retry_max=3),
+    ], ids=["default", "reliable-fault-free"])
     def test_no_chaos_machinery_without_knobs(self, tiny_split_spec, tiny_parts,
-                                              normalize):
-        trainer = make_trainer(tiny_split_spec, tiny_parts, normalize)
+                                              normalize, reliability):
+        trainer = make_trainer(tiny_split_spec, tiny_parts, normalize, **reliability)
         assert trainer.fault_plan is None
         assert trainer.message_chaos is None
-        assert not trainer.engine._dedup_enabled
+        assert trainer.engine._dedup_enabled == bool(reliability)
         trainer.train()
         stats = trainer.engine.stats
         assert stats.retries == 0
@@ -69,9 +75,9 @@ class TestInertDefaults:
         assert log.corrupted_messages == 0
         assert log.duplicated_messages == 0
         assert log.reordered_messages == 0
-        # And none of the per-run stats columns appear either.
+        # No chaos stats column appears; the reliability block only when it is on.
         history_keys = trainer.train().queue_stats
-        assert "retries" not in history_keys
+        assert ("retries" in history_keys) == bool(reliability)
         assert "chaos_events" not in history_keys
 
 

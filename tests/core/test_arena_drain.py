@@ -274,8 +274,9 @@ class TestServerArenaIntegration:
 class TestArenaBackendEquivalence:
     """Acceptance: arena + blocked-backend drains == concatenate path at float64."""
 
-    def test_drain_matches_concatenate_path_to_round_off(self, spec):
-        messages = make_messages(spec, 6, batch_size=3, seed=42)
+    @pytest.mark.parametrize("count", [6, 500])
+    def test_drain_matches_concatenate_path_to_round_off(self, spec, count):
+        messages = make_messages(spec, count, batch_size=3, seed=42)
 
         def clone(msgs):
             return [
@@ -312,7 +313,8 @@ class TestArenaBackendEquivalence:
                 plain_server.receive(message)
             plain_results = plain_server.process_pending_batch()
 
-        assert len(arena_results) == len(plain_results) == 6
+        assert len(arena_results) == len(plain_results) == count
+        assert arena_server.samples_processed == plain_server.samples_processed == 3 * count
         for (msg_a, reply_a), (msg_b, reply_b) in zip(arena_results, plain_results):
             assert msg_a.batch_id == msg_b.batch_id
             assert reply_a.end_system_id == reply_b.end_system_id

@@ -51,11 +51,13 @@ class TestSynchronousTraining:
         assert history.traffic["uplink_messages"] > 0
         assert history.traffic["downlink_messages"] == history.traffic["uplink_messages"]
 
-    def test_every_sample_processed_each_epoch(self, tiny_split_spec, tiny_parts, normalize):
-        trainer = make_trainer(tiny_split_spec, tiny_parts, normalize)
+    @pytest.mark.parametrize("num_servers", [1, 2])
+    def test_every_sample_processed_each_epoch(self, tiny_split_spec, tiny_parts, normalize,
+                                               num_servers):
+        trainer = make_trainer(tiny_split_spec, tiny_parts, normalize, num_servers=num_servers)
         trainer.train()
         total = sum(len(part) for part in tiny_parts)
-        assert trainer.server.samples_processed == total
+        assert trainer.cluster.samples_processed == total
 
     def test_training_reduces_loss(self, tiny_split_spec, tiny_parts, normalize):
         trainer = make_trainer(tiny_split_spec, tiny_parts, normalize, epochs=4, batch_size=16)

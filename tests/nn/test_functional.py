@@ -34,13 +34,20 @@ class TestIm2Col:
         cols = F.im2col(images, (3, 3), (1, 1), (1, 1))
         assert cols.shape == (2, 3, 3, 3, 8, 8)
 
-    def test_col2im_is_adjoint_of_im2col(self, rng):
+    @pytest.mark.parametrize("kernel, stride, padding", [
+        ((3, 3), (2, 2), (1, 1)),
+        ((2, 2), (2, 2), (0, 0)),   # non-overlapping: the reshape fast path
+        ((2, 2), (1, 1), (0, 0)),   # overlapping, unpadded: the strided += path
+    ], ids=["padded", "non-overlapping", "overlapping"])
+    def test_col2im_is_adjoint_of_im2col(self, rng, kernel, stride, padding):
         """<im2col(x), y> == <x, col2im(y)> for random x, y (adjoint property)."""
         images = rng.standard_normal((2, 2, 6, 6))
-        cols_shape = F.im2col(images, (3, 3), (2, 2), (1, 1)).shape
-        other = rng.standard_normal(cols_shape)
-        lhs = float((F.im2col(images, (3, 3), (2, 2), (1, 1)) * other).sum())
-        rhs = float((images * F.col2im(other, images.shape, (3, 3), (2, 2), (1, 1))).sum())
+        cols = F.im2col(images, kernel, stride, padding)
+        other = rng.standard_normal(cols.shape)
+        folded = F.col2im(other, images.shape, kernel, stride, padding)
+        assert folded.shape == images.shape
+        lhs = float((cols * other).sum())
+        rhs = float((images * folded).sum())
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_stride_no_padding_output_size(self):

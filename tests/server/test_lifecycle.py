@@ -20,6 +20,7 @@ suite-wide float64 fixture.
 import json
 import os
 import signal
+import socket
 import threading
 import time
 from dataclasses import replace
@@ -254,6 +255,19 @@ class TestHttpContract:
         assert excinfo.value.status == 400
         assert reason in excinfo.value.message
         assert client.jobs() == []  # rejected before anything touched disk
+
+    def test_negative_content_length_is_400_not_a_read_to_eof(self, server):
+        """``Content-Length: -1`` used to read until the client hung up and
+        then submit the job."""
+        body = json.dumps(JobSpec.fast_debug(name="t", epochs=1).to_json_dict())
+        request = ("POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+                   "Content-Type: application/json\r\nContent-Length: -1\r\n\r\n" + body)
+        with socket.create_connection(server.server_address[:2], timeout=2.0) as sock:
+            sock.sendall(request.encode())
+            with sock.makefile("rb") as response:
+                status_line = response.readline()  # times out after 2 s
+        assert status_line.split()[1] == b"400"
+        assert server.manager.job_ids() == []
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ApiError) as excinfo:
