@@ -3,9 +3,15 @@
 Replay-exact recovery (``repro.state``) and the 1e-9 equivalence pins
 only hold if a run is a pure function of its seed: wall-clock reads and
 process-global RNG state are the two ways that breaks.  Every stochastic
-component must draw from a ``numpy.random.Generator`` handed to it via
-:mod:`repro.utils.rng`, and simulated components must take time from the
-simulator clock, never the host's.
+component must draw from a seeded ``numpy.random.Generator``, and simulated
+components must take time from the simulator clock, never the host's.
+
+A generator seeded from a value that may be ``None`` is unseeded in
+disguise: ``default_rng(None)`` draws from OS entropy.  So the seed of a
+``default_rng(x)`` / ``Generator(BitGen(x))`` call must not be a parameter
+of the enclosing function that defaults to ``None`` or is typed
+``Optional`` / ``… | None``, nor a conditional expression with a ``None``
+branch.
 
 ``time.perf_counter``/``process_time`` stay allowed: they measure the
 *host* for benchmarking and never feed simulation state.
@@ -14,7 +20,7 @@ simulator clock, never the host's.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import FrozenSet, Iterator, Optional, Tuple
 
 from ..findings import Finding
 from .base import RuleContext, dotted_name
@@ -54,25 +60,19 @@ class DeterminismRule:
     name = "determinism"
     description = (
         "Simulation code must not read the wall clock or legacy global "
-        "RNGs; randomness flows through repro.utils.rng seeded Generators "
-        "and time through the simulator clock."
+        "RNGs or seed a Generator from a value that may be None; randomness "
+        "flows through a seeded Generator and time through the simulator clock."
     )
 
     def applies_to(self, context: RuleContext) -> bool:
-        if context.modpath is None:
-            return False
-        return not context.modpath.startswith("analysis/")
+        return context.modpath is not None and not context.modpath.startswith("analysis/")
 
     def check(self, context: RuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node, nullable in _calls_with_nullable_params(context.tree, frozenset()):
             called = dotted_name(node.func)
             if called is None:
                 continue
-            finding = self._classify(called)
-            if finding is None:
-                finding = self._classify_unseeded(called, node)
+            finding = self._classify(called) or self._classify_unseeded(called, node, nullable)
             if finding is None:
                 continue
             message, hint = finding
@@ -99,47 +99,82 @@ class DeterminismRule:
                 and parts[-1] in _NP_LEGACY:
             return (
                 "{called}() uses numpy's legacy global RNG state",
-                "draw from a seeded Generator via repro.utils.rng "
-                "(seeded_rng / SeedSequence.generator)",
+                "draw from a seeded Generator "
+                "(np.random.default_rng(seed) / SeedSequence.generator)",
             )
         if len(parts) == 2 and parts[0] == "random" and parts[1] in _STDLIB_RANDOM:
             return (
                 "{called}() uses the stdlib global RNG",
-                "draw from a seeded numpy Generator via repro.utils.rng",
+                "draw from a seeded numpy Generator",
             )
         return None
 
     @staticmethod
-    def _classify_unseeded(called: str,
-                           node: ast.Call) -> Optional[Tuple[str, str]]:
+    def _classify_unseeded(called: str, node: ast.Call,
+                           nullable: FrozenSet[str]) -> Optional[Tuple[str, str]]:
         """Flag Generator construction that is not pinned to a seed.
 
-        ``default_rng()`` with no arguments (and ``Generator`` wrapping a
-        no-argument bit generator) seeds from OS entropy, so two runs of
+        ``default_rng()`` with no arguments or ``None`` (and ``Generator``
+        wrapping such a bit generator) seeds from OS entropy, so two runs of
         the same config draw different streams — exactly the
-        non-reproducibility RL002 exists to keep out of the tree.
+        non-reproducibility RL002 exists to keep out of the tree.  So does
+        a seed that may be ``None`` (``nullable`` names the enclosing
+        function's parameters that may be).
         """
         parts = called.split(".")
         is_random_api = len(parts) == 1 or parts[-2] == "random"
-        if not is_random_api:
+        if not is_random_api or parts[-1] not in ("default_rng", "Generator"):
             return None
-        if parts[-1] == "default_rng" and not node.args and not node.keywords:
+        if _may_be_none(_seed_argument(node, called), nullable):
             return (
-                "{called}() without a seed draws from OS entropy",
-                "pass an explicit seed (derive one via repro.utils.rng "
-                "SeedSequence when a stream is needed)",
+                "{called}() without a seed, or with one that may be None, draws from OS entropy",
+                "pass a required int seed (no None default, not Optional, no None "
+                "branch) or a repro.utils.rng SeedSequence stream",
             )
-        if parts[-1] == "Generator":
-            seedless_bitgen = (
-                bool(node.args)
-                and isinstance(node.args[0], ast.Call)
-                and not node.args[0].args
-                and not node.args[0].keywords
-            )
-            if not node.args or seedless_bitgen:
-                return (
-                    "{called}() built without a seeded bit generator",
-                    "construct the bit generator from an explicit seed "
-                    "(e.g. np.random.Generator(np.random.PCG64(seed)))",
-                )
         return None
+
+
+def _calls_with_nullable_params(
+        node: ast.AST, nullable: FrozenSet[str]) -> Iterator[Tuple[ast.Call, FrozenSet[str]]]:
+    """Every call under ``node`` with the names, visible where it sits,
+    of function parameters that may be ``None``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        params = [*zip(positional, [None] * (len(positional) - len(args.defaults)) + args.defaults),
+                  *zip(args.kwonlyargs, args.kw_defaults)]
+        nullable = (nullable - {arg.arg for arg, _ in params}) | {
+            arg.arg for arg, default in params if _is_none(default) or _is_optional(arg.annotation)}
+    elif isinstance(node, ast.Call):
+        yield node, nullable
+    for child in ast.iter_child_nodes(node):
+        yield from _calls_with_nullable_params(child, nullable)
+
+
+def _seed_argument(node: ast.Call, called: str) -> Optional[ast.expr]:
+    """``x`` of ``default_rng(x)``, ``Generator(BitGen(x))`` or ``…(SeedSequence(x))``."""
+    seed = node.args[0] if node.args else next(
+        (kw.value for kw in node.keywords if kw.arg == "seed"), None)
+    if isinstance(seed, ast.Call) and (
+            called.endswith("Generator") or (dotted_name(seed.func) or "").endswith("SeedSequence")):
+        return _seed_argument(seed, "")
+    return seed
+
+
+def _may_be_none(seed: Optional[ast.expr], nullable: FrozenSet[str]) -> bool:
+    """No seed, a ``None`` literal, a nullable parameter or a ``None`` branch."""
+    if isinstance(seed, ast.IfExp):
+        return _is_none(seed.body) or _is_none(seed.orelse)
+    return seed is None or _is_none(seed) or isinstance(seed, ast.Name) and seed.id in nullable
+
+
+def _is_none(node: Optional[ast.AST]) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _is_optional(annotation: Optional[ast.expr]) -> bool:
+    """``Optional[...]`` or ``… | None``."""
+    if isinstance(annotation, ast.Subscript):
+        return (dotted_name(annotation.value) or "").rpartition(".")[2] == "Optional"
+    return isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr) and any(
+        _is_none(side) or _is_optional(side) for side in (annotation.left, annotation.right))

@@ -25,7 +25,7 @@ Three design rules, enforced here:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from ..core.config import TrainingConfig
 
@@ -84,6 +84,8 @@ class JobWorkload:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.client_blocks < 0:
             raise ValueError("client_blocks must be non-negative")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
 
     def to_json_dict(self) -> Dict[str, Any]:
         return asdict(self)

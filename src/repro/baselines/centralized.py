@@ -35,7 +35,7 @@ class CentralizedTrainer:
     Parameters
     ----------
     model:
-        The full network (e.g. ``paper_cnn_architecture().build()``).
+        The full network (e.g. ``paper_cnn_architecture().build(seed=0)``).
     optimizer_name / optimizer_kwargs:
         Optimizer configuration for all parameters.
     loss_name:

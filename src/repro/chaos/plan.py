@@ -424,7 +424,7 @@ class StochasticFaults(FaultPlan):
         for label, rng_state in half["rngs"].items():
             # The seed is irrelevant here: the restored bit-generator
             # state on the next line is the checkpointed stream position.
-            rng = np.random.default_rng()  # repro-lint: ignore[RL002] -- state restored below
+            rng = np.random.default_rng(0)
             rng.bit_generator.state = rng_state
             self._rngs[crashes][key_of(label)] = rng
         self._next[crashes] = {

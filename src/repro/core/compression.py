@@ -28,7 +28,6 @@ the server reconstructs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -151,8 +150,8 @@ class GaussianNoisePerturbation(ActivationTransform):
 
     name = "gaussian_noise"
 
-    def __init__(self, noise_multiplier: float = 0.5, clip_norm: float = 1.0,
-                 seed: Optional[int] = None) -> None:
+    def __init__(self, noise_multiplier: float = 0.5, clip_norm: float = 1.0, *,
+                 seed: int) -> None:
         if noise_multiplier < 0:
             raise ValueError("noise_multiplier must be non-negative")
         if clip_norm <= 0:
@@ -186,7 +185,7 @@ _TRANSFORMS = {
 
 def get_transform(name: str, **kwargs) -> ActivationTransform:
     """Instantiate an activation transform by name
-    (``none``, ``uint8``, ``topk``, ``gaussian_noise``)."""
+    (``none``, ``uint8``, ``topk``, ``gaussian_noise``; the last needs ``seed=``)."""
     try:
         return _TRANSFORMS[name.lower()](**kwargs)
     except KeyError:

@@ -302,6 +302,8 @@ class TrainingConfig:
             )
         if self.max_in_flight <= 0:
             raise ValueError("max_in_flight must be positive")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.server_step_time_s < 0:
             raise ValueError("server_step_time_s must be non-negative")
         if self.max_queue_size is not None and self.max_queue_size <= 0:

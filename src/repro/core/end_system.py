@@ -61,7 +61,8 @@ class EndSystem:
         split_spec: SplitSpec,
         optimizer_name: str = "adam",
         optimizer_kwargs: Optional[Dict] = None,
-        seed: Optional[int] = None,
+        *,
+        seed: int,
     ) -> None:
         self.system_id = int(system_id)
         #: Cut-layer transform applied to every activation message this

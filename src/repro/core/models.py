@@ -123,29 +123,27 @@ class CNNArchitecture:
     # ------------------------------------------------------------------ #
     # Model construction
     # ------------------------------------------------------------------ #
-    def build(self, rng: Optional[np.random.Generator] = None,
-              seed: Optional[int] = None) -> Sequential:
+    def build(self, seed: int) -> Sequential:
         """Instantiate the full network with freshly initialized parameters."""
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        model = self.build_blocks(self.num_blocks, rng=rng)
+        rng = np.random.default_rng(seed)
+        model = self._blocks(self.num_blocks, rng)
         model.append(Flatten(), name="flatten")
         model.append(Dense(self.flattened_size, self.dense_units, rng=rng), name="dense1")
         model.append(ReLU(), name="dense1_relu")
         model.append(Dense(self.dense_units, self.num_classes, rng=rng), name="output")
         return model
 
-    def build_blocks(self, count: int, rng: Optional[np.random.Generator] = None,
-                     seed: Optional[int] = None) -> Sequential:
+    def build_blocks(self, count: int, seed: int) -> Sequential:
         """Instantiate blocks ``L1 .. L{count}`` only.
 
         The blocks draw their initialization first, so for the same seed
         these are exactly the first ``3 * count`` layers of :meth:`build`.
         """
+        return self._blocks(count, np.random.default_rng(seed))
+
+    def _blocks(self, count: int, rng: np.random.Generator) -> Sequential:
         if not 0 <= count <= self.num_blocks:
             raise ValueError(f"count must be in [0, {self.num_blocks}], got {count}")
-        if rng is None:
-            rng = np.random.default_rng(seed)
         layers: List[Tuple[str, Module]] = []
         in_channels = self.in_channels
         for index, out_channels in enumerate(self.filters[:count]):
@@ -214,6 +212,6 @@ def mnist_cnn_architecture(num_classes: int = 10) -> CNNArchitecture:
     )
 
 
-def build_paper_cnn(seed: Optional[int] = None, num_classes: int = 10) -> Sequential:
+def build_paper_cnn(seed: int, num_classes: int = 10) -> Sequential:
     """Convenience wrapper: instantiate the paper's Fig.-3 CNN directly."""
     return paper_cnn_architecture(num_classes=num_classes).build(seed=seed)

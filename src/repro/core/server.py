@@ -102,7 +102,8 @@ class CentralServer:
         queue_policy: Optional[SchedulingPolicy] = None,
         max_queue_size: Optional[int] = None,
         use_arena: bool = True,
-        seed: Optional[int] = None,
+        *,
+        seed: int,
     ) -> None:
         self.split_spec = split_spec
         self.model: Sequential = split_spec.build_server_segment(seed=seed)

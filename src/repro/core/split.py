@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..nn import Sequential
 from .models import CNNArchitecture
 
@@ -88,27 +86,23 @@ class SplitSpec:
             return 0
         return model.index_of(boundary) + 1
 
-    def build_full_model(self, rng: Optional[np.random.Generator] = None,
-                         seed: Optional[int] = None) -> Sequential:
+    def build_full_model(self, seed: int) -> Sequential:
         """Instantiate the complete, unsplit network."""
-        return self.architecture.build(rng=rng, seed=seed)
+        return self.architecture.build(seed=seed)
 
-    def build_client_segment(self, rng: Optional[np.random.Generator] = None,
-                             seed: Optional[int] = None) -> Sequential:
+    def build_client_segment(self, seed: int) -> Sequential:
         """Instantiate a fresh client segment (blocks ``L1 .. L{client_blocks}``).
 
         Only those blocks are constructed (an empty ``Sequential`` when the
         cut is 0).  Their initialization draws come first in the seeded
         stream, so the weights equal the head of :meth:`build_full_model`
-        for the same ``seed``.  A caller passing ``rng=`` now sees fewer
-        draws consumed than a full build: the server half is never drawn.
+        for the same ``seed``.
         """
-        return self.architecture.build_blocks(self.client_blocks, rng=rng, seed=seed)
+        return self.architecture.build_blocks(self.client_blocks, seed=seed)
 
-    def build_server_segment(self, rng: Optional[np.random.Generator] = None,
-                             seed: Optional[int] = None) -> Sequential:
+    def build_server_segment(self, seed: int) -> Sequential:
         """Instantiate the server segment (everything after the cut)."""
-        model = self.build_full_model(rng=rng, seed=seed)
+        model = self.build_full_model(seed=seed)
         _, tail = model.split_at(self._cut_index(model))
         return tail
 

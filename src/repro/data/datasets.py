@@ -22,7 +22,7 @@ dataset, split, partition and golden built on top.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -177,7 +177,7 @@ class SyntheticImageDataset(ArrayDataset):
         jitter: int = 3,
         deformation_noise: float = 0.25,
         pixel_noise: float = 0.10,
-        seed: Optional[int] = 0,
+        seed: int = 0,
     ) -> None:
         if num_samples < num_classes:
             raise ValueError("need at least one sample per class")
@@ -283,7 +283,7 @@ class SyntheticImageDataset(ArrayDataset):
 class SyntheticCIFAR10(SyntheticImageDataset):
     """CIFAR-10 stand-in: 10 classes of 32x32 RGB images (see module docstring)."""
 
-    def __init__(self, num_samples: int = 2000, seed: Optional[int] = 0, **kwargs) -> None:
+    def __init__(self, num_samples: int = 2000, seed: int = 0, **kwargs) -> None:
         kwargs.setdefault("num_classes", 10)
         kwargs.setdefault("image_size", 32)
         kwargs.setdefault("channels", 3)
@@ -293,7 +293,7 @@ class SyntheticCIFAR10(SyntheticImageDataset):
 class SyntheticMNIST(SyntheticImageDataset):
     """MNIST stand-in: 10 classes of 28x28 grayscale images."""
 
-    def __init__(self, num_samples: int = 2000, seed: Optional[int] = 0, **kwargs) -> None:
+    def __init__(self, num_samples: int = 2000, seed: int = 0, **kwargs) -> None:
         kwargs.setdefault("num_classes", 10)
         kwargs.setdefault("image_size", 28)
         kwargs.setdefault("channels", 1)
@@ -304,7 +304,7 @@ class SyntheticMNIST(SyntheticImageDataset):
 def train_test_split(
     dataset: Dataset,
     test_fraction: float = 0.2,
-    seed: Optional[int] = 0,
+    seed: int = 0,
     stratified: bool = True,
 ) -> Tuple[Subset, Subset]:
     """Split a dataset into train and test subsets.

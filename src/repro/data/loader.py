@@ -50,7 +50,7 @@ class DataLoader:
         shuffle: bool = True,
         drop_last: bool = False,
         transform: Optional[Transform] = None,
-        seed: Optional[int] = 0,
+        seed: int = 0,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -88,9 +88,7 @@ class DataLoader:
     def _epoch_order(self) -> np.ndarray:
         indices = np.arange(len(self.dataset), dtype=np.intp)
         if self.shuffle:
-            rng = np.random.default_rng(
-                None if self.seed is None else self.seed + self._epoch
-            )
+            rng = np.random.default_rng(self.seed + self._epoch)
             rng.shuffle(indices)
         return indices
 

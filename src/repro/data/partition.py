@@ -38,7 +38,7 @@ __all__ = [
 class Partitioner:
     """Base class: maps a dataset to ``num_parts`` disjoint subsets."""
 
-    def __init__(self, num_parts: int, seed: Optional[int] = 0) -> None:
+    def __init__(self, num_parts: int, seed: int = 0) -> None:
         if num_parts <= 0:
             raise ValueError("num_parts must be positive")
         self.num_parts = num_parts
@@ -77,7 +77,7 @@ class DirichletPartitioner(Partitioner):
     ``alpha`` (e.g. 100) approaches the IID partition.
     """
 
-    def __init__(self, num_parts: int, alpha: float = 0.5, seed: Optional[int] = 0) -> None:
+    def __init__(self, num_parts: int, alpha: float = 0.5, seed: int = 0) -> None:
         super().__init__(num_parts, seed)
         if alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -116,7 +116,7 @@ class LabelShardPartitioner(Partitioner):
     end-system sees only 2 classes — the classic pathological non-IID split.
     """
 
-    def __init__(self, num_parts: int, shards_per_part: int = 2, seed: Optional[int] = 0) -> None:
+    def __init__(self, num_parts: int, shards_per_part: int = 2, seed: int = 0) -> None:
         super().__init__(num_parts, seed)
         if shards_per_part <= 0:
             raise ValueError("shards_per_part must be positive")
@@ -148,7 +148,7 @@ class QuantitySkewPartitioner(Partitioner):
     """IID class mix but unbalanced part sizes drawn from Dirichlet(beta)."""
 
     def __init__(self, num_parts: int, beta: float = 2.0, min_samples: int = 2,
-                 seed: Optional[int] = 0) -> None:
+                 seed: int = 0) -> None:
         super().__init__(num_parts, seed)
         if beta <= 0:
             raise ValueError("beta must be positive")
@@ -202,7 +202,7 @@ _PARTITIONERS = {
 }
 
 
-def get_partitioner(name: str, num_parts: int, seed: Optional[int] = 0, **kwargs) -> Partitioner:
+def get_partitioner(name: str, num_parts: int, seed: int = 0, **kwargs) -> Partitioner:
     """Instantiate a partitioner by name (``iid``, ``dirichlet``, ``label_shard``, ``quantity_skew``)."""
     try:
         cls = _PARTITIONERS[name.lower()]

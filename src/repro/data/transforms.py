@@ -14,7 +14,7 @@ is not pure.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,11 +90,11 @@ class Normalize(Transform):
 class RandomHorizontalFlip(Transform):
     """Flip each image left-right with probability ``p``."""
 
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, p: float = 0.5, *, rng: np.random.Generator) -> None:
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must be in [0, 1]")
         self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng()  # repro-lint: ignore[RL002] -- seeded-rng callers are the simulated path; bare default is interactive convenience
+        self._rng = rng
 
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         if batch.ndim != 4:
@@ -108,11 +108,11 @@ class RandomHorizontalFlip(Transform):
 class RandomCrop(Transform):
     """Pad by ``padding`` pixels then crop back to the original size at a random offset."""
 
-    def __init__(self, padding: int = 4, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, padding: int = 4, *, rng: np.random.Generator) -> None:
         if padding < 0:
             raise ValueError("padding must be non-negative")
         self.padding = padding
-        self._rng = rng if rng is not None else np.random.default_rng()  # repro-lint: ignore[RL002] -- seeded-rng callers are the simulated path; bare default is interactive convenience
+        self._rng = rng
 
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         if batch.ndim != 4:
@@ -134,26 +134,27 @@ class RandomCrop(Transform):
 class GaussianNoise(Transform):
     """Add white Gaussian noise with standard deviation ``std``."""
 
-    def __init__(self, std: float = 0.01, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, std: float = 0.01, *, rng: np.random.Generator) -> None:
         if std < 0:
             raise ValueError("std must be non-negative")
         self.std = std
-        self._rng = rng if rng is not None else np.random.default_rng()  # repro-lint: ignore[RL002] -- seeded-rng callers are the simulated path; bare default is interactive convenience
+        self._rng = rng
 
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         if self.std == 0:
             return batch
-        return batch + self.std * self._rng.standard_normal(batch.shape)
+        # Drawn in float64 and rounded, so every precision sees one stream.
+        return batch + self.std * self._rng.standard_normal(batch.shape).astype(batch.dtype)
 
 
 class Cutout(Transform):
     """Zero a random square patch in each image (simple regularizer)."""
 
-    def __init__(self, size: int = 8, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, size: int = 8, *, rng: np.random.Generator) -> None:
         if size <= 0:
             raise ValueError("size must be positive")
         self.size = size
-        self._rng = rng if rng is not None else np.random.default_rng()  # repro-lint: ignore[RL002] -- seeded-rng callers are the simulated path; bare default is interactive convenience
+        self._rng = rng
 
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         if batch.ndim != 4:

@@ -81,7 +81,7 @@ def default_dtype(dtype: DTypeLike) -> Iterator[np.dtype]:
     """Context manager that temporarily switches the default dtype.
 
     >>> with default_dtype(np.float64):
-    ...     model = build_paper_cnn()   # float64 parameters
+    ...     model = build_paper_cnn(seed=0)   # float64 parameters
     """
     previous = set_default_dtype(dtype)
     try:

@@ -9,7 +9,7 @@ used in the privacy-inversion analysis.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -49,58 +49,54 @@ def compute_fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
     return int(fan_in), int(fan_out)
 
 
-def _rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
-    return rng if rng is not None else np.random.default_rng()  # repro-lint: ignore[RL002] -- seeded-rng callers are the simulated path; bare default is interactive convenience
-
-
-def he_normal(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def he_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Kaiming-He normal initialization for ReLU networks."""
     fan_in, _ = compute_fans(shape)
     std = math.sqrt(2.0 / max(fan_in, 1))
-    return _rng(rng).normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
+    return rng.normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
 
 
-def he_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def he_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Kaiming-He uniform initialization for ReLU networks."""
     fan_in, _ = compute_fans(shape)
     limit = math.sqrt(6.0 / max(fan_in, 1))
-    return _rng(rng).uniform(-limit, limit, size=shape).astype(get_default_dtype(), copy=False)
+    return rng.uniform(-limit, limit, size=shape).astype(get_default_dtype(), copy=False)
 
 
-def xavier_normal(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Glorot-Xavier normal initialization."""
     fan_in, fan_out = compute_fans(shape)
     std = math.sqrt(2.0 / max(fan_in + fan_out, 1))
-    return _rng(rng).normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
+    return rng.normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
 
 
-def xavier_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Glorot-Xavier uniform initialization."""
     fan_in, fan_out = compute_fans(shape)
     limit = math.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return _rng(rng).uniform(-limit, limit, size=shape).astype(get_default_dtype(), copy=False)
+    return rng.uniform(-limit, limit, size=shape).astype(get_default_dtype(), copy=False)
 
 
-def zeros(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def zeros(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """All-zero initialization (biases)."""
     return np.zeros(shape, dtype=get_default_dtype())
 
 
-def ones(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def ones(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """All-one initialization (BatchNorm scale)."""
     return np.ones(shape, dtype=get_default_dtype())
 
 
-def normal(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None,
+def normal(shape: Tuple[int, ...], rng: np.random.Generator,
            std: float = 0.01) -> np.ndarray:
     """Small-scale Gaussian initialization."""
-    return _rng(rng).normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
+    return rng.normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
 
 
-def uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None,
+def uniform(shape: Tuple[int, ...], rng: np.random.Generator,
             limit: float = 0.05) -> np.ndarray:
     """Uniform initialization in ``[-limit, limit]``."""
-    return _rng(rng).uniform(-limit, limit, size=shape).astype(get_default_dtype(), copy=False)
+    return rng.uniform(-limit, limit, size=shape).astype(get_default_dtype(), copy=False)
 
 
 _INITIALIZERS = {

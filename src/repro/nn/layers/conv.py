@@ -41,6 +41,8 @@ class Conv2D(Module):
         the layer with ``ReLU()``, but in inference mode the clamp is
         applied inside the backend's GEMM epilogue while each output
         tile is cache-hot instead of as a separate pass.
+    rng:
+        Seeded NumPy generator the weight initialization draws from.
     """
 
     def __init__(
@@ -53,7 +55,8 @@ class Conv2D(Module):
         bias: bool = True,
         weight_init: str = "he_normal",
         activation: Optional[str] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         super().__init__()
         if in_channels <= 0 or out_channels <= 0:

@@ -33,7 +33,7 @@ class Dense(Module):
     weight_init:
         Name of an initializer from :mod:`repro.nn.init`.
     rng:
-        Optional NumPy generator for reproducible initialization.
+        Seeded NumPy generator the weight initialization draws from.
     """
 
     def __init__(
@@ -42,7 +42,8 @@ class Dense(Module):
         out_features: int,
         bias: bool = True,
         weight_init: str = "he_normal",
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         super().__init__()
         if in_features <= 0 or out_features <= 0:

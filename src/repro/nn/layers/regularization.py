@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..dtype import get_default_dtype
@@ -21,12 +19,12 @@ class Dropout(Module):
     unchanged; during evaluation the layer is the identity.
     """
 
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, p: float = 0.5, *, rng: np.random.Generator) -> None:
         super().__init__()
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng()  # repro-lint: ignore[RL002] -- seeded-rng callers are the simulated path; bare default is interactive convenience
+        self._rng = rng
 
     def forward(self, inputs: Tensor) -> Tensor:
         if not self.training or self.p == 0.0:

@@ -647,9 +647,8 @@ class Tensor:
         return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad, dtype=dtype)
 
     @staticmethod
-    def randn(*shape: int, rng: Optional[np.random.Generator] = None,
+    def randn(*shape: int, rng: np.random.Generator,
               requires_grad: bool = False, dtype=None) -> "Tensor":
-        rng = rng or np.random.default_rng()  # repro-lint: ignore[RL002] -- seeded-rng callers are the simulated path; bare default is interactive convenience
         dtype = dtype if dtype is not None else get_default_dtype()
         return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=requires_grad, dtype=dtype)
 

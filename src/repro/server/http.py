@@ -21,7 +21,8 @@ GET       ``/v1/jobs/<id>/result``           final history (completed jobs)
 ========  =================================  =====================================
 
 Error mapping: schema violations → 400, unknown job → 404, illegal
-lifecycle transition → 409, everything carries ``{"error": ...}``.
+lifecycle transition → 409, a body over :data:`MAX_BODY_BYTES` → 413 (refused
+before it is read), everything carries ``{"error": ...}``.
 
 The metrics endpoint reads the worker's live ``metrics.jsonl`` through
 the same tolerant reader the CLI report uses
@@ -37,16 +38,19 @@ import logging
 import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from ..obs.report import flatten_row, load_rows, report_payload
 from .jobs import InvalidTransition, JobManager, UnknownJob
 
-__all__ = ["API_VERSION", "RunServer", "create_server"]
+__all__ = ["API_VERSION", "MAX_BODY_BYTES", "RunServer", "create_server"]
 
 #: Version segment of every route (``/v1/...``) and the ``healthz`` echo.
 API_VERSION = 1
+
+#: Largest request body the server reads; a JobSpec is a few kB.
+MAX_BODY_BYTES = 1 << 20
 
 logger = logging.getLogger(__name__)
 
@@ -79,6 +83,10 @@ def create_server(root: Union[str, Path], host: str = "127.0.0.1",
     return RunServer((host, port), JobManager(root))
 
 
+class _BodyTooLarge(Exception):
+    """A request claimed a body over :data:`MAX_BODY_BYTES`."""
+
+
 class _Handler(BaseHTTPRequestHandler):
     server: RunServer  # narrowed from BaseServer for self.server.manager
 
@@ -106,6 +114,8 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length") or 0)
         if length < 0:  # rfile.read(-1) would block until the client hangs up
             raise ValueError(f"Content-Length must not be negative, got {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("request body must be a JSON object")
@@ -126,6 +136,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._route(method)
         except (ValueError, TypeError, json.JSONDecodeError) as exc:
             self._send_json(400, {"error": str(exc)})
+        except _BodyTooLarge as exc:
+            self._send_json(413, {"error": str(exc)})
         except UnknownJob as exc:
             self._send_json(404, {"error": f"unknown job: {exc.args[0]}"})
         except InvalidTransition as exc:

@@ -9,7 +9,7 @@ server" delivers its parameters late or sparsely.  These models map a link
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ def great_circle_km(coord_a: Tuple[float, float], coord_b: Tuple[float, float]) 
 class LatencyModel:
     """Base class: produces a one-way delay sample per message."""
 
-    def sample(self, rng: Optional[np.random.Generator] = None) -> float:
+    def sample(self, rng: np.random.Generator) -> float:
         """Return one delay sample in seconds."""
         raise NotImplementedError
 
@@ -57,7 +57,7 @@ class ConstantLatency(LatencyModel):
             raise ValueError("delay must be non-negative")
         self.delay_s = float(delay_s)
 
-    def sample(self, rng: Optional[np.random.Generator] = None) -> float:
+    def sample(self, rng: np.random.Generator) -> float:
         return self.delay_s
 
     def mean(self) -> float:
@@ -76,8 +76,7 @@ class UniformLatency(LatencyModel):
         self.low_s = float(low_s)
         self.high_s = float(high_s)
 
-    def sample(self, rng: Optional[np.random.Generator] = None) -> float:
-        rng = rng if rng is not None else np.random.default_rng()  # repro-lint: ignore[RL002] -- seeded-rng callers are the simulated path; bare default is interactive convenience
+    def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.low_s, self.high_s))
 
     def mean(self) -> float:
@@ -97,8 +96,7 @@ class GaussianLatency(LatencyModel):
         self.std_s = float(std_s)
         self.floor_s = float(floor_s)
 
-    def sample(self, rng: Optional[np.random.Generator] = None) -> float:
-        rng = rng if rng is not None else np.random.default_rng()  # repro-lint: ignore[RL002] -- seeded-rng callers are the simulated path; bare default is interactive convenience
+    def sample(self, rng: np.random.Generator) -> float:
         return float(max(self.floor_s, rng.normal(self.mean_s, self.std_s)))
 
     def mean(self) -> float:
@@ -132,8 +130,7 @@ class DistanceLatency(LatencyModel):
         self.jitter_std_s = float(jitter_std_s)
         self.propagation_s = self.distance_km * self.path_stretch / FIBRE_KM_PER_SECOND
 
-    def sample(self, rng: Optional[np.random.Generator] = None) -> float:
-        rng = rng if rng is not None else np.random.default_rng()  # repro-lint: ignore[RL002] -- seeded-rng callers are the simulated path; bare default is interactive convenience
+    def sample(self, rng: np.random.Generator) -> float:
         jitter = abs(rng.normal(0.0, self.jitter_std_s)) if self.jitter_std_s else 0.0
         return self.base_s + self.propagation_s + jitter
 

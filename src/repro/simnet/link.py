@@ -75,6 +75,8 @@ class Link:
         Probability that a message is silently lost (used by the
         failure-injection tests; the trainer falls back to skipping the
         lost batch).
+    seed:
+        Seed of the link's own stream (latency samples and losses).
     direction:
         Free-form label (``"up"``/``"down"``/``"both"``) recorded in
         :meth:`stats` so asymmetric-link deployments can tell uplink and
@@ -86,7 +88,8 @@ class Link:
         latency: Optional[LatencyModel] = None,
         bandwidth_bps: Optional[float] = 100e6,
         drop_probability: float = 0.0,
-        seed: Optional[int] = None,
+        *,
+        seed: int,
         direction: str = "both",
     ) -> None:
         if bandwidth_bps is not None and bandwidth_bps <= 0:

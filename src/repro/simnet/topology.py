@@ -351,7 +351,7 @@ def _add_end_systems(
     bandwidth_bps: Optional[float],
     jitter_std_s: float,
     drop_probability: float,
-    seed: Optional[int],
+    seed: int,
     downlink_bandwidth_bps: Optional[float],
     downlink_drop_probability: Optional[float],
 ) -> None:
@@ -376,14 +376,14 @@ def _add_end_systems(
             latency=_make_latency_model(latency_s, jitter_std_s),
             bandwidth_bps=bandwidth_bps,
             drop_probability=drop_probability,
-            seed=None if seed is None else seed + index,
+            seed=seed + index,
             direction="up",
         )
         downlink = Link(
             latency=_make_latency_model(down_latencies[index], jitter_std_s),
             bandwidth_bps=down_bandwidth,
             drop_probability=down_drop,
-            seed=None if seed is None else seed + num_end_systems + index,
+            seed=seed + num_end_systems + index,
             direction="down",
         )
         topology.add_link(name, hubs[index], uplink, downlink=downlink)
@@ -395,7 +395,7 @@ def star_topology(
     bandwidth_bps: Optional[float] = 100e6,
     jitter_std_s: float = 0.0,
     drop_probability: float = 0.0,
-    seed: Optional[int] = 0,
+    seed: int = 0,
     downlink_latencies_s: Optional[Iterable[float]] = None,
     downlink_bandwidth_bps: Optional[float] = None,
     downlink_drop_probability: Optional[float] = None,
@@ -440,7 +440,7 @@ def multi_hub_star_topology(
     bandwidth_bps: Optional[float] = 100e6,
     jitter_std_s: float = 0.0,
     drop_probability: float = 0.0,
-    seed: Optional[int] = 0,
+    seed: int = 0,
     downlink_latencies_s: Optional[Iterable[float]] = None,
     downlink_bandwidth_bps: Optional[float] = None,
     downlink_drop_probability: Optional[float] = None,
@@ -500,14 +500,14 @@ def multi_hub_star_topology(
                 latency=_make_latency_model(inter_server_latency_s, jitter_std_s),
                 bandwidth_bps=inter_server_bandwidth_bps,
                 drop_probability=inter_server_drop_probability,
-                seed=None if seed is None else seed + 2 * num_end_systems + 2 * pair_index,
+                seed=seed + 2 * num_end_systems + 2 * pair_index,
                 direction="sync",
             )
             backward = Link(
                 latency=_make_latency_model(inter_server_latency_s, jitter_std_s),
                 bandwidth_bps=inter_server_bandwidth_bps,
                 drop_probability=inter_server_drop_probability,
-                seed=None if seed is None else seed + 2 * num_end_systems + 2 * pair_index + 1,
+                seed=seed + 2 * num_end_systems + 2 * pair_index + 1,
                 direction="sync",
             )
             topology.add_link(hubs[left], hubs[right], forward, downlink=backward)
@@ -520,7 +520,7 @@ def geo_star_topology(
     server_city: str = "seoul",
     bandwidth_bps: Optional[float] = 100e6,
     jitter_std_s: float = 0.002,
-    seed: Optional[int] = 0,
+    seed: int = 0,
 ) -> GeoTopology:
     """Build a star topology whose latencies follow real geographic distances.
 
@@ -546,7 +546,7 @@ def geo_star_topology(
                 WORLD_CITIES[city], WORLD_CITIES[server_city], jitter_std_s=jitter_std_s
             ),
             bandwidth_bps=bandwidth_bps,
-            seed=None if seed is None else seed + index,
+            seed=seed + index,
             direction="up",
         )
         downlink = Link(
@@ -554,7 +554,7 @@ def geo_star_topology(
                 WORLD_CITIES[server_city], WORLD_CITIES[city], jitter_std_s=jitter_std_s
             ),
             bandwidth_bps=bandwidth_bps,
-            seed=None if seed is None else seed + num_end_systems + index,
+            seed=seed + num_end_systems + index,
             direction="down",
         )
         topology.add_link(name, GeoTopology.SERVER, uplink, downlink=downlink)

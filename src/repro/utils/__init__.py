@@ -3,15 +3,13 @@
 from . import arena, perf
 from .arena import ActivationArena
 from .logging import get_logger, set_verbosity
-from .rng import SeedSequence, seeded_rng, spawn_rngs
+from .rng import SeedSequence
 from .timer import Timer
 from .tables import format_table
 
 __all__ = [
     "get_logger",
     "set_verbosity",
-    "seeded_rng",
-    "spawn_rngs",
     "SeedSequence",
     "Timer",
     "format_table",

@@ -9,24 +9,11 @@ independent of how many end-systems participate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = ["seeded_rng", "spawn_rngs", "SeedSequence"]
-
-
-def seeded_rng(seed: Optional[int] = None) -> np.random.Generator:
-    """Return a ``Generator`` seeded with ``seed`` (fresh entropy when ``None``)."""
-    return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: Optional[int], count: int) -> List[np.random.Generator]:
-    """Spawn ``count`` statistically independent generators from one seed."""
-    if count <= 0:
-        raise ValueError("count must be positive")
-    sequence = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
+__all__ = ["SeedSequence"]
 
 
 class SeedSequence:
@@ -42,17 +29,12 @@ class SeedSequence:
     >>> rng_data = seeds.generator("data")
     """
 
-    def __init__(self, seed: Optional[int] = 0) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
     def generator(self, name: Union[str, int]) -> np.random.Generator:
         """Return a generator unique to ``(self.seed, name)``."""
         # Derive a stable 64-bit value from the component name.
         name_digest = np.frombuffer(str(name).encode(), dtype=np.uint8).sum() * 2654435761
-        base = 0 if self.seed is None else self.seed
-        combined = np.random.SeedSequence([base, int(name_digest) % (2 ** 63)])
+        combined = np.random.SeedSequence([self.seed, int(name_digest) % (2 ** 63)])
         return np.random.default_rng(combined)
-
-    def generators(self, names: Sequence[Union[str, int]]) -> List[np.random.Generator]:
-        """Return one generator per name."""
-        return [self.generator(name) for name in names]

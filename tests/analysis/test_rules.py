@@ -139,8 +139,10 @@ class TestDeterminism:
             b = default_rng()
             c = np.random.Generator(np.random.PCG64())
             d = np.random.Generator()
+            e = np.random.default_rng(None)
+            f = default_rng(np.random.SeedSequence())
         """)
-        assert rule_ids(findings) == ["RL002"] * 4
+        assert rule_ids(findings) == ["RL002"] * 6
         assert all("seed" in f.fix_hint for f in findings)
 
     def test_quiet_on_seeded_generator_construction(self):
@@ -151,6 +153,68 @@ class TestDeterminism:
             b = default_rng(seed=3)
             c = np.random.Generator(np.random.PCG64(11))
             d = np.random.default_rng(np.random.SeedSequence(5))
+        """) == []
+
+    def test_fires_on_the_optional_seed_codec_shape(self):
+        # The noise codec's shape before seeds became required: an
+        # ``Optional[int] = None`` seed handed straight to default_rng.
+        findings = unsuppressed("""
+            from typing import Optional
+            import numpy as np
+
+            class GaussianNoisePerturbation:
+                def __init__(self, noise_multiplier: float = 0.5, clip_norm: float = 1.0,
+                             seed: Optional[int] = None) -> None:
+                    self._rng = np.random.default_rng(seed)
+        """)
+        assert rule_ids(findings) == ["RL002"]
+        assert "may be None" in findings[0].message
+
+    def test_fires_on_a_conditional_with_a_none_branch(self):
+        findings = unsuppressed("""
+            import numpy as np
+
+            def link_stream(seed: int, index: int):
+                return np.random.default_rng(None if seed is None else seed + index)
+        """)
+        assert rule_ids(findings) == ["RL002"]
+
+    def test_fires_on_an_optional_annotation_with_a_non_none_default(self):
+        findings = unsuppressed("""
+            from typing import Optional
+            import numpy as np
+
+            def shuffled(seed: Optional[int] = 0):
+                return np.random.default_rng(seed)
+
+            def wrapped(seed: int | None = 1):
+                return np.random.Generator(np.random.PCG64(seed=seed))
+        """)
+        assert rule_ids(findings) == ["RL002", "RL002"]
+
+    def test_quiet_on_a_required_int_seed(self):
+        assert unsuppressed("""
+            import numpy as np
+
+            def stream(seed: int, offset: int = 0):
+                return np.random.default_rng(seed + offset)
+
+            def inner(seed: int):
+                def shadow(seed=None):
+                    return seed
+                return np.random.default_rng(seed)
+
+            def derived(seeds):
+                return np.random.default_rng(seeds.next_seed())
+        """) == []
+
+    def test_quiet_on_named_seed_sequence_streams(self):
+        assert unsuppressed("""
+            from typing import Optional
+            from repro.utils.rng import SeedSequence
+
+            def client_stream(seed: int, name: Optional[str] = None):
+                return SeedSequence(seed).generator(name)
         """) == []
 
     def test_unseeded_detection_ignores_unrelated_names(self):

@@ -45,16 +45,5 @@ def test_known_suppression_inventory():
         for f in findings if f.suppressed
     )
     assert inventory == [
-        ("chaos/plan.py", "RL002"),
-        ("data/transforms.py", "RL002"),
-        ("data/transforms.py", "RL002"),
-        ("data/transforms.py", "RL002"),
-        ("data/transforms.py", "RL002"),
-        ("nn/init.py", "RL002"),
-        ("nn/layers/regularization.py", "RL002"),
-        ("nn/tensor.py", "RL002"),
         ("simnet/events.py", "RL003"),
-        ("simnet/latency.py", "RL002"),
-        ("simnet/latency.py", "RL002"),
-        ("simnet/latency.py", "RL002"),
     ]

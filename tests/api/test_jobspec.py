@@ -85,6 +85,19 @@ class TestStrictness:
         with pytest.raises(TypeError):
             JobSpec.from_json_dict(payload)
 
+    @pytest.mark.parametrize("seed", [None, True, 1.0])
+    def test_workload_seed_must_be_an_int(self, seed):
+        """A ``null`` seed would draw a different dataset on every build."""
+        payload = JobWorkload().to_json_dict()
+        payload["seed"] = seed
+        with pytest.raises(ValueError, match="seed must be an int"):
+            JobWorkload.from_json_dict(payload)
+
+    @pytest.mark.parametrize("seed", [None, False, 0.0])
+    def test_config_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            TrainingConfig.from_dict({"seed": seed})
+
 
 class TestVersioning:
     def test_future_envelope_version_rejected(self):

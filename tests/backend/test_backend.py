@@ -235,11 +235,11 @@ class TestBackendThreadsThroughOps:
         np.testing.assert_allclose(inputs_fused.grad, inputs_ref.grad,
                                    rtol=1e-12, atol=1e-12)
 
-    def test_conv_rejects_unknown_activation(self):
+    def test_conv_rejects_unknown_activation(self, rng):
         from repro.nn import Conv2D
 
         with pytest.raises(ValueError, match="activation"):
-            Conv2D(2, 4, activation="gelu")
+            Conv2D(2, 4, activation="gelu", rng=rng)
 
     def test_blocked_and_numpy_training_agree(self, rng):
         """A conv+dense forward/backward matches across backends to round-off."""

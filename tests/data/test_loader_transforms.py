@@ -105,12 +105,19 @@ class TestTransforms:
 
     def test_random_crop_zero_padding_is_identity(self, rng):
         batch = rng.random((4, 3, 8, 8))
-        np.testing.assert_allclose(RandomCrop(padding=0)(batch), batch)
+        np.testing.assert_allclose(RandomCrop(padding=0, rng=rng)(batch), batch)
 
     def test_gaussian_noise_magnitude(self, rng):
         batch = np.zeros((10, 3, 8, 8))
         noisy = GaussianNoise(std=0.1, rng=np.random.default_rng(0))(batch)
         assert 0.05 < noisy.std() < 0.15
+
+    def test_gaussian_noise_keeps_a_float32_batch_float32(self):
+        batch = np.zeros((4, 3, 8, 8), dtype=np.float32)
+        noisy = GaussianNoise(std=0.1, rng=np.random.default_rng(0))(batch)
+        assert noisy.dtype == np.float32
+        float64 = GaussianNoise(std=0.1, rng=np.random.default_rng(0))(batch.astype(np.float64))
+        np.testing.assert_allclose(noisy, float64, rtol=1e-6)  # one stream, rounded
 
     def test_cutout_zeroes_a_patch(self, rng):
         batch = np.ones((3, 3, 8, 8))
@@ -120,7 +127,7 @@ class TestTransforms:
 
     def test_compose_applies_in_order(self, rng):
         batch = rng.random((2, 3, 8, 8))
-        compose = Compose([Normalize(mean=[0.5] * 3, std=[0.5] * 3), GaussianNoise(std=0.0)])
+        compose = Compose([Normalize(mean=[0.5] * 3, std=[0.5] * 3), GaussianNoise(std=0.0, rng=rng)])
         np.testing.assert_allclose(
             compose(batch), Normalize(mean=[0.5] * 3, std=[0.5] * 3)(batch)
         )
@@ -128,12 +135,12 @@ class TestTransforms:
 
     def test_transform_validation(self, rng):
         with pytest.raises(ValueError):
-            RandomHorizontalFlip(p=1.5)
+            RandomHorizontalFlip(p=1.5, rng=rng)
         with pytest.raises(ValueError):
-            RandomCrop(padding=-1)
+            RandomCrop(padding=-1, rng=rng)
         with pytest.raises(ValueError):
-            GaussianNoise(std=-1.0)
+            GaussianNoise(std=-1.0, rng=rng)
         with pytest.raises(ValueError):
-            Cutout(size=0)
+            Cutout(size=0, rng=rng)
         with pytest.raises(ValueError):
-            RandomHorizontalFlip()(rng.random((3, 8, 8)))
+            RandomHorizontalFlip(rng=rng)(rng.random((3, 8, 8)))

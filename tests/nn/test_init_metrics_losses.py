@@ -40,9 +40,9 @@ class TestInitializers:
         limit = np.sqrt(6.0 / 100)
         assert np.abs(weights).max() <= limit
 
-    def test_zeros_and_ones(self):
-        assert initializers.zeros((3, 3)).sum() == 0
-        assert initializers.ones((3, 3)).sum() == 9
+    def test_zeros_and_ones(self, rng):
+        assert initializers.zeros((3, 3), rng).sum() == 0
+        assert initializers.ones((3, 3), rng).sum() == 9
 
     def test_registry_lookup(self):
         assert initializers.get_initializer("he_normal") is initializers.he_normal

@@ -43,9 +43,9 @@ class TestDense:
         assert layer.bias is None
         assert len(layer.parameters()) == 1
 
-    def test_invalid_dimensions_raise(self):
+    def test_invalid_dimensions_raise(self, rng):
         with pytest.raises(ValueError):
-            Dense(0, 3)
+            Dense(0, 3, rng=rng)
 
     def test_gradients_flow_to_parameters(self, rng):
         layer = Dense(4, 2, rng=rng)
@@ -75,17 +75,17 @@ class TestConv2DLayer:
         out = layer(Tensor(rng.standard_normal((1, 3, 12, 12))))
         assert layer.output_shape((3, 12, 12)) == out.shape[1:]
 
-    def test_same_padding_requires_odd_kernel(self):
+    def test_same_padding_requires_odd_kernel(self, rng):
         with pytest.raises(ValueError, match="odd kernel"):
-            Conv2D(3, 4, kernel_size=2, padding="same")
+            Conv2D(3, 4, kernel_size=2, padding="same", rng=rng)
 
-    def test_same_padding_requires_unit_stride(self):
+    def test_same_padding_requires_unit_stride(self, rng):
         with pytest.raises(ValueError, match="stride"):
-            Conv2D(3, 4, kernel_size=3, stride=2, padding="same")
+            Conv2D(3, 4, kernel_size=3, stride=2, padding="same", rng=rng)
 
-    def test_unknown_padding_mode(self):
+    def test_unknown_padding_mode(self, rng):
         with pytest.raises(ValueError, match="padding"):
-            Conv2D(3, 4, padding="weird")
+            Conv2D(3, 4, padding="weird", rng=rng)
 
     def test_channel_validation(self, rng):
         layer = Conv2D(3, 4, rng=rng)

@@ -14,7 +14,7 @@ class TestDropout:
         np.testing.assert_allclose(layer(Tensor(x)).data, x)
 
     def test_identity_when_p_zero(self, rng):
-        layer = Dropout(0.0)
+        layer = Dropout(0.0, rng=rng)
         x = rng.standard_normal((5, 5))
         np.testing.assert_allclose(layer(Tensor(x)).data, x)
 
@@ -35,11 +35,11 @@ class TestDropout:
         out = layer(Tensor(np.ones((300, 300))))
         assert out.data.mean() == pytest.approx(1.0, abs=0.02)
 
-    def test_invalid_probability(self):
+    def test_invalid_probability(self, rng):
         with pytest.raises(ValueError):
-            Dropout(1.0)
+            Dropout(1.0, rng=rng)
         with pytest.raises(ValueError):
-            Dropout(-0.1)
+            Dropout(-0.1, rng=rng)
 
     def test_gradient_respects_mask(self):
         layer = Dropout(0.5, rng=np.random.default_rng(2))

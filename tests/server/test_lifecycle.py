@@ -33,7 +33,7 @@ from repro.api import (ApiError, JobSpec, RunClient, build_trainer,
 from repro.backend import use_backend
 from repro.nn.dtype import default_dtype
 from repro.utils import perf
-from repro.server.http import create_server
+from repro.server.http import MAX_BODY_BYTES, create_server
 from repro.server.worker import flatten_state_dict
 from repro.state.store import load_state_dict
 
@@ -268,6 +268,30 @@ class TestHttpContract:
                 status_line = response.readline()  # times out after 2 s
         assert status_line.split()[1] == b"400"
         assert server.manager.job_ids() == []
+
+    def test_oversized_content_length_is_413_before_the_body_is_read(self, server):
+        """Only the header is sent: the server must answer without waiting
+        for the claimed body."""
+        request = ("POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+                   "Content-Type: application/json\r\n"
+                   f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n")
+        with socket.create_connection(server.server_address[:2], timeout=2.0) as sock:
+            sock.sendall(request.encode())
+            with sock.makefile("rb") as response:
+                status_line = response.readline()  # times out after 2 s
+        assert status_line.split()[1] == b"413"
+        assert server.manager.job_ids() == []
+        assert list(server.manager.jobs_dir.iterdir()) == []
+
+    def test_null_seed_is_400(self, client):
+        """A ``null`` seed would rebuild a different dataset on resume."""
+        payload = JobSpec.fast_debug().to_json_dict()
+        payload["workload"]["seed"] = None
+        with pytest.raises(ApiError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert "seed" in excinfo.value.message
+        assert client.jobs() == []
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ApiError) as excinfo:

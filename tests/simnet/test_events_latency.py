@@ -114,9 +114,9 @@ class TestSimulator:
 
 
 class TestLatencyModels:
-    def test_constant(self):
+    def test_constant(self, rng):
         model = ConstantLatency(0.01)
-        assert model.sample() == 0.01
+        assert model.sample(rng) == 0.01
         assert model.mean() == 0.01
         with pytest.raises(ValueError):
             ConstantLatency(-1.0)

@@ -24,16 +24,16 @@ class TestPayloadBytes:
 
 class TestLink:
     def test_transfer_time_includes_latency_and_bandwidth(self):
-        link = Link(latency=ConstantLatency(0.010), bandwidth_bps=8e6)  # 1 MB/s
+        link = Link(latency=ConstantLatency(0.010), bandwidth_bps=8e6, seed=0)  # 1 MB/s
         assert link.transfer_time(1_000_000) == pytest.approx(0.010 + 1.0)
         assert link.expected_transfer_time(0) == pytest.approx(0.010)
 
     def test_infinite_bandwidth(self):
-        link = Link(latency=ConstantLatency(0.005), bandwidth_bps=None)
+        link = Link(latency=ConstantLatency(0.005), bandwidth_bps=None, seed=0)
         assert link.transfer_time(10 ** 9) == pytest.approx(0.005)
 
     def test_send_stamps_arrival_time(self):
-        link = Link(latency=ConstantLatency(0.02), bandwidth_bps=None)
+        link = Link(latency=ConstantLatency(0.02), bandwidth_bps=None, seed=0)
         message = link.send("client", "server", np.zeros(10), now=5.0)
         assert isinstance(message, Message)
         assert message.arrival_time == pytest.approx(5.02)
@@ -42,7 +42,7 @@ class TestLink:
 
     def test_drop_probability_one_is_rejected_but_high_drop_works(self):
         with pytest.raises(ValueError):
-            Link(drop_probability=1.0)
+            Link(drop_probability=1.0, seed=0)
         link = Link(latency=ConstantLatency(0.0), drop_probability=0.99, seed=0)
         results = [link.send("a", "b", np.zeros(1), now=0.0) for _ in range(200)]
         dropped = sum(result is None for result in results)
@@ -58,7 +58,7 @@ class TestLink:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Link(bandwidth_bps=0)
+            Link(bandwidth_bps=0, seed=0)
 
 
 class TestTopology:
@@ -100,13 +100,13 @@ class TestTopology:
         topology = GeoTopology()
         topology.add_node("server", role="server")
         topology.add_node("clinic", role="end_system")
-        topology.add_link("clinic", "server", Link(latency=ConstantLatency(0.001)))
+        topology.add_link("clinic", "server", Link(latency=ConstantLatency(0.001), seed=0))
         assert topology.uplink("clinic").latency.mean() == pytest.approx(0.001)
         assert topology.coordinates("clinic") is None
         with pytest.raises(ValueError):
             topology.add_node("clinic")
         with pytest.raises(KeyError):
-            topology.add_link("clinic", "ghost", Link())
+            topology.add_link("clinic", "ghost", Link(seed=0))
         with pytest.raises(KeyError):
             topology.link("server", "ghost")
 
@@ -144,7 +144,7 @@ class TestAsymmetricLinks:
         topology = GeoTopology()
         topology.add_node("server", role="server")
         topology.add_node("clinic", role="end_system")
-        topology.add_link("clinic", "server", Link(latency=ConstantLatency(0.001)))
+        topology.add_link("clinic", "server", Link(latency=ConstantLatency(0.001), seed=0))
         assert topology.downlink("clinic") is topology.uplink("clinic")
 
     def test_transport_downlink_traffic_does_not_touch_uplink(self):

@@ -87,7 +87,7 @@ class TestRouteCache:
         topology = GeoTopology()
         topology.add_node("server", role="server")
         topology.add_node("client")
-        shared = Link(latency=ConstantLatency(0.001))
+        shared = Link(latency=ConstantLatency(0.001), seed=0)
         topology.add_link("client", "server", shared)
         assert topology.uplink("client") is shared
         assert topology.downlink("client") is shared
@@ -128,7 +128,7 @@ class TestRouteCache:
                 topology.uplink("nowhere")
         topology.add_node("roamer")
         for hub in ("server_0", "server_1"):
-            topology.add_link("roamer", hub, Link(latency=ConstantLatency(0.001)))
+            topology.add_link("roamer", hub, Link(latency=ConstantLatency(0.001), seed=0))
         for _ in range(2):
             with pytest.raises(ValueError, match="2 server hubs"):
                 topology.hub_of("roamer")
@@ -136,13 +136,13 @@ class TestRouteCache:
                 topology.downlink("roamer")
         # A node that appears later resolves: the earlier failure left nothing behind.
         topology.add_node("nowhere")
-        topology.add_link("nowhere", "server_0", Link(latency=ConstantLatency(0.001)))
+        topology.add_link("nowhere", "server_0", Link(latency=ConstantLatency(0.001), seed=0))
         assert topology.hub_of("nowhere") == "server_0"
 
     def test_adding_a_link_after_first_use_invalidates(self):
         topology = make_multi_hub()
         assert topology.hub_of("end_system_0") == "server_0"  # remembered
-        topology.add_link("end_system_0", "server_1", Link(latency=ConstantLatency(0.001)))
+        topology.add_link("end_system_0", "server_1", Link(latency=ConstantLatency(0.001), seed=0))
         with pytest.raises(ValueError, match="2 server hubs"):
             topology.hub_of("end_system_0")
         assert topology.hub_of("end_system_1") == "server_1"  # the others still resolve

@@ -3,29 +3,15 @@
 import logging
 import time
 
-import numpy as np
 import pytest
 
 from repro.utils.logging import get_logger, set_verbosity
-from repro.utils.rng import SeedSequence, seeded_rng, spawn_rngs
+from repro.utils.rng import SeedSequence
 from repro.utils.tables import format_table
 from repro.utils.timer import Timer
 
 
 class TestRng:
-    def test_seeded_rng_reproducible(self):
-        assert seeded_rng(3).random() == seeded_rng(3).random()
-
-    def test_spawn_rngs_independent_and_reproducible(self):
-        first = [generator.random() for generator in spawn_rngs(0, 3)]
-        second = [generator.random() for generator in spawn_rngs(0, 3)]
-        assert first == second
-        assert len(set(first)) == 3
-
-    def test_spawn_rngs_validation(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, 0)
-
     def test_seed_sequence_same_name_same_stream(self):
         seeds = SeedSequence(7)
         assert seeds.generator("model").random() == SeedSequence(7).generator("model").random()
@@ -33,14 +19,6 @@ class TestRng:
     def test_seed_sequence_different_names_differ(self):
         seeds = SeedSequence(7)
         assert seeds.generator("model").random() != seeds.generator("data").random()
-
-    def test_seed_sequence_generators_list(self):
-        generators = SeedSequence(1).generators(["a", "b", "c"])
-        assert len(generators) == 3
-        assert all(isinstance(generator, np.random.Generator) for generator in generators)
-
-    def test_none_seed_accepted(self):
-        assert SeedSequence(None).generator("x") is not None
 
 
 class TestTables:

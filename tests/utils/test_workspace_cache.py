@@ -134,7 +134,7 @@ class TestBatchSizeSweep:
     def test_sweep_leaves_one_buffer_per_tag(self, rng):
         architecture = tiny_cnn_architecture(image_size=8, num_blocks=2,
                                              base_filters=4, dense_units=16)
-        model = architecture.build(rng=rng)
+        model = architecture.build(seed=0)
         optimizer = Adam(model.parameters(), lr=1e-3)
         workspaces.clear()
         try:
