@@ -154,7 +154,7 @@ def _calls_with_nullable_params(
 def _seed_argument(node: ast.Call, called: str) -> Optional[ast.expr]:
     """``x`` of ``default_rng(x)``, ``Generator(BitGen(x))`` or ``…(SeedSequence(x))``."""
     seed = node.args[0] if node.args else next(
-        (kw.value for kw in node.keywords if kw.arg == "seed"), None)
+        (kw.value for kw in node.keywords if kw.arg in ("seed", "entropy")), None)
     if isinstance(seed, ast.Call) and (
             called.endswith("Generator") or (dotted_name(seed.func) or "").endswith("SeedSequence")):
         return _seed_argument(seed, "")

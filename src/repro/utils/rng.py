@@ -9,7 +9,7 @@ independent of how many end-systems participate.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -38,3 +38,7 @@ class SeedSequence:
         name_digest = np.frombuffer(str(name).encode(), dtype=np.uint8).sum() * 2654435761
         combined = np.random.SeedSequence([self.seed, int(name_digest) % (2 ** 63)])
         return np.random.default_rng(combined)
+
+    def generators(self, names: Sequence[Union[str, int]]) -> List[np.random.Generator]:
+        """Return one generator per name."""
+        return [self.generator(name) for name in names]

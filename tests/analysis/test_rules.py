@@ -153,6 +153,7 @@ class TestDeterminism:
             b = default_rng(seed=3)
             c = np.random.Generator(np.random.PCG64(11))
             d = np.random.default_rng(np.random.SeedSequence(5))
+            e = np.random.default_rng(np.random.SeedSequence(entropy=5))
         """) == []
 
     def test_fires_on_the_optional_seed_codec_shape(self):

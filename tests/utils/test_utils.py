@@ -3,6 +3,7 @@
 import logging
 import time
 
+import numpy as np
 import pytest
 
 from repro.utils.logging import get_logger, set_verbosity
@@ -19,6 +20,11 @@ class TestRng:
     def test_seed_sequence_different_names_differ(self):
         seeds = SeedSequence(7)
         assert seeds.generator("model").random() != seeds.generator("data").random()
+
+    def test_seed_sequence_generators_list(self):
+        generators = SeedSequence(1).generators(["a", "b", "c"])
+        assert len(generators) == 3
+        assert all(isinstance(generator, np.random.Generator) for generator in generators)
 
 
 class TestTables:
