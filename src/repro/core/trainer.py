@@ -704,33 +704,6 @@ class SpatioTemporalTrainer:
     # ------------------------------------------------------------------ #
     # Durable run checkpoints (coordinator restart)
     # ------------------------------------------------------------------ #
-    def _link_items(self) -> List[Tuple[str, object]]:
-        """Every live link under a stable key for checkpoint round-trips.
-
-        Keys are ``up::<node>`` / ``down::<node>`` for the per-client
-        star spokes (the downlink entry only exists when it is a
-        dedicated object) and ``sync::<src>::<dst>`` per directional
-        inter-server edge.
-        """
-        items: List[Tuple[str, object]] = []
-        for node in self.topology.end_systems:
-            uplink = self.topology.uplink(node)
-            items.append((f"up::{node}", uplink))
-            downlink = self.topology.downlink(node)
-            if downlink is not uplink:
-                items.append((f"down::{node}", downlink))
-        servers = self.topology.servers
-        for i, src in enumerate(servers):
-            for dst in servers[i + 1:]:
-                if not self.topology.graph.has_edge(src, dst):
-                    continue
-                forward = self.topology.inter_server_link(src, dst)
-                items.append((f"sync::{src}::{dst}", forward))
-                backward = self.topology.inter_server_link(dst, src)
-                if backward is not forward:
-                    items.append((f"sync::{dst}::{src}", backward))
-        return items
-
     def _write_run_checkpoint(self, completed_epochs: int) -> None:
         if self.checkpoint_store is None or not self.engine._checkpoint_enabled():
             return
@@ -757,7 +730,7 @@ class SpatioTemporalTrainer:
                 "messages_dropped": link.messages_dropped,
                 "bytes_sent": link.bytes_sent,
             }
-            for key, link in self._link_items()
+            for key, link in self.topology.links()
         }
         node_health = {
             name: self.topology.is_up(name)
@@ -770,7 +743,9 @@ class SpatioTemporalTrainer:
             epoch=int(completed_epochs),
             engine_clock=float(engine.clock),
             config=self.config.to_dict(),
-            engine_stats=engine.stats.as_dict(),
+            # ``as_dict`` shows only the mean; the exact sum rides alongside.
+            engine_stats={**engine.stats.as_dict(),
+                          "nack_delay_total_s": engine.stats.nack_delay_total_s},
             shards=[
                 ShardCheckpoint.capture(
                     runtime.shard,
@@ -806,11 +781,12 @@ class SpatioTemporalTrainer:
         for field_info in dataclass_fields(stats):
             if field_info.name in state:
                 setattr(stats, field_info.name, state[field_info.name])
-        # ``as_dict`` only exposes the mean; rebuild the accumulator so the
+        # Older records carry only the mean: rebuild the sum from it, so the
         # resumed run keeps averaging over the full nack population.
-        stats.nack_delay_total_s = (
-            float(state.get("mean_nack_delay_s", 0.0)) * stats.nacks_sent
-        )
+        if "nack_delay_total_s" not in state:
+            stats.nack_delay_total_s = (
+                float(state.get("mean_nack_delay_s", 0.0)) * stats.nacks_sent
+            )
 
     def restore_run_checkpoint(self, run: RunCheckpoint) -> None:
         """Rebuild this trainer's runtime state from a run checkpoint.
@@ -861,7 +837,7 @@ class SpatioTemporalTrainer:
         ]
         for name, up in run.node_health.items():
             self.topology.set_node_up(name, bool(up))
-        links = dict(self._link_items())
+        links = dict(self.topology.links())
         for key, state in run.link_states.items():
             link = links.get(key)
             if link is None:

@@ -78,9 +78,9 @@ class Link:
     seed:
         Seed of the link's own stream (latency samples and losses).
     direction:
-        Free-form label (``"up"``/``"down"``/``"both"``) recorded in
-        :meth:`stats` so asymmetric-link deployments can tell uplink and
-        downlink traffic apart.
+        Which way the link carries traffic (``"up"``, ``"down"`` or
+        ``"sync"``), recorded in :meth:`stats` so uplink, downlink and
+        inter-server traffic can be told apart.  Every link is one-way.
     """
 
     def __init__(
@@ -90,7 +90,7 @@ class Link:
         drop_probability: float = 0.0,
         *,
         seed: int,
-        direction: str = "both",
+        direction: str = "up",
     ) -> None:
         if bandwidth_bps is not None and bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive (or None for infinite)")

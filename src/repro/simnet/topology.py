@@ -2,21 +2,23 @@
 
 The paper's deployment scenario is a set of hospitals (end-systems)
 spread across a region, all connected to one centralized server — a star
-topology.  :class:`GeoTopology` stores the nodes, their coordinates and
-the per-edge :class:`~repro.simnet.link.Link` objects in a
-:mod:`networkx` graph, and provides factory helpers for the common
-configurations used in the experiments.
+topology.  Sharded deployments put several server hubs at the centre and
+connect every pair of hubs for weight synchronization.
 
-Each end-system's ``(hub, uplink, downlink)`` route is resolved by one
-neighbour scan on first use and then remembered (``hub_of`` / ``uplink`` /
-``downlink`` per message are dictionary accesses).  Hence the rule: **mutate
-a topology only through its methods** — they drop the remembered routes
-when the wiring changes; editing ``topology.graph`` directly does not.
+:class:`GeoTopology` stores that star as two tables, which are the whole
+model: the *access routes* (end-system → its hub, uplink and downlink) and
+the *sync links* (``(src hub, dst hub)`` → the link carrying traffic from
+``src`` to ``dst``; both directions of every hub pair).  Next to them sit
+each node's role, the set of down nodes and the set of partitioned pairs,
+from which every :class:`~repro.simnet.link.Link`'s ``up`` flag is
+recomputed whenever one of them changes.  The module also provides
+factory helpers for the configurations used in the experiments.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .latency import ConstantLatency, DistanceLatency, GaussianLatency, LatencyModel
 from .link import Link
@@ -46,7 +48,6 @@ WORLD_CITIES: Dict[str, Tuple[float, float]] = {
     "toronto": (43.6532, -79.3832),
 }
 
-
 class Route(NamedTuple):
     """Where an end-system's traffic goes: its hub and its two access links."""
 
@@ -56,69 +57,79 @@ class Route(NamedTuple):
 
 
 class GeoTopology:
-    """Star (or arbitrary) topology of named nodes connected by links."""
+    """Star of end-systems around one or more server hubs."""
 
     SERVER = "server"
 
     def __init__(self) -> None:
-        # Deferred: a process that builds no topology (the run-server)
-        # should not pay the ~0.1 s networkx import.
-        import networkx as nx
-
-        self.graph = nx.Graph()
-        # Resolved routes; every method that rewires the graph drops them.
-        # set_node_up / set_edge_partitioned need not: they only flip
-        # ``Link.up`` on the Link objects a route holds.
+        self._roles: Dict[str, str] = {}
         self._routes: Dict[str, Route] = {}
+        self._sync: Dict[Tuple[str, str], Link] = {}
+        self._down: Set[str] = set()
+        self._partitioned: Set[FrozenSet[str]] = set()
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def add_node(self, name: str, coordinates: Optional[Tuple[float, float]] = None,
-                 role: str = "end_system") -> None:
+    def add_node(self, name: str, role: str = "end_system") -> None:
         """Add a node (``role`` is ``"server"`` or ``"end_system"``)."""
-        if name in self.graph:
+        if name in self._roles:
             raise ValueError(f"node {name!r} already exists")
-        self.graph.add_node(name, coordinates=coordinates, role=role)
-        self._routes.clear()
+        self._roles[name] = role
 
-    def add_link(self, node_a: str, node_b: str, link: Link,
-                 downlink: Optional[Link] = None) -> None:
-        """Connect two existing nodes with a link.
+    def add_link(self, node_a: str, node_b: str, link: Link, downlink: Link) -> None:
+        """Connect two existing nodes by a pair of one-way links.
 
-        ``link`` carries traffic from ``node_a`` towards ``node_b`` (for an
-        end-system/server pair: the uplink).  When ``downlink`` is given the
-        reverse direction gets its own :class:`Link` — independent latency
-        samples, drop draws and traffic counters — which is how the paper's
-        WAN deployments behave: the gradient-return path is not the same
-        queue as the activation-upload path.  Without it the single link is
-        shared by both directions (the legacy symmetric behaviour).
+        ``link`` carries traffic from ``node_a`` to ``node_b`` and
+        ``downlink`` the reverse direction, each with its own latency
+        samples, drop draws and traffic counters — the gradient-return path
+        is not the same queue as the activation-upload path.  Either an
+        end-system joins its one hub (``node_a`` the end-system, ``link``
+        its uplink) or two hubs are joined for weight synchronization.
         """
-        for node in (node_a, node_b):
-            if node not in self.graph:
-                raise KeyError(f"unknown node {node!r}")
-        # "source" records the edge's orientation so directional lookups
-        # (uplink/downlink/inter-server) work regardless of the order the
-        # undirected graph reports the endpoints in.
-        self.graph.add_edge(node_a, node_b, link=link, downlink=downlink,
-                            source=node_a)
-        self._routes.clear()
+        roles = (self._role(node_a), self._role(node_b))
+        if roles == ("end_system", "server"):
+            if node_a in self._routes:
+                raise ValueError(f"end-system {node_a!r} already hangs off "
+                                 f"{self._routes[node_a].hub!r}")
+            self._routes[node_a] = Route(node_b, link, downlink)
+        elif roles == ("server", "server") and node_a != node_b:
+            self._sync[node_a, node_b] = link
+            self._sync[node_b, node_a] = downlink
+        else:
+            raise ValueError(f"cannot link {node_a!r} ({roles[0]}) to {node_b!r} "
+                             f"({roles[1]}): links join an end-system to a hub "
+                             "or two hubs")
 
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-    def link(self, node_a: str, node_b: str) -> Link:
-        """Return the link between two nodes."""
+    def _role(self, name: str) -> str:
         try:
-            return self.graph.edges[node_a, node_b]["link"]
+            return self._roles[name]
         except KeyError:
-            raise KeyError(f"no link between {node_a!r} and {node_b!r}") from None
+            raise KeyError(f"unknown node {name!r}") from None
+
+    def _link_pair(self, src: str, dst: str) -> Tuple[Link, Link]:
+        """The ``(src → dst, dst → src)`` links of two linked nodes."""
+        if (src, dst) in self._sync:
+            return self._sync[src, dst], self._sync[dst, src]
+        route = self._routes.get(src)
+        if route is not None and route.hub == dst:
+            return route.uplink, route.downlink
+        route = self._routes.get(dst)
+        if route is not None and route.hub == src:
+            return route.downlink, route.uplink
+        raise KeyError(f"no link between {src!r} and {dst!r}")
+
+    def link(self, src: str, dst: str) -> Link:
+        """The link carrying traffic from ``src`` to ``dst``."""
+        return self._link_pair(src, dst)[0]
 
     def nodes(self, role: Optional[str] = None) -> List[str]:
-        """Return node names, optionally filtered by role."""
-        if role is None:
-            return list(self.graph.nodes)
-        return [name for name, data in self.graph.nodes(data=True) if data.get("role") == role]
+        """Return node names in insertion order, optionally filtered by role."""
+        return [name for name, node_role in self._roles.items()
+                if role in (None, node_role)]
 
     @property
     def end_systems(self) -> List[str]:
@@ -128,7 +139,7 @@ class GeoTopology:
     @property
     def server(self) -> str:
         """Name of the (single) server node."""
-        servers = self.nodes(role="server")
+        servers = self.servers
         if len(servers) != 1:
             raise ValueError(f"expected exactly one server node, found {servers}")
         return servers[0]
@@ -139,60 +150,58 @@ class GeoTopology:
         return self.nodes(role="server")
 
     def route(self, end_system: str) -> Route:
-        """An end-system's ``(hub, uplink, downlink)``, scanned once.
-
-        Every end-system must hang off exactly one hub (single-server
-        stars: the one server).  The downlink falls back to the uplink on
-        an edge registered without one (symmetric legacy topologies).  A
-        failed resolution raises and is not remembered.
-        """
-        route = self._routes.get(end_system)
-        if route is None:
-            if end_system not in self.graph:
-                raise KeyError(f"unknown node {end_system!r}")
-            hubs = [
-                neighbor for neighbor in self.graph.neighbors(end_system)
-                if self.graph.nodes[neighbor].get("role") == "server"
-            ]
-            if len(hubs) != 1:
-                raise ValueError(
-                    f"end-system {end_system!r} is connected to {len(hubs)} server "
-                    f"hubs ({hubs}); expected exactly one"
-                )
-            hub = hubs[0]
-            route = self._routes[end_system] = Route(
-                hub, self._directional_link(end_system, hub),
-                self._directional_link(hub, end_system))
-        return route
+        """An end-system's ``(hub, uplink, downlink)``."""
+        try:
+            return self._routes[end_system]
+        except KeyError:
+            raise KeyError(f"{end_system!r} is not a linked end-system") from None
 
     def hub_of(self, end_system: str) -> str:
         """The server hub an end-system is connected to."""
         return self.route(end_system).hub
 
-    def coordinates(self, name: str) -> Optional[Tuple[float, float]]:
-        """Coordinates of a node (``None`` if it has none)."""
-        return self.graph.nodes[name].get("coordinates")
+    def uplink(self, end_system: str) -> Link:
+        """Link from an end-system to its server hub."""
+        return self.route(end_system).uplink
+
+    def downlink(self, end_system: str) -> Link:
+        """Link from the server hub back to an end-system."""
+        return self.route(end_system).downlink
+
+    def inter_server_link(self, src: str, dst: str) -> Link:
+        """Link carrying synchronization traffic from hub ``src`` to hub ``dst``."""
+        for node in (src, dst):
+            if self._roles.get(node) != "server":
+                raise KeyError(f"{node!r} is not a server node")
+        return self.link(src, dst)
+
+    def links(self) -> Iterator[Tuple[str, Link]]:
+        """Every link under a stable key, in the order the links were added.
+
+        ``up::<node>`` and ``down::<node>`` per end-system, then
+        ``sync::<src>::<dst>`` per direction of each hub pair.  Run
+        checkpoints key each link's RNG position and counters by these.
+        """
+        for name, (_, uplink, downlink) in self._routes.items():
+            yield f"up::{name}", uplink
+            yield f"down::{name}", downlink
+        for (src, dst), link in self._sync.items():
+            yield f"sync::{src}::{dst}", link
 
     # ------------------------------------------------------------------ #
-    # Failure injection: node health and uplink rerouting
+    # Failure injection: node health, partitions and rerouting
     # ------------------------------------------------------------------ #
     def is_up(self, name: str) -> bool:
         """Whether a node is administratively up (default ``True``)."""
-        if name not in self.graph:
-            raise KeyError(f"unknown node {name!r}")
-        return self.graph.nodes[name].get("up", True)
+        self._role(name)
+        return name not in self._down
 
-    def _refresh_edge_health(self, node_a: str, node_b: str) -> None:
-        data = self.graph.edges[node_a, node_b]
-        status = (
-            self.is_up(node_a)
-            and self.is_up(node_b)
-            and not data.get("partitioned", False)
-        )
-        data["link"].up = status
-        downlink = data.get("downlink")
-        if downlink is not None:
-            downlink.up = status
+    def _refresh(self, node_a: str, node_b: str) -> None:
+        """Recompute ``Link.up`` on both links between two linked nodes."""
+        up = (node_a not in self._down and node_b not in self._down
+              and frozenset((node_a, node_b)) not in self._partitioned)
+        for link in self._link_pair(node_a, node_b):
+            link.up = up
 
     def set_node_up(self, name: str, up: bool = True) -> None:
         """Mark a node up or down, propagating to every incident link.
@@ -203,29 +212,38 @@ class GeoTopology:
         them is deterministically lost (and counted on the link) until
         the hub recovers.
         """
-        if name not in self.graph:
-            raise KeyError(f"unknown node {name!r}")
-        self.graph.nodes[name]["up"] = bool(up)
-        for _, neighbor in self.graph.edges(name):
-            self._refresh_edge_health(name, neighbor)
+        self._role(name)
+        if up:
+            self._down.discard(name)
+        else:
+            self._down.add(name)
+        route = self._routes.get(name)
+        if route is not None:
+            peers = [route.hub]
+        else:
+            peers = [end_system for end_system, route in self._routes.items()
+                     if route.hub == name]
+            peers += [dst for src, dst in self._sync if src == name]
+        for peer in peers:
+            self._refresh(name, peer)
 
     def set_edge_partitioned(self, node_a: str, node_b: str,
                              partitioned: bool = True) -> None:
-        """Administratively partition (or heal) the edge between two nodes.
+        """Administratively partition (or heal) the links between two nodes.
 
-        The chaos plane's hub↔hub partition: both directions of the edge
+        The chaos plane's hub↔hub partition: both directions
         deterministically lose everything while partitioned, independent
         of the endpoints' own health — and a node crash/recovery during
-        the partition cannot accidentally heal it, because
-        :meth:`_refresh_edge_health` folds the flag into every
-        recomputation.
+        the partition cannot accidentally heal it, because every health
+        recomputation reads the partition set.
         """
-        try:
-            data = self.graph.edges[node_a, node_b]
-        except KeyError:
-            raise KeyError(f"no link between {node_a!r} and {node_b!r}") from None
-        data["partitioned"] = bool(partitioned)
-        self._refresh_edge_health(node_a, node_b)
+        self._link_pair(node_a, node_b)
+        pair = frozenset((node_a, node_b))
+        if partitioned:
+            self._partitioned.add(pair)
+        else:
+            self._partitioned.discard(pair)
+        self._refresh(node_a, node_b)
 
     def reroute_end_system(self, end_system: str, new_hub: str) -> None:
         """Reattach an end-system's access links to a different server hub.
@@ -233,89 +251,35 @@ class GeoTopology:
         Failover for a crashed hub: the client keeps its physical access
         links (same latency model, RNG streams and traffic counters — the
         WAN last mile does not change), but they now terminate at
-        ``new_hub``.  No-op when the end-system already hangs off
-        ``new_hub``.
+        ``new_hub``.  A partition of the old access pair does not follow
+        the links.  No-op when the end-system already hangs off ``new_hub``.
         """
-        if self.graph.nodes.get(end_system, {}).get("role") != "end_system":
+        if self._roles.get(end_system) != "end_system":
             raise KeyError(f"{end_system!r} is not an end-system node")
-        if self.graph.nodes.get(new_hub, {}).get("role") != "server":
+        if self._roles.get(new_hub) != "server":
             raise KeyError(f"{new_hub!r} is not a server node")
-        old_hub = self.hub_of(end_system)
-        if old_hub == new_hub:
+        route = self.route(end_system)
+        if route.hub == new_hub:
             return
-        data = dict(self.graph.edges[end_system, old_hub])
-        self.graph.remove_edge(end_system, old_hub)
-        self.graph.add_edge(end_system, new_hub, link=data["link"],
-                            downlink=data.get("downlink"), source=end_system)
-        self._routes.pop(end_system, None)
-        self._refresh_edge_health(end_system, new_hub)
-
-    def _directional_link(self, src: str, dst: str) -> Link:
-        """The link carrying traffic from ``src`` towards ``dst``."""
-        try:
-            data = self.graph.edges[src, dst]
-        except KeyError:
-            raise KeyError(f"no link between {src!r} and {dst!r}") from None
-        if data.get("source", src) == src:
-            return data["link"]
-        downlink = data.get("downlink")
-        return downlink if downlink is not None else data["link"]
-
-    def uplink(self, end_system: str) -> Link:
-        """Link from an end-system to its server hub."""
-        return self.route(end_system).uplink
-
-    def downlink(self, end_system: str) -> Link:
-        """Link from the server hub back to an end-system (see :meth:`route`)."""
-        return self.route(end_system).downlink
-
-    def inter_server_link(self, src: str, dst: str) -> Link:
-        """Link carrying synchronization traffic between two server hubs."""
-        for node in (src, dst):
-            if self.graph.nodes.get(node, {}).get("role") != "server":
-                raise KeyError(f"{node!r} is not a server node")
-        return self._directional_link(src, dst)
+        self._partitioned.discard(frozenset((end_system, route.hub)))
+        self._routes[end_system] = route._replace(hub=new_hub)
+        self._refresh(end_system, new_hub)
 
     def mean_latencies(self) -> Dict[str, float]:
         """Expected one-way latency (s) from each end-system to the server."""
         return {name: self.uplink(name).latency.mean() for name in self.end_systems}
 
-    def stats(self, direction: str = "up") -> Dict[str, Dict[str, float]]:
-        """Per-end-system traffic statistics for one direction.
-
-        ``direction="up"`` (default) reports the uplinks, ``"down"`` the
-        downlinks (which alias the uplinks on symmetric topologies).
-        """
-        if direction not in {"up", "down"}:
-            raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-        pick = self.uplink if direction == "up" else self.downlink
-        return {name: pick(name).stats() for name in self.end_systems}
-
     def dropped_totals(self) -> Dict[str, int]:
-        """Link-level drop counts summed over every edge, by direction.
+        """Link-level drop counts summed over every link, by direction.
 
         Used by the drop-accounting regression tests: the transport log's
         ``dropped_messages`` must equal ``uplink + downlink + sync`` from
         here.  NACK losses ride the downlink, so they count there.
         """
-        uplink_drops = sum(self.uplink(name).messages_dropped for name in self.end_systems)
-        downlink_drops = 0
-        for name in self.end_systems:
-            down = self.downlink(name)
-            if down is not self.uplink(name):
-                downlink_drops += down.messages_dropped
-        sync_drops = 0
-        servers = self.servers
-        for index, src in enumerate(servers):
-            for dst in servers[index + 1:]:
-                if not self.graph.has_edge(src, dst):
-                    continue
-                forward = self._directional_link(src, dst)
-                backward = self._directional_link(dst, src)
-                sync_drops += forward.messages_dropped
-                if backward is not forward:
-                    sync_drops += backward.messages_dropped
-        return {"uplink": uplink_drops, "downlink": downlink_drops, "sync": sync_drops}
+        totals = {"up": 0, "down": 0, "sync": 0}
+        for key, link in self.links():
+            totals[key.split("::", 1)[0]] += link.messages_dropped
+        return {"uplink": totals["up"], "downlink": totals["down"], "sync": totals["sync"]}
 
 
 def _make_latency_model(latency_s: float, jitter_std_s: float) -> LatencyModel:
@@ -537,10 +501,10 @@ def geo_star_topology(
         raise KeyError(f"unknown cities {unknown}; known cities: {sorted(WORLD_CITIES)}")
     num_end_systems = len(city_names)
     topology = GeoTopology()
-    topology.add_node(GeoTopology.SERVER, coordinates=WORLD_CITIES[server_city], role="server")
+    topology.add_node(GeoTopology.SERVER, role="server")
     for index, city in enumerate(city_names):
         name = f"end_system_{index}_{city}"
-        topology.add_node(name, coordinates=WORLD_CITIES[city], role="end_system")
+        topology.add_node(name, role="end_system")
         uplink = Link(
             latency=DistanceLatency(
                 WORLD_CITIES[city], WORLD_CITIES[server_city], jitter_std_s=jitter_std_s

@@ -195,30 +195,19 @@ class Transport:
         self.topology = topology
         self.chaos = chaos
         self.log = TrafficLog()
-        self._clock = 0.0
 
-    @property
-    def now(self) -> float:
-        """Transport-local clock: the latest send time seen so far."""
-        return self._clock
-
-    def send_to_server(self, end_system: str, payload: Any, now: Optional[float] = None,
+    def send_to_server(self, end_system: str, payload: Any, *, now: float,
                        kind: str = "activation", reliable: bool = False,
                        size: Optional[int] = None) -> Optional[Message]:
         """Ship a payload from an end-system to the server.
 
-        Returns the stamped :class:`Message`, or ``None`` if the link
-        dropped it.  ``reliable=True`` marks the send as covered by a
-        retry chain: a loss is absorbed into the retried counters
-        instead of the drop ledger.  ``size``: see :meth:`Link.send`.
+        ``now`` is the time the sender hands the payload over; the message
+        is stamped with it.  Returns the stamped :class:`Message`, or
+        ``None`` if the link dropped it.  ``reliable=True`` marks the send
+        as covered by a retry chain: a loss is absorbed into the retried
+        counters instead of the drop ledger.  ``size``: see
+        :meth:`Link.send`.
         """
-        # _advance, inlined on the two per-message legs.
-        if now is None:
-            now = self._clock
-        else:
-            now = float(now)
-            if now > self._clock:
-                self._clock = now
         hub, link, _ = self.topology.route(end_system)
         message = link.send(end_system, hub, payload, now, kind=kind, size=size)
         if message is not None and self.chaos is not None:
@@ -226,7 +215,7 @@ class Transport:
         self.log.record(message, "up", absorbed=reliable and message is None)
         return message
 
-    def send_to_end_system(self, end_system: str, payload: Any, now: Optional[float] = None,
+    def send_to_end_system(self, end_system: str, payload: Any, *, now: float,
                            kind: str = "gradient", reliable: bool = False,
                            size: Optional[int] = None) -> Optional[Message]:
         """Ship a payload from the server back to an end-system.
@@ -239,12 +228,6 @@ class Transport:
         control channel is exempt from both chaos and retries (its PR 2
         lost-NACK fallback already makes it loss-safe).
         """
-        if now is None:
-            now = self._clock
-        else:
-            now = float(now)
-            if now > self._clock:
-                self._clock = now
         hub, _, link = self.topology.route(end_system)
         message = link.send(hub, end_system, payload, now, kind=kind, size=size)
         if kind == "nack":
@@ -256,31 +239,14 @@ class Transport:
         return message
 
     def send_between_servers(self, source: str, destination: str, payload: Any,
-                             now: Optional[float] = None,
-                             kind: str = "sync") -> Optional[Message]:
+                             *, now: float, kind: str = "sync") -> Optional[Message]:
         """Ship a weight-synchronization payload between two server hubs."""
-        now = self._advance(now)
         link = self.topology.inter_server_link(source, destination)
         message = link.send(source, destination, payload, now, kind=kind)
         if message is not None and self.chaos is not None:
             message = self.chaos.apply(message, "sync", self.log)
         self.log.record(message, "sync")
         return message
-
-    def _advance(self, now: Optional[float]) -> float:
-        """Track the latest send time seen without rewriting the caller's.
-
-        The transport clock (:attr:`now`) stays monotone for
-        introspection, but a message is stamped with the time its sender
-        actually handed it over — concurrent transfers on independent
-        links must not delay each other just because the transport
-        observed a later send first.
-        """
-        if now is None:
-            return self._clock
-        now = float(now)
-        self._clock = max(self._clock, now)
-        return now
 
     def reset_log(self) -> TrafficLog:
         """Replace the traffic log with a fresh one and return the old log."""

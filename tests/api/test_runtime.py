@@ -1,5 +1,10 @@
 """The runtime facade: materialization determinism and trainer wiring."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -101,3 +106,37 @@ class TestRunAndResume:
         assert resumed._start_epoch == 2
         history = resumed.train()
         assert history.records[-1].epoch == 2
+
+
+#: Run in a fresh interpreter: every ``import`` that a ``repro`` module makes
+#: while the run-server is imported and a job is built and trained, of a
+#: package outside the standard library, numpy and scipy, is printed.
+_FOREIGN_IMPORTS = """
+import builtins, sys
+allowed = set(sys.stdlib_module_names) | {"repro", "numpy", "scipy"}
+foreign = set()
+real_import = builtins.__import__
+
+def watched(name, globals=None, locals=None, fromlist=(), level=0):
+    importer = (globals or {}).get("__name__", "")
+    if (level == 0 and importer.partition(".")[0] == "repro"
+            and name.partition(".")[0] not in allowed):
+        foreign.add(name)
+    return real_import(name, globals, locals, fromlist, level)
+
+builtins.__import__ = watched
+import repro.server
+from repro.api import JobSpec, build_trainer
+build_trainer(JobSpec.fast_debug(epochs=1)).train()
+print(sorted(foreign))
+"""
+
+
+def test_a_job_imports_nothing_beyond_numpy_and_scipy():
+    """The runtime dependencies (``requirements.txt``'s first block) are
+    numpy and scipy: the run-server and a job import no other package."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    result = subprocess.run([sys.executable, "-c", _FOREIGN_IMPORTS], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                            timeout=300, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -8,12 +8,16 @@ that ran uninterrupted — weights pinned at 1e-9, the simulated clock and
 history records exact.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.config import TrainingConfig
 from repro.core.trainer import SpatioTemporalTrainer
-from repro.simnet.topology import multi_hub_star_topology
+from repro.data.datasets import SyntheticCIFAR10, train_test_split
+from repro.data.partition import IIDPartitioner
+from repro.simnet.topology import multi_hub_star_topology, star_topology
 from repro.state import FileCheckpointStore, MemoryCheckpointStore
 
 
@@ -171,6 +175,38 @@ class TestReplayExactRestart:
             ref_history.queue_stats["engine_events"]
         assert history.queue_stats["processed_per_system"] == \
             ref_history.queue_stats["processed_per_system"]
+
+
+    def test_mean_nack_delay_is_exact(self, tiny_split_spec, normalize, tmp_path):
+        """The record keeps the nack-delay sum itself: rebuilt as mean x
+        count, this run's sum came back one ulp low after the resume."""
+        train, _ = train_test_split(SyntheticCIFAR10(320, image_size=8, seed=7), 0.25,
+                                    seed=3)
+        parts = IIDPartitioner(8, seed=5).partition(train)
+        config = TrainingConfig(
+            epochs=3, batch_size=4, mode="asynchronous", max_queue_size=2,
+            queue_backpressure="drop", server_batching=False, server_step_time_s=0.004,
+            checkpoint_every_s=0.05, seed=0)
+
+        def build(config):
+            topology = star_topology(8, latencies_s=np.linspace(0.001, 0.037, 8),
+                                     jitter_std_s=0.0013, seed=5)
+            return SpatioTemporalTrainer(tiny_split_spec, parts, config,
+                                         topology=topology, train_transform=normalize)
+
+        reference = build(config)
+        reference.train()
+        build(replace(config, checkpoint_dir=str(tmp_path))).train(epochs=1)
+        resumed = SpatioTemporalTrainer.resume_from_store(
+            FileCheckpointStore(tmp_path), tiny_split_spec, parts,
+            topology=star_topology(8, latencies_s=np.linspace(0.001, 0.037, 8),
+                                   jitter_std_s=0.0013, seed=5),
+            train_transform=normalize)
+        resumed.train()
+        ref_stats, res_stats = reference.engine.stats, resumed.engine.stats
+        assert res_stats.nacks_sent == ref_stats.nacks_sent > 0
+        assert res_stats.nack_delay_total_s == ref_stats.nack_delay_total_s
+        assert res_stats.mean_nack_delay_s == ref_stats.mean_nack_delay_s
 
 
 class TestResumeGuards:
