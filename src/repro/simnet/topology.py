@@ -221,8 +221,8 @@ class GeoTopology:
         if route is not None:
             peers = [route.hub]
         else:
-            peers = [end_system for end_system, route in self._routes.items()
-                     if route.hub == name]
+            peers = [end_system for end_system, entry in self._routes.items()
+                     if entry.hub == name]
             peers += [dst for src, dst in self._sync if src == name]
         for peer in peers:
             self._refresh(name, peer)
@@ -237,7 +237,7 @@ class GeoTopology:
         the partition cannot accidentally heal it, because every health
         recomputation reads the partition set.
         """
-        self._link_pair(node_a, node_b)
+        self._link_pair(node_a, node_b)  # KeyError unless the two are linked
         pair = frozenset((node_a, node_b))
         if partitioned:
             self._partitioned.add(pair)

@@ -176,7 +176,6 @@ class TestReplayExactRestart:
         assert history.queue_stats["processed_per_system"] == \
             ref_history.queue_stats["processed_per_system"]
 
-
     def test_mean_nack_delay_is_exact(self, tiny_split_spec, normalize, tmp_path):
         """The record keeps the nack-delay sum itself: rebuilt as mean x
         count, this run's sum came back one ulp low after the resume."""
@@ -188,19 +187,18 @@ class TestReplayExactRestart:
             queue_backpressure="drop", server_batching=False, server_step_time_s=0.004,
             checkpoint_every_s=0.05, seed=0)
 
-        def build(config):
-            topology = star_topology(8, latencies_s=np.linspace(0.001, 0.037, 8),
-                                     jitter_std_s=0.0013, seed=5)
-            return SpatioTemporalTrainer(tiny_split_spec, parts, config,
-                                         topology=topology, train_transform=normalize)
+        def topology():
+            return star_topology(8, latencies_s=np.linspace(0.001, 0.037, 8),
+                                 jitter_std_s=0.0013, seed=5)
 
-        reference = build(config)
+        reference = SpatioTemporalTrainer(tiny_split_spec, parts, config,
+                                          topology=topology(), train_transform=normalize)
         reference.train()
-        build(replace(config, checkpoint_dir=str(tmp_path))).train(epochs=1)
+        SpatioTemporalTrainer(tiny_split_spec, parts,
+                              replace(config, checkpoint_dir=str(tmp_path)),
+                              topology=topology(), train_transform=normalize).train(epochs=1)
         resumed = SpatioTemporalTrainer.resume_from_store(
-            FileCheckpointStore(tmp_path), tiny_split_spec, parts,
-            topology=star_topology(8, latencies_s=np.linspace(0.001, 0.037, 8),
-                                   jitter_std_s=0.0013, seed=5),
+            FileCheckpointStore(tmp_path), tiny_split_spec, parts, topology=topology(),
             train_transform=normalize)
         resumed.train()
         ref_stats, res_stats = reference.engine.stats, resumed.engine.stats
