@@ -59,7 +59,6 @@ def main() -> None:
     images, _ = test.arrays()
     sample = images[:1]
     client_model = trainer.end_systems[0].model
-    client_model.eval()
     with no_grad():
         activations = client_model.forward_collect(Tensor(sample))
 

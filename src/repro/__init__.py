@@ -7,7 +7,7 @@ The package is organised bottom-up:
 * :mod:`repro.nn` — NumPy deep-learning substrate (autograd, Conv2D,
   MaxPooling2D, Dense, losses, optimizers).
 * :mod:`repro.data` — synthetic CIFAR-10-style datasets, loaders,
-  transforms and multi-end-system partitioners.
+  normalization and multi-end-system partitioners.
 * :mod:`repro.simnet` — discrete-event geo-distributed network simulation
   (latencies, links, topologies, transport).
 * :mod:`repro.core` — the paper's contribution: split specification,

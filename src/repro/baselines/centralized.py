@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from ..data.datasets import Dataset
 from ..data.loader import DataLoader
-from ..data.transforms import Transform
+from ..data.transforms import Normalize
 from ..nn import Sequential, Tensor
 from ..nn.losses import get_loss
 from ..nn.metrics import MetricTracker, accuracy
@@ -56,7 +56,6 @@ class CentralizedTrainer:
 
     def train_epoch(self, loader: DataLoader, epoch: int = 0) -> Dict[str, float]:
         """Run one epoch over ``loader`` and return averaged metrics."""
-        self.model.train(True)
         loader.set_epoch(epoch)
         tracker = MetricTracker()
         for images, labels in loader:
@@ -72,9 +71,8 @@ class CentralizedTrainer:
         return tracker.averages()
 
     def evaluate(self, dataset: Dataset, batch_size: int = 128,
-                 transform: Optional[Transform] = None) -> Dict[str, float]:
+                 transform: Optional[Normalize] = None) -> Dict[str, float]:
         """Loss and accuracy on a held-out dataset."""
-        self.model.train(False)
         return evaluate_forward(self.model, self.loss_fn, dataset, batch_size, transform)
 
     def fit(
@@ -83,15 +81,13 @@ class CentralizedTrainer:
         test_dataset: Optional[Dataset] = None,
         epochs: int = 10,
         batch_size: int = 32,
-        transform: Optional[Transform] = None,
-        eval_transform: Optional[Transform] = None,
+        transform: Optional[Normalize] = None,
         seed: int = 0,
     ) -> TrainingHistory:
         """Train for ``epochs`` passes over the pooled dataset."""
         loader = DataLoader(
             train_dataset, batch_size=batch_size, shuffle=True, transform=transform, seed=seed
         )
-        eval_transform = eval_transform if eval_transform is not None else transform
         history = TrainingHistory(config={
             "baseline": "centralized", "epochs": epochs, "batch_size": batch_size,
         })
@@ -106,7 +102,7 @@ class CentralizedTrainer:
                 samples=loader.num_samples,
             )
             if test_dataset is not None:
-                evaluation = self.evaluate(test_dataset, transform=eval_transform)
+                evaluation = self.evaluate(test_dataset, transform=transform)
                 record.test_loss = evaluation["loss"]
                 record.test_accuracy = evaluation["accuracy"]
             history.append(record)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ..data.datasets import Dataset
-from ..data.transforms import Transform
+from ..data.transforms import Normalize
 from ..nn import Tensor, no_grad
 from ..nn.metrics import accuracy
 
@@ -14,12 +14,12 @@ __all__ = ["evaluate_forward"]
 
 def evaluate_forward(forward: Callable[[Tensor], Tensor], loss_fn: Callable,
                      dataset: Dataset, batch_size: int = 128,
-                     transform: Optional[Transform] = None) -> Dict[str, float]:
+                     transform: Optional[Normalize] = None) -> Dict[str, float]:
     """Sample-weighted loss and accuracy of ``forward`` over ``dataset``.
 
     ``forward`` maps a batch of images to logits; it runs without a graph,
-    ``batch_size`` images at a time.  The caller puts its models in
-    evaluation mode.
+    ``batch_size`` images at a time, on ``dataset``'s images normalized by
+    ``transform`` when one is given.
     """
     images, labels = dataset.arrays()
     if transform is not None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..data.datasets import Dataset
 from ..data.loader import DataLoader
-from ..data.transforms import Transform
+from ..data.transforms import Normalize
 from ..nn import Sequential, Tensor
 from ..nn.losses import get_loss
 from ..nn.metrics import MetricTracker, accuracy
@@ -81,7 +81,7 @@ class FedAvgTrainer:
         loss_name: str = "cross_entropy",
         batch_size: int = 32,
         seed: int = 0,
-        transform: Optional[Transform] = None,
+        transform: Optional[Normalize] = None,
     ) -> None:
         if not client_datasets:
             raise ValueError("need at least one client dataset")
@@ -141,16 +141,12 @@ class FedAvgTrainer:
     # ------------------------------------------------------------------ #
     # Evaluation / full run
     # ------------------------------------------------------------------ #
-    def evaluate(self, dataset: Dataset, batch_size: int = 128,
-                 transform: Optional[Transform] = None) -> Dict[str, float]:
+    def evaluate(self, dataset: Dataset, batch_size: int = 128) -> Dict[str, float]:
         """Loss and accuracy of the current global model."""
-        self.global_model.train(False)
-        return evaluate_forward(
-            self.global_model, self.loss_fn, dataset, batch_size,
-            transform if transform is not None else self.transform)
+        return evaluate_forward(self.global_model, self.loss_fn, dataset, batch_size,
+                                self.transform)
 
-    def fit(self, test_dataset: Optional[Dataset] = None, rounds: int = 10,
-            eval_transform: Optional[Transform] = None) -> TrainingHistory:
+    def fit(self, test_dataset: Optional[Dataset] = None, rounds: int = 10) -> TrainingHistory:
         """Run ``rounds`` communication rounds."""
         history = TrainingHistory(config={
             "baseline": "fedavg",
@@ -168,7 +164,7 @@ class FedAvgTrainer:
                 wall_time_s=time.perf_counter() - start,
             )
             if test_dataset is not None:
-                evaluation = self.evaluate(test_dataset, transform=eval_transform)
+                evaluation = self.evaluate(test_dataset)
                 record.test_loss = evaluation["loss"]
                 record.test_accuracy = evaluation["accuracy"]
             history.append(record)

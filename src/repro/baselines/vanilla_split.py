@@ -20,7 +20,7 @@ import numpy as np
 
 from ..data.datasets import Dataset
 from ..data.loader import DataLoader
-from ..data.transforms import Transform
+from ..data.transforms import Normalize
 from ..nn import Tensor
 from ..nn.losses import get_loss
 from ..nn.metrics import MetricTracker, accuracy
@@ -58,7 +58,7 @@ class SequentialSplitTrainer:
         loss_name: str = "cross_entropy",
         batch_size: int = 32,
         seed: int = 0,
-        transform: Optional[Transform] = None,
+        transform: Optional[Normalize] = None,
     ) -> None:
         if not client_datasets:
             raise ValueError("need at least one client dataset")
@@ -87,9 +87,6 @@ class SequentialSplitTrainer:
     # Training
     # ------------------------------------------------------------------ #
     def _train_batch(self, images: np.ndarray, labels: np.ndarray) -> Dict[str, float]:
-        self.client_model.train(True)
-        self.server_model.train(True)
-
         client_output = self.client_model(Tensor(images, requires_grad=True))
         smashed = Tensor(client_output.data.copy(), requires_grad=True)
         logits = self.server_model(smashed)
@@ -114,17 +111,13 @@ class SequentialSplitTrainer:
                 tracker.update(metrics, count=images.shape[0])
         return tracker.averages()
 
-    def evaluate(self, dataset: Dataset, batch_size: int = 128,
-                 transform: Optional[Transform] = None) -> Dict[str, float]:
+    def evaluate(self, dataset: Dataset, batch_size: int = 128) -> Dict[str, float]:
         """Loss and accuracy of the combined client+server model."""
-        self.client_model.train(False)
-        self.server_model.train(False)
         return evaluate_forward(
             lambda images: self.server_model(self.client_model(images)), self.loss_fn,
-            dataset, batch_size, transform if transform is not None else self.transform)
+            dataset, batch_size, self.transform)
 
-    def fit(self, test_dataset: Optional[Dataset] = None, epochs: int = 10,
-            eval_transform: Optional[Transform] = None) -> TrainingHistory:
+    def fit(self, test_dataset: Optional[Dataset] = None, epochs: int = 10) -> TrainingHistory:
         """Train for ``epochs`` rounds of sequential institution visits."""
         history = TrainingHistory(config={
             "baseline": "sequential_split",
@@ -142,7 +135,7 @@ class SequentialSplitTrainer:
                 wall_time_s=time.perf_counter() - start,
             )
             if test_dataset is not None:
-                evaluation = self.evaluate(test_dataset, transform=eval_transform)
+                evaluation = self.evaluate(test_dataset)
                 record.test_loss = evaluation["loss"]
                 record.test_accuracy = evaluation["accuracy"]
             history.append(record)

@@ -140,7 +140,6 @@ class EndSystem:
             # bytes a Tensor round trip through the empty segment would give.
             activations = np.array(images, dtype=get_default_dtype(), order="C")
         else:
-            self.model.train(True)
             # No gradient for the raw images: nobody reads it.
             outputs = self.model(Tensor(images))
             if self.has_trainable_parameters:
@@ -219,7 +218,6 @@ class EndSystem:
     # ------------------------------------------------------------------ #
     def forward_inference(self, images: np.ndarray) -> np.ndarray:
         """Run the client segment without building a graph (evaluation path)."""
-        self.model.train(False)
         with no_grad():
             outputs = self.model(Tensor(images))
         return outputs.data

@@ -316,7 +316,6 @@ def leakage_report(
     split = int(round(images.shape[0] * attack_fraction))
     split = min(max(split, 2), images.shape[0] - 2)
 
-    client_model.train(False)
     with no_grad():
         activations = client_model.forward_collect(Tensor(images))
 

@@ -193,7 +193,6 @@ class CentralServer:
         with respect to the smashed activations so the originating
         end-system can update its local layers.
         """
-        self.model.train(True)
         smashed = Tensor(message.activations, requires_grad=True)
         logits = self.model(smashed)
         loss = self.loss_fn(logits, message.labels)
@@ -257,7 +256,6 @@ class CentralServer:
         if len(messages) == 1:
             return [self.process(messages[0])]
 
-        self.model.train(True)
         if staged is not None:
             # Zero-copy drain: the union batch already lives contiguously
             # in the arena (copied there at enqueue time), in staging
@@ -371,8 +369,7 @@ class CentralServer:
     # Inference
     # ------------------------------------------------------------------ #
     def predict(self, activations: np.ndarray) -> np.ndarray:
-        """Run the server segment in evaluation mode, returning logits."""
-        self.model.train(False)
+        """Run the server segment without building a graph, returning logits."""
         with no_grad():
             logits = self.model(Tensor(activations))
         return logits.data

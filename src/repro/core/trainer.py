@@ -93,7 +93,7 @@ from ..cluster.failover import get_failover_policy
 from ..cluster.shard import ServerShard
 from ..data.datasets import Dataset
 from ..data.loader import DataLoader
-from ..data.transforms import Transform
+from ..data.transforms import Normalize
 from ..nn.metrics import MetricTracker
 from ..nn.serialization import pack_rng_state, restore_rng_state
 from ..obs.plane import Observability
@@ -149,11 +149,9 @@ class SpatioTemporalTrainer:
     topology:
         Simulated network; defaults to a homogeneous star with 5 ms links.
     train_transform:
-        Optional transform applied to every training batch on the
-        end-systems (augmentation / normalization).
-    eval_transform:
-        Optional transform applied to evaluation batches (normalization
-        only; defaults to ``train_transform`` if not given).
+        Optional :class:`~repro.data.transforms.Normalize`.  Each
+        end-system's loader normalizes its local array with it once, and
+        :meth:`evaluate` normalizes the held-out images with it too.
     checkpoint_store:
         Optional durable store for periodic shard checkpoints and
         epoch-boundary run checkpoints (see :mod:`repro.state`).  When
@@ -168,8 +166,7 @@ class SpatioTemporalTrainer:
         client_datasets: Sequence[Dataset],
         config: Optional[TrainingConfig] = None,
         topology: Optional[GeoTopology] = None,
-        train_transform: Optional[Transform] = None,
-        eval_transform: Optional[Transform] = None,
+        train_transform: Optional[Normalize] = None,
         checkpoint_store: Optional[CheckpointStore] = None,
     ) -> None:
         if not client_datasets:
@@ -220,7 +217,6 @@ class SpatioTemporalTrainer:
             )
         self.transport = Transport(self.topology, chaos=self.message_chaos)
         self.train_transform = train_transform
-        self.eval_transform = eval_transform if eval_transform is not None else train_transform
 
         seeds = SeedSequence(self.config.seed)
         self.end_systems: List[EndSystem] = []
@@ -635,8 +631,8 @@ class SpatioTemporalTrainer:
 
     def _evaluate(self, dataset: Dataset, batch_size: Optional[int]) -> Dict[str, object]:
         images, labels = dataset.arrays()
-        if self.eval_transform is not None:
-            images = self.eval_transform(images)
+        if self.train_transform is not None:
+            images = self.train_transform(images)
         batch_size = batch_size or max(self.config.batch_size, 64)
         per_system_accuracy: Dict[int, float] = {}
         per_system_loss: Dict[int, float] = {}
@@ -881,8 +877,7 @@ class SpatioTemporalTrainer:
         client_datasets: Sequence[Dataset],
         *,
         topology: Optional[GeoTopology] = None,
-        train_transform: Optional[Transform] = None,
-        eval_transform: Optional[Transform] = None,
+        train_transform: Optional[Normalize] = None,
     ) -> "SpatioTemporalTrainer":
         """Rebuild a trainer from the newest intact run checkpoint.
 
@@ -903,7 +898,6 @@ class SpatioTemporalTrainer:
             config=config,
             topology=topology,
             train_transform=train_transform,
-            eval_transform=eval_transform,
             checkpoint_store=store,
         )
         trainer.restore_run_checkpoint(run)

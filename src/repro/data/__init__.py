@@ -1,4 +1,4 @@
-"""Datasets, loaders, transforms and multi-end-system partitioners."""
+"""Datasets, loaders, normalization and multi-end-system partitioners."""
 
 from .datasets import (
     ArrayDataset,
@@ -19,15 +19,7 @@ from .partition import (
     get_partitioner,
     partition_summary,
 )
-from .transforms import (
-    Compose,
-    Cutout,
-    GaussianNoise,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-    Transform,
-)
+from .transforms import Normalize
 
 __all__ = [
     "Dataset",
@@ -38,13 +30,7 @@ __all__ = [
     "SyntheticMNIST",
     "train_test_split",
     "DataLoader",
-    "Transform",
-    "Compose",
     "Normalize",
-    "RandomHorizontalFlip",
-    "RandomCrop",
-    "GaussianNoise",
-    "Cutout",
     "Partitioner",
     "IIDPartitioner",
     "DirichletPartitioner",

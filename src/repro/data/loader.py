@@ -7,7 +7,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .datasets import Dataset
-from .transforms import Transform
+from .transforms import Normalize
 
 __all__ = ["DataLoader", "Batch"]
 
@@ -34,10 +34,10 @@ class DataLoader:
         Drop the final short batch when the dataset size is not a multiple
         of ``batch_size``.
     transform:
-        Optional :class:`~repro.data.transforms.Transform`.  A ``pure``
-        one (e.g. ``Normalize``) is applied once to the whole local array,
-        on the first iteration — elementwise, so batches are bit-identical
-        to transforming each one; any other is applied to each image batch.
+        Optional :class:`~repro.data.transforms.Normalize`.  The loader
+        normalizes its whole local array with it once, on the first
+        iteration; the transform is elementwise, so every batch is
+        bit-identical to normalizing that batch alone.
     seed:
         Seed for the shuffling generator (shuffling is deterministic per
         epoch index so runs are reproducible).
@@ -49,7 +49,7 @@ class DataLoader:
         batch_size: int = 32,
         shuffle: bool = True,
         drop_last: bool = False,
-        transform: Optional[Transform] = None,
+        transform: Optional[Normalize] = None,
         seed: int = 0,
     ) -> None:
         if batch_size <= 0:
@@ -65,7 +65,7 @@ class DataLoader:
         self._epoch = 0
         # Materialize once; datasets are in-memory arrays in this project.
         self._images, self._labels = dataset.arrays()
-        # A pure transform is applied on the first __iter__, not here.
+        # The transform is applied on the first __iter__, not here.
         self._transformed = False
 
     def __len__(self) -> int:
@@ -93,17 +93,11 @@ class DataLoader:
         return indices
 
     def __iter__(self) -> Iterator[Batch]:
-        transform = self.transform
-        if transform is not None and transform.pure:
-            if not self._transformed:
-                self._images = transform(self._images)
-                self._transformed = True
-            transform = None  # nothing left to do per batch
+        if self.transform is not None and not self._transformed:
+            self._images = self.transform(self._images)
+            self._transformed = True
         order = self._epoch_order()[:self.num_samples]
         self._epoch += 1
         for start in range(0, len(order), self.batch_size):
             batch = order[start:start + self.batch_size]
-            images = self._images[batch]
-            if transform is not None:
-                images = transform(images)
-            yield images, self._labels[batch]
+            yield self._images[batch], self._labels[batch]

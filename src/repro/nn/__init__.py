@@ -2,45 +2,27 @@
 
 This package replaces the GPU deep-learning framework the paper used with
 a self-contained implementation of exactly the layer types that appear in
-the paper's Fig.-3 CNN (Conv2D, MaxPooling2D, Dense, ReLU) plus the usual
-training machinery (losses, optimizers, metrics, serialization).
+the paper's Fig.-3 CNN (Conv2D, ReLU, MaxPooling2D, Flatten, Dense) plus
+the training machinery a deployment reaches: the losses and optimizers a
+JobSpec can name, accuracy tracking and checkpoint serialization.  There
+is no train/eval mode: no layer behaves differently at inference, where
+``no_grad`` alone selects the fused inference kernels.
 """
 
 from . import dtype, functional, init, losses, metrics, optim, serialization
 from .dtype import default_dtype, get_default_dtype, set_default_dtype
 from .layers import (
-    AvgPool2D,
-    BatchNorm1D,
-    BatchNorm2D,
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
-    GlobalAvgPool2D,
-    LeakyReLU,
     MaxPool2D,
     Module,
     Parameter,
     ReLU,
-    Reshape,
     Sequential,
-    Sigmoid,
-    Softmax,
-    Tanh,
 )
 from .losses import CrossEntropyLoss, L1Loss, Loss, MSELoss, NLLLoss, get_loss
-from .optim import (
-    SGD,
-    Adam,
-    AdamW,
-    CosineAnnealingLR,
-    ExponentialLR,
-    LRScheduler,
-    Optimizer,
-    RMSProp,
-    StepLR,
-    get_optimizer,
-)
+from .optim import SGD, Adam, AdamW, Optimizer, RMSProp, get_optimizer
 from .tensor import Tensor, no_grad
 
 __all__ = [
@@ -63,18 +45,8 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
-    "GlobalAvgPool2D",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Softmax",
-    "Dropout",
-    "BatchNorm1D",
-    "BatchNorm2D",
     "Flatten",
-    "Reshape",
     # losses
     "Loss",
     "CrossEntropyLoss",
@@ -88,9 +60,5 @@ __all__ = [
     "Adam",
     "AdamW",
     "RMSProp",
-    "LRScheduler",
-    "StepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
     "get_optimizer",
 ]

@@ -2,8 +2,8 @@
 
 These functions complement the primitive operations on :class:`~repro.nn.tensor.Tensor`
 with the structured operations needed by the paper's CNN (Fig. 3):
-2-D convolution (via ``im2col``), max/average pooling, softmax,
-log-softmax and the classification losses.
+2-D convolution (im2col + GEMM), max pooling, softmax, log-softmax and
+the classification losses.
 
 All functions accept and return :class:`Tensor` objects and register
 their own backward closures, so they compose freely with the rest of the
@@ -50,10 +50,9 @@ movement, so they are written to move each array once:
 * :func:`cross_entropy` fuses the log-softmax into the loss: one pass
   computes the per-sample losses and the backward closure emits
   ``(softmax - one_hot) * scale`` directly;
-* unpadded ``max_pool2d`` reduces with pairwise maxima over the strided
-  planes (no window matrix or argmax; in training the winner mask is
-  recomputed in backward), and :func:`col2im` folds non-overlapping
-  windows by slice assignment.
+* ``max_pool2d`` reduces with pairwise maxima over the strided planes
+  (no window matrix or argmax; in training the winner mask is
+  recomputed in backward).
 
 Op-level counters (GEMM calls, conv/pool invocations, workspace traffic)
 are recorded in :data:`repro.utils.perf.counters`.
@@ -64,7 +63,6 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..backend import get_backend
 from ..utils.perf import axis_order, counters, workspace, workspace_like
@@ -72,12 +70,9 @@ from .dtype import get_default_dtype
 from .tensor import Tensor, ensure_tensor, is_grad_enabled
 
 __all__ = [
-    "im2col",
-    "col2im",
     "conv2d",
     "linear",
     "max_pool2d",
-    "avg_pool2d",
     "softmax",
     "log_softmax",
     "cross_entropy",
@@ -103,39 +98,8 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# im2col / col2im
+# Convolution
 # --------------------------------------------------------------------------- #
-def _pad_images(images: np.ndarray, ph: int, pw: int,
-                scratch_tag: Optional[str] = None) -> np.ndarray:
-    """Zero-pad the spatial dims, optionally into a reusable workspace.
-
-    The padded array is transient scratch: every caller fully consumes it
-    before returning, so it is safe to hand out a cached buffer.
-    """
-    if ph == 0 and pw == 0:
-        return images
-    n, c, h, w = images.shape
-    if scratch_tag is None:
-        return np.pad(images, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    padded = workspace(scratch_tag, (n, c, h + 2 * ph, w + 2 * pw), images.dtype)
-    # Zero only the border stripes: the interior is overwritten below, so
-    # a full fill would redundantly touch most of the buffer twice.
-    if ph:
-        padded[:, :, :ph, :] = 0.0
-        padded[:, :, ph + h:, :] = 0.0
-    if pw:
-        padded[:, :, ph:ph + h, :pw] = 0.0
-        padded[:, :, ph:ph + h, pw + w:] = 0.0
-    padded[:, :, ph:ph + h, pw:pw + w] = images
-    return padded
-
-
-def _strided_windows(padded: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """``(N, C, out_h, out_w, kh, kw)`` zero-copy view of all pooling/conv windows."""
-    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    return windows[:, :, ::sh, ::sw]
-
-
 def _gather_patches(x: np.ndarray, out: np.ndarray, sh: int, sw: int,
                     ph: int, pw: int) -> None:
     """Fill ``out`` (``(N, oh, ow, kh, kw*C)``) with convolution patches in one copy.
@@ -170,99 +134,6 @@ def _gather_patches(x: np.ndarray, out: np.ndarray, sh: int, sw: int,
     np.copyto(out, windows)
 
 
-def _gather_windows(padded: np.ndarray, out: np.ndarray, sh: int, sw: int) -> np.ndarray:
-    """Fill ``out`` (``(N, C, oh, ow, kh, kw)``) with pooling windows."""
-    _, _, oh, ow, kh, kw = out.shape
-    for i in range(kh):
-        i_end = i + sh * oh
-        for j in range(kw):
-            j_end = j + sw * ow
-            out[:, :, :, :, i, j] = padded[:, :, i:i_end:sh, j:j_end:sw]
-    return out
-
-
-def im2col(
-    images: np.ndarray,
-    kernel_size: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> np.ndarray:
-    """Unfold image patches into columns.
-
-    Parameters
-    ----------
-    images:
-        Array of shape ``(N, C, H, W)``.
-
-    Returns
-    -------
-    Array of shape ``(N, C, kh, kw, out_h, out_w)``.
-    """
-    n, c, h, w = images.shape
-    kh, kw = kernel_size
-    sh, sw = stride
-    ph, pw = padding
-    out_h = conv_output_size(h, kh, sh, ph)
-    out_w = conv_output_size(w, kw, sw, pw)
-
-    padded = _pad_images(images, ph, pw)
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=images.dtype)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            cols[:, :, i, j, :, :] = padded[:, :, i:i_end:sh, j:j_end:sw]
-    return cols
-
-
-def col2im(
-    cols: np.ndarray,
-    image_shape: Tuple[int, int, int, int],
-    kernel_size: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> np.ndarray:
-    """Fold columns produced by :func:`im2col` back into images (adjoint op)."""
-    n, c, h, w = image_shape
-    kh, kw = kernel_size
-    sh, sw = stride
-    ph, pw = padding
-    out_h = conv_output_size(h, kh, sh, ph)
-    out_w = conv_output_size(w, kw, sw, pw)
-
-    if sh == kh and sw == kw and ph == 0 and pw == 0:
-        # Non-overlapping windows (the paper's MaxPooling2D case): every
-        # image pixel receives at most one contribution, so the strided
-        # read-modify-write ``+=`` accumulation collapses to pure slice
-        # assignments — each pixel written exactly once, no zero-init of
-        # the covered region and no add pass.
-        counters.add("col2im_fast_path")
-        if out_h * kh == h and out_w * kw == w:
-            image = np.empty((n, c, h, w), dtype=cols.dtype)
-        else:
-            # Remainder rows/columns are never covered by a window.
-            image = np.zeros((n, c, h, w), dtype=cols.dtype)
-        for i in range(kh):
-            i_end = i + kh * out_h
-            for j in range(kw):
-                j_end = j + kw * out_w
-                image[:, :, i:i_end:kh, j:j_end:kw] = cols[:, :, i, j, :, :]
-        return image
-
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            padded[:, :, i:i_end:sh, j:j_end:sw] += cols[:, :, i, j, :, :]
-    if ph == 0 and pw == 0:
-        return padded
-    return padded[:, :, ph:ph + h, pw:pw + w]
-
-
-# --------------------------------------------------------------------------- #
-# Convolution
-# --------------------------------------------------------------------------- #
 def conv2d(
     inputs: Tensor,
     weight: Tensor,
@@ -492,147 +363,72 @@ def _pairwise_max(images: np.ndarray, kh: int, kw: int, sh: int, sw: int,
     return out
 
 
-def max_pool2d(inputs: Tensor, kernel_size: IntOrPair = 2, stride: Optional[IntOrPair] = None,
-               padding: IntOrPair = 0) -> Tensor:
-    """Max pooling over spatial windows in NCHW layout.
+def max_pool2d(inputs: Tensor, kernel_size: IntOrPair = 2,
+               stride: Optional[IntOrPair] = None) -> Tensor:
+    """Max pooling over spatial windows in NCHW layout (no padding).
 
     The paper's privacy argument (Fig. 4) hinges on this operation: the
     max-pooled first-block activations no longer reveal the raw image.
+    Both paths reduce with pairwise maxima over the ``kh*kw`` strided
+    planes, so no window matrix is ever materialised.
     """
     inputs = ensure_tensor(inputs)
-    kernel = _pair(kernel_size)
-    stride = _pair(stride) if stride is not None else kernel
-    padding = _pair(padding)
+    kh, kw = _pair(kernel_size)
+    sh, sw = _pair(stride) if stride is not None else (kh, kw)
 
     x = inputs.data
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = conv_output_size(h, kh, sh, ph)
-    out_w = conv_output_size(w, kw, sw, pw)
+    _, _, h, w = x.shape
+    out_h = conv_output_size(h, kh, sh, 0)
+    out_w = conv_output_size(w, kw, sw, 0)
 
     counters.add("pool_forward")
-    padded = _pad_images(x, ph, pw, scratch_tag="max_pool2d.pad")
-
+    out_data = _pairwise_max(x, kh, kw, sh, sw, out_h, out_w)
     requires = is_grad_enabled() and inputs.requires_grad
     if not requires:
-        # Inference fast path: pairwise maximum over the kh*kw strided
-        # planes — no window matrix is ever materialised.
-        out_data = _pairwise_max(padded, kh, kw, sh, sw, out_h, out_w)
         return Tensor(out_data, dtype=x.dtype)
 
-    if ph == 0 and pw == 0:
-        # Training fast path for unpadded pooling (the paper's
-        # MaxPooling2D case): reduce with pairwise maxima over the kh*kw
-        # strided planes — no window matrix, no argmax, no gather — and
-        # let the backward pass recompute the winners by comparing each
-        # plane against the pooled output.  Ties resolve to the first
-        # (i, j) offset, exactly matching ``argmax`` order.
-        counters.add("max_pool_fused")
-        out_data = _pairwise_max(x, kh, kw, sh, sw, out_h, out_w)
-        out = Tensor(out_data, requires_grad=requires, dtype=out_data.dtype)
-        out._parents = (inputs,)
-
-        def _backward_fused(grad: np.ndarray) -> None:
-            counters.add("pool_backward")
-            # Everything below is elementwise, so it runs in the memory
-            # order of the activations (channels-last after a conv).
-            grad_image = np.zeros_like(x, dtype=grad.dtype)
-            if axis_order(grad) != axis_order(out_data):
-                # E.g. the C-contiguous wire gradient a client receives:
-                # re-lay it once instead of striding through it kh*kw times.
-                relaid = workspace_like("max_pool2d.grad", out_data, grad.dtype)
-                np.copyto(relaid, grad)
-                grad = relaid
-            # Bool scratch is transient within this closure, so it comes
-            # from the workspace cache (no per-step allocations).
-            equal = workspace_like("max_pool2d.equal", out_data, np.bool_)
-            winner = workspace_like("max_pool2d.winner", out_data, np.bool_)
-            assigned = workspace_like("max_pool2d.assigned", out_data, np.bool_)
-            assigned.fill(False)
-            # With stride >= kernel every image cell belongs to at most
-            # one window offset, so the masked gradient can be written
-            # straight into the image instead of accumulated.
-            disjoint = sh >= kh and sw >= kw
-            for i in range(kh):
-                i_end = i + sh * out_h
-                for j in range(kw):
-                    j_end = j + sw * out_w
-                    np.equal(x[:, :, i:i_end:sh, j:j_end:sw], out_data, out=equal)
-                    np.greater(equal, assigned, out=winner)  # equal & ~assigned
-                    target = grad_image[:, :, i:i_end:sh, j:j_end:sw]
-                    if disjoint:
-                        np.multiply(grad, winner, out=target)
-                    else:
-                        target += grad * winner
-                    if (i, j) != (kh - 1, kw - 1):
-                        np.logical_or(assigned, equal, out=assigned)
-            inputs._accumulate(grad_image, owned=True)
-
-        out._backward = _backward_fused
-        return out
-
-    # The window matrix is only read during the forward pass (argmax +
-    # gather); the backward closure touches just its *shape*, so the
-    # buffer can come from the workspace cache.
-    scratch = workspace("max_pool2d.cols", (n, c, out_h, out_w, kh, kw), x.dtype)
-    _gather_windows(padded, scratch, sh, sw)
-    flat = scratch.reshape(n, c, out_h, out_w, kh * kw)
-    argmax = flat.argmax(axis=-1)  # (N, C, oh, ow)
-    out_data = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-
+    # Training: the backward pass recomputes the winners by comparing each
+    # plane against the pooled output — no argmax, no gather.  Ties
+    # resolve to the first (i, j) offset, exactly matching ``argmax`` order.
+    counters.add("max_pool_fused")
     out = Tensor(out_data, requires_grad=requires, dtype=out_data.dtype)
     out._parents = (inputs,)
 
     def _backward(grad: np.ndarray) -> None:
         counters.add("pool_backward")
-        grad_flat = np.zeros((n, c, out_h, out_w, kh * kw), dtype=grad.dtype)
-        np.put_along_axis(grad_flat, argmax[..., None], grad[..., None], axis=-1)
-        grad_cols = grad_flat.reshape(n, c, out_h, out_w, kh, kw).transpose(0, 1, 4, 5, 2, 3)
-        grad_input = col2im(grad_cols, x.shape, kernel, stride, padding)
-        inputs._accumulate(grad_input, owned=True)
-
-    out._backward = _backward
-    return out
-
-
-def avg_pool2d(inputs: Tensor, kernel_size: IntOrPair = 2, stride: Optional[IntOrPair] = None,
-               padding: IntOrPair = 0) -> Tensor:
-    """Average pooling over spatial windows in NCHW layout."""
-    inputs = ensure_tensor(inputs)
-    kernel = _pair(kernel_size)
-    stride = _pair(stride) if stride is not None else kernel
-    padding = _pair(padding)
-
-    x = inputs.data
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = conv_output_size(h, kh, sh, ph)
-    out_w = conv_output_size(w, kw, sw, pw)
-
-    counters.add("pool_forward")
-    padded = _pad_images(x, ph, pw, scratch_tag="avg_pool2d.pad")
-    windows = _strided_windows(padded, kh, kw, sh, sw)
-    # Mean over the zero-copy view: the only allocation is the output.
-    out_data = windows.mean(axis=(4, 5))
-
-    requires = is_grad_enabled() and inputs.requires_grad
-    out = Tensor(out_data, requires_grad=requires, dtype=out_data.dtype)
-    if not requires:
-        return out
-    out._parents = (inputs,)
-
-    def _backward(grad: np.ndarray) -> None:
-        counters.add("pool_backward")
-        grad_cols = np.broadcast_to(
-            (grad / (kh * kw)).astype(x.dtype, copy=False)[:, :, None, None, :, :],
-            (n, c, kh, kw, out_h, out_w),
-        )
-        grad_input = col2im(grad_cols, x.shape, kernel, stride, padding)
-        inputs._accumulate(grad_input, owned=True)
+        # Everything below is elementwise, so it runs in the memory
+        # order of the activations (channels-last after a conv).
+        grad_image = np.zeros_like(x, dtype=grad.dtype)
+        if axis_order(grad) != axis_order(out_data):
+            # E.g. the C-contiguous wire gradient a client receives:
+            # re-lay it once instead of striding through it kh*kw times.
+            relaid = workspace_like("max_pool2d.grad", out_data, grad.dtype)
+            np.copyto(relaid, grad)
+            grad = relaid
+        # Bool scratch is transient within this closure, so it comes
+        # from the workspace cache (no per-step allocations).
+        equal = workspace_like("max_pool2d.equal", out_data, np.bool_)
+        winner = workspace_like("max_pool2d.winner", out_data, np.bool_)
+        assigned = workspace_like("max_pool2d.assigned", out_data, np.bool_)
+        assigned.fill(False)
+        # With stride >= kernel every image cell belongs to at most
+        # one window offset, so the masked gradient can be written
+        # straight into the image instead of accumulated.
+        disjoint = sh >= kh and sw >= kw
+        for i in range(kh):
+            i_end = i + sh * out_h
+            for j in range(kw):
+                j_end = j + sw * out_w
+                np.equal(x[:, :, i:i_end:sh, j:j_end:sw], out_data, out=equal)
+                np.greater(equal, assigned, out=winner)  # equal & ~assigned
+                target = grad_image[:, :, i:i_end:sh, j:j_end:sw]
+                if disjoint:
+                    np.multiply(grad, winner, out=target)
+                else:
+                    target += grad * winner
+                if (i, j) != (kh - 1, kw - 1):
+                    np.logical_or(assigned, equal, out=assigned)
+        inputs._accumulate(grad_image, owned=True)
 
     out._backward = _backward
     return out

@@ -1,13 +1,12 @@
 """Neural-network layers for the NumPy substrate."""
 
-from .activations import LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
+from .activations import ReLU
 from .base import Module, Parameter
 from .container import Sequential
 from .conv import Conv2D
 from .dense import Dense
-from .pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
-from .regularization import BatchNorm1D, BatchNorm2D, Dropout
-from .reshape import Flatten, Reshape
+from .pooling import MaxPool2D
+from .reshape import Flatten
 
 __all__ = [
     "Module",
@@ -16,16 +15,6 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
-    "GlobalAvgPool2D",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Softmax",
-    "Dropout",
-    "BatchNorm1D",
-    "BatchNorm2D",
     "Flatten",
-    "Reshape",
 ]

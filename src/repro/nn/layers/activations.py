@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from .. import functional as F
 from ..tensor import Tensor
 from .base import Module
 
-__all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Softmax"]
+__all__ = ["ReLU"]
 
 
 class ReLU(Module):
@@ -14,47 +13,3 @@ class ReLU(Module):
 
     def forward(self, inputs: Tensor) -> Tensor:
         return inputs.relu()
-
-
-class LeakyReLU(Module):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        if negative_slope < 0:
-            raise ValueError("negative_slope must be non-negative")
-        self.negative_slope = negative_slope
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.leaky_relu(self.negative_slope)
-
-    def extra_repr(self) -> str:
-        return f"negative_slope={self.negative_slope}"
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.sigmoid()
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.tanh()
-
-
-class Softmax(Module):
-    """Softmax along a configurable axis (default: last)."""
-
-    def __init__(self, axis: int = -1) -> None:
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return F.softmax(inputs, axis=self.axis)
-
-    def extra_repr(self) -> str:
-        return f"axis={self.axis}"

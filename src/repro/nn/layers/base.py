@@ -2,8 +2,7 @@
 
 A :class:`Module` is a container of :class:`Parameter` objects and child
 modules, with the familiar ``forward`` / ``__call__`` protocol, recursive
-parameter enumeration, train/eval mode switching and state-dict
-serialization.  Split learning relies heavily on this abstraction: an
+parameter enumeration and state-dict serialization.  Split learning relies heavily on this abstraction: an
 end-system holds a module made of the first ``L_i`` blocks while the
 centralized server holds a module made of the remaining blocks, and both
 enumerate and update their own parameters independently.
@@ -41,34 +40,15 @@ class Module:
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self.training: bool = True
 
     # ------------------------------------------------------------------ #
     # Registration
     # ------------------------------------------------------------------ #
-    def register_parameter(self, name: str, parameter: Parameter) -> None:
-        """Register a trainable parameter under ``name``."""
-        if not isinstance(parameter, Parameter):
-            raise TypeError(f"expected Parameter, got {type(parameter).__name__}")
-        parameter.name = parameter.name or name
-        self._parameters[name] = parameter
-
     def register_module(self, name: str, module: "Module") -> None:
         """Register a child module under ``name``."""
         if not isinstance(module, Module):
             raise TypeError(f"expected Module, got {type(module).__name__}")
         self._modules[name] = module
-
-    def register_buffer(self, name: str, value: np.ndarray) -> None:
-        """Register a non-trainable persistent array (e.g. BatchNorm stats).
-
-        Buffers follow the global dtype policy so that e.g. BatchNorm
-        running statistics do not silently promote float32 activations.
-        """
-        from ..dtype import get_default_dtype
-
-        self._buffers[name] = np.asarray(value, dtype=get_default_dtype())
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
@@ -112,62 +92,26 @@ class Module:
         for child_name, child in self._modules.items():
             yield from child.named_parameters(prefix=f"{prefix}{child_name}.")
 
-    def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        """Yield ``(qualified_name, buffer)`` pairs recursively."""
-        for name, buffer in self._buffers.items():
-            yield prefix + name, buffer
-        for child_name, child in self._modules.items():
-            yield from child.named_buffers(prefix=f"{prefix}{child_name}.")
-
     def modules(self) -> Iterator["Module"]:
         """Yield this module and all descendants depth-first."""
         yield self
         for child in self._modules.values():
             yield from child.modules()
 
-    def children(self) -> Iterator["Module"]:
-        """Yield immediate child modules."""
-        yield from self._modules.values()
-
     def num_parameters(self) -> int:
         """Total number of trainable scalar parameters."""
         return sum(parameter.size for parameter in self.parameters())
 
     # ------------------------------------------------------------------ #
-    # Mode switching / gradient management
-    # ------------------------------------------------------------------ #
-    def train(self, mode: bool = True) -> "Module":
-        """Set the module (recursively) to training or evaluation mode."""
-        self.training = mode
-        for child in self._modules.values():
-            child.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        """Set the module (recursively) to evaluation mode."""
-        return self.train(False)
-
-    def zero_grad(self) -> None:
-        """Clear gradients on every parameter."""
-        for parameter in self.parameters():
-            parameter.zero_grad()
-
-    # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Return a flat mapping of parameter and buffer arrays (copies)."""
-        state: Dict[str, np.ndarray] = {}
-        for name, parameter in self.named_parameters():
-            state[name] = parameter.data.copy()
-        for name, buffer in self.named_buffers():
-            state[f"buffer::{name}"] = buffer.copy()
-        return state
+        """Return a flat mapping of parameter arrays (copies)."""
+        return {name: parameter.data.copy() for name, parameter in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameter and buffer values from :meth:`state_dict` output."""
+        """Load parameter values from :meth:`state_dict` output."""
         own_parameters = dict(self.named_parameters())
-        own_buffers = dict(self.named_buffers())
         missing: List[str] = []
         for name, parameter in own_parameters.items():
             if name not in state:
@@ -180,31 +124,11 @@ class Module:
                     f"expected {parameter.data.shape}, got {value.shape}"
                 )
             parameter.data = value.astype(parameter.data.dtype).copy()
-        for name in own_buffers:
-            key = f"buffer::{name}"
-            if key in state:
-                self._assign_buffer(name, np.asarray(state[key]))
-            elif strict:
-                missing.append(key)
-        unexpected = [
-            key for key in state
-            if key not in own_parameters and not (
-                key.startswith("buffer::") and key[len("buffer::"):] in own_buffers
-            )
-        ]
+        unexpected = [key for key in state if key not in own_parameters]
         if strict and (missing or unexpected):
             raise KeyError(
                 f"state_dict mismatch: missing={missing}, unexpected={unexpected}"
             )
-
-    def _assign_buffer(self, qualified_name: str, value: np.ndarray) -> None:
-        parts = qualified_name.split(".")
-        module: Module = self
-        for part in parts[:-1]:
-            module = module._modules[part]
-        existing = module._buffers.get(parts[-1])
-        dtype = existing.dtype if existing is not None else value.dtype
-        module._buffers[parts[-1]] = value.astype(dtype).copy()
 
     # ------------------------------------------------------------------ #
     # Representation

@@ -69,11 +69,6 @@ class Sequential(Module):
         for name in self._layer_names:
             yield self._modules[name]
 
-    def named_layers(self) -> Iterator[Tuple[str, Module]]:
-        """Yield ``(name, module)`` pairs in application order."""
-        for name in self._layer_names:
-            yield name, self._modules[name]
-
     def index_of(self, name: str) -> int:
         """Return the position of the layer called ``name``.
 

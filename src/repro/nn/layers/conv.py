@@ -7,7 +7,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .. import functional as F
-from .. import init as initializers
+from ..init import he_normal
 from ..dtype import get_default_dtype
 from ..tensor import Tensor
 from .base import Module, Parameter
@@ -42,7 +42,7 @@ class Conv2D(Module):
         applied inside the backend's GEMM epilogue while each output
         tile is cache-hot instead of as a separate pass.
     rng:
-        Seeded NumPy generator the weight initialization draws from.
+        Seeded NumPy generator the He-normal weight initialization draws from.
     """
 
     def __init__(
@@ -53,7 +53,6 @@ class Conv2D(Module):
         stride: IntOrPair = 1,
         padding: Union[int, Tuple[int, int], str] = "same",
         bias: bool = True,
-        weight_init: str = "he_normal",
         activation: Optional[str] = None,
         *,
         rng: np.random.Generator,
@@ -70,9 +69,8 @@ class Conv2D(Module):
         self.padding = self._resolve_padding(padding)
         self.activation = activation
 
-        weight_fn = initializers.get_initializer(weight_init)
         weight_shape = (out_channels, in_channels, *self.kernel_size)
-        self.weight = Parameter(weight_fn(weight_shape, rng), name="weight")
+        self.weight = Parameter(he_normal(weight_shape, rng), name="weight")
         if bias:
             self.bias: Optional[Parameter] = Parameter(
                 np.zeros(out_channels, dtype=get_default_dtype()), name="bias"
@@ -106,13 +104,6 @@ class Conv2D(Module):
             )
         return F.conv2d(inputs, self.weight, self.bias, stride=self.stride,
                         padding=self.padding, activation=self.activation)
-
-    def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
-        """Return the ``(C, H, W)`` output shape for a ``(C, H, W)`` input."""
-        _, h, w = input_shape
-        out_h = F.conv_output_size(h, self.kernel_size[0], self.stride[0], self.padding[0])
-        out_w = F.conv_output_size(w, self.kernel_size[1], self.stride[1], self.padding[1])
-        return self.out_channels, out_h, out_w
 
     def extra_repr(self) -> str:
         base = (

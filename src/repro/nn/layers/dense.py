@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .. import functional as F
-from .. import init as initializers
+from ..init import he_normal
 from ..dtype import get_default_dtype
 from ..tensor import Tensor
 from .base import Module, Parameter
@@ -30,10 +30,8 @@ class Dense(Module):
         Size of the output feature dimension.
     bias:
         Whether to learn an additive bias (default ``True``).
-    weight_init:
-        Name of an initializer from :mod:`repro.nn.init`.
     rng:
-        Seeded NumPy generator the weight initialization draws from.
+        Seeded NumPy generator the He-normal weight initialization draws from.
     """
 
     def __init__(
@@ -41,7 +39,6 @@ class Dense(Module):
         in_features: int,
         out_features: int,
         bias: bool = True,
-        weight_init: str = "he_normal",
         *,
         rng: np.random.Generator,
     ) -> None:
@@ -52,8 +49,7 @@ class Dense(Module):
             )
         self.in_features = in_features
         self.out_features = out_features
-        weight_fn = initializers.get_initializer(weight_init)
-        self.weight = Parameter(weight_fn((in_features, out_features), rng), name="weight")
+        self.weight = Parameter(he_normal((in_features, out_features), rng), name="weight")
         if bias:
             self.bias: Optional[Parameter] = Parameter(
                 np.zeros(out_features, dtype=get_default_dtype()), name="bias"

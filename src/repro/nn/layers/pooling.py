@@ -8,7 +8,7 @@ from .. import functional as F
 from ..tensor import Tensor
 from .base import Module
 
-__all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
+__all__ = ["MaxPool2D"]
 
 IntOrPair = Union[int, Tuple[int, int]]
 
@@ -22,65 +22,17 @@ class MaxPool2D(Module):
     the centralized server preserves data privacy.
     """
 
-    def __init__(self, kernel_size: IntOrPair = 2, stride: Optional[IntOrPair] = None,
-                 padding: IntOrPair = 0) -> None:
+    def __init__(self, kernel_size: IntOrPair = 2, stride: Optional[IntOrPair] = None) -> None:
         super().__init__()
         self.kernel_size = F._pair(kernel_size)
         self.stride = F._pair(stride) if stride is not None else self.kernel_size
-        self.padding = F._pair(padding)
 
     def forward(self, inputs: Tensor) -> Tensor:
         if inputs.ndim != 4:
             raise ValueError(
                 f"MaxPool2D expects 4-D input (N, C, H, W), got shape {inputs.shape}"
             )
-        return F.max_pool2d(inputs, self.kernel_size, self.stride, self.padding)
-
-    def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
-        """Return the ``(C, H, W)`` output shape for a ``(C, H, W)`` input."""
-        c, h, w = input_shape
-        out_h = F.conv_output_size(h, self.kernel_size[0], self.stride[0], self.padding[0])
-        out_w = F.conv_output_size(w, self.kernel_size[1], self.stride[1], self.padding[1])
-        return c, out_h, out_w
+        return F.max_pool2d(inputs, self.kernel_size, self.stride)
 
     def extra_repr(self) -> str:
-        return f"kernel_size={self.kernel_size}, stride={self.stride}, padding={self.padding}"
-
-
-class AvgPool2D(Module):
-    """Average pooling over spatial windows."""
-
-    def __init__(self, kernel_size: IntOrPair = 2, stride: Optional[IntOrPair] = None,
-                 padding: IntOrPair = 0) -> None:
-        super().__init__()
-        self.kernel_size = F._pair(kernel_size)
-        self.stride = F._pair(stride) if stride is not None else self.kernel_size
-        self.padding = F._pair(padding)
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        if inputs.ndim != 4:
-            raise ValueError(
-                f"AvgPool2D expects 4-D input (N, C, H, W), got shape {inputs.shape}"
-            )
-        return F.avg_pool2d(inputs, self.kernel_size, self.stride, self.padding)
-
-    def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
-        """Return the ``(C, H, W)`` output shape for a ``(C, H, W)`` input."""
-        c, h, w = input_shape
-        out_h = F.conv_output_size(h, self.kernel_size[0], self.stride[0], self.padding[0])
-        out_w = F.conv_output_size(w, self.kernel_size[1], self.stride[1], self.padding[1])
-        return c, out_h, out_w
-
-    def extra_repr(self) -> str:
-        return f"kernel_size={self.kernel_size}, stride={self.stride}, padding={self.padding}"
-
-
-class GlobalAvgPool2D(Module):
-    """Average over all spatial positions, producing a ``(N, C)`` tensor."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        if inputs.ndim != 4:
-            raise ValueError(
-                f"GlobalAvgPool2D expects 4-D input (N, C, H, W), got shape {inputs.shape}"
-            )
-        return inputs.mean(axis=(2, 3))
+        return f"kernel_size={self.kernel_size}, stride={self.stride}"

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..tensor import Tensor
 from .base import Module
 
-__all__ = ["Flatten", "Reshape"]
+__all__ = ["Flatten"]
 
 
 class Flatten(Module):
@@ -19,17 +17,3 @@ class Flatten(Module):
 
     def forward(self, inputs: Tensor) -> Tensor:
         return inputs.flatten_batch()
-
-
-class Reshape(Module):
-    """Reshape each sample to ``target_shape`` (batch dimension preserved)."""
-
-    def __init__(self, target_shape: Tuple[int, ...]) -> None:
-        super().__init__()
-        self.target_shape = tuple(int(dim) for dim in target_shape)
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.reshape(inputs.shape[0], *self.target_shape)
-
-    def extra_repr(self) -> str:
-        return f"target_shape={self.target_shape}"

@@ -3,19 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = [
-    "accuracy",
-    "top_k_accuracy",
-    "confusion_matrix",
-    "per_class_accuracy",
-    "MetricTracker",
-]
+__all__ = ["accuracy", "MetricTracker"]
 
 
 def _as_logits(predictions: Union[Tensor, np.ndarray]) -> np.ndarray:
@@ -39,47 +33,6 @@ def accuracy(predictions: Union[Tensor, np.ndarray], labels: Union[Tensor, np.nd
         return 0.0
     predicted = logits.argmax(axis=-1)
     return float((predicted == labels).mean())
-
-
-def top_k_accuracy(predictions: Union[Tensor, np.ndarray], labels: Union[Tensor, np.ndarray],
-                   k: int = 5) -> float:
-    """Fraction of samples whose label is among the top-``k`` predictions."""
-    logits = _as_logits(predictions)
-    labels = _as_labels(labels)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if logits.shape[0] == 0:
-        return 0.0
-    k = min(k, logits.shape[-1])
-    top_k = np.argsort(logits, axis=-1)[:, -k:]
-    hits = (top_k == labels[:, None]).any(axis=-1)
-    return float(hits.mean())
-
-
-def confusion_matrix(predictions: Union[Tensor, np.ndarray], labels: Union[Tensor, np.ndarray],
-                     num_classes: Optional[int] = None) -> np.ndarray:
-    """Return the ``(num_classes, num_classes)`` confusion matrix.
-
-    Rows are true labels, columns are predicted labels.
-    """
-    logits = _as_logits(predictions)
-    labels = _as_labels(labels)
-    predicted = logits.argmax(axis=-1) if logits.ndim > 1 else logits.astype(np.int64)
-    if num_classes is None:
-        num_classes = int(max(predicted.max(initial=0), labels.max(initial=0))) + 1
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels, predicted), 1)
-    return matrix
-
-
-def per_class_accuracy(predictions: Union[Tensor, np.ndarray], labels: Union[Tensor, np.ndarray],
-                       num_classes: Optional[int] = None) -> np.ndarray:
-    """Per-class recall (diagonal of the row-normalized confusion matrix)."""
-    matrix = confusion_matrix(predictions, labels, num_classes)
-    totals = matrix.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_class = np.where(totals > 0, matrix.diagonal() / np.maximum(totals, 1), 0.0)
-    return per_class
 
 
 @dataclass
@@ -115,8 +68,3 @@ class MetricTracker:
     def averages(self) -> Dict[str, float]:
         """Weighted averages of every recorded metric."""
         return {name: self.average(name) for name in self._totals}
-
-    def reset(self) -> None:
-        """Clear all recorded values."""
-        self._totals.clear()
-        self._counts.clear()

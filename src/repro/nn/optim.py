@@ -1,4 +1,4 @@
-"""Optimizers and learning-rate schedules.
+"""Optimizers.
 
 In spatio-temporal split learning each side of the cut owns its own
 optimizer: every end-system updates its local first-block parameters with
@@ -22,10 +22,6 @@ __all__ = [
     "Adam",
     "AdamW",
     "RMSProp",
-    "LRScheduler",
-    "StepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
     "get_optimizer",
 ]
 
@@ -294,67 +290,6 @@ class RMSProp(Optimizer):
         # Rebind (see SGD._update): pending backward closures may hold
         # views of the current weight buffer.
         parameter.data = parameter.data - self.lr * grad / (np.sqrt(square_avg) + self.eps)
-
-
-# --------------------------------------------------------------------------- #
-# Learning-rate schedules
-# --------------------------------------------------------------------------- #
-class LRScheduler:
-    """Base class for learning-rate schedules attached to an optimizer."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> float:
-        """Advance one epoch and update the optimizer's learning rate."""
-        self.epoch += 1
-        self.optimizer.lr = self.get_lr(self.epoch)
-        return self.optimizer.lr
-
-    def get_lr(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** (epoch // self.step_size))
-
-
-class ExponentialLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.95) -> None:
-        super().__init__(optimizer)
-        self.gamma = gamma
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** epoch)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base learning rate down to ``eta_min``."""
-
-    def __init__(self, optimizer: Optimizer, total_epochs: int, eta_min: float = 0.0) -> None:
-        super().__init__(optimizer)
-        if total_epochs <= 0:
-            raise ValueError("total_epochs must be positive")
-        self.total_epochs = total_epochs
-        self.eta_min = eta_min
-
-    def get_lr(self, epoch: int) -> float:
-        progress = min(epoch, self.total_epochs) / self.total_epochs
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1 + np.cos(np.pi * progress))
 
 
 _OPTIMIZERS = {

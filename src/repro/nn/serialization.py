@@ -25,20 +25,13 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .layers.base import Module
-from .optim import Optimizer
 
 __all__ = [
     "dump_state_dict",
     "save_state_dict",
     "load_state_dict",
-    "save_module",
-    "load_module",
-    "parameter_summary",
     "flatten_optimizer_state",
     "unflatten_optimizer_state",
-    "save_optimizer",
-    "load_optimizer",
     "pack_rng_state",
     "unpack_rng_state",
     "restore_rng_state",
@@ -189,17 +182,6 @@ def load_state_dict(source: Union[PathLike, bytes]) -> Dict[str, np.ndarray]:
         return {key: archive[f"array_{index}"] for index, key in enumerate(keys)}
 
 
-def save_module(module: Module, path: PathLike) -> Path:
-    """Checkpoint a module's parameters and buffers."""
-    return save_state_dict(module.state_dict(), path)
-
-
-def load_module(module: Module, path: PathLike, strict: bool = True) -> Module:
-    """Restore a module in place from a checkpoint written by :func:`save_module`."""
-    module.load_state_dict(load_state_dict(path), strict=strict)
-    return module
-
-
 # --------------------------------------------------------------------------- #
 # Optimizer state and RNG streams through the same npz path
 # --------------------------------------------------------------------------- #
@@ -244,24 +226,6 @@ def unflatten_optimizer_state(flat: Dict[str, np.ndarray]) -> Dict[str, object]:
     return {"lr": meta["lr"], "step_count": meta["step_count"], "slots": slots}
 
 
-def save_optimizer(optimizer: Union[Optimizer, Dict[str, object]], path: PathLike) -> Path:
-    """Checkpoint an optimizer (or a state dict it produced) as an npz archive."""
-    state = optimizer.state_dict() if isinstance(optimizer, Optimizer) else optimizer
-    return save_state_dict(flatten_optimizer_state(state), path)
-
-
-def load_optimizer(optimizer: Optimizer, path: PathLike, strict: bool = True) -> Optimizer:
-    """Restore an optimizer in place from :func:`save_optimizer` output.
-
-    Dtype handling matches module checkpoints: the optimizer's
-    ``load_state_dict`` casts every restored slot buffer to its live
-    parameter's dtype, so cross-precision restores work both ways.
-    """
-    state = unflatten_optimizer_state(load_state_dict(path))
-    optimizer.load_state_dict(state, strict=strict)
-    return optimizer
-
-
 def pack_rng_state(rng: Union[np.random.Generator, Dict[str, object]]) -> np.ndarray:
     """Capture a NumPy generator's exact stream position as a uint8 array.
 
@@ -284,16 +248,3 @@ def restore_rng_state(rng: np.random.Generator, packed: Optional[np.ndarray]) ->
     if packed is not None:
         rng.bit_generator.state = unpack_rng_state(packed)
     return rng
-
-
-def parameter_summary(module: Module) -> str:
-    """Human-readable table of parameter names, shapes and counts."""
-    rows = []
-    total = 0
-    for name, parameter in module.named_parameters():
-        count = parameter.size
-        total += count
-        rows.append(f"{name:<40s} {str(parameter.shape):<20s} {count:>12,d}")
-    rows.append("-" * 74)
-    rows.append(f"{'total':<40s} {'':<20s} {total:>12,d}")
-    return "\n".join(rows)

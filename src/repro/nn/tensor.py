@@ -17,14 +17,15 @@ The design follows the usual define-by-run autograd recipe:
   the broadcast dimensions so that a parent's gradient always has the
   parent's shape.
 
-Only the operations needed by the split-learning stack (dense layers,
-convolutions, pooling, activations, losses) are implemented, but the set is
-general enough to express arbitrary feed-forward networks.
+Only the operations the split-learning stack reaches are implemented: the
+elementwise, reduction and reshape ops that the losses, ``ReLU``, ``Flatten``
+and the softmax helpers compose; convolution, pooling and the dense layer
+are fused graph nodes in :mod:`repro.nn.functional`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -150,40 +151,13 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         """Return the value of a scalar tensor as a Python float."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut off from the graph.
-
-        This is exactly the operation an end-system performs before
-        shipping smashed activations to the server: the server receives a
-        leaf tensor and never observes the client-side graph.
-        """
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
-    def clone(self) -> "Tensor":
-        """Return a copy that participates in the graph (identity op)."""
-        out = self._make_output(self.data.copy(), (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
@@ -206,8 +180,8 @@ class Tensor:
         ``grad`` is a freshly allocated array no one else references, so
         on first accumulation it can be stored directly instead of
         copied, and subsequent accumulations can run in place.  Closures
-        that hand the *same* array to several parents (e.g. ``__add__``)
-        must keep the default ``owned=False``.
+        that pass the upstream array itself on (e.g. ``__sub__``'s first
+        operand) must keep the default ``owned=False``.
         """
         if not self.requires_grad:
             return
@@ -281,20 +255,6 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Arithmetic ops
     # ------------------------------------------------------------------ #
-    def __add__(self, other: ArrayLike) -> "Tensor":
-        other = ensure_tensor(other)
-        out = self._make_output(self.data + other.data, (self, other))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad)
-            other._accumulate(grad)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    __radd__ = __add__
-
     def __neg__(self) -> "Tensor":
         out = self._make_output(-self.data, (self,))
 
@@ -317,9 +277,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return ensure_tensor(other) - self
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = ensure_tensor(other)
         out = self._make_output(self.data * other.data, (self, other))
@@ -332,8 +289,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = ensure_tensor(other)
         out = self._make_output(self.data / other.data, (self, other))
@@ -341,46 +296,6 @@ class Tensor:
         def _backward(grad: np.ndarray) -> None:
             self._accumulate(grad / other.data, owned=True)
             other._accumulate(-grad * self.data / (other.data ** 2), owned=True)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return ensure_tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = self._make_output(self.data ** exponent, (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1), owned=True)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def __matmul__(self, other: ArrayLike) -> "Tensor":
-        return self.matmul(other)
-
-    def matmul(self, other: ArrayLike) -> "Tensor":
-        """Matrix product (via the active compute backend)."""
-        from ..backend import get_backend
-
-        other = ensure_tensor(other)
-        backend = get_backend()
-        out = self._make_output(backend.gemm(self.data, other.data), (self, other))
-
-        def _backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(
-                    backend.gemm(grad, np.swapaxes(other.data, -1, -2)), owned=True
-                )
-            if other.requires_grad:
-                other._accumulate(
-                    backend.gemm(np.swapaxes(self.data, -1, -2), grad), owned=True
-                )
 
         if out.requires_grad:
             out._backward = _backward
@@ -414,29 +329,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def var(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
-        """Biased (population) variance, matching BatchNorm's convention."""
-        mean = self.mean(axis=axis, keepdims=True)
-        centered = self - mean
-        squared = centered * centered
-        return squared.mean(axis=axis, keepdims=keepdims)
-
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make_output(np.asarray(out_data), (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            grad_expanded = _expand_reduction_grad(grad, self.data.shape, axis, keepdims)
-            max_expanded = _expand_reduction_values(out.data, self.data.shape, axis, keepdims)
-            mask = (self.data == max_expanded).astype(self.data.dtype)
-            # Split ties evenly so the gradient check stays exact.
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(grad_expanded * mask / counts, owned=True)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
     # ------------------------------------------------------------------ #
     # Elementwise nonlinearities
     # ------------------------------------------------------------------ #
@@ -461,17 +353,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-        out = self._make_output(out_data, (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * 0.5 / out_data, owned=True)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
     def relu(self) -> "Tensor":
         from ..backend import get_backend
         from ..utils.perf import workspace_like
@@ -484,56 +365,6 @@ class Tensor:
         def _backward(grad: np.ndarray) -> None:
             mask = workspace_like("relu.mask", out_data, np.bool_)
             np.greater(out_data, 0, out=mask)
-            self._accumulate(grad * mask, owned=True)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        out_data = np.where(mask, self.data, negative_slope * self.data)
-        out = self._make_output(out_data, (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.where(mask, 1.0, negative_slope), owned=True)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make_output(out_data, (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data), owned=True)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-        out = self._make_output(out_data, (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data ** 2), owned=True)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def clip(self, minimum: Optional[float] = None, maximum: Optional[float] = None) -> "Tensor":
-        out_data = np.clip(self.data, minimum, maximum)
-        out = self._make_output(out_data, (self,))
-        mask = np.ones_like(self.data)
-        if minimum is not None:
-            mask = mask * (self.data >= minimum)
-        if maximum is not None:
-            mask = mask * (self.data <= maximum)
-
-        def _backward(grad: np.ndarray) -> None:
             self._accumulate(grad * mask, owned=True)
 
         if out.requires_grad:
@@ -572,132 +403,6 @@ class Tensor:
         batch = self.data.shape[0]
         return self.reshape(batch, -1)
 
-    def transpose(self, *axes: int) -> "Tensor":
-        if not axes:
-            axes = tuple(reversed(range(self.data.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inverse = np.argsort(axes)
-        out = self._make_output(self.data.transpose(axes), (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.transpose(inverse))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
-    def __getitem__(self, index) -> "Tensor":
-        out = self._make_output(self.data[index], (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            self._accumulate(full, owned=True)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def pad(self, pad_width: Sequence[Tuple[int, int]]) -> "Tensor":
-        """Zero-pad the tensor; ``pad_width`` follows ``numpy.pad`` syntax."""
-        pad_width = tuple(tuple(p) for p in pad_width)
-        out = self._make_output(np.pad(self.data, pad_width), (self,))
-        slices = tuple(
-            slice(before, before + dim) for (before, _), dim in zip(pad_width, self.data.shape)
-        )
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad[slices])
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Comparisons (no gradient; return plain arrays)
-    # ------------------------------------------------------------------ #
-    def __gt__(self, other: ArrayLike) -> np.ndarray:
-        return self.data > _as_array(other)
-
-    def __lt__(self, other: ArrayLike) -> np.ndarray:
-        return self.data < _as_array(other)
-
-    def __ge__(self, other: ArrayLike) -> np.ndarray:
-        return self.data >= _as_array(other)
-
-    def __le__(self, other: ArrayLike) -> np.ndarray:
-        return self.data <= _as_array(other)
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False, dtype=None) -> "Tensor":
-        dtype = dtype if dtype is not None else get_default_dtype()
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad, dtype=dtype)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False, dtype=None) -> "Tensor":
-        dtype = dtype if dtype is not None else get_default_dtype()
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad, dtype=dtype)
-
-    @staticmethod
-    def randn(*shape: int, rng: np.random.Generator,
-              requires_grad: bool = False, dtype=None) -> "Tensor":
-        dtype = dtype if dtype is not None else get_default_dtype()
-        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=requires_grad, dtype=dtype)
-
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        """Stack tensors along a new axis with gradient support."""
-        tensors = list(tensors)
-        data = np.stack([t.data for t in tensors], axis=axis)
-        requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires, dtype=data.dtype)
-        if not requires:
-            return out
-        out._parents = tuple(tensors)
-
-        def _backward(grad: np.ndarray) -> None:
-            pieces = np.split(grad, len(tensors), axis=axis)
-            for tensor, piece in zip(tensors, pieces):
-                tensor._accumulate(np.squeeze(piece, axis=axis))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    @staticmethod
-    def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        """Concatenate tensors along an existing axis with gradient support.
-
-        This is the server-side operation that merges smashed activations
-        arriving from multiple end-systems into one training batch.
-        """
-        tensors = list(tensors)
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-        requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires, dtype=data.dtype)
-        if not requires:
-            return out
-        out._parents = tuple(tensors)
-        sizes = [t.data.shape[axis] for t in tensors]
-        boundaries = np.cumsum(sizes)[:-1]
-
-        def _backward(grad: np.ndarray) -> None:
-            pieces = np.split(grad, boundaries, axis=axis)
-            for tensor, piece in zip(tensors, pieces):
-                tensor._accumulate(piece)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
 
 def _axis_count(shape: Tuple[int, ...], axis: Union[int, Tuple[int, ...]]) -> int:
     if isinstance(axis, int):
@@ -717,7 +422,7 @@ def _expand_reduction_grad(
     """Broadcast the gradient of a reduction back to the operand's shape.
 
     Returns a read-only broadcast *view* — consumers either combine it
-    into a fresh array (mean/max backwards) or let ``_accumulate`` copy
+    into a fresh array (mean backward) or let ``_accumulate`` copy
     it (sum backward), so no eager copy is needed here.
     """
     grad = np.asarray(grad)
@@ -729,12 +434,3 @@ def _expand_reduction_grad(
         for ax in sorted(axes):
             grad = np.expand_dims(grad, ax)
     return np.broadcast_to(grad, original_shape)
-
-
-def _expand_reduction_values(
-    values: np.ndarray,
-    original_shape: Tuple[int, ...],
-    axis: Optional[Union[int, Tuple[int, ...]]],
-    keepdims: bool,
-) -> np.ndarray:
-    return _expand_reduction_grad(values, original_shape, axis, keepdims)

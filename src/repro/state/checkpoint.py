@@ -98,9 +98,11 @@ def module_rng_states(module: Any) -> Dict[str, np.ndarray]:
     """Stream positions of any live generators inside a module tree.
 
     Walks the module graph in registration order and packs every
-    ``_rng`` generator found (e.g. :class:`Dropout`'s), keyed by walk
-    index — the rebuilt model walks identically, so restore is
-    positional.
+    ``_rng`` generator found, keyed by walk index — the rebuilt model
+    walks identically, so restore is positional.  No layer of the
+    substrate draws at forward time, so for its models the map is empty;
+    it stays because the checkpoints' ``rng::`` payloads are part of the
+    frozen recovery format.
     """
     states: Dict[str, np.ndarray] = {}
     for index, submodule in enumerate(module.modules()):

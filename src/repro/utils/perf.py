@@ -4,12 +4,11 @@ Two facilities back the substrate's allocation-aware hot paths:
 
 * :class:`PerfCounters` — cheap global counters for GEMM calls, conv/pool
   invocations, workspace hits/misses and bytes allocated.  The functional
-  ops in :mod:`repro.nn.functional` and :meth:`repro.nn.tensor.Tensor.matmul`
-  increment them, so a training run can report *why* it was fast or slow
+  ops in :mod:`repro.nn.functional` and the backend's GEMMs increment them, so a training run can report *why* it was fast or slow
   (``counters.snapshot()`` / the :func:`track` context manager).
 * :class:`WorkspaceCache` — one grow-only scratch buffer per tag.  The
-  im2col/col2im paths burn most of their time allocating and filling
-  large column buffers; arrays obtained through :func:`workspace` are
+  convolution's patch gather and gradient fold would otherwise burn most
+  of their time allocating and filling large column buffers; arrays obtained through :func:`workspace` are
   views of a buffer reused across calls instead of reallocated.
 
 Workspace safety contract
@@ -137,7 +136,7 @@ class WorkspaceCache:
         return len(self._buffers)
 
 
-#: Process-global workspace pool used by the im2col/col2im hot paths.
+#: Process-global workspace pool used by the conv/pool/loss hot paths.
 workspaces = WorkspaceCache()
 
 

@@ -1,7 +1,7 @@
 """Deterministic random-number management.
 
 Every stochastic component (weight initialization, data generation, data
-partitioning, network latency sampling, dropout) receives its own
+partitioning, network latency sampling) receives its own
 ``numpy.random.Generator`` derived from a single experiment seed, so that
 experiments are reproducible and the per-end-system streams are
 independent of how many end-systems participate.

@@ -19,7 +19,6 @@ from repro.nn.dtype import default_dtype
 
 
 def parent_forward_batch(end_system, images, labels, round_index=0, created_at=0.0):
-    end_system.model.train(True)
     outputs = end_system.model(Tensor(images))
     batch_id = end_system._next_batch_id
     end_system._next_batch_id += 1

@@ -41,7 +41,6 @@ def reference_batch_step(server, messages):
     """Accumulate per-message gradients of the sample-weighted mean loss,
     then take one optimizer step — the semantics process_batch must match."""
     total = sum(message.batch_size for message in messages)
-    server.model.train(True)
     server.optimizer.zero_grad()
     sum_loss = get_loss("cross_entropy", reduction="sum")
     boundary = []

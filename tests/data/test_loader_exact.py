@@ -1,9 +1,9 @@
-"""The transform-once loader yields what the transform-per-batch one did.
+"""The normalize-once loader yields what the transform-per-batch one did.
 
 ``reference_loader.reference_epoch`` is the parent's ``__iter__`` verbatim;
 the grid below requires byte-equal batches (dtype and shape included) from
-the current :class:`DataLoader`, which applies a pure transform once to the
-whole local array and indexes each batch out of the result.
+the current :class:`DataLoader`, which normalizes the whole local array once
+and indexes each batch out of the result.
 """
 
 import numpy as np
@@ -12,27 +12,14 @@ import pytest
 from reference_loader import reference_epoch
 from repro.data.datasets import Subset, SyntheticCIFAR10
 from repro.data.loader import DataLoader
-from repro.data.transforms import (
-    Compose,
-    Cutout,
-    GaussianNoise,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-    Transform,
-)
+from repro.data.transforms import Normalize
 
 NORMALIZE = dict(mean=[0.4, 0.5, 0.6], std=[0.2, 0.25, 0.3])
 
 
 def make_transform(kind):
-    """A fresh transform (fresh RNG) per loader, so both sides draw alike."""
-    if kind == "none":
-        return None
-    if kind == "normalize":
-        return Normalize(**NORMALIZE)
-    return Compose([Normalize(**NORMALIZE),
-                    RandomHorizontalFlip(p=0.5, rng=np.random.default_rng(11))])
+    """A fresh transform per loader."""
+    return None if kind == "none" else Normalize(**NORMALIZE)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +36,7 @@ def assert_same_batch(got, expected):
 
 
 class TestLoaderExact:
-    @pytest.mark.parametrize("kind", ["none", "normalize", "compose"])
+    @pytest.mark.parametrize("kind", ["none", "normalize"])
     @pytest.mark.parametrize("batch_size", [1, 7, 32])
     @pytest.mark.parametrize("drop_last", [False, True])
     @pytest.mark.parametrize("shuffle", [False, True])
@@ -76,27 +63,6 @@ class TestLoaderExact:
         for new, old in zip(loader, expected):
             assert_same_batch(new, old)
 
-    def test_seeded_impure_transform_draws_in_the_same_order(self, dataset):
-        """Every RNG-holding transform stays per batch, in batch order."""
-        def build():
-            seeds = iter(range(100, 104))
-            return Compose([
-                Normalize(**NORMALIZE),
-                RandomCrop(padding=2, rng=np.random.default_rng(next(seeds))),
-                RandomHorizontalFlip(rng=np.random.default_rng(next(seeds))),
-                GaussianNoise(std=0.05, rng=np.random.default_rng(next(seeds))),
-                Cutout(size=4, rng=np.random.default_rng(next(seeds))),
-            ])
-
-        mine, theirs = build(), build()
-        loader = DataLoader(dataset, batch_size=7, transform=mine, seed=1)
-        for epoch in range(2):
-            for new, old in zip(loader, reference_epoch(dataset, 7, True, False,
-                                                        theirs, 1, epoch)):
-                assert_same_batch(new, old)
-        for used, reference in zip(mine.transforms[1:], theirs.transforms[1:]):
-            assert used._rng.bit_generator.state == reference._rng.bit_generator.state
-
 
 class CountingNormalize(Normalize):
     def __init__(self, **kwargs):
@@ -108,20 +74,8 @@ class CountingNormalize(Normalize):
         return super().__call__(batch)
 
 
-class TestPureTransforms:
-    def test_purity_declarations(self):
-        rng = np.random.default_rng(0)
-        assert Normalize().pure
-        assert not Transform.pure
-        for impure in (RandomHorizontalFlip(rng=rng), RandomCrop(rng=rng),
-                       GaussianNoise(rng=rng), Cutout(rng=rng)):
-            assert not impure.pure
-        assert Compose([Normalize(), Normalize()]).pure
-        assert Compose([]).pure
-        assert not Compose([Normalize(), RandomHorizontalFlip(rng=rng)]).pure
-        assert not Compose([Compose([GaussianNoise(rng=rng)]), Normalize()]).pure
-
-    def test_pure_transform_runs_once_and_only_when_iterated(self, dataset):
+class TestNormalizeOnce:
+    def test_transform_runs_once_and_only_when_iterated(self, dataset):
         transform = CountingNormalize(**NORMALIZE)
         loader = DataLoader(dataset, batch_size=1, transform=transform, seed=0)
         assert transform.calls == []  # building a loader transforms nothing
@@ -130,13 +84,6 @@ class TestPureTransforms:
         for _ in range(3):
             assert len(list(loader)) == 75
         assert transform.calls == [75]  # the whole local array, once
-
-    def test_impure_compose_still_runs_per_batch(self, dataset):
-        inner = CountingNormalize(**NORMALIZE)
-        loader = DataLoader(dataset, batch_size=32, seed=0, transform=Compose(
-            [inner, RandomHorizontalFlip(rng=np.random.default_rng(0))]))
-        list(loader)
-        assert inner.calls == [32, 32, 11]
 
     def test_the_dataset_arrays_are_left_untouched(self):
         full = SyntheticCIFAR10(num_samples=40, image_size=8, seed=1)

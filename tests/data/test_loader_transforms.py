@@ -1,18 +1,11 @@
-"""Tests for the DataLoader and the batch transforms."""
+"""Tests for the DataLoader and Normalize."""
 
 import numpy as np
 import pytest
 
 from repro.data.datasets import ArrayDataset
 from repro.data.loader import DataLoader
-from repro.data.transforms import (
-    Compose,
-    Cutout,
-    GaussianNoise,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-)
+from repro.data.transforms import Normalize
 
 
 @pytest.fixture
@@ -74,10 +67,10 @@ class TestDataLoader:
             DataLoader(empty)
 
 
-class TestTransforms:
+class TestNormalize:
     def test_normalize_statistics(self, rng):
         batch = rng.random((20, 3, 8, 8))
-        transform = Normalize.from_dataset(batch)
+        transform = Normalize(mean=batch.mean(axis=(0, 2, 3)), std=batch.std(axis=(0, 2, 3)))
         normalized = transform(batch)
         np.testing.assert_allclose(normalized.mean(axis=(0, 2, 3)), np.zeros(3), atol=1e-10)
         np.testing.assert_allclose(normalized.std(axis=(0, 2, 3)), np.ones(3), atol=1e-6)
@@ -85,62 +78,3 @@ class TestTransforms:
     def test_normalize_rejects_zero_std(self):
         with pytest.raises(ValueError):
             Normalize(mean=[0.0], std=[0.0])
-
-    def test_flip_probability_zero_and_one(self, rng):
-        batch = rng.random((5, 3, 6, 6))
-        never = RandomHorizontalFlip(p=0.0, rng=np.random.default_rng(0))
-        always = RandomHorizontalFlip(p=1.0, rng=np.random.default_rng(0))
-        np.testing.assert_allclose(never(batch), batch)
-        np.testing.assert_allclose(always(batch), batch[:, :, :, ::-1])
-
-    def test_flip_preserves_pixel_multiset(self, rng):
-        batch = rng.random((8, 3, 6, 6))
-        flipped = RandomHorizontalFlip(p=0.5, rng=np.random.default_rng(1))(batch)
-        np.testing.assert_allclose(np.sort(flipped.reshape(-1)), np.sort(batch.reshape(-1)))
-
-    def test_random_crop_preserves_shape(self, rng):
-        batch = rng.random((4, 3, 8, 8))
-        cropped = RandomCrop(padding=2, rng=np.random.default_rng(0))(batch)
-        assert cropped.shape == batch.shape
-
-    def test_random_crop_zero_padding_is_identity(self, rng):
-        batch = rng.random((4, 3, 8, 8))
-        np.testing.assert_allclose(RandomCrop(padding=0, rng=rng)(batch), batch)
-
-    def test_gaussian_noise_magnitude(self, rng):
-        batch = np.zeros((10, 3, 8, 8))
-        noisy = GaussianNoise(std=0.1, rng=np.random.default_rng(0))(batch)
-        assert 0.05 < noisy.std() < 0.15
-
-    def test_gaussian_noise_keeps_a_float32_batch_float32(self):
-        batch = np.zeros((4, 3, 8, 8), dtype=np.float32)
-        noisy = GaussianNoise(std=0.1, rng=np.random.default_rng(0))(batch)
-        assert noisy.dtype == np.float32
-        float64 = GaussianNoise(std=0.1, rng=np.random.default_rng(0))(batch.astype(np.float64))
-        np.testing.assert_allclose(noisy, float64, rtol=1e-6)  # one stream, rounded
-
-    def test_cutout_zeroes_a_patch(self, rng):
-        batch = np.ones((3, 3, 8, 8))
-        cut = Cutout(size=4, rng=np.random.default_rng(0))(batch)
-        assert (cut == 0).any()
-        assert cut.shape == batch.shape
-
-    def test_compose_applies_in_order(self, rng):
-        batch = rng.random((2, 3, 8, 8))
-        compose = Compose([Normalize(mean=[0.5] * 3, std=[0.5] * 3), GaussianNoise(std=0.0, rng=rng)])
-        np.testing.assert_allclose(
-            compose(batch), Normalize(mean=[0.5] * 3, std=[0.5] * 3)(batch)
-        )
-        assert "Normalize" in repr(compose)
-
-    def test_transform_validation(self, rng):
-        with pytest.raises(ValueError):
-            RandomHorizontalFlip(p=1.5, rng=rng)
-        with pytest.raises(ValueError):
-            RandomCrop(padding=-1, rng=rng)
-        with pytest.raises(ValueError):
-            GaussianNoise(std=-1.0, rng=rng)
-        with pytest.raises(ValueError):
-            Cutout(size=0, rng=rng)
-        with pytest.raises(ValueError):
-            RandomHorizontalFlip(rng=rng)(rng.random((3, 8, 8)))

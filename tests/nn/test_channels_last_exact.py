@@ -194,11 +194,24 @@ POOL_CASES = {
 }
 
 
+#: Pooling inputs by sign.  The paper CNN pools post-ReLU activations; the
+#: other kinds pin the kept path on inputs a pre-ReLU pool would see.
+POOL_INPUTS = {
+    "post-relu": lambda rng, shape, dtype: np.maximum(signed(rng, shape, dtype), 0),
+    "signed": signed,
+    "all-negative": lambda rng, shape, dtype: (
+        -1.0 - np.abs(rng.standard_normal(shape))).astype(dtype),
+    "negative-ties": lambda rng, shape, dtype: (
+        -rng.integers(1, 4, size=shape)).astype(dtype),
+}
+
+
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("inputs_kind", POOL_INPUTS)
 @pytest.mark.parametrize("name", POOL_CASES)
-def test_max_pool2d_matches_the_parent(name, dtype, rng):
+def test_max_pool2d_matches_the_parent(name, inputs_kind, dtype, rng):
     shape, kernel, stride = POOL_CASES[name]
-    x = np.maximum(signed(rng, shape, dtype), 0)  # post-ReLU: ties at zero
+    x = POOL_INPUTS[inputs_kind](rng, shape, dtype)
     expected_out, backward = ref.max_pool2d(x, kernel, stride)
     grad = signed(rng, expected_out.shape, dtype)
     expected_grad = backward(grad)
@@ -281,7 +294,7 @@ def _parent_conv2d(inputs, weight, bias=None, stride=1, padding=0, activation=No
     return out
 
 
-def _parent_max_pool2d(inputs, kernel_size=2, stride=None, padding=0):
+def _parent_max_pool2d(inputs, kernel_size=2, stride=None):
     kernel = F._pair(kernel_size)
     out_data, backward = ref.max_pool2d(inputs.data, kernel,
                                         F._pair(stride) if stride is not None else kernel)

@@ -13,13 +13,9 @@ from repro.nn import (
     SGD,
     Adam,
     AdamW,
-    AvgPool2D,
-    BatchNorm1D,
-    BatchNorm2D,
     Conv2D,
     CrossEntropyLoss,
     Dense,
-    Dropout,
     Flatten,
     MaxPool2D,
     MSELoss,
@@ -83,21 +79,11 @@ class TestLeafCreation:
         with default_dtype(np.float32):
             assert Tensor(np.zeros(3), dtype=np.float64).dtype == np.float64
 
-    def test_constructors_follow_policy(self):
-        with default_dtype(np.float32):
-            assert Tensor.zeros(2, 3).dtype == np.float32
-            assert Tensor.ones(2).dtype == np.float32
-            assert Tensor.randn(4, rng=np.random.default_rng(0)).dtype == np.float32
-
-    def test_initializers_follow_policy(self):
+    def test_initializer_follows_policy(self):
         from repro.nn import init
 
-        rng = np.random.default_rng(0)
         with default_dtype(np.float32):
-            for name in ["he_normal", "he_uniform", "xavier_normal", "xavier_uniform",
-                         "zeros", "ones", "normal", "uniform"]:
-                array = init.get_initializer(name)((4, 3), rng)
-                assert array.dtype == np.float32, name
+            assert init.he_normal((4, 3), np.random.default_rng(0)).dtype == np.float32
 
     def test_one_hot_follows_policy_and_explicit_dtype(self):
         with default_dtype(np.float32):
@@ -118,16 +104,14 @@ class TestEndToEndPropagation:
         with default_dtype(np.float32):
             model = Sequential([
                 Conv2D(3, 4, kernel_size=3, padding="same", rng=rng),
-                BatchNorm2D(4),
                 ReLU(),
                 MaxPool2D(2),
                 Conv2D(4, 4, kernel_size=3, padding="same", rng=rng),
                 ReLU(),
-                AvgPool2D(2),
+                MaxPool2D(2),
                 Flatten(),
                 Dense(4 * 2 * 2, 8, rng=rng),
-                BatchNorm1D(8),
-                Dropout(0.25, rng=rng),
+                ReLU(),
                 Dense(8, 5, rng=rng),
             ])
             images = rng.random((6, 3, 8, 8), dtype=np.float32)
@@ -173,12 +157,6 @@ class TestEndToEndPropagation:
                 optimizer.step()
             for parameter in layer.parameters():
                 assert parameter.dtype == np.float32
-
-    def test_buffers_follow_policy(self):
-        with default_dtype(np.float32):
-            bn = BatchNorm2D(4)
-            assert bn.running_mean.dtype == np.float32
-            assert bn.running_var.dtype == np.float32
 
     def test_serialization_roundtrip_casts_to_live_dtype(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -1,4 +1,4 @@
-"""Tests for the functional ops: im2col, conv2d, pooling, softmax, losses."""
+"""Tests for the functional ops: conv2d, max pooling, softmax, losses."""
 
 import numpy as np
 import pytest
@@ -28,28 +28,7 @@ def naive_conv2d(x, w, b, stride, padding):
     return out
 
 
-class TestIm2Col:
-    def test_shapes(self, rng):
-        images = rng.standard_normal((2, 3, 8, 8))
-        cols = F.im2col(images, (3, 3), (1, 1), (1, 1))
-        assert cols.shape == (2, 3, 3, 3, 8, 8)
-
-    @pytest.mark.parametrize("kernel, stride, padding", [
-        ((3, 3), (2, 2), (1, 1)),
-        ((2, 2), (2, 2), (0, 0)),   # non-overlapping: the reshape fast path
-        ((2, 2), (1, 1), (0, 0)),   # overlapping, unpadded: the strided += path
-    ], ids=["padded", "non-overlapping", "overlapping"])
-    def test_col2im_is_adjoint_of_im2col(self, rng, kernel, stride, padding):
-        """<im2col(x), y> == <x, col2im(y)> for random x, y (adjoint property)."""
-        images = rng.standard_normal((2, 2, 6, 6))
-        cols = F.im2col(images, kernel, stride, padding)
-        other = rng.standard_normal(cols.shape)
-        folded = F.col2im(other, images.shape, kernel, stride, padding)
-        assert folded.shape == images.shape
-        lhs = float((cols * other).sum())
-        rhs = float((images * folded).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
+class TestConvOutputSize:
     def test_stride_no_padding_output_size(self):
         assert F.conv_output_size(8, 3, 1, 0) == 6
         assert F.conv_output_size(8, 2, 2, 0) == 4
@@ -116,19 +95,11 @@ class TestPooling:
         x = rng.standard_normal((2, 2, 6, 6))
 
         def loss():
-            cols = F.im2col(x, (2, 2), (2, 2), (0, 0))
-            return float(cols.max(axis=(2, 3)).sum())
+            return float(x.reshape(2, 2, 3, 2, 3, 2).max(axis=(3, 5)).sum())
 
         tx = Tensor(x, requires_grad=True)
         F.max_pool2d(tx, 2).sum().backward()
         np.testing.assert_allclose(tx.grad, gradcheck(loss, x), atol=1e-5)
-
-    def test_avg_pool_forward_and_backward(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        out = F.avg_pool2d(x, 2)
-        np.testing.assert_allclose(out.data, [[[[2.5, 4.5], [10.5, 12.5]]]])
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
 
     def test_pool_halves_spatial_size(self, rng):
         out = F.max_pool2d(Tensor(rng.standard_normal((3, 4, 8, 8))), 2)

@@ -13,10 +13,8 @@ class Affine(Module):
     def __init__(self):
         super().__init__()
         self.scale = Parameter(np.array([2.0]))
-        self.register_buffer("calls", np.array([0.0]))
 
     def forward(self, inputs):
-        self._buffers["calls"] = self._buffers["calls"] + 1
         return inputs * self.scale
 
 
@@ -31,30 +29,13 @@ class TestModule:
         names = [name for name, _ in outer.named_parameters()]
         assert names == ["inner.weight", "inner.bias"]
 
-    def test_register_parameter_type_check(self):
-        module = Affine()
+    def test_register_module_type_check(self):
         with pytest.raises(TypeError):
-            module.register_parameter("bad", np.zeros(3))
-        with pytest.raises(TypeError):
-            module.register_module("bad", object())
+            Affine().register_module("bad", object())
 
     def test_num_parameters(self, rng):
         dense = Dense(4, 3, rng=rng)
         assert dense.num_parameters() == 4 * 3 + 3
-
-    def test_train_eval_recursive(self, rng):
-        model = Sequential([("a", Dense(2, 2, rng=rng)), ("b", ReLU())])
-        model.eval()
-        assert all(not m.training for m in model.modules())
-        model.train()
-        assert all(m.training for m in model.modules())
-
-    def test_zero_grad_clears_all(self, rng):
-        model = Sequential([("a", Dense(2, 2, rng=rng))])
-        model(Tensor(rng.standard_normal((3, 2)))).sum().backward()
-        assert model["a"].weight.grad is not None
-        model.zero_grad()
-        assert model["a"].weight.grad is None
 
     def test_forward_not_implemented(self):
         with pytest.raises(NotImplementedError):
@@ -85,15 +66,6 @@ class TestModule:
             dense.load_state_dict({"weight": dense.weight.data})
         # Non-strict mode tolerates the missing bias.
         dense.load_state_dict({"weight": dense.weight.data}, strict=False)
-
-    def test_buffers_serialized(self):
-        module = Affine()
-        module(Tensor([1.0]))
-        state = module.state_dict()
-        assert state["buffer::calls"][0] == 1.0
-        fresh = Affine()
-        fresh.load_state_dict(state)
-        assert fresh._buffers["calls"][0] == 1.0
 
     def test_parameter_repr(self):
         assert "shape" in repr(BaseParameter(np.zeros((2, 2)), name="w"))

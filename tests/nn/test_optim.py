@@ -1,19 +1,10 @@
-"""Tests for the optimizers and learning-rate schedules."""
+"""Tests for the optimizers."""
 
 import numpy as np
 import pytest
 
 from repro.nn.layers.base import Parameter
-from repro.nn.optim import (
-    SGD,
-    Adam,
-    AdamW,
-    CosineAnnealingLR,
-    ExponentialLR,
-    RMSProp,
-    StepLR,
-    get_optimizer,
-)
+from repro.nn.optim import SGD, Adam, AdamW, RMSProp, get_optimizer
 from repro.nn.tensor import Tensor
 
 
@@ -121,39 +112,3 @@ class TestValidation:
     def test_rmsprop_invalid_alpha(self):
         with pytest.raises(ValueError):
             RMSProp([Parameter(np.zeros(1))], alpha=1.2)
-
-
-class TestSchedulers:
-    def make_optimizer(self, lr=1.0):
-        return SGD([Parameter(np.zeros(1))], lr=lr)
-
-    def test_step_lr(self):
-        optimizer = self.make_optimizer()
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.1)
-        lrs = [scheduler.step() for _ in range(4)]
-        np.testing.assert_allclose(lrs, [1.0, 0.1, 0.1, 0.01])
-
-    def test_exponential_lr(self):
-        optimizer = self.make_optimizer()
-        scheduler = ExponentialLR(optimizer, gamma=0.5)
-        assert scheduler.step() == pytest.approx(0.5)
-        assert scheduler.step() == pytest.approx(0.25)
-
-    def test_cosine_annealing_endpoints(self):
-        optimizer = self.make_optimizer()
-        scheduler = CosineAnnealingLR(optimizer, total_epochs=10, eta_min=0.0)
-        values = [scheduler.step() for _ in range(10)]
-        assert values[0] < 1.0
-        assert values[-1] == pytest.approx(0.0, abs=1e-12)
-        assert all(earlier >= later for earlier, later in zip(values, values[1:]))
-
-    def test_scheduler_updates_optimizer(self):
-        optimizer = self.make_optimizer()
-        StepLR(optimizer, step_size=1, gamma=0.1).step()
-        assert optimizer.lr == pytest.approx(0.1)
-
-    def test_invalid_scheduler_arguments(self):
-        with pytest.raises(ValueError):
-            StepLR(self.make_optimizer(), step_size=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(self.make_optimizer(), total_epochs=0)

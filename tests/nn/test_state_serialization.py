@@ -13,10 +13,8 @@ from repro.nn.layers.base import Parameter
 from repro.nn.optim import SGD, Adam, AdamW, RMSProp
 from repro.nn.serialization import (
     flatten_optimizer_state,
-    load_optimizer,
     pack_rng_state,
     restore_rng_state,
-    save_optimizer,
     save_state_dict,
     load_state_dict,
     unflatten_optimizer_state,
@@ -178,9 +176,10 @@ class TestNpzRoundTrip:
     def test_save_load_optimizer(self, tmp_path):
         optimizer, parameters = make_optimizer(Adam, lr=0.01)
         synthetic_steps(optimizer, parameters, steps=3, seed=1)
-        path = save_optimizer(optimizer, tmp_path / "optimizer.npz")
+        path = save_state_dict(flatten_optimizer_state(optimizer.state_dict()),
+                               tmp_path / "optimizer.npz")
         fresh, fresh_params = make_optimizer(Adam, lr=0.5)
-        load_optimizer(fresh, path)
+        fresh.load_state_dict(unflatten_optimizer_state(load_state_dict(path)))
         assert fresh.lr == optimizer.lr
         assert fresh.step_count == 3
         for left, right in zip(fresh._m, optimizer._m):

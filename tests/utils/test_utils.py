@@ -1,7 +1,6 @@
-"""Tests for the shared utilities (rng, tables, timer, logging)."""
+"""Tests for the shared utilities (rng, tables, logging)."""
 
 import logging
-import time
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.rng import SeedSequence
 from repro.utils.tables import format_table
-from repro.utils.timer import Timer
 
 
 class TestRng:
@@ -50,33 +48,6 @@ class TestTables:
     def test_row_length_mismatch(self):
         with pytest.raises(ValueError, match="cells"):
             format_table(["a", "b"], [[1]])
-
-
-class TestTimer:
-    def test_sections_accumulate(self):
-        timer = Timer()
-        with timer.section("work"):
-            time.sleep(0.01)
-        with timer.section("work"):
-            time.sleep(0.01)
-        assert timer.count("work") == 2
-        assert timer.total("work") >= 0.02
-        assert timer.mean("work") >= 0.01
-
-    def test_unknown_section_defaults(self):
-        timer = Timer()
-        assert timer.total("missing") == 0.0
-        assert timer.mean("missing") == 0.0
-
-    def test_summary_lists_sections(self):
-        timer = Timer()
-        with timer.section("alpha"):
-            pass
-        with timer.section("beta"):
-            pass
-        summary = timer.summary()
-        assert "alpha" in summary and "beta" in summary
-        assert timer.sections() == ["alpha", "beta"]
 
 
 class TestLogging:

@@ -123,11 +123,9 @@ class TestBatchSizeSweep:
     def _step(model, optimizer, rng, batch):
         images = rng.standard_normal((batch, 3, 8, 8))
         labels = rng.integers(0, 10, size=batch)
-        model.train(True)
         optimizer.zero_grad()
         F.cross_entropy(model(Tensor(images)), labels).backward()
         optimizer.step()
-        model.train(False)
         with no_grad():
             F.cross_entropy(model(Tensor(images)), labels)
 
