@@ -195,7 +195,7 @@ POOL_CASES = {
 
 
 #: Pooling inputs by sign.  The paper CNN pools post-ReLU activations; the
-#: other kinds pin the kept path on inputs a pre-ReLU pool would see.
+#: other kinds are what a pool placed before its ReLU would see.
 POOL_INPUTS = {
     "post-relu": lambda rng, shape, dtype: np.maximum(signed(rng, shape, dtype), 0),
     "signed": signed,
