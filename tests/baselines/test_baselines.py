@@ -7,6 +7,7 @@ from repro.baselines.centralized import CentralizedTrainer
 from repro.baselines.fedavg import FedAvgTrainer, average_state_dicts
 from repro.baselines.vanilla_split import SequentialSplitTrainer
 from repro.core.split import SplitSpec
+from repro.data.datasets import ArrayDataset
 from repro.data.loader import DataLoader
 
 
@@ -131,3 +132,41 @@ class TestFedAvg:
             FedAvgTrainer(tiny_architecture, [])
         with pytest.raises(ValueError):
             FedAvgTrainer(tiny_architecture, tiny_parts, local_epochs=0)
+
+
+def prenormalized(dataset, normalize):
+    """``dataset`` with ``normalize`` already applied to its images."""
+    images, labels = dataset.arrays()
+    return ArrayDataset(normalize(images), labels)
+
+
+class TestEvaluationNormalizesWithTheTrainingTransform:
+    """Each baseline evaluates its test set with the one transform it trained
+    with; the result equals evaluating an already-normalized copy with none."""
+
+    def test_centralized_fit(self, tiny_architecture, tiny_splits, normalize):
+        train, test = tiny_splits
+        trainer = CentralizedTrainer(tiny_architecture.build(seed=0))
+        record = trainer.fit(train, test_dataset=test, epochs=1, batch_size=16,
+                             transform=normalize, seed=0).records[-1]
+        expected = trainer.evaluate(prenormalized(test, normalize))
+        assert (record.test_loss, record.test_accuracy) == (expected["loss"],
+                                                            expected["accuracy"])
+
+    def test_sequential_split(self, tiny_split_spec, tiny_parts, tiny_splits, normalize):
+        _, test = tiny_splits
+        trainer = SequentialSplitTrainer(tiny_split_spec, tiny_parts, batch_size=16,
+                                         seed=0, transform=normalize)
+        trainer.train_epoch(0)
+        got = trainer.evaluate(test)
+        trainer.transform = None
+        assert got == trainer.evaluate(prenormalized(test, normalize))
+
+    def test_fedavg(self, tiny_architecture, tiny_parts, tiny_splits, normalize):
+        _, test = tiny_splits
+        trainer = FedAvgTrainer(tiny_architecture, tiny_parts, local_epochs=1,
+                                batch_size=16, seed=0, transform=normalize)
+        trainer.train_round(0)
+        got = trainer.evaluate(test)
+        trainer.transform = None
+        assert got == trainer.evaluate(prenormalized(test, normalize))

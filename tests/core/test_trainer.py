@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import TrainingConfig
 from repro.core.split import SplitSpec
 from repro.core.trainer import SpatioTemporalTrainer
+from repro.data.datasets import ArrayDataset
 from repro.simnet.topology import star_topology
 
 
@@ -154,6 +155,16 @@ class TestSynchronousTraining:
         original = trainer.evaluate(test)["accuracy"]
         restored = clone.evaluate(test)["accuracy"]
         assert restored == pytest.approx(original)
+
+    def test_evaluation_normalizes_with_the_train_transform(self, tiny_split_spec, tiny_parts,
+                                                            tiny_splits, normalize):
+        _, test = tiny_splits
+        trainer = make_trainer(tiny_split_spec, tiny_parts, normalize)
+        trainer.train()
+        got = trainer.evaluate(test)
+        images, labels = test.arrays()
+        trainer.train_transform = None
+        assert got == trainer.evaluate(ArrayDataset(normalize(images), labels))
 
 
 class TestAsynchronousTraining:

@@ -18,8 +18,14 @@ NORMALIZE = dict(mean=[0.4, 0.5, 0.6], std=[0.2, 0.25, 0.3])
 
 
 def make_transform(kind):
-    """A fresh transform per loader."""
-    return None if kind == "none" else Normalize(**NORMALIZE)
+    """A fresh transform per loader.
+
+    ``scalar-normalize`` is ``Normalize()``'s one-element default, which
+    broadcasts to every channel.
+    """
+    if kind == "none":
+        return None
+    return Normalize() if kind == "scalar-normalize" else Normalize(**NORMALIZE)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +42,7 @@ def assert_same_batch(got, expected):
 
 
 class TestLoaderExact:
-    @pytest.mark.parametrize("kind", ["none", "normalize"])
+    @pytest.mark.parametrize("kind", ["none", "normalize", "scalar-normalize"])
     @pytest.mark.parametrize("batch_size", [1, 7, 32])
     @pytest.mark.parametrize("drop_last", [False, True])
     @pytest.mark.parametrize("shuffle", [False, True])
