@@ -156,12 +156,12 @@ class ServerShard:
         """Admit an arriving activation message into this shard's queue."""
         return self.server.receive(message)
 
-    def admit(self, message: ActivationMessage) -> str:
-        """Idempotent admission: ``"ok"``, ``"full"`` or ``"dup"``.
+    def admit(self, message: ActivationMessage) -> bool:
+        """Remember the sequence, then :meth:`receive` (``CentralServer.admit``).
 
         Reliable delivery can land several copies of one logical message
-        (retransmissions, chaos duplication); the wrapped server rules on
-        each sequence number exactly once and deduplicates the rest.
+        (retransmissions, chaos duplication); the engine deduplicates a
+        copy whose sequence :meth:`has_seen` before it gets here.
         """
         return self.server.admit(message)
 
@@ -179,15 +179,14 @@ class ServerShard:
     # ------------------------------------------------------------------ #
     # Training steps (track per-sync work for weighted averaging)
     # ------------------------------------------------------------------ #
-    def process_next(self, now: Optional[float] = None
-                     ) -> Tuple[ActivationMessage, GradientMessage]:
+    def process_next(self, now: float) -> Tuple[ActivationMessage, GradientMessage]:
         """Pop and train on one message (per-message processing mode)."""
         activation_message, gradient_message = self.server.process_next(now=now)
         self.samples_since_sync += activation_message.batch_size
         self.steps_since_sync += 1
         return activation_message, gradient_message
 
-    def process_pending_batch(self, now: Optional[float] = None
+    def process_pending_batch(self, now: float
                               ) -> List[Tuple[ActivationMessage, GradientMessage]]:
         """Drain this shard's queue into one concatenated training step."""
         results = self.server.process_pending_batch(now=now)

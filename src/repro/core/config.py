@@ -31,7 +31,9 @@ class TrainingConfig:
     server_optimizer / server_lr:
         Optimizer and learning rate for the server segment.
     loss:
-        Loss name (see :func:`repro.nn.losses.get_loss`).
+        Server-side loss name: ``cross_entropy`` or ``nll`` (see
+        :func:`repro.nn.losses.get_loss`), the losses that take the
+        class-index labels every message carries.
     queue_policy:
         Name of the server queue's scheduling policy (see
         :func:`repro.core.scheduling.get_policy`).
@@ -81,8 +83,9 @@ class TrainingConfig:
         activation message in one concatenated forward/backward pass
         (:meth:`repro.core.server.CentralServer.process_batch`) instead
         of running one pass per message, and performs a single optimizer
-        step on the union batch.  Set to ``False`` to recover the
-        per-message processing of the original implementation.
+        step on the union batch.  Set to ``False`` for the paper's
+        per-message updates: the same step on one message at a time,
+        one optimizer step per message.
     server_arena:
         When ``True`` (the default) the server stages admitted
         activation payloads into a preallocated shape-bucketed arena at
@@ -296,6 +299,13 @@ class TrainingConfig:
             raise ValueError("batch_size must be positive")
         if self.client_lr <= 0 or self.server_lr <= 0:
             raise ValueError("learning rates must be positive")
+        if self.loss not in {"cross_entropy", "nll"}:
+            # Every message carries class-index labels; a loss that needs
+            # logit-shaped targets (mse, l1) could not take one step.
+            raise ValueError(
+                f"loss must be 'cross_entropy' or 'nll' (class-index labels), "
+                f"got {self.loss!r}"
+            )
         if self.mode not in {"synchronous", "asynchronous"}:
             raise ValueError(
                 f"mode must be 'synchronous' or 'asynchronous', got {self.mode!r}"

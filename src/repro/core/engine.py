@@ -861,11 +861,7 @@ class TrainingEngine:
                 on_notified(sim)
             return False
         if self._dedup_enabled:
-            # Idempotent admission: the shard remembers every sequence it
-            # rules on, so a copy landing later takes the dedup branch
-            # above — including copies of a *rejected* sequence, which
-            # must not trigger a second NACK.
-            admitted = runtime.shard.admit(message) == "ok"
+            admitted = runtime.shard.admit(message)
         else:
             admitted = runtime.shard.receive(message)
         if admitted:

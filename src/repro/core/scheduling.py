@@ -19,6 +19,9 @@ and hands them to the server in an order chosen by a pluggable
   first, bounding the gradient staleness of far-away end-systems.
 * :class:`WeightedFairPolicy` — pick the end-system with the fewest
   processed samples so far, equalizing data contribution.
+
+A policy makes one decision, :meth:`SchedulingPolicy.drain_order`: a
+batched drain takes the whole order, a per-message pop takes its head.
 """
 
 from __future__ import annotations
@@ -58,24 +61,17 @@ def jain_fairness_index(counts) -> float:
 
 
 class SchedulingPolicy:
-    """Chooses which buffered message the server should process next."""
+    """Chooses the order in which the server takes buffered messages."""
 
-    def select(self, pending: List[ActivationMessage], now: float) -> int:
-        """Return the index (into ``pending``) of the message to pop next."""
-        raise NotImplementedError
+    def drain_order(self, pending: List[ActivationMessage]) -> List[int]:
+        """Order (indices into ``pending``) in which to take every message.
 
-    def drain_order(self, pending: List[ActivationMessage],
-                    now: float) -> List[int]:
-        """Order (indices into ``pending``) for draining *everything* at once.
-
-        It must equal the order repeated :meth:`select` calls would pop.
-        Stateless policies whose choice is a fixed per-message sort key
-        sort once — O(n log n) — instead of running one O(n)
-        :meth:`select` per pop (O(n²), the dominant server-side cost
-        beyond ~100 queued clients).  Stateful policies *simulate* their
-        feedback loop without mutating their state
-        (:meth:`notify_processed` still fires per message during the
-        drain).
+        The one ordering decision of a policy: a drain takes the whole
+        order, a single pop its first index.  Stateless policies whose
+        choice is a fixed per-message sort key sort once — O(n log n).
+        Stateful policies *simulate* their feedback loop over the drain
+        without mutating their state (:meth:`notify_processed` still
+        fires per taken message).
         """
         raise NotImplementedError
 
@@ -89,19 +85,14 @@ class SchedulingPolicy:
 class _KeySortedPolicy(SchedulingPolicy):
     """Base for stateless policies ordered by a fixed per-message key.
 
-    Subclasses provide :meth:`_key`; selection and the O(n log n) bulk
-    drain order both derive from it, so the two can never diverge.
+    Subclasses provide :meth:`_key`; the drain order sorts by it.
     """
 
     @staticmethod
     def _key(message: ActivationMessage):
         raise NotImplementedError
 
-    def select(self, pending: List[ActivationMessage], now: float) -> int:
-        return min(range(len(pending)), key=lambda index: self._key(pending[index]))
-
-    def drain_order(self, pending: List[ActivationMessage],
-                    now: float) -> List[int]:
+    def drain_order(self, pending: List[ActivationMessage]) -> List[int]:
         return sorted(range(len(pending)), key=lambda index: self._key(pending[index]))
 
 
@@ -119,36 +110,18 @@ class RoundRobinPolicy(SchedulingPolicy):
     def __init__(self) -> None:
         self._last_served: Optional[int] = None
 
-    def select(self, pending: List[ActivationMessage], now: float) -> int:
-        system_ids = sorted({message.end_system_id for message in pending})
-        if self._last_served is None:
-            target = system_ids[0]
-        else:
-            # Continue the cycle from the first id *after* the last-served
-            # system, even when that system currently has nothing pending —
-            # restarting at system_ids[0] would hand low-numbered systems an
-            # extra turn every time a gap appears in the arrivals.
-            position = bisect.bisect_right(system_ids, self._last_served)
-            target = system_ids[position % len(system_ids)]
-        candidates = [
-            index for index, message in enumerate(pending)
-            if message.end_system_id == target
-        ]
-        return min(candidates, key=lambda index: pending[index].sequence)
+    def drain_order(self, pending: List[ActivationMessage]) -> List[int]:
+        """Walk the id cycle over the pending messages, state untouched.
 
-    def drain_order(self, pending: List[ActivationMessage],
-                    now: float) -> List[int]:
-        """Simulate the full cycle without mutating policy state.
-
-        The only feedback :meth:`select` consumes is which system the
-        *previous pop of this same drain* served, so the whole order can
-        be computed up front: group the pending messages per system
-        (each group in sequence order, matching the per-pop ``min``)
-        and walk the id cycle with a local ``last_served`` cursor,
-        retiring systems as their groups empty.  One O(n log n) pass
-        replaces n O(n) selections; :meth:`ParameterQueue.drain` still
-        calls :meth:`notify_processed` per message afterwards, which
-        leaves ``_last_served`` exactly where the pop loop would.
+        The cycle continues from the first id *after* the last-served
+        system, even when that system has nothing pending — restarting
+        at the lowest id would hand low-numbered systems an extra turn
+        every time a gap appears in the arrivals.  Each system's
+        messages go in sequence order; a local ``last_served`` cursor
+        walks the cycle, retiring systems as their groups empty.
+        :meth:`ParameterQueue.drain` calls :meth:`notify_processed` per
+        message afterwards, which leaves ``_last_served`` on the last
+        system served.
         """
         groups: Dict[int, deque] = {}
         for index in sorted(range(len(pending)),
@@ -195,27 +168,16 @@ class WeightedFairPolicy(SchedulingPolicy):
     def __init__(self) -> None:
         self._processed_samples: Dict[int, int] = defaultdict(int)
 
-    def select(self, pending: List[ActivationMessage], now: float) -> int:
-        return min(
-            range(len(pending)),
-            key=lambda index: (
-                self._processed_samples[pending[index].end_system_id],
-                pending[index].arrival_time,
-                pending[index].sequence,
-            ),
-        )
-
-    def drain_order(self, pending: List[ActivationMessage],
-                    now: float) -> List[int]:
+    def drain_order(self, pending: List[ActivationMessage]) -> List[int]:
         """Simulate the fairness feedback loop with a heap, state untouched.
 
-        Within one system the selection key always prefers the lowest
-        ``(arrival_time, sequence)`` message, so only each system's
-        *front* message can ever win a pop.  A heap over those fronts —
-        keyed exactly like :meth:`select` — pops the global winner in
-        O(log M); the winner's simulated sample count is bumped and its
-        system's next front re-enters the heap.  n pops cost O(n log M)
-        instead of the generic loop's O(n²) selections.
+        Each step serves the message with the lowest ``(processed
+        samples of its system, arrival_time, sequence)``; within one
+        system that is always the lowest ``(arrival_time, sequence)``
+        message, so only each system's *front* can win.  A heap over the
+        fronts pops the winner in O(log M); the winner's simulated sample
+        count is bumped and its system's next front re-enters the heap —
+        n messages in O(n log M).
         """
         fronts: Dict[int, List[int]] = {}
         for index in sorted(
@@ -291,13 +253,11 @@ class ParameterQueue:
         """
         self._dropped += 1
 
-    def pop(self, now: Optional[float] = None) -> ActivationMessage:
-        """Dequeue the next message according to the scheduling policy."""
+    def pop(self, now: float) -> ActivationMessage:
+        """Dequeue the first message of the policy's order at time ``now``."""
         if not self._pending:
             raise IndexError("pop from an empty ParameterQueue")
-        if now is None:
-            now = max(message.arrival_time for message in self._pending)
-        index = self.policy.select(self._pending, now)
+        index = self.policy.drain_order(self._pending)[0]
         message = self._pending.pop(index)
         self._account(message, now)
         return message
@@ -308,23 +268,19 @@ class ParameterQueue:
         self._waiting_times.append(max(0.0, now - message.arrival_time))
         self._processed_per_system[message.end_system_id] += message.batch_size
 
-    def drain(self, now: Optional[float] = None) -> List[ActivationMessage]:
-        """Pop every pending message in policy order.
+    def drain(self, now: float) -> List[ActivationMessage]:
+        """Take every pending message at time ``now``, in policy order.
 
-        The drain timestamp defaults to the latest pending arrival —
-        resolved **once** for the whole drain.  The policy hands back the
-        full order (:meth:`SchedulingPolicy.drain_order`): the stateless
-        ones (FIFO, staleness) as a single O(n log n) sort, the stateful
-        ones (round-robin, weighted-fair) by *simulating* their own
-        feedback loop without touching policy state — so no drain pays
-        a per-pop O(n²) selection cost, and the recorded statistics are
-        those a pop loop would record.
+        The policy hands back the full order
+        (:meth:`SchedulingPolicy.drain_order`): the stateless ones (FIFO,
+        staleness) as a single O(n log n) sort, the stateful ones
+        (round-robin, weighted-fair) by *simulating* their own feedback
+        loop without touching policy state — so the recorded statistics
+        are those a pop loop would record.
         """
         if not self._pending:
             return []
-        if now is None:
-            now = max(message.arrival_time for message in self._pending)
-        order = self.policy.drain_order(self._pending, now)
+        order = self.policy.drain_order(self._pending)
         messages = [self._pending[index] for index in order]
         self._pending.clear()
         for message in messages:

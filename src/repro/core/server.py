@@ -41,12 +41,14 @@ __all__ = ["CentralServer"]
 def _segment_means(values: np.ndarray, segments: List[Tuple[int, int]]) -> List[float]:
     """Mean of ``values`` rows over each ``(start, stop)`` segment.
 
-    When the segments tile ``values`` in increasing order (every batched
-    drain: cumulative offsets or a contiguous arena span) the means come
-    from a single ``np.add.reduceat`` over the flattened rows; otherwise
-    each segment is averaged individually.  Multi-dimensional rows (e.g.
-    an elementwise MSE) average over all of a segment's elements, exactly
-    like calling the mean-reduced loss on the slice.
+    When two or more segments tile ``values`` in increasing order (every
+    batched drain: cumulative offsets or a contiguous arena span) the
+    means come from a single ``np.add.reduceat`` over the flattened rows;
+    otherwise each segment is averaged individually — a lone segment
+    with ``np.mean``, the pairwise sum the mean-reduced loss and
+    :func:`~repro.nn.metrics.accuracy` use (``reduceat`` sums in order
+    and rounds differently).  Multi-dimensional rows average over all of
+    a segment's elements, exactly like a mean over the slice.
     """
     if values.dtype == np.bool_:
         # reduceat over bool would OR instead of count.
@@ -56,7 +58,7 @@ def _segment_means(values: np.ndarray, segments: List[Tuple[int, int]]) -> List[
     bounds = np.array(segments, dtype=np.int64).reshape(-1, 2)
     starts, stops = bounds[:, 0], bounds[:, 1]
     monotone = (
-        len(bounds) > 0
+        len(bounds) > 1
         and starts[0] == 0
         and stops[-1] == values.shape[0]
         and np.array_equal(stops[:-1], starts[1:])
@@ -149,27 +151,22 @@ class CentralServer:
             self.arena.stage(message)
         return admitted
 
-    def admit(self, message: ActivationMessage) -> str:
-        """Idempotent admission: ``"ok"``, ``"full"`` or ``"dup"``.
+    def admit(self, message: ActivationMessage) -> bool:
+        """Remember ``message.sequence``, then :meth:`receive` it.
 
-        A sequence the server has already ruled on (admitted, or
-        rejected by a full queue and NACKed) is a duplicate delivery —
-        a retransmitted copy after a spurious timeout, or a
-        chaos-duplicated uplink message.  The duplicate is charged to
-        the queue's drop counter (it *was* refused at the queue
-        boundary) and reported as ``"dup"`` so the engine can pair it
-        with a ``deduped`` credit: net zero in the drop ledger, no NACK,
-        no client notification — the original copy owns the batch's
-        fate.
+        The idempotent-receiver side of reliable delivery: the engine asks
+        :meth:`has_seen` first and absorbs a known sequence as a
+        duplicate (a retransmitted copy after a spurious timeout, or a
+        chaos-duplicated uplink message) before calling this.  The
+        sequence is remembered whatever :meth:`receive` rules, so a later
+        copy of a *rejected* sequence is deduplicated too and never
+        triggers a second NACK.  Returns :meth:`receive`'s verdict.
         """
-        if message.sequence in self._seen_sequences:
-            self.queue.charge_drop()
-            return "dup"
         self._seen_sequences.add(message.sequence)
-        return "ok" if self.receive(message) else "full"
+        return self.receive(message)
 
     def has_seen(self, sequence: int) -> bool:
-        """Whether :meth:`admit` has already ruled on ``sequence``."""
+        """Whether :meth:`admit` has already taken ``sequence``."""
         return sequence in self._seen_sequences
 
     def has_pending(self) -> bool:
@@ -184,38 +181,10 @@ class CentralServer:
     # Training step
     # ------------------------------------------------------------------ #
     def process(self, message: ActivationMessage) -> GradientMessage:
-        """Train on one activation message and return the boundary gradient.
+        """Train on one activation message: :meth:`process_batch` of one."""
+        return self.process_batch([message])[0]
 
-        The server (1) wraps the smashed activations in a fresh leaf
-        tensor, (2) runs its segment forward, (3) computes the loss against
-        the labels shipped with the message, (4) back-propagates, (5)
-        updates its own parameters and (6) returns the gradient of the loss
-        with respect to the smashed activations so the originating
-        end-system can update its local layers.
-        """
-        smashed = Tensor(message.activations, requires_grad=True)
-        logits = self.model(smashed)
-        loss = self.loss_fn(logits, message.labels)
-
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.step()
-
-        self.batches_processed += 1
-        self.samples_processed += message.batch_size
-
-        boundary_gradient = smashed.grad
-        if boundary_gradient is None:
-            boundary_gradient = np.zeros_like(message.activations)
-        return GradientMessage(
-            end_system_id=message.end_system_id,
-            batch_id=message.batch_id,
-            gradient=boundary_gradient.copy(),
-            loss=float(loss.item()),
-            accuracy=accuracy(logits, message.labels),
-        )
-
-    def process_next(self, now: Optional[float] = None) -> Tuple[ActivationMessage, GradientMessage]:
+    def process_next(self, now: float) -> Tuple[ActivationMessage, GradientMessage]:
         """Pop the next message according to the scheduling policy and train on it."""
         message = self.queue.pop(now)
         if self.arena is not None:
@@ -227,22 +196,25 @@ class CentralServer:
         messages: Sequence[ActivationMessage],
         staged: Optional[GatheredBatch] = None,
     ) -> List[GradientMessage]:
-        """Train on several activation messages in one concatenated pass.
+        """Train on activation messages in one step; the boundary gradients back.
 
-        All messages' activations are stacked into a single batch, the
-        server segment runs **one** forward/backward over the union, and a
-        single optimizer step is taken on the mean loss over all samples.
-        The boundary gradient is then scattered back per message, so each
+        The messages' activations are stacked into one batch (a single
+        message trains on its own arrays, no copy), the server segment
+        runs **one** forward/backward over the union, and a single
+        optimizer step is taken on the mean loss over all samples.  The
+        boundary gradient is then scattered back per message, so each
         end-system receives the gradient slice for exactly the samples it
-        contributed (scaled by ``n_i / N`` relative to what per-message
-        processing would produce, as in any large-batch step).
+        contributed (scaled by ``n_i / N`` relative to a step on its
+        message alone, as in any large-batch step).  This is the only
+        training step: :meth:`process` is the one-message call, which is
+        how the per-message path still takes one optimizer step per
+        message.
 
-        This amortises the per-call overhead of the NumPy substrate across
-        every queued message — under heavy multi-client traffic the
-        server-side throughput scales with the *sample* count rather than
-        the *message* count.  The per-message losses/accuracies reported in
-        the returned :class:`GradientMessage` objects are computed from
-        each message's logit slice, so metric tracking is unaffected.
+        The per-message losses/accuracies reported in the returned
+        :class:`GradientMessage` objects are averaged over each message's
+        rows of the per-sample loss and arg-max hits; a lone message's are
+        plain ``np.mean`` values, exactly what the mean-reduced loss and
+        :func:`~repro.nn.metrics.accuracy` give.
 
         Equivalence: at float64, ``process_batch(messages)`` matches a
         reference that accumulates the per-message gradients of the
@@ -253,8 +225,6 @@ class CentralServer:
         """
         if not messages:
             return []
-        if len(messages) == 1:
-            return [self.process(messages[0])]
 
         if staged is not None:
             # Zero-copy drain: the union batch already lives contiguously
@@ -265,6 +235,10 @@ class CentralServer:
             activations = staged.activations
             labels = staged.labels
             segments = staged.segments
+        elif len(messages) == 1:
+            activations = messages[0].activations
+            labels = messages[0].labels
+            segments = [(0, messages[0].batch_size)]
         else:
             activations = np.concatenate(
                 [message.activations for message in messages], axis=0
@@ -325,9 +299,7 @@ class CentralServer:
         self.samples_processed += int(activations.shape[0])
         return replies
 
-    def process_pending_batch(
-        self, now: Optional[float] = None
-    ) -> List[Tuple[ActivationMessage, GradientMessage]]:
+    def process_pending_batch(self, now: float) -> List[Tuple[ActivationMessage, GradientMessage]]:
         """Drain the whole queue (in policy order) through :meth:`process_batch`.
 
         The scheduling policy still decides the *order* in which messages
@@ -338,8 +310,8 @@ class CentralServer:
         zero-copy view of it; otherwise it concatenates as before.
         """
         messages = self.queue.drain(now)
-        # 0/1-message drains never use the gathered view (process_batch
-        # delegates to per-message processing), so don't claim one.
+        # A one-message drain trains on the message's own arrays, so
+        # don't claim a gathered view for it.
         staged = (
             self.arena.gather(messages)
             if self.arena is not None and len(messages) > 1

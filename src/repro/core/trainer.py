@@ -71,9 +71,10 @@ With ``TrainingConfig.server_batching`` (the default) each server step
 drains every arrived activation message into one concatenated
 forward/backward and a single optimizer step
 (:meth:`~repro.core.server.CentralServer.process_batch`), and the
-boundary gradient is scattered back per end-system.  Set
-``server_batching=False`` to recover one-step-per-message processing,
-which is what the staleness-sensitive ablations model.
+boundary gradient is scattered back per end-system.  With
+``server_batching=False`` (the paper's per-message updates, which the
+staleness-sensitive ablations model) the server takes the same step on
+one message at a time, one optimizer step per message.
 """
 
 from __future__ import annotations

@@ -98,6 +98,12 @@ class TestStrictness:
         with pytest.raises(ValueError, match="seed must be an int"):
             TrainingConfig.from_dict({"seed": seed})
 
+    @pytest.mark.parametrize("loss", ["mse", "l1"])
+    def test_config_loss_must_take_class_labels(self, loss):
+        """Messages carry class-index labels, which these losses cannot train on."""
+        with pytest.raises(ValueError, match="loss must be"):
+            TrainingConfig.from_dict({"loss": loss})
+
 
 class TestVersioning:
     def test_future_envelope_version_rejected(self):

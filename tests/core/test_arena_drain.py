@@ -231,7 +231,7 @@ class TestServerArenaIntegration:
         for message in make_messages(spec, 5):
             assert server.receive(message)
         assert server.arena.staged_messages == 5
-        results = server.process_pending_batch()
+        results = server.process_pending_batch(now=4.0)
         assert len(results) == 5
         assert counters.get("arena_gather_zero_copy") == before + 1
         # Rows are recycled after the drain.
@@ -242,15 +242,15 @@ class TestServerArenaIntegration:
         assert server.arena is None
         for message in make_messages(spec, 3):
             server.receive(message)
-        assert len(server.process_pending_batch()) == 3
+        assert len(server.process_pending_batch(now=2.0)) == 3
 
     def test_process_next_discards_staged_row(self, spec):
         server = CentralServer(spec, seed=0)
         for message in make_messages(spec, 2):
             server.receive(message)
-        server.process_next()
+        server.process_next(now=1.0)
         assert server.arena.staged_messages == 1
-        server.process_next()
+        server.process_next(now=1.0)
         assert server.arena.staged_messages == 0
 
     def test_flush_queue_releases_arena(self, spec):
@@ -302,7 +302,7 @@ class TestArenaBackendEquivalence:
                                          seed=123)
             for message in clone(messages):
                 arena_server.receive(message)
-            arena_results = arena_server.process_pending_batch()
+            arena_results = arena_server.process_pending_batch(now=float(count))
         assert counters.get("arena_gather_zero_copy") > 0
 
         # Path B: the original concatenate path on the reference backend.
@@ -311,7 +311,7 @@ class TestArenaBackendEquivalence:
                                          use_arena=False, seed=123)
             for message in clone(messages):
                 plain_server.receive(message)
-            plain_results = plain_server.process_pending_batch()
+            plain_results = plain_server.process_pending_batch(now=float(count))
 
         assert len(arena_results) == len(plain_results) == count
         assert arena_server.samples_processed == plain_server.samples_processed == 3 * count

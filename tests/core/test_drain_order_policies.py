@@ -1,21 +1,27 @@
-"""Static drain orders must match the generic pop loop exactly.
+"""Drain orders must match a one-selection-per-pop loop exactly.
 
-``ParameterQueue.drain`` sorts once when the policy returns a full
-``drain_order``; round-robin and weighted-fair now *simulate* their own
-feedback loops to produce that order in O(n log n).  These tests replay
-randomized backlogs — uneven per-system message counts, shuffled arrival
-order, varying batch sizes, and pre-seeded policy state — through both
-paths and require identical pop sequences and identical post-drain
-policy state.
+A policy's only ordering decision is ``drain_order``; round-robin and
+weighted-fair *simulate* their own feedback loops to produce it in
+O(n log n).  :func:`select_reference` is a frozen copy of the per-pop
+``select`` scans the policies used to carry beside it, and the pop loop
+over it is the oracle.  These tests replay randomized backlogs — uneven
+per-system message counts, shuffled arrival order, varying batch sizes,
+and pre-seeded policy state — through both and require identical pop
+sequences and identical post-drain policy state.
 """
+
+import bisect
 
 import numpy as np
 import pytest
 
 from repro.core.messages import ActivationMessage
 from repro.core.scheduling import (
+    FIFOPolicy,
     ParameterQueue,
     RoundRobinPolicy,
+    StalenessPriorityPolicy,
+    WeightedFairPolicy,
     get_policy,
 )
 
@@ -38,12 +44,44 @@ def make_messages(rng, num_messages, num_systems, max_batch=8):
     return messages
 
 
-def pop_loop_reference(policy, messages, now):
-    """The generic one-select-per-pop drain (the pre-optimization path)."""
+def select_reference(policy, pending):
+    """Index of the message ``policy`` pops next: the frozen per-pop scan."""
+    if isinstance(policy, FIFOPolicy):
+        return min(range(len(pending)),
+                   key=lambda index: (pending[index].arrival_time, pending[index].sequence))
+    if isinstance(policy, StalenessPriorityPolicy):
+        return min(range(len(pending)),
+                   key=lambda index: (pending[index].created_at, pending[index].sequence))
+    if isinstance(policy, RoundRobinPolicy):
+        system_ids = sorted({message.end_system_id for message in pending})
+        if policy._last_served is None:
+            target = system_ids[0]
+        else:
+            position = bisect.bisect_right(system_ids, policy._last_served)
+            target = system_ids[position % len(system_ids)]
+        candidates = [
+            index for index, message in enumerate(pending)
+            if message.end_system_id == target
+        ]
+        return min(candidates, key=lambda index: pending[index].sequence)
+    if isinstance(policy, WeightedFairPolicy):
+        return min(
+            range(len(pending)),
+            key=lambda index: (
+                policy._processed_samples[pending[index].end_system_id],
+                pending[index].arrival_time,
+                pending[index].sequence,
+            ),
+        )
+    raise TypeError(f"no reference scan for {type(policy).__name__}")
+
+
+def pop_loop_reference(policy, messages):
+    """The one-selection-per-pop drain over :func:`select_reference`."""
     pending = list(messages)
     order = []
     while pending:
-        index = policy.select(pending, now)
+        index = select_reference(policy, pending)
         message = pending.pop(index)
         policy.notify_processed(message)
         order.append(message.sequence)
@@ -69,13 +107,12 @@ def test_drain_order_matches_pop_loop(name, trial):
     # Pre-seed the stateful policies mid-cycle, as a real drain would be.
     seed = make_messages(rng, num_messages=3, num_systems=num_systems)
     fast, reference = seeded_policies(name, seed)
-    now = max(message.arrival_time for message in messages)
 
-    order = fast.drain_order(list(messages), now)
+    order = fast.drain_order(list(messages))
     assert order is not None
     assert sorted(order) == list(range(len(messages)))
     fast_sequence = [messages[index].sequence for index in order]
-    assert fast_sequence == pop_loop_reference(reference, messages, now)
+    assert fast_sequence == pop_loop_reference(reference, messages)
 
 
 @pytest.mark.parametrize("name", ["round_robin", "weighted_fair"])
@@ -85,7 +122,7 @@ def test_drain_order_does_not_mutate_policy_state(name):
     policy = get_policy(name)
     before = (dict(policy.__dict__.get("_processed_samples", {})),
               policy.__dict__.get("_last_served"))
-    policy.drain_order(messages, now=100.0)
+    policy.drain_order(messages)
     after = (dict(policy.__dict__.get("_processed_samples", {})),
              policy.__dict__.get("_last_served"))
     assert before == after

@@ -146,7 +146,7 @@ class TestCentralServer:
         assert server.has_pending()
         processed = []
         while server.has_pending():
-            message, _ = server.process_next()
+            message, _ = server.process_next(now=0.0)
             processed.append(message.batch_id)
         assert sorted(processed) == [0, 1, 2]
 
@@ -162,9 +162,9 @@ class TestCentralServer:
             assert message.activations.shape == (4, *end_system.split_spec.smashed_shape)
             server.receive(message)
         if drain == "process_next":
-            replies = [server.process_next()[1] for _ in range(2)]
+            replies = [server.process_next(now=0.0)[1] for _ in range(2)]
         else:
-            replies = [reply for _, reply in server.process_pending_batch()]
+            replies = [reply for _, reply in server.process_pending_batch(now=0.0)]
         assert len(replies) == 2
         for reply in replies:
             assert reply.gradient.flags.c_contiguous

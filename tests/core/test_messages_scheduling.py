@@ -55,19 +55,19 @@ class TestMessages:
 class TestPolicies:
     def test_fifo_orders_by_arrival(self):
         pending = [make_message(0, 0, arrival=3.0), make_message(1, 1, arrival=1.0)]
-        assert FIFOPolicy().select(pending, now=5.0) == 1
+        assert FIFOPolicy().drain_order(pending)[0] == 1
 
     def test_fifo_ties_broken_by_sequence(self):
         first = make_message(0, 0, arrival=1.0)
         second = make_message(1, 1, arrival=1.0)
-        assert FIFOPolicy().select([second, first], now=5.0) == 1
+        assert FIFOPolicy().drain_order([second, first])[0] == 1
 
     def test_round_robin_alternates_between_systems(self):
         policy = RoundRobinPolicy()
         pending = [make_message(0, i) for i in range(3)] + [make_message(1, 10 + i) for i in range(3)]
         served = []
         for _ in range(4):
-            index = policy.select(pending, now=0.0)
+            index = policy.drain_order(pending)[0]
             message = pending.pop(index)
             policy.notify_processed(message)
             served.append(message.end_system_id)
@@ -77,7 +77,7 @@ class TestPolicies:
         policy = RoundRobinPolicy()
         policy.notify_processed(make_message(0, 0))
         pending = [make_message(0, 1)]
-        assert pending[policy.select(pending, now=0.0)].end_system_id == 0
+        assert pending[policy.drain_order(pending)[0]].end_system_id == 0
 
     def test_round_robin_continues_cycle_when_last_served_absent(self):
         """Regression: when the last-served system has nothing pending the
@@ -86,24 +86,24 @@ class TestPolicies:
         policy = RoundRobinPolicy()
         policy.notify_processed(make_message(1, 0))
         pending = [make_message(0, 1), make_message(2, 2)]
-        assert pending[policy.select(pending, now=0.0)].end_system_id == 2
+        assert pending[policy.drain_order(pending)[0]].end_system_id == 2
 
     def test_round_robin_wraps_after_highest_id(self):
         policy = RoundRobinPolicy()
         policy.notify_processed(make_message(5, 0))
         pending = [make_message(0, 1), make_message(3, 2)]
-        assert pending[policy.select(pending, now=0.0)].end_system_id == 0
+        assert pending[policy.drain_order(pending)[0]].end_system_id == 0
 
     def test_staleness_policy_prefers_oldest_creation(self):
         fresh = make_message(0, 0, created=5.0, arrival=5.1)
         stale = make_message(1, 1, created=1.0, arrival=6.0)
-        assert StalenessPriorityPolicy().select([fresh, stale], now=7.0) == 1
+        assert StalenessPriorityPolicy().drain_order([fresh, stale])[0] == 1
 
     def test_weighted_fair_prefers_least_served_system(self):
         policy = WeightedFairPolicy()
         policy.notify_processed(make_message(0, 0, batch_size=100))
         pending = [make_message(0, 1, arrival=0.0), make_message(1, 2, arrival=10.0)]
-        assert pending[policy.select(pending, now=20.0)].end_system_id == 1
+        assert pending[policy.drain_order(pending)[0]].end_system_id == 1
 
     def test_get_policy_factory(self):
         assert isinstance(get_policy("fifo"), FIFOPolicy)
@@ -120,13 +120,13 @@ class TestParameterQueue:
         queue.push(make_message(0, 0, arrival=2.0))
         queue.push(make_message(1, 1, arrival=1.0))
         assert len(queue) == 2
-        assert queue.pop().batch_id == 1
-        assert queue.pop().batch_id == 0
+        assert queue.pop(now=2.0).batch_id == 1
+        assert queue.pop(now=2.0).batch_id == 0
         assert not queue
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
-            ParameterQueue().pop()
+            ParameterQueue().pop(now=0.0)
 
     def test_max_size_drops(self):
         queue = ParameterQueue(max_size=1)
@@ -152,13 +152,13 @@ class TestParameterQueue:
         balanced = ParameterQueue()
         for system in (0, 1):
             balanced.push(make_message(system, system, batch_size=10))
-        balanced.drain()
+        balanced.drain(now=0.0)
         assert balanced.fairness_index() == pytest.approx(1.0)
 
         skewed = ParameterQueue()
         skewed.push(make_message(0, 0, batch_size=100))
         skewed.push(make_message(1, 1, batch_size=1))
-        skewed.drain()
+        skewed.drain(now=0.0)
         assert skewed.fairness_index() < 0.6
 
     def test_fairness_index_empty_queue_is_one(self):
@@ -169,13 +169,13 @@ class TestParameterQueue:
         queue.push(make_message(0, 0, batch_size=4))
         queue.push(make_message(0, 1, batch_size=4))
         queue.push(make_message(1, 2, batch_size=4))
-        queue.drain()
+        queue.drain(now=0.0)
         assert queue.processed_per_system() == {0: 8, 1: 4}
 
     def test_reset_clears_everything(self):
         queue = ParameterQueue(policy=WeightedFairPolicy())
         queue.push(make_message(0, 0))
-        queue.drain()
+        queue.drain(now=0.0)
         queue.reset()
         assert len(queue) == 0
         assert queue.mean_waiting_time == 0.0

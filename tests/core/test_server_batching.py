@@ -10,12 +10,16 @@ import numpy as np
 import pytest
 
 import repro.core.server as server_module
+from repro.api.runtime import scale_architecture
 from repro.core.config import TrainingConfig
 from repro.core.messages import ActivationMessage
 from repro.core.server import CentralServer, _segment_means
+from repro.core.split import SplitSpec
 from repro.core.trainer import SpatioTemporalTrainer
 from repro.nn import Tensor
+from repro.nn.dtype import default_dtype
 from repro.nn.losses import get_loss
+from repro.nn.metrics import accuracy
 
 
 def make_messages(spec, count, batch_sizes=None, seed=0):
@@ -54,6 +58,74 @@ def reference_batch_step(server, messages):
         losses.append(float(loss.item()) / message.batch_size)
     server.optimizer.step()
     return boundary, losses
+
+
+def reference_process(server, message):
+    """Frozen copy of the per-message step ``CentralServer.process`` ran
+    before it became ``process_batch([message])[0]``: the mean-reduced
+    loss, one optimizer step, the boundary gradient copied out.  Returns
+    ``(gradient, loss, accuracy)``."""
+    smashed = Tensor(message.activations, requires_grad=True)
+    logits = server.model(smashed)
+    loss = server.loss_fn(logits, message.labels)
+
+    server.optimizer.zero_grad()
+    loss.backward()
+    server.optimizer.step()
+
+    server.batches_processed += 1
+    server.samples_processed += message.batch_size
+
+    boundary_gradient = smashed.grad
+    if boundary_gradient is None:
+        boundary_gradient = np.zeros_like(message.activations)
+    return (boundary_gradient.copy(), float(loss.item()),
+            accuracy(logits, message.labels))
+
+
+class TestOneMessageStepPin:
+    """``process`` (one message through ``process_batch``) is bit-identical
+    to :func:`reference_process`: weights, optimizer slots, reply-gradient
+    bytes, reported loss and accuracy, over three consecutive steps."""
+
+    @staticmethod
+    def _assert_same_bytes(left, right):
+        assert left.dtype == right.dtype and left.shape == right.shape
+        assert left.tobytes() == right.tobytes()
+
+    @pytest.mark.parametrize("scale, client_blocks", [
+        ("paper", 1), ("laptop", 1), ("laptop", 2),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("loss", ["cross_entropy", "nll"])
+    def test_process_matches_the_frozen_step(self, scale, client_blocks, dtype, loss):
+        spec = SplitSpec(scale_architecture(scale), client_blocks=client_blocks)
+        rng = np.random.default_rng(client_blocks)
+        with default_dtype(dtype):
+            current = CentralServer(spec, loss_name=loss, seed=11)
+            frozen = CentralServer(spec, loss_name=loss, seed=11)
+            for step, batch in enumerate([32, 28, 32]):
+                message = ActivationMessage(
+                    end_system_id=0, batch_id=step,
+                    activations=rng.random((batch, *spec.smashed_shape)).astype(dtype),
+                    labels=rng.integers(0, 10, batch),
+                )
+                reply = current.process(message)
+                gradient, reported_loss, reported_accuracy = reference_process(
+                    frozen, message)
+                self._assert_same_bytes(reply.gradient, gradient)
+                assert reply.loss == reported_loss
+                assert reply.accuracy == reported_accuracy
+        for key, value in frozen.state_dict().items():
+            self._assert_same_bytes(current.state_dict()[key], value)
+        slots = frozen.optimizer.state_dict()
+        current_slots = current.optimizer.state_dict()
+        assert current_slots["step_count"] == slots["step_count"] == 3
+        for name, buffers in slots["slots"].items():
+            for left, right in zip(current_slots["slots"][name], buffers):
+                self._assert_same_bytes(left, right)
+        assert current.batches_processed == frozen.batches_processed
+        assert current.samples_processed == frozen.samples_processed
 
 
 class TestProcessBatchEquivalence:

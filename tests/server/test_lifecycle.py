@@ -244,8 +244,10 @@ class TestHttpContract:
         ("failure_schedule", [[1.0, 0, 10.0], [2.0, 0, 1.0]], "overlapping"),
         ("chaos_schedule", [["flap", 0.1, 0.2]], "entries are"),
         ("chaos_schedule", [["straggler", 0.0, 0.1, 7, 5.0]], "num_servers"),
+        ("loss", "mse", "loss"),
+        ("loss", "l1", "loss"),
     ])
-    def test_malformed_fault_timeline_is_400_not_a_dead_worker(
+    def test_unrunnable_config_is_400_not_a_dead_worker(
             self, client, field, entries, reason):
         """These used to answer 201 and fail at trainer construction."""
         payload = JobSpec.fast_debug().to_json_dict()
