@@ -205,9 +205,9 @@ class ServerShard:
     # Weight exchange
     # ------------------------------------------------------------------ #
     def weights_snapshot(self) -> Dict[str, np.ndarray]:
-        """Deep copy of the server segment's parameters (safe to ship)."""
-        return {name: np.array(value, copy=True)
-                for name, value in self.server.state_dict().items()}
+        """Copy of the server segment's parameters (safe to ship):
+        ``state_dict`` already returns copies."""
+        return self.server.state_dict()
 
     def install_weights(self, state: Dict[str, np.ndarray]) -> None:
         """Replace the server segment's parameters (post-sync)."""

@@ -109,6 +109,7 @@ from ..state import (
     RunCheckpoint,
     ShardCheckpoint,
 )
+from ..state.checkpoint import group_payload_keys
 from ..utils.logging import get_logger
 from ..utils.perf import counters as perf_counters
 from ..utils.rng import SeedSequence
@@ -712,66 +713,73 @@ class SpatioTemporalTrainer:
         Epoch boundaries are quiescent — no in-flight messages, drained
         queues, no pending NACKs — so the capture needs no transit
         state, only weights, optimizer slots, counters and every live
-        RNG stream position.
+        RNG stream position.  Shard and client records nest under
+        ``shard<i>::`` / ``client<i>::``; :meth:`restore_run_checkpoint`
+        reads the payload back.
         """
         engine = self.engine
+        cluster = self.cluster
         log = self.transport.log
-        traffic: Dict[str, object] = {
-            name: getattr(log, name) for name in _TRAFFIC_COUNTERS
-        }
-        traffic["transit_times"] = list(log.transit_times)
-        link_states = {
-            key: {
-                "rng": pack_rng_state(link._rng),
-                "messages_sent": link.messages_sent,
-                "messages_dropped": link.messages_dropped,
-                "bytes_sent": link.bytes_sent,
-            }
-            for key, link in self.topology.links()
-        }
-        node_health = {
-            name: self.topology.is_up(name)
-            for name in list(self.topology.end_systems) + list(self.topology.servers)
-        }
-        rng_streams: Dict[str, np.ndarray] = {}
+        shards = [ShardCheckpoint.capture(runtime.shard, sim_time=engine.clock,
+                                          round_index=runtime.round_index,
+                                          generation=runtime.generation)
+                  for runtime in engine._runtimes]
+        clients = [ClientCheckpoint.capture(es) for es in self.end_systems]
+        arrays: Dict[str, np.ndarray] = {}
+        for kind, records in (("shard", shards), ("client", clients)):
+            for index, record in enumerate(records):
+                arrays.update((f"{kind}{index}::{key}", value)
+                              for key, value in record.arrays.items())
+        snapshot = cluster.last_sync_snapshot
+        for name, value in (snapshot or {}).items():
+            arrays[f"sync_snapshot::{name}"] = value
+        arrays["transit_times"] = np.asarray(log.transit_times, dtype=np.float64)
+        links: Dict[str, Dict[str, int]] = {}
+        for key, link in self.topology.links():
+            arrays[f"link_rng::{key}"] = pack_rng_state(link._rng)
+            links[key] = {"messages_sent": link.messages_sent,
+                          "messages_dropped": link.messages_dropped,
+                          "bytes_sent": link.bytes_sent}
         if engine._retry_rng is not None:
-            rng_streams["retry"] = pack_rng_state(engine._retry_rng)
-        return RunCheckpoint(
-            epoch=int(completed_epochs),
-            engine_clock=float(engine.clock),
-            config=self.config.to_dict(),
+            arrays["stream::retry"] = pack_rng_state(engine._retry_rng)
+        plan_state = ({"failure_state": None, "chaos_state": None}
+                      if self.fault_plan is None else self.fault_plan.state_dict())
+        return RunCheckpoint(arrays, {
+            "epoch": int(completed_epochs),
+            "engine_clock": float(engine.clock),
+            "config": self.config.to_dict(),
             # ``as_dict`` shows only the mean; the exact sum rides alongside.
-            engine_stats={**engine.stats.as_dict(),
-                          "nack_delay_total_s": engine.stats.nack_delay_total_s},
-            shards=[
-                ShardCheckpoint.capture(
-                    runtime.shard,
-                    sim_time=engine.clock,
-                    round_index=runtime.round_index,
-                    generation=runtime.generation,
-                )
-                for runtime in engine._runtimes
-            ],
-            clients=[ClientCheckpoint.capture(es) for es in self.end_systems],
-            assignment=dict(self.cluster.assignment),
-            original_assignment=dict(self.cluster.original_assignment),
-            last_sync_snapshot=self.cluster.last_sync_snapshot,
-            last_sync_time_s=self.cluster.last_sync_time_s,
-            syncs_completed=self.cluster.syncs_completed,
-            node_health=node_health,
-            traffic=traffic,
-            link_states=link_states,
-            rng_streams=rng_streams,
-            # ``failure_state`` and ``chaos_state``, the plan's two halves.
-            **({} if self.fault_plan is None else self.fault_plan.state_dict()),
-            message_chaos_state=(
+            "engine_stats": {**engine.stats.as_dict(),
+                             "nack_delay_total_s": engine.stats.nack_delay_total_s},
+            "shards": [shard.meta for shard in shards],
+            "clients": [client.meta for client in clients],
+            "assignment": {str(k): int(v) for k, v in cluster.assignment.items()},
+            "original_assignment": {
+                str(k): int(v) for k, v in cluster.original_assignment.items()
+            },
+            "has_sync_snapshot": snapshot is not None,
+            "sync_snapshot_names": [] if snapshot is None else list(snapshot),
+            "last_sync_time_s": cluster.last_sync_time_s,
+            "syncs_completed": cluster.syncs_completed,
+            "node_health": {
+                name: self.topology.is_up(name)
+                for name in list(self.topology.end_systems) + list(self.topology.servers)
+            },
+            "traffic": {name: getattr(log, name) for name in _TRAFFIC_COUNTERS},
+            "links": links,
+            # The fault plan's two halves: shard crash lanes, client/network lane.
+            "failure_state": plan_state["failure_state"],
+            "chaos_state": plan_state["chaos_state"],
+            "message_chaos_state": (
                 None if self.message_chaos is None
                 else self.message_chaos.state_dict()
             ),
-            obs_instruments=(
+            # Registry-owned histogram state, so a resumed run's metric rows
+            # continue the crashed run's series.
+            "obs_instruments": (
                 self.obs.instruments_state() if self.obs.enabled else None
             ),
-        )
+        })
 
     def _restore_engine_stats(self, state: Dict[str, object]) -> None:
         stats = self.engine.stats
@@ -795,80 +803,94 @@ class SpatioTemporalTrainer:
         failover moves through the topology), node health, link RNG
         streams and counters, traffic/engine statistics, coordinator sync
         state, and the fault plan's timeline so the resumed run is
-        replay-exact from the next epoch onward.
+        replay-exact from the next epoch onward.  Dict keys in ``meta``
+        are ints (memory store) or their JSON strings (file store).
         """
         engine = self.engine
-        if len(run.shards) != self.cluster.num_shards:
+        meta = run.meta
+        shard_metas, client_metas = meta["shards"], meta["clients"]
+        if len(shard_metas) != self.cluster.num_shards:
             raise ValueError(
-                f"checkpoint has {len(run.shards)} shards but this deployment "
+                f"checkpoint has {len(shard_metas)} shards but this deployment "
                 f"has {self.cluster.num_shards}"
             )
-        if len(run.clients) != len(self.end_systems):
+        if len(client_metas) != len(self.end_systems):
             raise ValueError(
-                f"checkpoint has {len(run.clients)} clients but this deployment "
+                f"checkpoint has {len(client_metas)} clients but this deployment "
                 f"has {len(self.end_systems)}"
             )
-        if run.original_assignment != self.cluster.original_assignment:
+        original = {int(k): int(v) for k, v in meta["original_assignment"].items()}
+        if original != self.cluster.original_assignment:
             raise ValueError(
                 "checkpoint was captured under a different initial client "
                 "assignment; rebuild the trainer with the same config/topology"
             )
-        for checkpoint, runtime in zip(run.shards, engine._runtimes):
-            checkpoint.restore(runtime.shard, include_counters=True)
-            runtime.round_index = checkpoint.round_index
-            runtime.generation = checkpoint.generation
-            runtime.last_checkpoint_s = float(run.engine_clock)
-        for checkpoint, end_system in zip(run.clients, self.end_systems):
-            checkpoint.restore(end_system)
+        # One pass over the array keys: ``"<component>::<name>"``.
+        groups = group_payload_keys(run.arrays)
+        engine_clock = run.engine_clock
+        for index, runtime in enumerate(engine._runtimes):
+            shard = ShardCheckpoint(groups.get(f"shard{index}", {}), shard_metas[index])
+            shard.restore(runtime.shard, include_counters=True)
+            runtime.round_index = shard.round_index
+            runtime.generation = shard.generation
+            runtime.last_checkpoint_s = engine_clock
+        for index, end_system in enumerate(self.end_systems):
+            ClientCheckpoint(groups.get(f"client{index}", {}),
+                             client_metas[index]).restore(end_system)
         # Replay the moves in effect at the record (failover, scripted
         # churn) so topology routing and coordinator bookkeeping match it.
-        for system_id, shard_id in sorted(run.assignment.items()):
+        assignment = {int(k): int(v) for k, v in meta["assignment"].items()}
+        for system_id, shard_id in sorted(assignment.items()):
             engine._reassign(system_id, shard_id)
-        self._restore_engine_stats(run.engine_stats)
-        engine.clock = float(run.engine_clock)
+        self._restore_engine_stats(meta["engine_stats"])
+        engine.clock = engine_clock
         self._clock = engine.clock
+        log = self.transport.log
         for name in _TRAFFIC_COUNTERS:
-            setattr(self.transport.log, name, int(run.traffic[name]))
-        self.transport.log.transit_times = [
-            float(value) for value in run.traffic["transit_times"]
-        ]
-        for name, up in run.node_health.items():
+            setattr(log, name, int(meta["traffic"][name]))
+        log.transit_times = np.asarray(
+            groups.get("transit_times", {}).get("", ()), dtype=np.float64
+        ).tolist()
+        for name, up in meta["node_health"].items():
             self.topology.set_node_up(name, bool(up))
         links = dict(self.topology.links())
-        for key, state in run.link_states.items():
+        link_rngs = groups.get("link_rng", {})
+        for key, counters in meta["links"].items():
             link = links.get(key)
             if link is None:
                 raise ValueError(f"checkpoint references unknown link {key!r}")
-            link.messages_sent = int(state["messages_sent"])
-            link.messages_dropped = int(state["messages_dropped"])
-            link.bytes_sent = int(state["bytes_sent"])
-            restore_rng_state(link._rng, np.asarray(state["rng"], dtype=np.uint8))
+            link.messages_sent = int(counters["messages_sent"])
+            link.messages_dropped = int(counters["messages_dropped"])
+            link.bytes_sent = int(counters["bytes_sent"])
+            restore_rng_state(link._rng, link_rngs[key])
+        snapshot = groups.get("sync_snapshot", {})
         self.cluster.last_sync_snapshot = (
-            None
-            if run.last_sync_snapshot is None
-            else {
-                name: np.array(value, copy=True)
-                for name, value in run.last_sync_snapshot.items()
-            }
+            {name: np.array(snapshot[name], copy=True)
+             for name in meta["sync_snapshot_names"]}
+            if meta["has_sync_snapshot"] else None
         )
+        last_sync_time_s = meta["last_sync_time_s"]
         self.cluster.last_sync_time_s = (
-            None if run.last_sync_time_s is None else float(run.last_sync_time_s)
+            None if last_sync_time_s is None else float(last_sync_time_s)
         )
-        self.cluster.syncs_completed = int(run.syncs_completed)
+        self.cluster.syncs_completed = int(meta["syncs_completed"])
+        # ``.get``: records written before the chaos plane or the obs
+        # checkpoint existed restore with those mechanisms starting fresh.
         if self.fault_plan is not None:
-            self.fault_plan.load_state_dict(
-                {"failure_state": run.failure_state, "chaos_state": run.chaos_state}
-            )
-        if run.message_chaos_state is not None and self.message_chaos is not None:
-            self.message_chaos.load_state_dict(run.message_chaos_state)
-        packed_retry = run.rng_streams.get("retry")
+            self.fault_plan.load_state_dict({
+                "failure_state": meta["failure_state"],
+                "chaos_state": meta.get("chaos_state"),
+            })
+        message_chaos_state = meta.get("message_chaos_state")
+        if message_chaos_state is not None and self.message_chaos is not None:
+            self.message_chaos.load_state_dict(message_chaos_state)
+        packed_retry = groups.get("stream", {}).get("retry")
         if packed_retry is not None and engine._retry_rng is not None:
-            restore_rng_state(
-                engine._retry_rng, np.asarray(packed_retry, dtype=np.uint8)
-            )
-        if run.obs_instruments:
-            self.obs.restore_instruments(run.obs_instruments)
-        self._start_epoch = int(run.epoch)
+            restore_rng_state(engine._retry_rng, packed_retry)
+        obs_instruments = meta.get("obs_instruments")
+        if obs_instruments:
+            self.obs.restore_instruments(obs_instruments)
+        self._start_epoch = run.epoch
 
     @classmethod
     def resume_from_store(
@@ -892,7 +914,7 @@ class SpatioTemporalTrainer:
         run = store.latest_run()
         if run is None:
             raise ValueError("checkpoint store holds no intact run checkpoint")
-        config = TrainingConfig.from_dict(run.config)
+        config = TrainingConfig.from_dict(run.meta["config"])
         trainer = cls(
             split_spec,
             client_datasets,

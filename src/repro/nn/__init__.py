@@ -21,7 +21,7 @@ from .layers import (
     ReLU,
     Sequential,
 )
-from .losses import CrossEntropyLoss, L1Loss, Loss, MSELoss, NLLLoss, get_loss
+from .losses import CrossEntropyLoss, Loss, MSELoss, NLLLoss, get_loss
 from .optim import SGD, Adam, AdamW, Optimizer, RMSProp, get_optimizer
 from .tensor import Tensor, no_grad
 
@@ -52,7 +52,6 @@ __all__ = [
     "CrossEntropyLoss",
     "NLLLoss",
     "MSELoss",
-    "L1Loss",
     "get_loss",
     # optim
     "Optimizer",

@@ -16,7 +16,7 @@ from . import functional as F
 from .layers.base import Module
 from .tensor import Tensor, ensure_tensor
 
-__all__ = ["Loss", "CrossEntropyLoss", "NLLLoss", "MSELoss", "L1Loss", "get_loss"]
+__all__ = ["Loss", "CrossEntropyLoss", "NLLLoss", "MSELoss", "get_loss"]
 
 
 class Loss(Module):
@@ -61,24 +61,15 @@ class MSELoss(Loss):
         return F.mse_loss(predictions, ensure_tensor(targets), reduction=self.reduction)
 
 
-class L1Loss(Loss):
-    """Mean absolute error."""
-
-    def forward(self, predictions: Tensor, targets: Union[np.ndarray, Tensor]) -> Tensor:
-        difference = (predictions - ensure_tensor(targets)).abs()
-        return F._reduce(difference, self.reduction)
-
-
 _LOSSES = {
     "cross_entropy": CrossEntropyLoss,
     "nll": NLLLoss,
     "mse": MSELoss,
-    "l1": L1Loss,
 }
 
 
 def get_loss(name: str, reduction: str = "mean") -> Loss:
-    """Instantiate a loss by name (``cross_entropy``, ``nll``, ``mse``, ``l1``)."""
+    """Instantiate a loss by name (``cross_entropy``, ``nll``, ``mse``)."""
     try:
         return _LOSSES[name](reduction=reduction)
     except KeyError:

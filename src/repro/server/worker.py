@@ -36,7 +36,7 @@ import os
 import sys
 import traceback
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 from ..api.jobspec import JobSpec
 from ..api.runtime import build_trainer, build_workload, resume_trainer
@@ -50,16 +50,14 @@ __all__ = ["main", "repair_metrics", "repair_epoch_ledger",
            "flatten_state_dict"]
 
 
-def repair_metrics(path: Path, restored_clock: float) -> None:
-    """Trim ``metrics.jsonl`` back to the restored checkpoint's horizon.
+def _truncate_jsonl(path: Path, keep: Callable[[Dict[str, Any]], bool]) -> None:
+    """Cut a JSONL file at its first row that is not durable or not kept.
 
-    Keeps every complete row with ``t <= restored_clock`` — those flushes
-    happened before the checkpoint and will *not* fire again.  Drops
-    rows from after it (the resumed run replays that span and re-emits
-    identical rows) and a torn trailing line (a flush caught mid-write
-    by the kill).  Surviving lines are preserved byte-for-byte, which is
-    what makes the finished file byte-identical to an uninterrupted
-    run's export.
+    A row survives while it is a complete line (a torn trailing write —
+    a flush caught mid-write by the kill — is not), parses as a JSON
+    object and satisfies ``keep``; everything from the first row that
+    fails is dropped.  Surviving lines are preserved byte-for-byte and
+    the file is replaced atomically; a missing file is left missing.
     """
     if not path.exists():
         return
@@ -67,17 +65,30 @@ def repair_metrics(path: Path, restored_clock: float) -> None:
     with open(path, "rb") as handle:
         for line in handle.read().splitlines(keepends=True):
             if not line.endswith(b"\n"):
-                break  # torn trailing write — not a durable row
+                break
             try:
                 row = json.loads(line)
             except json.JSONDecodeError:
                 break
-            if not isinstance(row, dict) or float(row.get("t", 0.0)) > restored_clock:
+            if not isinstance(row, dict) or not keep(row):
                 break
             kept.extend(line)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(bytes(kept))
     os.replace(tmp, path)
+
+
+def repair_metrics(path: Path, restored_clock: float) -> None:
+    """Trim ``metrics.jsonl`` back to the restored checkpoint's horizon.
+
+    Keeps every complete row with ``t <= restored_clock`` — those flushes
+    happened before the checkpoint and will *not* fire again.  Drops
+    rows from after it (the resumed run replays that span and re-emits
+    identical rows) and a torn trailing line.  Surviving lines are
+    preserved byte-for-byte, which is what makes the finished file
+    byte-identical to an uninterrupted run's export.
+    """
+    _truncate_jsonl(path, lambda row: float(row.get("t", 0.0)) <= restored_clock)
 
 
 def flatten_state_dict(state: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
@@ -97,23 +108,7 @@ def repair_epoch_ledger(path: Path, start_epoch: int) -> None:
     resumed run; a torn trailing line is dropped like in
     :func:`repair_metrics`.
     """
-    if not path.exists():
-        return
-    kept = bytearray()
-    with open(path, "rb") as handle:
-        for line in handle.read().splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            if not isinstance(record, dict) or int(record.get("epoch", -1)) >= start_epoch:
-                break
-            kept.extend(line)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bytes(kept))
-    os.replace(tmp, path)
+    _truncate_jsonl(path, lambda record: int(record.get("epoch", -1)) < start_epoch)
 
 
 def _publish(status_path: Path, **updates: Any) -> None:

@@ -1,11 +1,12 @@
-"""Durable training state: checkpoint formats and checkpoint stores.
+"""Durable training state: checkpoint records and checkpoint stores.
 
-The durability subsystem ISSUE 6 adds on top of the fault-tolerant
-cluster: :class:`ShardCheckpoint`/:class:`ClientCheckpoint`/
-:class:`RunCheckpoint` are the snapshot formats (weights, full optimizer
-state, RNG stream positions, counters and the drop-accounting ledger),
-and :class:`CheckpointStore` is the persistence API with an in-memory
-reference backend and a crash-consistent file backend (atomic
+:class:`ShardCheckpoint`, :class:`ClientCheckpoint` and
+:class:`RunCheckpoint` are checkpoint records, each just the
+``(arrays, meta)`` payload a store persists — weights, full optimizer
+state, RNG stream positions, counters and the drop-accounting ledger —
+written by ``capture`` straight from the live objects and read back by
+``restore``.  :class:`CheckpointStore` is the persistence API, with an
+in-memory reference backend and a crash-consistent file backend (atomic
 temp-then-rename writes, versioned manifest, checksum verification with
 fallback to the previous intact checkpoint).
 

@@ -1,4 +1,4 @@
-"""Checkpoint stores: the durability layer under the snapshot formats.
+"""Checkpoint stores: the durability layer under the checkpoint records.
 
 Two backends share one record-oriented API.  A record is
 ``(kind, scope, version, sim_time, arrays, meta)`` — ``kind`` is
@@ -136,21 +136,20 @@ class CheckpointStore:
     # Typed convenience layer
     # ------------------------------------------------------------------ #
     def save_shard(self, checkpoint: ShardCheckpoint) -> int:
-        arrays, meta = checkpoint.to_payload()
         return self.save("shard", f"shard-{checkpoint.shard_id}",
-                         checkpoint.sim_time, arrays, meta)
+                         checkpoint.sim_time, checkpoint.arrays, checkpoint.meta)
 
     def latest_shard(self, shard_id: int) -> Optional[ShardCheckpoint]:
         record = self._read_latest("shard", f"shard-{shard_id}")
-        return None if record is None else ShardCheckpoint.from_payload(*record)
+        return None if record is None else ShardCheckpoint(*record)
 
     def save_run(self, checkpoint: RunCheckpoint) -> int:
-        arrays, meta = checkpoint.to_payload()
-        return self.save("run", _RUN_SCOPE, checkpoint.engine_clock, arrays, meta)
+        return self.save("run", _RUN_SCOPE, checkpoint.engine_clock,
+                         checkpoint.arrays, checkpoint.meta)
 
     def latest_run(self) -> Optional[RunCheckpoint]:
         record = self._read_latest("run", _RUN_SCOPE)
-        return None if record is None else RunCheckpoint.from_payload(*record)
+        return None if record is None else RunCheckpoint(*record)
 
 
 class MemoryCheckpointStore(CheckpointStore):

@@ -52,10 +52,10 @@ class TestParentCommitGolden:
         payload shape, ``chaos_state`` beside it) restores with no upgrade
         step and finishes exactly as the parent finished it."""
         store_dir = shutil.copytree(golden.RUN_RECORDS / name, tmp_path / name)
-        run = golden.FileCheckpointStore(store_dir).latest_run()
-        assert run.failure_state["name"] == plan
-        assert all(run.failure_state[pending].values())  # transitions pending
-        assert (run.chaos_state is not None) == name.endswith("chaos")
+        meta = golden.FileCheckpointStore(store_dir).latest_run().meta
+        assert meta["failure_state"]["name"] == plan
+        assert all(meta["failure_state"][pending].values())  # transitions pending
+        assert (meta["chaos_state"] is not None) == name.endswith("chaos")
         produced = golden.finish_from(store_dir, tiny_split_spec, tiny_parts4,
                                       normalize)
         assert produced == parent_golden[f"resumed:{name}"]

@@ -10,8 +10,8 @@ end-systems, not to their product:
   block of samples plus once for the class prototypes, not once per sample;
 * a client segment constructs only its own blocks — with the cut at 0 no
   end-system constructs a ``Conv2D`` or a ``Dense``;
-* ``RunCheckpoint.from_payload`` looks at each array key once, not once per
-  shard and client.
+* ``restore_run_checkpoint`` looks at each array key of a run record once,
+  not once per shard and client.
 
 Each assertion fails at the parent commit (``214518b``).
 """
@@ -164,18 +164,28 @@ class _CountingArrays(dict):
         return super().get(key, default)
 
 
-def test_from_payload_touches_each_array_key_once(workload):
+def test_restore_touches_each_array_key_once(workload):
     _, parts, architecture = workload
-    trainer = _trainer(architecture, parts, client_blocks=1)
-    run = trainer._capture_run_checkpoint(0)
-    plain, meta = run.to_payload()
-    arrays = _CountingArrays(plain)
-    restored = RunCheckpoint.from_payload(arrays, meta)
+    source = _trainer(architecture, parts, client_blocks=1)
+    # Move the source off a fresh build, so the re-capture below can only
+    # match if the restore really carried the state over.
+    first = source.end_systems[0]
+    first.load_state_dict({name: value + 1.0
+                           for name, value in first.state_dict().items()})
+    for index, end_system in enumerate(source.end_systems):
+        end_system.samples_seen = index
+    for _, link in source.topology.links():
+        link._rng.random()
+    source.engine.clock = 1.5
+    run = source._capture_run_checkpoint(0)
+    arrays = _CountingArrays(run.arrays)
+    fresh = _trainer(architecture, parts, client_blocks=1)
+    fresh.restore_run_checkpoint(RunCheckpoint(arrays, run.meta))
     assert len(arrays) > 2 * END_SYSTEMS  # weights per client + a link RNG per link
-    assert set(arrays.touches) == set(plain)
+    assert set(arrays.touches) == set(run.arrays)
     assert max(arrays.touches.values()) == 1
-    # ... and what it rebuilt is the same payload.
-    again, again_meta = restored.to_payload()
-    assert again_meta == meta
-    assert list(again) == list(plain)
-    assert all(np.array_equal(again[key], plain[key]) for key in plain)
+    # ... and what it restored re-captures as the same payload.
+    again = fresh._capture_run_checkpoint(0)
+    assert again.meta == run.meta
+    assert list(again.arrays) == list(run.arrays)
+    assert all(np.array_equal(again.arrays[key], run.arrays[key]) for key in run.arrays)

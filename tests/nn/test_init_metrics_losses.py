@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import CrossEntropyLoss, L1Loss, MSELoss, NLLLoss, Tensor
+from repro.nn import CrossEntropyLoss, MSELoss, NLLLoss, Tensor
 from repro.nn import functional as F
 from repro.nn import init as initializers
 from repro.nn.losses import get_loss
@@ -74,11 +74,10 @@ class TestLossModules:
             F.nll_loss(log_probs, labels).item()
         )
 
-    def test_mse_and_l1(self):
+    def test_mse(self):
         predictions = Tensor(np.array([1.0, -1.0]))
         targets = Tensor(np.array([0.0, 0.0]))
         assert MSELoss()(predictions, targets).item() == pytest.approx(1.0)
-        assert L1Loss()(predictions, targets).item() == pytest.approx(1.0)
 
     def test_labels_as_tensor_accepted(self, rng):
         logits = Tensor(rng.standard_normal((4, 3)))

@@ -17,7 +17,8 @@ import pytest
 from repro.api import JobSpec
 from repro.server.jobs import (InvalidTransition, JobManager, UnknownJob,
                                read_json, write_json_atomic)
-from repro.server.worker import flatten_state_dict, repair_metrics
+from repro.server.worker import (flatten_state_dict, repair_epoch_ledger,
+                                 repair_metrics)
 
 
 @pytest.fixture
@@ -188,6 +189,33 @@ class TestRepairMetrics:
     def test_missing_file_is_a_noop(self, tmp_path):
         repair_metrics(tmp_path / "metrics.jsonl", restored_clock=1.0)
         assert not (tmp_path / "metrics.jsonl").exists()
+
+
+class TestRepairEpochLedger:
+    def test_drops_replayed_epochs_and_torn_line_keeps_bytes(self, tmp_path):
+        path = tmp_path / "epochs.jsonl"
+        # Odd spacing and key order: surviving lines must not be re-encoded.
+        keep = '{"epoch": 0,  "loss": 2.5}\n{"loss":2.25,"epoch":1}\n'
+        path.write_text(keep + '{"epoch": 2, "loss": 2.0}\n{"epoch": 3, "lo')
+        repair_epoch_ledger(path, start_epoch=2)
+        assert path.read_bytes() == keep.encode()
+
+    def test_torn_line_before_start_epoch_is_dropped(self, tmp_path):
+        path = tmp_path / "epochs.jsonl"
+        keep = '{"epoch": 0}\n'
+        path.write_text(keep + '{"epoch": 1')  # killed mid-append
+        repair_epoch_ledger(path, start_epoch=5)
+        assert path.read_bytes() == keep.encode()
+
+    def test_start_epoch_zero_empties_the_ledger(self, tmp_path):
+        path = tmp_path / "epochs.jsonl"
+        path.write_text('{"epoch": 0}\n{"epoch": 1}\n')
+        repair_epoch_ledger(path, start_epoch=0)
+        assert path.read_bytes() == b""
+
+    def test_missing_file_is_a_noop(self, tmp_path):
+        repair_epoch_ledger(tmp_path / "epochs.jsonl", start_epoch=1)
+        assert not (tmp_path / "epochs.jsonl").exists()
 
 
 class TestFlattenStateDict:

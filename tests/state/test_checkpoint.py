@@ -1,10 +1,13 @@
-"""Snapshot-format tests: capture/restore exactness and payload round-trips.
+"""Checkpoint-record tests: capture/restore exactness and store round-trips.
 
 A :class:`ShardCheckpoint` must reinstall *everything* a recovering shard
 needs to resume the exact update trajectory — weights, optimizer moment
-buffers, module RNG streams, per-sync counters — and the flat payload
-conversion through a persistent store must be lossless.
+buffers, module RNG streams, per-sync counters — and a record read back
+from either store must restore into fresh objects that re-capture as the
+same ``(arrays, meta)`` payload.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -46,6 +49,21 @@ def assert_same_weights(a, b):
         np.testing.assert_array_equal(a[name], b[name])
 
 
+def assert_same_arrays(a, b):
+    assert list(a) == list(b)
+    for key in a:
+        np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+
+
+def make_store(backend, tmp_path):
+    return (MemoryCheckpointStore() if backend == "memory"
+            else FileCheckpointStore(tmp_path))
+
+
+def reopen(store, backend, tmp_path):
+    return store if backend == "memory" else FileCheckpointStore(tmp_path)
+
+
 def assert_same_optimizer_state(a, b):
     assert a["lr"] == b["lr"]
     assert a["step_count"] == b["step_count"]
@@ -82,9 +100,36 @@ class TestShardCheckpoint:
         shard = make_shard(tiny_split_spec)
         take_steps(shard, steps=2)
         checkpoint = ShardCheckpoint.capture(shard, sim_time=0.5)
-        frozen = {name: value.copy() for name, value in checkpoint.weights.items()}
+        frozen = {key: value.copy() for key, value in checkpoint.arrays.items()}
         take_steps(shard, steps=3)  # keep training after the capture
-        assert_same_weights(checkpoint.weights, frozen)
+        # Weights and optimizer moments alike stay as captured.
+        assert any(key.startswith("optim::slot::") for key in frozen)
+        assert_same_arrays(checkpoint.arrays, frozen)
+        live = ShardCheckpoint.capture(shard, sim_time=0.5).arrays
+        assert not all(np.array_equal(live[key], frozen[key]) for key in frozen)
+        # ... and writing into a record never reaches the live shard.
+        before = weights_of(shard)
+        for key, value in live.items():
+            if key.startswith("weights::"):
+                value += 1.0
+        assert_same_weights(weights_of(shard), before)
+
+    def test_weights_snapshot_is_not_a_view(self, tiny_split_spec):
+        """The sync broadcast ships ``weights_snapshot``: training the
+        source afterwards must not reach into what was shipped."""
+        shard = make_shard(tiny_split_spec)
+        snapshot = shard.weights_snapshot()
+        frozen = {name: value.copy() for name, value in snapshot.items()}
+        take_steps(shard, steps=2)
+        assert_same_weights(snapshot, frozen)
+        assert not all(np.array_equal(value, frozen[name])
+                       for name, value in weights_of(shard).items())
+        # A receiver writing into what it was shipped leaves the source alone.
+        before = weights_of(shard)
+        shipped = shard.weights_snapshot()
+        for value in shipped.values():
+            value += 1.0
+        assert_same_weights(weights_of(shard), before)
 
     def test_default_restore_keeps_monotone_counters(self, tiny_split_spec):
         shard = make_shard(tiny_split_spec)
@@ -128,29 +173,34 @@ class TestShardCheckpoint:
         shard = make_shard(tiny_split_spec)
         take_steps(shard, steps=3)
         shard.samples_since_sync = 7
+        shard.server.samples_processed = 30
+        shard.queue._processed_per_system[2] = 5
         shard.note_recovery_point(0.4, "sync")
         checkpoint = ShardCheckpoint.capture(shard, sim_time=1.25,
                                              round_index=4, generation=2)
-        store = (MemoryCheckpointStore() if backend == "memory"
-                 else FileCheckpointStore(tmp_path))
+        store = make_store(backend, tmp_path)
         store.save_shard(checkpoint)
-        if backend == "file":
-            store = FileCheckpointStore(tmp_path)  # cold reopen
-        loaded = store.latest_shard(shard.shard_id)
+        loaded = reopen(store, backend, tmp_path).latest_shard(shard.shard_id)
         assert loaded is not None
-        assert loaded.shard_id == checkpoint.shard_id
+        assert loaded.shard_id == shard.shard_id
         assert loaded.sim_time == 1.25
         assert loaded.round_index == 4
         assert loaded.generation == 2
-        assert loaded.samples_since_sync == 7
-        assert loaded.rpo["recovery_point_kind"] == "sync"
-        assert_same_weights(loaded.weights, checkpoint.weights)
-        assert_same_optimizer_state(loaded.optimizer_state,
-                                    checkpoint.optimizer_state)
-        # And a restore from the persisted copy lands on the same state.
+        assert loaded.samples_processed == 30
+        assert loaded.meta["samples_since_sync"] == 7
+        assert loaded.meta["rpo"]["recovery_point_kind"] == "sync"
+        assert_same_arrays(loaded.arrays, checkpoint.arrays)
+        # A restore from the persisted copy lands on the same state ...
         other = make_shard(tiny_split_spec, seed=3)
         loaded.restore(other, include_counters=True)
-        assert_same_weights(weights_of(other), checkpoint.weights)
+        assert_same_weights(weights_of(other), weights_of(shard))
+        assert_same_optimizer_state(other.server.optimizer.state_dict(),
+                                    shard.server.optimizer.state_dict())
+        # ... which re-captures as exactly the payload that was saved.
+        again = ShardCheckpoint.capture(other, sim_time=1.25, round_index=4,
+                                        generation=2)
+        assert again.meta == checkpoint.meta
+        assert_same_arrays(again.arrays, checkpoint.arrays)
 
     def test_latest_shard_of_empty_store_is_none(self, tmp_path):
         assert FileCheckpointStore(tmp_path).latest_shard(0) is None
@@ -174,14 +224,17 @@ class TestQueueLedger:
 
     def test_ledger_int_keys_survive_json(self, tiny_split_spec, tmp_path):
         """The file store serializes meta as JSON, which stringifies int
-        dict keys; ``from_payload`` must normalize them back."""
+        dict keys; a restore from it must rebuild them as ints."""
         shard = make_shard(tiny_split_spec)
         shard.queue._processed_per_system[5] = 12
         checkpoint = ShardCheckpoint.capture(shard, sim_time=0.0)
         store = FileCheckpointStore(tmp_path)
         store.save_shard(checkpoint)
         loaded = FileCheckpointStore(tmp_path).latest_shard(0)
-        assert loaded.ledger["processed_per_system"] == {5: 12}
+        assert loaded.meta["ledger"]["processed_per_system"] == {"5": 12}
+        other = make_shard(tiny_split_spec, seed=1)
+        loaded.restore(other, include_counters=True)
+        assert other.queue.processed_per_system() == {5: 12}
 
 
 class TestClientCheckpoint:
@@ -194,13 +247,15 @@ class TestClientCheckpoint:
         return EndSystem(system_id=0, loader=loader, split_spec=spec, seed=seed)
 
     def test_round_trip_through_run_payload_shape(self, tiny_split_spec):
+        """A client record as a run record's file-store copy holds it: meta
+        through JSON, arrays as written."""
         end_system = self.make_end_system(tiny_split_spec)
         end_system.samples_seen = 24
         end_system.updates_applied = 3
         end_system.drops_notified = 1
         checkpoint = ClientCheckpoint.capture(end_system)
-        arrays, meta = checkpoint.to_payload()
-        loaded = ClientCheckpoint.from_payload(arrays, meta)
+        loaded = ClientCheckpoint(dict(checkpoint.arrays),
+                                  json.loads(json.dumps(checkpoint.meta)))
 
         other = self.make_end_system(tiny_split_spec, seed=9)
         loaded.restore(other)
@@ -208,3 +263,38 @@ class TestClientCheckpoint:
         assert other.updates_applied == 3
         assert other.drops_notified == 1
         assert_same_weights(other.state_dict(), end_system.state_dict())
+
+    def test_weightless_segment_round_trips(self, tiny_split_spec):
+        """With the cut at 0 a client segment has no weights at all."""
+        from repro.core.split import SplitSpec
+        spec = SplitSpec(tiny_split_spec.architecture, client_blocks=0)
+        end_system = self.make_end_system(spec)
+        end_system.samples_seen = 8
+        checkpoint = ClientCheckpoint.capture(end_system)
+        assert not any(key.startswith("weights::") for key in checkpoint.arrays)
+        other = self.make_end_system(spec, seed=9)
+        ClientCheckpoint(checkpoint.arrays,
+                         json.loads(json.dumps(checkpoint.meta))).restore(other)
+        assert ClientCheckpoint.capture(other).meta == checkpoint.meta
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_store_round_trip_re_captures_the_payload(self, tiny_split_spec,
+                                                      tmp_path, backend):
+        end_system = self.make_end_system(tiny_split_spec)
+        end_system._next_batch_id = 6
+        end_system.samples_seen = 40
+        rng = np.random.default_rng(2)
+        for parameter in end_system.optimizer.parameters:
+            parameter.grad = rng.normal(size=parameter.data.shape)
+        end_system.optimizer.step()
+        checkpoint = ClientCheckpoint.capture(end_system)
+        assert any(key.startswith("optim::slot::") for key in checkpoint.arrays)
+        store = make_store(backend, tmp_path)
+        store.save("client", "client-0", 0.0, checkpoint.arrays, checkpoint.meta)
+        arrays, meta = reopen(store, backend, tmp_path)._read_latest("client",
+                                                                     "client-0")
+        other = self.make_end_system(tiny_split_spec, seed=9)
+        ClientCheckpoint(arrays, meta).restore(other)
+        again = ClientCheckpoint.capture(other)
+        assert again.meta == checkpoint.meta
+        assert_same_arrays(again.arrays, checkpoint.arrays)

@@ -145,9 +145,9 @@ class TestReplayExactRestart:
         trainer.train(epochs=2)
         del trainer
         store = FileCheckpointStore(tmp_path)
-        record = store.latest_run()
-        assert record.assignment == {0: 1, 1: 2, 2: 2, 3: 2}  # 0, 3 failed over; 1 moved
-        assert record.node_health["server_0"] is False
+        meta = store.latest_run().meta  # JSON: int keys read back as strings
+        assert meta["assignment"] == {"0": 1, "1": 2, "2": 2, "3": 2}  # 0, 3 failed over; 1 moved
+        assert meta["node_health"]["server_0"] is False
         resumed = SpatioTemporalTrainer.resume_from_store(
             store, tiny_split_spec, tiny_parts4, topology=make_topology(),
             train_transform=normalize)

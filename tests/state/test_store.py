@@ -307,13 +307,9 @@ def test_checksums_recorded_in_manifest(tmp_path):
 # Retention: the manifest commits before any payload is unlinked
 # --------------------------------------------------------------------------- #
 def shard_checkpoint(value: float) -> ShardCheckpoint:
-    """The smallest snapshot ``save_shard``/``latest_shard`` round-trip."""
-    return ShardCheckpoint(
-        shard_id=0, sim_time=value, round_index=0, generation=0,
-        weights={"w": np.full((4, 3), value)},
-        optimizer_state={"lr": 0.1, "step_count": int(value), "slots": {}},
-        samples_since_sync=0, steps_since_sync=0, syncs_applied=0,
-        batches_processed=0, samples_processed=0)
+    """The smallest record ``save_shard``/``latest_shard`` round-trip."""
+    return ShardCheckpoint({"weights::w": np.full((4, 3), value)},
+                           {"shard_id": 0, "sim_time": value})
 
 
 class DiesAtManifest(FileCheckpointStore):
@@ -344,7 +340,8 @@ def test_killed_between_manifest_commit_and_prune(tmp_path, keep, committed):
     loaded = survivor.latest_shard(0)
     assert loaded is not None
     assert loaded.sim_time == float(keep + 1 if committed else keep)
-    np.testing.assert_array_equal(loaded.weights["w"], np.full((4, 3), loaded.sim_time))
+    np.testing.assert_array_equal(loaded.arrays["weights::w"],
+                                  np.full((4, 3), loaded.sim_time))
     # Every record the on-disk manifest references still has its payload.
     assert all((tmp_path / row["file"]).exists() for row in survivor.versions())
     survivor.save_shard(shard_checkpoint(float(keep + 2)))  # prunes again
