@@ -2,8 +2,8 @@
 
 The package is organised bottom-up:
 
-* :mod:`repro.backend` — pluggable compute backends (GEMM / elementwise /
-  reduce primitives with fused epilogues) behind the nn hot paths.
+* :mod:`repro.backend` — the GEMM path behind the nn hot paths: a direct
+  and a row-tiled product, both with fused bias/ReLU epilogues.
 * :mod:`repro.nn` — NumPy deep-learning substrate (autograd, Conv2D,
   MaxPooling2D, Dense, losses, optimizers).
 * :mod:`repro.data` — synthetic CIFAR-10-style datasets, loaders,

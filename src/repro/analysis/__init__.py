@@ -3,11 +3,12 @@
 The ROADMAP's durable invariants — the float32 dtype policy, seeded-RNG
 determinism, the drop-accounting balance
 (``notified == queue + transport - nack - sync + failover``),
-generation-guarded event chains and the three-primitive compute backend
-— were historically enforced by tests and reviewer memory.  This package
-turns each of them into a lint rule that walks every module's AST and
-reports structured findings, so a violation fails CI the moment it is
-written instead of the night a sweep goes non-deterministic.
+generation-guarded event chains and the single GEMM path of
+``repro.backend`` — were historically enforced by tests and by hand.
+This package turns each of them into a lint rule that walks every
+module's AST and reports structured findings, so a violation fails CI
+the moment it is written instead of the night a sweep goes
+non-deterministic.
 
 Usage::
 

@@ -1,15 +1,16 @@
-"""RL005 — hot-path matrix math goes through the ``Backend`` primitives.
+"""RL005 — hot-path matrix math goes through ``get_backend().gemm``.
 
-PR 3 funneled every heavy product through
-``repro.backend.get_backend().gemm`` so that tiling, fused epilogues and
-(eventually) threaded backends speed up *every* hot path at once.  A raw
-``np.matmul``/``@`` in a hot module silently opts that site out: it
-still computes the right answer, it just stops getting faster — and it
-bypasses the gemm counters the benchmarks reason with.
+Every heavy product of the split network is a call to
+``repro.backend.get_backend().gemm``, the one GEMM path: it fuses the
+bias add and the ReLU clamp into the product's epilogue, row-tiles large
+products on the ``blocked`` backend, and feeds the gemm counters the
+benchmarks reason with.  A raw ``np.matmul``/``@`` in a hot module
+silently opts that site out: it still computes the right answer, but it
+skips the epilogue and the tiling, and the counters no longer see it.
 
 Scope is the hot modules only; the backend package itself implements the
-primitives, and cold paths (closed-form attack baselines, one-off
-analysis) may keep the readable operator.
+path, and cold paths (closed-form attack baselines, one-off analysis)
+may keep the readable operator.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ class BackendBypassRule:
             line=node.lineno,
             col=node.col_offset,
             rule_id=self.rule_id,
-            message=f"raw GEMM via {what} in a hot module bypasses the "
-                    "pluggable Backend (tiling, fused epilogues, counters)",
-            fix_hint="use repro.backend.get_backend().gemm(a, b, ...) — it "
-                     "fuses bias/activation and keeps the perf counters honest",
+            message=f"raw GEMM via {what} in a hot module bypasses "
+                    "get_backend().gemm (tiling, fused epilogues, counters)",
+            fix_hint="use repro.backend.get_backend().gemm(a, b, bias=, "
+                     "activation=) — it fuses the epilogue and keeps the "
+                     "gemm counters honest",
         )

@@ -1,41 +1,32 @@
-"""Pluggable compute backends for the substrate's array primitives.
+"""The substrate's GEMM path: a direct and a row-tiled matrix product.
 
-The NumPy substrate funnels its heavy math through three primitives —
-GEMM, elementwise maps and axis reductions — so swapping the
-implementation of those three operations retargets every hot path at
-once (conv2d's im2col GEMMs, the fused dense layer, the fused
-cross-entropy loss, the server's batched drain).  A backend is a small
-object implementing
+Every heavy product of the split network — conv2d's im2col GEMMs and
+the fused dense layer, on both the end-system's first block and the
+server's remaining layers — calls ``get_backend().gemm``.  The call is a
+matrix multiply with an optional **fused epilogue** (``bias`` add and/or
+a ``"relu"`` clamp) applied in place on the output, and an optional
+``out=`` destination so callers can supply workspace-cached buffers.
 
-* :meth:`Backend.gemm` — matrix multiply with an optional **fused
-  epilogue** (``bias`` add and/or ``activation``) applied while the
-  output tile is still cache-hot, and an optional ``out=`` destination
-  so callers can supply workspace-cached buffers;
-* :meth:`Backend.elementwise` — named elementwise maps (``relu``,
-  ``exp``, ``add``, …) with ``out=`` support;
-* :meth:`Backend.reduce` — named axis reductions (``sum``, ``max``,
-  ``mean``, ``argmax``) with ``out=`` support.
+Two classes implement it:
 
-Two implementations ship in-tree:
+* :class:`NumpyBackend` (``"numpy"``) — the reference: one
+  ``np.matmul`` per GEMM, then the epilogue.
+* :class:`BlockedBackend` (``"blocked"``, the default) — tiles products
+  with at least ``2 * block_rows`` output rows over blocks of rows and
+  applies the epilogue per tile, while the tile is still cache-hot;
+  smaller products take the direct path.  Tiling splits only the *M*
+  dimension (full *K* per tile), so partial sums are computed in the
+  same order as the direct product and results match the reference to
+  round-off.
 
-* :class:`NumpyBackend` — the trivially readable reference: one
-  ``np.matmul`` per GEMM, ufuncs for the rest.
-* :class:`BlockedBackend` — tiles large GEMMs over blocks of output
-  rows and applies the bias/activation epilogue per tile, so the
-  epilogue never costs an extra full pass over a cache-cold output.
-  Tiling splits only the *M* dimension (full *K* per tile), so partial
-  sums are computed in the same order as the direct product and results
-  match the reference backend to round-off.
+The active backend changes only inside a scoped :func:`use_backend`:
 
-The active backend is process-global:
-
->>> from repro import backend
->>> backend.set_backend("blocked")
->>> with backend.use_backend("numpy"):
+>>> from repro.backend import use_backend
+>>> with use_backend("numpy"):
 ...     ...  # reference semantics inside the block
 
-``TrainingConfig.compute_backend`` threads the same selection through
-the trainer.  Backend traffic is recorded in
+``TrainingConfig.compute_backend`` and the CLI's ``--backend`` open the
+same scope around a run.  GEMM traffic is recorded in
 :data:`repro.utils.perf.counters` (``gemm_calls``,
 ``backend_gemm_blocked``, ``backend_gemm_tiles``,
 ``backend_fused_bias``, ``backend_fused_activation``).
@@ -44,100 +35,23 @@ the trainer.  Backend traffic is recorded in
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
 from ..utils.perf import counters
 
 __all__ = [
-    "Backend",
     "NumpyBackend",
     "BlockedBackend",
     "available_backends",
     "get_backend",
-    "set_backend",
     "use_backend",
 ]
 
 
-class Backend:
-    """Interface every compute backend implements.
-
-    All three primitives accept ``out=``: when given, the result is
-    written into that array (which is also returned), so hot paths can
-    reuse workspace-cached buffers instead of allocating.
-    """
-
-    name: str = "abstract"
-
-    def gemm(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        *,
-        bias: Optional[np.ndarray] = None,
-        activation: Optional[str] = None,
-    ) -> np.ndarray:
-        """Matrix product ``a @ b`` with an optional fused epilogue.
-
-        ``bias`` (broadcast-added over the output rows) and
-        ``activation`` (a named elementwise map, e.g. ``"relu"``) are
-        applied in place on the output — blocked implementations apply
-        them per tile while the tile is cache-hot.
-        """
-        raise NotImplementedError
-
-    def elementwise(self, op: str, *operands: np.ndarray,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Apply the named elementwise map to ``operands``."""
-        raise NotImplementedError
-
-    def reduce(self, op: str, operand: np.ndarray, axis: Any = None,
-               out: Optional[np.ndarray] = None, keepdims: bool = False) -> np.ndarray:
-        """Apply the named reduction along ``axis``."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-def _relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    # 0 is passed as a python scalar so float32 operands stay float32.
-    return np.maximum(x, 0, out=out)
-
-
-_UNARY: Dict[str, Callable] = {
-    "relu": _relu,
-    "exp": np.exp,
-    "log": np.log,
-    "neg": np.negative,
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-    "tanh": np.tanh,
-}
-
-_BINARY: Dict[str, Callable] = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.true_divide,
-    "maximum": np.maximum,
-    "minimum": np.minimum,
-}
-
-_REDUCTIONS: Dict[str, Callable] = {
-    "sum": np.sum,
-    "max": np.max,
-    "min": np.min,
-    "mean": np.mean,
-    "argmax": np.argmax,
-}
-
-
-class NumpyBackend(Backend):
-    """Reference backend: plain NumPy calls, nothing clever."""
+class NumpyBackend:
+    """Reference GEMM: one ``np.matmul``, then the epilogue."""
 
     name = "numpy"
 
@@ -150,6 +64,13 @@ class NumpyBackend(Backend):
         bias: Optional[np.ndarray] = None,
         activation: Optional[str] = None,
     ) -> np.ndarray:
+        """Matrix product ``a @ b`` with an optional fused epilogue.
+
+        ``bias`` is broadcast-added over the output rows and
+        ``activation`` (only ``"relu"``) clamps the result, both in place
+        on the output.  With ``out=`` the product is written into that
+        array, which is also returned.
+        """
         self._count_gemm(bias, activation)
         result = np.matmul(a, b, out=out)
         return self._epilogue(result, bias, activation)
@@ -169,33 +90,13 @@ class NumpyBackend(Backend):
                   activation: Optional[str]) -> np.ndarray:
         if bias is not None:
             out += bias
-        if activation is not None:
-            _UNARY[activation](out, out=out)
+        if activation == "relu":
+            # 0 is passed as a python scalar so float32 outputs stay float32.
+            np.maximum(out, 0, out=out)
+        elif activation is not None:
+            raise ValueError(f"the GEMM epilogue supports activation='relu' or None, "
+                             f"got {activation!r}")
         return out
-
-    def elementwise(self, op: str, *operands: np.ndarray,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
-        if op in _UNARY:
-            (x,) = operands
-            return _UNARY[op](x, out=out)
-        if op in _BINARY:
-            x, y = operands
-            return _BINARY[op](x, y, out=out)
-        known = ", ".join(sorted(_UNARY) + sorted(_BINARY))
-        raise KeyError(f"unknown elementwise op {op!r}; known ops: {known}")
-
-    def reduce(self, op: str, operand: np.ndarray, axis: Any = None,
-               out: Optional[np.ndarray] = None, keepdims: bool = False) -> np.ndarray:
-        try:
-            fn = _REDUCTIONS[op]
-        except KeyError:
-            known = ", ".join(sorted(_REDUCTIONS))
-            raise KeyError(f"unknown reduction {op!r}; known reductions: {known}") from None
-        if op == "argmax":
-            # np.argmax has no keepdims before numpy 1.22 semantics we rely
-            # on; keep its signature minimal.
-            return fn(operand, axis=axis, out=out)
-        return fn(operand, axis=axis, out=out, keepdims=keepdims)
 
 
 class BlockedBackend(NumpyBackend):
@@ -209,7 +110,7 @@ class BlockedBackend(NumpyBackend):
     result, up to BLAS round-off) matches the direct product.
 
     Small problems (fewer than ``2 * block_rows`` output rows) and
-    non-2D operands defer to the reference implementation.
+    non-2D operands take the direct path.
     """
 
     name = "blocked"
@@ -244,50 +145,49 @@ class BlockedBackend(NumpyBackend):
         return out
 
 
-_BACKENDS: Dict[str, Callable[[], Backend]] = {
+_BACKENDS: Dict[str, Callable[[], NumpyBackend]] = {
     "numpy": NumpyBackend,
     "blocked": BlockedBackend,
 }
 
-#: Process-global active backend.  ``blocked`` is the default: it defers
-#: to the reference implementation for small problems, so it is never
-#: slower and needs no configuration.
-_ACTIVE: Backend = BlockedBackend()
+#: The active backend.  ``blocked`` is the default: it takes the direct
+#: path for small problems, so it is never slower and needs no
+#: configuration.  Only :func:`use_backend` changes it, and only for the
+#: duration of its ``with`` block.
+_ACTIVE: NumpyBackend = BlockedBackend()
 
 
 def available_backends() -> List[str]:
-    """Names accepted by :func:`set_backend`."""
+    """Names accepted by :func:`use_backend`."""
     return sorted(_BACKENDS)
 
 
-def get_backend() -> Backend:
+def get_backend() -> NumpyBackend:
     """The currently active backend."""
     return _ACTIVE
 
 
-def set_backend(backend: Union[str, Backend]) -> Backend:
-    """Install ``backend`` (a name or an instance) as the active backend."""
+@contextlib.contextmanager
+def use_backend(backend: Union[str, NumpyBackend, None]) -> Iterator[NumpyBackend]:
+    """Make ``backend`` (a name or an instance) active within a ``with`` block.
+
+    ``None`` leaves the active backend alone (nothing is swapped), so
+    callers with an optional selection need no second code path.
+    """
     global _ACTIVE
+    if backend is None:
+        yield _ACTIVE
+        return
     if isinstance(backend, str):
         try:
             backend = _BACKENDS[backend.lower()]()
         except KeyError:
             known = ", ".join(available_backends())
-            raise KeyError(
-                f"unknown backend {backend!r}; known backends: {known}"
-            ) from None
-    if not isinstance(backend, Backend):
-        raise TypeError(f"expected a Backend or a name, got {type(backend).__name__}")
-    _ACTIVE = backend
-    return _ACTIVE
-
-
-@contextlib.contextmanager
-def use_backend(backend: Union[str, Backend]) -> Iterator[Backend]:
-    """Temporarily switch the active backend within a ``with`` block."""
-    previous = get_backend()
-    installed = set_backend(backend)
+            raise KeyError(f"unknown backend {backend!r}; known backends: {known}") from None
+    if not isinstance(backend, NumpyBackend):
+        raise TypeError(f"expected a backend or a name, got {type(backend).__name__}")
+    previous, _ACTIVE = _ACTIVE, backend
     try:
-        yield installed
+        yield backend
     finally:
-        set_backend(previous)
+        _ACTIVE = previous

@@ -93,12 +93,13 @@ class TrainingConfig:
         batched drains train on a contiguous zero-copy view instead of
         re-concatenating every pending message.
     compute_backend:
-        Name of the compute backend the trainer installs **for the
+        Name of the GEMM backend the trainer makes active **for the
         duration of each run** (``train`` / ``evaluate`` /
-        ``train_time_budget``, via :func:`repro.backend.use_backend`):
-        ``"numpy"`` (reference) or ``"blocked"`` (tiled GEMMs with fused
-        epilogues).  ``None`` (the default) runs on whatever backend is
-        globally active.
+        ``train_time_budget``, each a :func:`repro.backend.use_backend`
+        scope, so the previous backend is back when the call returns or
+        raises): ``"numpy"`` (one direct product per GEMM) or
+        ``"blocked"`` (row-tiles large GEMMs).  ``None`` (the default)
+        runs on whatever backend is active when the call starts.
     failure_schedule:
         Scripted shard crashes: a list of ``(time_s, shard_id)`` or
         ``(time_s, shard_id, downtime_s)`` entries (simulated seconds;

@@ -300,13 +300,6 @@ class ParameterQueue:
         self._pending.clear()
         return messages
 
-    @property
-    def free_slots(self) -> Optional[int]:
-        """Remaining capacity (``None`` when the queue is unbounded)."""
-        if self.max_size is None:
-            return None
-        return max(0, self.max_size - len(self._pending))
-
     def __len__(self) -> int:
         return len(self._pending)
 

@@ -173,10 +173,6 @@ class CentralServer:
         """True when the queue holds unprocessed messages."""
         return bool(self.queue)
 
-    def free_queue_slots(self) -> Optional[int]:
-        """Remaining queue capacity (``None`` when unbounded)."""
-        return self.queue.free_slots
-
     # ------------------------------------------------------------------ #
     # Training step
     # ------------------------------------------------------------------ #

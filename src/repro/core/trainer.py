@@ -79,7 +79,6 @@ one message at a time, one optimizer step per message.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import fields as dataclass_fields
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -505,18 +504,6 @@ class SpatioTemporalTrainer:
             }
         return stats
 
-    def _backend_context(self):
-        """Install ``config.compute_backend`` for the duration of a run.
-
-        The selection is scoped (``use_backend``) rather than a
-        process-global ``set_backend`` at construction time, so two
-        trainers with different backend configs can run in one process
-        without the last-constructed one winning.
-        """
-        if self.config.compute_backend is None:
-            return contextlib.nullcontext()
-        return use_backend(self.config.compute_backend)
-
     def train(self, test_dataset: Optional[Dataset] = None,
               epochs: Optional[int] = None,
               evaluate_every: int = 1,
@@ -538,7 +525,7 @@ class SpatioTemporalTrainer:
             worker uses it to publish live progress.  It must not mutate
             training state.
         """
-        with self._backend_context():
+        with use_backend(self.config.compute_backend):
             return self._train(test_dataset, epochs, evaluate_every, on_epoch_end)
 
     def _train(self, test_dataset: Optional[Dataset],
@@ -628,7 +615,7 @@ class SpatioTemporalTrainer:
         patients in the paper's scenario), and the per-system values are
         reported for fairness analysis.
         """
-        with self._backend_context():
+        with use_backend(self.config.compute_backend):
             return self._evaluate(dataset, batch_size)
 
     def _evaluate(self, dataset: Dataset, batch_size: Optional[int]) -> Dict[str, object]:
@@ -691,7 +678,7 @@ class SpatioTemporalTrainer:
         history = TrainingHistory(config=self.config.to_dict())
         start_clock = self.engine.clock
         start = time.perf_counter()
-        with self._backend_context():
+        with use_backend(self.config.compute_backend):
             tracker = self.engine.run_asynchronous(
                 iterators, stop_time=start_clock + simulated_seconds
             )

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..api import ApiError, JobSpec, RunClient, ServerUnavailable
-from ..backend import available_backends, get_backend, set_backend
+from ..backend import available_backends, get_backend, use_backend
 from ..utils.logging import set_verbosity
 from .base import ExperimentResult, on_preset
 from .registry import ExperimentEntry, get_experiment, list_experiments
@@ -116,8 +116,8 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="master random seed (default: 0)")
     parser.add_argument("--backend", choices=available_backends(), default=None,
-                        help="compute backend for the run (default: leave the "
-                             f"process default, currently {get_backend().name!r})")
+                        help="compute backend for this command's runs "
+                             f"(default: {get_backend().name!r})")
     parser.add_argument("--json", action="store_true", help="print JSON instead of a table")
 
 
@@ -131,8 +131,6 @@ def _workload_from_args(args: argparse.Namespace,
     ``server_sharding`` default to a 100+ client star that a generic
     4-client override would defeat.
     """
-    if getattr(args, "backend", None) is not None:
-        set_backend(args.backend)
     flags = {"scale": args.scale, "num_samples": args.num_samples,
              "num_end_systems": args.end_systems, "epochs": args.epochs,
              "batch_size": args.batch_size, "seed": args.seed}
@@ -243,10 +241,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         set_verbosity(logging.INFO)
     if args.command == "list":
         return _command_list()
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "run-all":
-        return _command_run_all(args)
+    if args.command in ("run", "run-all"):
+        # Scoped to this command: the process backend is left as found.
+        with use_backend(args.backend):
+            return _command_run(args) if args.command == "run" else _command_run_all(args)
     if args.command == "job":
         return _command_job(args)
     parser.error(f"unknown command {args.command!r}")

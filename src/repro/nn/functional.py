@@ -43,7 +43,7 @@ movement, so they are written to move each array once:
   :mod:`repro.utils.perf` workspace cache.  Only buffers whose contents
   are never read by a backward closure after the op returns may live in
   a workspace — see the cache's safety contract;
-* every GEMM goes through the pluggable backend in :mod:`repro.backend`
+* every GEMM goes through ``get_backend().gemm`` (:mod:`repro.backend`)
   (``conv2d``'s forward product fuses the bias — and in inference the
   activation — into the GEMM epilogue, :func:`linear` is a single fused
   affine node, the blocked backend tiles large products);

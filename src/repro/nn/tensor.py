@@ -354,29 +354,18 @@ class Tensor:
         return out
 
     def relu(self) -> "Tensor":
-        from ..backend import get_backend
         from ..utils.perf import workspace_like
 
-        # One clamping pass via the backend; the winner mask is
-        # recovered in backward from the output (out > 0 iff data > 0).
-        out_data = get_backend().elementwise("relu", self.data)
+        # One clamping pass (0 as a python scalar keeps float32 float32);
+        # the winner mask is recovered in backward from the output
+        # (out > 0 iff data > 0).
+        out_data = np.maximum(self.data, 0)
         out = self._make_output(out_data, (self,))
 
         def _backward(grad: np.ndarray) -> None:
             mask = workspace_like("relu.mask", out_data, np.bool_)
             np.greater(out_data, 0, out=mask)
             self._accumulate(grad * mask, owned=True)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def abs(self) -> "Tensor":
-        out = self._make_output(np.abs(self.data), (self,))
-        sign = np.sign(self.data)
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * sign, owned=True)
 
         if out.requires_grad:
             out._backward = _backward

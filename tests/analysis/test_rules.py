@@ -368,6 +368,9 @@ class TestBackendBypass:
                 return np.einsum("ij,jk->ik", a, b)
         """, path=HOT_PATH)
         assert rule_ids(findings) == ["RL005"] * 3
+        assert all("get_backend().gemm" in finding.message
+                   and "get_backend().gemm" in finding.fix_hint
+                   for finding in findings)
 
     def test_quiet_when_routed_through_backend(self):
         assert unsuppressed("""

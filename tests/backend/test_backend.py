@@ -1,71 +1,71 @@
-"""Tests for the pluggable compute backend (`repro.backend`)."""
+"""Tests for the GEMM path (`repro.backend`): the two classes and `use_backend`."""
 
 import numpy as np
 import pytest
 
 from repro.backend import (
-    Backend,
     BlockedBackend,
     NumpyBackend,
     available_backends,
     get_backend,
-    set_backend,
     use_backend,
 )
 from repro.utils.perf import counters
 
 
 @pytest.fixture(autouse=True)
-def _restore_backend():
+def _backend_left_as_found():
     previous = get_backend()
     yield
-    set_backend(previous)
+    assert get_backend() is previous
 
 
 class TestRegistry:
     def test_available_backends(self):
         assert available_backends() == ["blocked", "numpy"]
 
-    def test_set_backend_by_name(self):
-        backend = set_backend("numpy")
-        assert isinstance(backend, NumpyBackend)
-        assert get_backend() is backend
+    def test_use_backend_by_name(self):
+        with use_backend("numpy") as backend:
+            assert isinstance(backend, NumpyBackend)
+            assert not isinstance(backend, BlockedBackend)
+            assert get_backend() is backend
 
-    def test_set_backend_instance(self):
+    def test_use_backend_instance(self):
         instance = BlockedBackend(block_rows=64)
-        assert set_backend(instance) is instance
-        assert get_backend() is instance
+        with use_backend(instance) as active:
+            assert active is instance
+            assert get_backend() is instance
+
+    def test_use_backend_none_keeps_the_active_backend(self):
+        with use_backend("numpy") as outer:
+            with use_backend(None) as active:
+                assert active is outer
+                assert get_backend() is outer
+            assert get_backend() is outer
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown backend"):
-            set_backend("cuda")
+            with use_backend("cuda"):
+                pass
 
     def test_non_backend_rejected(self):
         with pytest.raises(TypeError):
-            set_backend(42)
+            with use_backend(42):
+                pass
 
     def test_use_backend_restores_previous(self):
-        set_backend("numpy")
-        with use_backend("blocked") as active:
-            assert isinstance(active, BlockedBackend)
-            assert get_backend() is active
-        assert isinstance(get_backend(), NumpyBackend)
+        with use_backend("numpy") as outer:
+            with use_backend("blocked") as active:
+                assert isinstance(active, BlockedBackend)
+                assert get_backend() is active
+            assert get_backend() is outer
 
     def test_use_backend_restores_on_error(self):
-        set_backend("numpy")
-        with pytest.raises(RuntimeError):
-            with use_backend("blocked"):
-                raise RuntimeError("boom")
-        assert isinstance(get_backend(), NumpyBackend)
-
-    def test_abstract_interface_raises(self):
-        backend = Backend()
-        with pytest.raises(NotImplementedError):
-            backend.gemm(np.eye(2), np.eye(2))
-        with pytest.raises(NotImplementedError):
-            backend.elementwise("relu", np.zeros(2))
-        with pytest.raises(NotImplementedError):
-            backend.reduce("sum", np.zeros(2))
+        with use_backend("numpy") as outer:
+            with pytest.raises(RuntimeError):
+                with use_backend("blocked"):
+                    raise RuntimeError("boom")
+            assert get_backend() is outer
 
 
 class TestNumpyBackendGemm:
@@ -148,48 +148,27 @@ class TestBlockedBackend:
             BlockedBackend(block_rows=0)
 
 
-class TestElementwiseAndReduce:
-    @pytest.fixture(params=["numpy", "blocked"])
-    def backend(self, request):
-        return {"numpy": NumpyBackend, "blocked": BlockedBackend}[request.param]()
+class TestEpilogue:
+    """The relu epilogue, on the direct path and per tile."""
 
-    def test_relu(self, backend):
-        x = np.array([-1.0, 0.0, 2.5])
-        np.testing.assert_array_equal(backend.elementwise("relu", x), [0.0, 0.0, 2.5])
+    @pytest.fixture(params=["numpy", "blocked-tiled"])
+    def backend(self, request):
+        # block_rows=1 tiles every product with at least two rows.
+        return NumpyBackend() if request.param == "numpy" else BlockedBackend(block_rows=1)
+
+    def test_relu_clamps(self, backend):
+        x = np.array([[-1.0], [0.0], [2.5]])
+        np.testing.assert_array_equal(
+            backend.gemm(x, np.eye(1), activation="relu"), [[0.0], [0.0], [2.5]])
 
     def test_relu_preserves_float32(self, backend):
-        x = np.array([-1.0, 2.0], dtype=np.float32)
-        assert backend.elementwise("relu", x).dtype == np.float32
+        x = np.array([[-1.0], [2.0]], dtype=np.float32)
+        out = backend.gemm(x, np.eye(1, dtype=np.float32), activation="relu")
+        assert out.dtype == np.float32
 
-    def test_binary_op_with_out(self, backend, rng):
-        x = rng.standard_normal(8)
-        y = rng.standard_normal(8)
-        out = np.empty(8)
-        result = backend.elementwise("add", x, y, out=out)
-        assert result is out
-        np.testing.assert_array_equal(out, x + y)
-
-    def test_unknown_elementwise_raises(self, backend):
-        with pytest.raises(KeyError, match="unknown elementwise op"):
-            backend.elementwise("frobnicate", np.zeros(2))
-
-    def test_reduce_sum_axis_keepdims(self, backend, rng):
-        x = rng.standard_normal((4, 6))
-        np.testing.assert_allclose(
-            backend.reduce("sum", x, axis=1, keepdims=True),
-            x.sum(axis=1, keepdims=True),
-        )
-
-    def test_reduce_max_and_argmax(self, backend, rng):
-        x = rng.standard_normal((5, 3))
-        np.testing.assert_array_equal(backend.reduce("max", x, axis=0), x.max(axis=0))
-        np.testing.assert_array_equal(
-            backend.reduce("argmax", x, axis=1), x.argmax(axis=1)
-        )
-
-    def test_unknown_reduction_raises(self, backend):
-        with pytest.raises(KeyError, match="unknown reduction"):
-            backend.reduce("median", np.zeros(3))
+    def test_unknown_activation_raises(self, backend):
+        with pytest.raises(ValueError, match="activation"):
+            backend.gemm(np.eye(2), np.eye(2), activation="tanh")
 
 
 class TestBackendThreadsThroughOps:

@@ -190,14 +190,6 @@ class TestParameterQueue:
         queue.push(make_message(0, 0, arrival=1.5))
         assert queue.peek_arrivals() == [1.5]
 
-    def test_free_slots(self):
-        unbounded = ParameterQueue()
-        assert unbounded.free_slots is None
-        queue = ParameterQueue(max_size=2)
-        assert queue.free_slots == 2
-        queue.push(make_message(0, 0))
-        assert queue.free_slots == 1
-
     def test_flush_discards_without_statistics(self):
         queue = ParameterQueue(max_size=2)
         queue.push(make_message(0, 0, batch_size=4))

@@ -26,8 +26,10 @@ from repro.experiments import (
     run_staleness,
     run_table1,
 )
+from repro.backend import BlockedBackend, get_backend, use_backend
 from repro.experiments.cli import build_parser, main
 from repro.nn.dtype import default_dtype
+from repro.utils.perf import counters
 
 
 def laptop(name, **changes):
@@ -443,6 +445,26 @@ class TestCLI:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["name"].startswith("Ablation")
+
+    QUICK_RUN = ["run", "clients_sweep", "--num-samples", "240", "--end-systems", "2",
+                 "--epochs", "1", "--batch-size", "16", "--json"]
+
+    def test_backend_flag_is_scoped_to_the_command(self, capsys):
+        # block_rows=16 tiles every conv GEMM of this run, so a run that
+        # ignored --backend numpy would count blocked GEMMs.
+        with use_backend(BlockedBackend(block_rows=16)) as outer:
+            gemms, tiled = counters.get("gemm_calls"), counters.get("backend_gemm_blocked")
+            assert main(self.QUICK_RUN + ["--backend", "numpy"]) == 0
+            assert counters.get("gemm_calls") > gemms
+            assert counters.get("backend_gemm_blocked") == tiled
+            assert get_backend() is outer
+
+    def test_run_without_backend_flag_trains_on_the_active_backend(self, capsys):
+        with use_backend(BlockedBackend(block_rows=16)) as outer:
+            tiled = counters.get("backend_gemm_blocked")
+            assert main(self.QUICK_RUN) == 0
+            assert counters.get("backend_gemm_blocked") > tiled
+            assert get_backend() is outer
 
     def test_parser_rejects_unknown_command(self):
         with pytest.raises(SystemExit):

@@ -139,7 +139,7 @@ def conv2d(
 
 
 def relu(x: np.ndarray) -> Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    out_data = get_backend().elementwise("relu", x)
+    out_data = np.maximum(x, 0)
 
     def backward(grad: np.ndarray) -> np.ndarray:
         mask = np.empty(out_data.shape, np.bool_)

@@ -2,9 +2,9 @@
 
 ``Tensor`` keeps only the ops the losses, ``ReLU``, ``Flatten`` and the
 softmax helpers compose (``-``, ``*``, ``/``, unary ``-``, ``sum``,
-``mean``, ``exp``, ``log``, ``relu``, ``abs``, ``reshape``,
-``flatten_batch``), and ``functional`` keeps the fused ``linear`` /
-``max_pool2d`` nodes and the four JobSpec losses.  The hand-computed cases
+``mean``, ``exp``, ``log``, ``relu``, ``reshape``, ``flatten_batch``),
+and ``functional`` keeps the fused ``linear`` / ``max_pool2d`` nodes and
+the four JobSpec losses.  The hand-computed cases
 in ``test_tensor_ops.py`` check single points; this grid checks each kept
 op's backward closure against a numeric derivative, over every broadcast
 pattern the binary ops accept and every reduction the losses offer.
@@ -22,8 +22,8 @@ from repro.nn.tensor import Tensor
 def away_from_kinks(rng, shape, low=0.2, high=1.5):
     """Values whose magnitude stays clear of zero, with random signs.
 
-    ``relu`` and ``abs`` have a kink at zero and ``log`` / ``/`` a pole;
-    the central difference (step 1e-6) never crosses either here.
+    ``relu`` has a kink at zero and ``log`` / ``/`` a pole; the central
+    difference (step 1e-6) never crosses either here.
     """
     magnitude = rng.uniform(low, high, size=shape)
     return np.asarray(magnitude * rng.choice([-1.0, 1.0], size=shape))
@@ -55,7 +55,6 @@ UNARY = {
     "exp": (lambda t: t.exp(), None),
     "log": (lambda t: t.log(), "positive"),
     "relu": (lambda t: t.relu(), None),
-    "abs": (lambda t: t.abs(), None),
     "sum-all": (lambda t: t.sum(), None),
     "sum-axis0": (lambda t: t.sum(axis=0), None),
     "sum-axis1-keepdims": (lambda t: t.sum(axis=1, keepdims=True), None),

@@ -133,11 +133,6 @@ class TestNonlinearities:
         out.sum().backward()
         np.testing.assert_allclose(a.grad, [0.0, 0.0, 1.0])
 
-    def test_abs_gradient_is_sign(self):
-        a = Tensor(np.array([-2.0, 3.0]), requires_grad=True)
-        a.abs().sum().backward()
-        np.testing.assert_allclose(a.grad, [-1.0, 1.0])
-
 
 class TestShapeOps:
     def test_reshape_roundtrip_gradient(self):
