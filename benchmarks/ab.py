@@ -3,19 +3,26 @@
 
     python3 benchmarks/ab.py <rev> [--workload W] [--pairs N] [--seconds S] [--seed K]
 
-Checks ``<rev>`` out into a throwaway clone, runs ``benchmarks/e2e/run.py``
-in both trees ``N`` times with the same arguments — alternating which side
-goes first, because host slow-downs on a shared box last longer than one
-run — and prints, per workload × end-to-end metric, every pair's values,
-how many pairs B won, each side's median and quartiles, and a verdict by
-the rule a claimed gain is judged by: B wins at least nine tenths of the
-pairs (ties count for neither) *and* the medians differ by more than the
-distance between A's own quartiles.  ``benchmarks/e2e/compare.py`` then
-checks the deterministic part (``sim_digest``, ``failed_share``) over the
-same reports.  Each side runs the benchmark files of its own tree, so the
-comparison is only meaningful between revisions that share them.
+Checks ``<rev>`` out into a throwaway clone (A) and this working tree —
+tracked edits and untracked, non-ignored files alike — into a second one
+(B), so the sides differ in the change alone: both are fresh checkouts at
+the same depth under ``TMPDIR``, with no bytecode caches and no
+``benchmarks/e2e/.work`` residue.  The working tree reaches B as a commit
+object written through a temporary index; the real index, ``HEAD`` and the
+files stay as they were.  ``benchmarks/e2e/run.py`` then runs in both
+clones ``N`` times with the same arguments — alternating which side goes
+first, because host slow-downs on a shared box last longer than one run —
+and the script prints, per workload × end-to-end metric, every pair's
+values, how many pairs B won, each side's median and quartiles, and a
+verdict by the rule a claimed gain is judged by: B wins at least nine
+tenths of the pairs (ties count for neither) *and* the medians differ by
+more than the distance between A's own quartiles.
+``benchmarks/e2e/compare.py`` then checks the deterministic part
+(``sim_digest``, ``failed_share``) over the same reports.  Each side runs
+the benchmark files of its own tree, so the comparison is only meaningful
+between revisions that share them.
 
-The clone and the reports live in a temporary directory (``TMPDIR``) that
+The clones and the reports live in a temporary directory (``TMPDIR``) that
 is removed on exit.  Exit code: ``compare.py``'s.
 """
 
@@ -23,6 +30,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -99,6 +108,38 @@ def table(reports_a: Sequence[Dict[str, Any]], reports_b: Sequence[Dict[str, Any
     return lines
 
 
+def git(*args: str, env: Optional[Dict[str, str]] = None) -> str:
+    """``git -C REPO <args>``'s stripped standard output."""
+    return subprocess.run(["git", "-C", str(REPO), *args], check=True, env=env,
+                          stdout=subprocess.PIPE, text=True).stdout.strip()
+
+
+def snapshot_worktree() -> str:
+    """A commit object holding this working tree, tracked and untracked files.
+
+    ``git add --all`` runs against a throwaway copy of the index, so neither
+    the real index nor ``HEAD`` moves; the commit is reachable from no ref
+    (a local clone copies it with the rest of the object store).
+    """
+    with tempfile.TemporaryDirectory(prefix="ab-index-") as scratch:
+        index = Path(scratch) / "index"
+        shutil.copyfile(REPO / git("rev-parse", "--git-path", "index"), index)
+        env = dict(os.environ, GIT_INDEX_FILE=str(index),
+                   GIT_AUTHOR_NAME="ab.py", GIT_AUTHOR_EMAIL="ab.py@localhost",
+                   GIT_COMMITTER_NAME="ab.py", GIT_COMMITTER_EMAIL="ab.py@localhost")
+        git("add", "--all", env=env)
+        tree = git("write-tree", env=env)
+        return git("commit-tree", tree, "-p", "HEAD", "-m", "ab.py: working tree", env=env)
+
+
+def checkout(rev: str, tree: Path) -> None:
+    """A fresh clone of REPO at ``tree``, detached at ``rev``."""
+    subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(REPO), str(tree)],
+                   check=True)
+    subprocess.run(["git", "-C", str(tree), "checkout", "--quiet", "--detach", rev],
+                   check=True)
+
+
 def run_side(tree: Path, out: Path, args: argparse.Namespace) -> None:
     command = [sys.executable, "benchmarks/e2e/run.py", "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", "0", "--out", str(out)]
@@ -122,17 +163,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
-        parent = Path(scratch) / "a"
-        subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(REPO), str(parent)],
-                       check=True)
-        subprocess.run(["git", "-C", str(parent), "checkout", "--quiet", "--detach", args.rev],
-                       check=True)
+        trees = {"a": Path(scratch) / "a", "b": Path(scratch) / "b"}
+        checkout(args.rev, trees["a"])
+        checkout(snapshot_worktree(), trees["b"])
         files: Dict[str, List[Path]] = {"a": [], "b": []}
         for index in range(args.pairs):
             order = ("a", "b") if index % 2 == 0 else ("b", "a")
             for side in order:
                 out = Path(scratch) / f"{side}{index}.json"
-                run_side(parent if side == "a" else REPO, out, args)
+                run_side(trees[side], out, args)
                 files[side].append(out)
             print(f"pair {index + 1}/{args.pairs} done ({order[0]} first)", flush=True)
         reports = {side: [json.loads(path.read_text(encoding="utf-8")) for path in paths]
@@ -142,7 +181,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print()
         compared = subprocess.run(
             [sys.executable, "benchmarks/e2e/compare.py", *map(str, files["a"]), "--",
-             *map(str, files["b"])], cwd=REPO)
+             *map(str, files["b"])], cwd=trees["b"])
     return compared.returncode
 
 

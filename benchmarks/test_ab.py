@@ -1,6 +1,10 @@
-"""Tier-1 tests of ``benchmarks/ab.py``'s table and verdict on canned reports."""
+"""Tier-1 tests of ``benchmarks/ab.py``: its table and verdict on canned
+reports, and how it checks the two sides out (on a throwaway repository
+whose ``run.py`` only writes a report)."""
 
 import json
+import subprocess
+import tempfile
 from pathlib import Path
 
 import ab
@@ -61,3 +65,82 @@ def test_table_pairs_runs_by_position_and_skips_workloads_not_run():
     assert "lower is better" in rss and rss.endswith("B better")
     setup = next(line for line in lines if line.startswith("paper_sync setup_s"))
     assert "B wins 0/10, loses 0" in setup and setup.endswith("no call")
+
+
+FAKE_RUN = """\
+import json, sys
+from pathlib import Path
+
+out = Path(sys.argv[sys.argv.index("--out") + 1])
+contract = json.loads(Path("BENCHMARK.json").read_text())
+metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in contract["end_to_end"]}
+out.write_text(json.dumps({"workloads": {w["name"]: {"metrics": metrics}
+                                         for w in contract["workloads"]}}))
+"""
+
+
+def git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c",
+                           "user.email=t@t", *args], check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+def throwaway_repo(root):
+    """A committed repository with the benchmark contract, a fake ``run.py``
+    and a ``compare.py`` that agrees with everything."""
+    repo = root / "repo"
+    (repo / "benchmarks" / "e2e").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps(CONTRACT))
+    (repo / "benchmarks" / "e2e" / "run.py").write_text(FAKE_RUN)
+    (repo / "benchmarks" / "e2e" / "compare.py").write_text("")
+    (repo / "tracked.txt").write_text("committed")
+    (repo / ".gitignore").write_text("ignored*.txt\n")
+    git(repo, "init", "--quiet")
+    git(repo, "add", "--all")
+    git(repo, "commit", "--quiet", "-m", "base")
+    return repo
+
+
+def test_side_b_is_a_fresh_clone_of_the_working_tree(tmp_path, monkeypatch):
+    repo = throwaway_repo(tmp_path)
+    (repo / "tracked.txt").write_text("edited")
+    (repo / "untracked.txt").write_text("new")
+    (repo / "ignored.txt").write_text("ignored")
+    git(repo, "add", "--force", "ignored.txt")  # staged, so tracked despite .gitignore
+    (repo / "ignored_too.txt").write_text("never staged")
+
+    def state():
+        return (git(repo, "status", "--porcelain", "--untracked-files=all"),
+                git(repo, "rev-parse", "HEAD"), git(repo, "ls-files", "--stage"))
+
+    before = state()
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(ab, "REPO", repo)
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    seen = []
+    run = subprocess.run
+
+    def recording_run(command, *args, **kwargs):
+        done = run(command, *args, **kwargs)
+        if "benchmarks/e2e/run.py" in command:
+            tree = Path(kwargs["cwd"])
+            seen.append((tree, (tree / "tracked.txt").read_text(),
+                         sorted(path.name for path in tree.glob("*.txt"))))
+        return done
+
+    monkeypatch.setattr(subprocess, "run", recording_run)
+    assert ab.main(["HEAD", "--pairs", "2", "--seconds", "1"]) == 0
+    monkeypatch.setattr(subprocess, "run", run)
+
+    assert state() == before
+    assert [tree.name for tree, _, _ in seen] == ["a", "b", "b", "a"]
+    assert all(tree.resolve() != repo.resolve() for tree, _, _ in seen)
+    assert len({tree.parent for tree, _, _ in seen}) == 1
+    assert {tree.parent.parent for tree, _, _ in seen} == {scratch}
+    for tree, tracked, files in seen:
+        if tree.name == "a":
+            assert (tracked, files) == ("committed", ["tracked.txt"])
+        else:
+            assert (tracked, files) == ("edited", ["ignored.txt", "tracked.txt",
+                                                   "untracked.txt"])

@@ -87,7 +87,8 @@ class SequentialSplitTrainer:
     # Training
     # ------------------------------------------------------------------ #
     def _train_batch(self, images: np.ndarray, labels: np.ndarray) -> Dict[str, float]:
-        client_output = self.client_model(Tensor(images, requires_grad=True))
+        # No gradient for the raw images: nobody reads it.
+        client_output = self.client_model(Tensor(images))
         smashed = Tensor(client_output.data.copy(), requires_grad=True)
         logits = self.server_model(smashed)
         loss = self.loss_fn(logits, labels)

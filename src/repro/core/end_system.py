@@ -163,7 +163,12 @@ class EndSystem:
         )
 
     def apply_gradient(self, message: GradientMessage) -> None:
-        """Finish back-propagation with the server's gradient and update weights."""
+        """Finish back-propagation with the server's gradient and update weights.
+
+        With no trainable client segment the gradient is never read (at
+        cut 0 the server sends zeros of the payload's shape instead of
+        computing it); the pending batch is only forgotten.
+        """
         if not self.has_trainable_parameters:
             # Nothing to learn locally (client_blocks = 0).
             self._pending.pop(message.batch_id, None)

@@ -86,7 +86,13 @@ class ActivationMessage:
 
 @dataclass
 class GradientMessage:
-    """Gradient of the loss w.r.t. smashed activations, flowing back to an end-system."""
+    """Gradient of the loss w.r.t. smashed activations, flowing back to an end-system.
+
+    At cut 0 the end-system holds no layer to back-propagate through, so
+    the server computes no boundary gradient and ``gradient`` is zeros
+    with the payload's shape and dtype: ``size_bytes``, and so every
+    downlink transfer, is what the real gradient would cost.
+    """
 
     end_system_id: int
     batch_id: int

@@ -206,6 +206,12 @@ class CentralServer:
         how the per-message path still takes one optimizer step per
         message.
 
+        At cut 0 (``split_spec.client_blocks == 0``) no end-system has a
+        layer to back-propagate the reply through, so the boundary
+        gradient is not computed: the first server layer runs no
+        input-gradient GEMM, and each reply is zeros with its message's
+        shape and dtype — the same wire bytes as the real gradient.
+
         The per-message losses/accuracies reported in the returned
         :class:`GradientMessage` objects are averaged over each message's
         rows of the per-sample loss and arg-max hits; a lone message's are
@@ -245,7 +251,9 @@ class CentralServer:
             for message in messages:
                 segments.append((offset, offset + message.batch_size))
                 offset += message.batch_size
-        smashed = Tensor(activations, requires_grad=True)
+        # Only an end-system with layers of its own reads the boundary
+        # gradient (see the docstring on cut 0).
+        smashed = Tensor(activations, requires_grad=self.split_spec.client_blocks > 0)
         logits = self.model(smashed)
         # The loss is computed per sample and mean-reduced as a graph op:
         # the gradient is identical to the mean-reduced loss, and the
@@ -258,26 +266,28 @@ class CentralServer:
         loss.backward()
         self.optimizer.step()
 
-        boundary_gradient = smashed.grad
-        if boundary_gradient is None:
-            boundary_gradient = np.zeros_like(smashed.data)
+        # The wire gradients are row slices of ONE C-order array: a copy
+        # of the boundary gradient (a channels-last or channel-major
+        # gradient must not reach the wire strided) or, at cut 0, zeros
+        # shaped like the payload (nobody reads them).
+        if smashed.grad is None:
+            wire = np.zeros(smashed.shape, dtype=smashed.dtype)
+        else:
+            wire = np.array(smashed.grad, order="C")
 
         # Per-message metrics from ONE vectorised pass over the union:
         # per-sample losses and arg-max hit flags are segment-averaged —
         # replacing the per-message loss/accuracy calls of the original
         # implementation (identical values, O(messages) fewer dispatches).
-        # The wire gradients are row slices of ONE C-order copy of the
-        # boundary gradient (a channels-last or channel-major gradient
-        # must not reach the wire strided); the slices are C-contiguous and
-        # disjoint.  A message of another dtype than the union (ragged
-        # traffic) gets a converted copy.
+        # The wire slices are C-contiguous and disjoint; a message of
+        # another dtype than the union (ragged traffic) gets a converted
+        # copy.
         replies: List[GradientMessage] = []
         with no_grad():
             per_sample = np.asarray(per_sample_tensor.data)
             hits = logits.data.argmax(axis=-1) == np.asarray(labels).reshape(-1)
             losses = _segment_means(per_sample, segments)
             accuracies = _segment_means(hits, segments)
-            wire = np.array(boundary_gradient, order="C")
             for message, (start, stop), message_loss, message_accuracy in zip(
                 messages, segments, losses, accuracies
             ):

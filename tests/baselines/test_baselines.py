@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+import repro.baselines.vanilla_split as vanilla_split_module
 from repro.baselines.centralized import CentralizedTrainer
 from repro.baselines.fedavg import FedAvgTrainer, average_state_dicts
 from repro.baselines.vanilla_split import SequentialSplitTrainer
 from repro.core.split import SplitSpec
 from repro.data.datasets import ArrayDataset
 from repro.data.loader import DataLoader
+from repro.nn import Tensor
+from repro.nn.dtype import default_dtype
+from repro.utils.perf import track
 
 
 class TestCentralizedTrainer:
@@ -78,6 +82,40 @@ class TestSequentialSplitTrainer:
         trainer = SequentialSplitTrainer(tiny_split_spec, tiny_parts, seed=0, transform=normalize)
         metrics = trainer.evaluate(test)
         assert 0.0 <= metrics["accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_gradient_for_the_raw_images(self, tiny_split_spec, tiny_parts, normalize,
+                                            dtype, monkeypatch):
+        """Nobody reads the images' gradient: a twin whose client input still
+        asks for one runs one more GEMM per batch and ends byte-identical."""
+        def trained(image_gradient):
+            with monkeypatch.context() as patch, default_dtype(dtype):
+                if image_gradient:
+                    patch.setattr(vanilla_split_module, "Tensor",
+                                  lambda data, requires_grad=False, **kwargs: Tensor(
+                                      data, requires_grad=True, **kwargs))
+                trainer = SequentialSplitTrainer(tiny_split_spec, tiny_parts, batch_size=16,
+                                                 seed=0, transform=normalize)
+                with track() as delta:
+                    metrics = trainer.train_epoch(0)
+            return trainer, metrics, delta["gemm_calls"]
+
+        trainer, metrics, gemms = trained(False)
+        twin, twin_metrics, twin_gemms = trained(True)
+        batches = sum(-(-len(part) // 16) for part in tiny_parts)
+        assert gemms == twin_gemms - batches
+        assert metrics == twin_metrics
+        for model in ("client", "server"):
+            for key, value in getattr(twin, f"{model}_model").state_dict().items():
+                got = getattr(trainer, f"{model}_model").state_dict()[key]
+                assert got.dtype == value.dtype == dtype
+                assert got.tobytes() == value.tobytes()
+            slots = getattr(twin, f"{model}_optimizer").state_dict()
+            got_slots = getattr(trainer, f"{model}_optimizer").state_dict()
+            assert got_slots["step_count"] == slots["step_count"] == batches
+            for name, buffers in slots["slots"].items():
+                assert [b.tobytes() for b in got_slots["slots"][name]] == [
+                    b.tobytes() for b in buffers]
 
 
 class TestFedAvg:

@@ -10,7 +10,8 @@ per-message work without the per-message Python the fast path removed:
 * a zero-layer client segment builds no ``Tensor`` per message.
 
 Each assertion fails at the parent commit (``2506a29``).  A 200-client pass
-guards the message kernel's own per-message calls the same way.
+guards the message kernel's own per-message calls and the server step's
+GEMMs the same way.
 """
 
 import dataclasses
@@ -28,6 +29,7 @@ from repro.core.trainer import SpatioTemporalTrainer
 from repro.data.datasets import SyntheticCIFAR10
 from repro.data.partition import IIDPartitioner
 from repro.data.transforms import Normalize
+from repro.utils.perf import track
 
 EPOCHS = 2
 
@@ -93,7 +95,10 @@ def test_message_kernel_call_overhead_on_a_200_client_pass(tiny_architecture, no
     end-systems, batch 1, cut 0): ``_reply`` hands each server step's
     outcomes back as one list, not a generator, and ``Link.send`` builds
     its wire ``Message`` with every field given, so no default factory runs
-    per send.  Both fail at ``96f113e``."""
+    per send.  Both fail at ``96f113e``.  At cut 0 no end-system reads the
+    boundary gradient, so a server step's four weighted layers run 4
+    forward, 4 weight-gradient and 3 input-gradient GEMMs: 11, not the 12
+    of ``e46580b``, whose first conv also differentiated the images."""
     clients = 200
     dataset = SyntheticCIFAR10(num_samples=2 * clients, image_size=8, seed=3)
     parts = IIDPartitioner(clients, seed=3).partition(dataset)
@@ -127,10 +132,13 @@ def test_message_kernel_call_overhead_on_a_200_client_pass(tiny_architecture, no
 
     monkeypatch.setattr(link_module, "Message", counted_message)
 
-    trainer.train()
+    with track() as delta:
+        trainer.train()
     log = trainer.transport.log
     assert log.uplink_messages == log.downlink_messages == len(dataset)
     assert counts["replies"] == trainer.engine.stats.server_steps > 0
+    assert len(trainer.server.model.parameters()) == 2 * 4
+    assert delta["gemm_calls"] == 11 * trainer.engine.stats.server_steps
     assert counts["reply_lists"] == counts["replies"]
     assert counts["wire_messages"] == 2 * len(dataset)
     assert counts["default_factory_calls"] == 0

@@ -6,10 +6,13 @@ concatenated pass must reproduce the weighted-accumulation reference with
 nothing beyond float64 round-off from BLAS blocking.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import repro.core.server as server_module
+import repro.utils.perf as perf_module
 from repro.api.runtime import scale_architecture
 from repro.core.config import TrainingConfig
 from repro.core.messages import ActivationMessage
@@ -20,6 +23,7 @@ from repro.nn import Tensor
 from repro.nn.dtype import default_dtype
 from repro.nn.losses import get_loss
 from repro.nn.metrics import accuracy
+from repro.utils.perf import track
 
 
 def make_messages(spec, count, batch_sizes=None, seed=0):
@@ -83,15 +87,27 @@ def reference_process(server, message):
             accuracy(logits, message.labels))
 
 
+def assert_same_bytes(left, right):
+    assert left.dtype == right.dtype and left.shape == right.shape
+    assert left.tobytes() == right.tobytes()
+
+
+def assert_same_training_state(current, reference):
+    """Weights, optimizer step count and every optimizer slot, byte for byte."""
+    for key, value in reference.state_dict().items():
+        assert_same_bytes(current.state_dict()[key], value)
+    slots = reference.optimizer.state_dict()
+    current_slots = current.optimizer.state_dict()
+    assert current_slots["step_count"] == slots["step_count"]
+    for name, buffers in slots["slots"].items():
+        for left, right in zip(current_slots["slots"][name], buffers):
+            assert_same_bytes(left, right)
+
+
 class TestOneMessageStepPin:
     """``process`` (one message through ``process_batch``) is bit-identical
     to :func:`reference_process`: weights, optimizer slots, reply-gradient
     bytes, reported loss and accuracy, over three consecutive steps."""
-
-    @staticmethod
-    def _assert_same_bytes(left, right):
-        assert left.dtype == right.dtype and left.shape == right.shape
-        assert left.tobytes() == right.tobytes()
 
     @pytest.mark.parametrize("scale, client_blocks", [
         ("paper", 1), ("laptop", 1), ("laptop", 2),
@@ -113,17 +129,11 @@ class TestOneMessageStepPin:
                 reply = current.process(message)
                 gradient, reported_loss, reported_accuracy = reference_process(
                     frozen, message)
-                self._assert_same_bytes(reply.gradient, gradient)
+                assert_same_bytes(reply.gradient, gradient)
                 assert reply.loss == reported_loss
                 assert reply.accuracy == reported_accuracy
-        for key, value in frozen.state_dict().items():
-            self._assert_same_bytes(current.state_dict()[key], value)
-        slots = frozen.optimizer.state_dict()
-        current_slots = current.optimizer.state_dict()
-        assert current_slots["step_count"] == slots["step_count"] == 3
-        for name, buffers in slots["slots"].items():
-            for left, right in zip(current_slots["slots"][name], buffers):
-                self._assert_same_bytes(left, right)
+        assert_same_training_state(current, frozen)
+        assert frozen.optimizer.step_count == 3
         assert current.batches_processed == frozen.batches_processed
         assert current.samples_processed == frozen.samples_processed
 
@@ -272,6 +282,136 @@ class TestReplyPath:
         replies, boundary = self._replies_and_boundary(server, messages, None, monkeypatch)
         assert boundary.dtype == np.float64 and replies[1].gradient.dtype == np.float32
         self._assert_parent_replies(replies, messages, boundary, [(0, 3), (3, 4), (4, 6)])
+
+
+def input_gradient_tensor(data, requires_grad=False, **kwargs):
+    """``Tensor`` as the server step built its input before cut 0 stopped
+    computing the boundary gradient: it always asks for a gradient."""
+    return Tensor(data, requires_grad=True, **kwargs)
+
+
+def counted(step, monkeypatch, *, input_gradient=False):
+    """``(step(), counter deltas, Counter of workspace tags requested)``.  With
+    ``input_gradient`` the server's input asks for a gradient whatever the cut."""
+    tags = Counter()
+    get = perf_module.WorkspaceCache.get
+
+    def recording_get(self, tag, shape, dtype):
+        tags[tag] += 1
+        return get(self, tag, shape, dtype)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(perf_module.WorkspaceCache, "get", recording_get)
+        if input_gradient:
+            patch.setattr(server_module, "Tensor", input_gradient_tensor)
+        with track() as delta:
+            result = step()
+    return result, delta, tags
+
+
+class TestBoundaryGradientOnlyWhenRead:
+    """At cut 0 no end-system back-propagates the reply, so the server step
+    computes no boundary gradient: one GEMM fewer than a twin whose input
+    still asks for one, none of the first conv's input-gradient workspaces,
+    zero replies of each message's shape and dtype, and otherwise
+    byte-identical training.  Every engine golden runs at cut 1, so these
+    counts pin cut 0."""
+
+    DRAINS = ("one_message", "concatenated", "arena")
+
+    @staticmethod
+    def _drain(server, messages, drain):
+        if drain == "one_message":
+            return [server.process(messages[0])]
+        if drain == "concatenated":
+            return server.process_batch(messages)
+        for message in messages:
+            server.receive(message)
+        return [reply for _, reply in server.process_pending_batch(now=10.0)]
+
+    def _twin_steps(self, spec, drain, dtype, monkeypatch):
+        """The drain on a server and on its input-gradient twin:
+        ``(messages, (replies, deltas, tags) per side)``."""
+        with default_dtype(dtype):
+            messages = make_messages(spec, count=3, batch_sizes=[3, 1, 2], seed=9)
+            for message in messages:
+                message.activations = message.activations.astype(dtype)
+            if drain == "concatenated":
+                # Ragged traffic: a reply keeps its own message's dtype.
+                messages[1].activations = messages[1].activations.astype(np.float16)
+            current = CentralServer(spec, seed=6)
+            twin = CentralServer(spec, seed=6)
+            sides = [counted(lambda: self._drain(current, messages, drain), monkeypatch),
+                     counted(lambda: self._drain(twin, messages, drain), monkeypatch,
+                             input_gradient=True)]
+        if drain == "arena":
+            assert all(delta["arena_gather_zero_copy"] == 1 for _, delta, _ in sides)
+        assert_same_training_state(current, twin)
+        replies, twin_replies = sides[0][0], sides[1][0]
+        for reply, twin_reply in zip(replies, twin_replies):
+            assert (reply.loss, reply.accuracy) == (twin_reply.loss, twin_reply.accuracy)
+        return messages[:len(replies)], sides
+
+    @pytest.mark.parametrize("drain", DRAINS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cut_zero_replies_zeros_without_the_input_gradient(self, tiny_architecture,
+                                                               drain, dtype, monkeypatch):
+        spec = SplitSpec(tiny_architecture, client_blocks=0)
+        messages, ((replies, delta, tags), (twin_replies, twin_delta, twin_tags)) = (
+            self._twin_steps(spec, drain, dtype, monkeypatch))
+        assert delta["gemm_calls"] == twin_delta["gemm_calls"] - 1
+        # The twin's first conv alone also requests its patch-gradient GEMM
+        # output and the channel-major copy of it (3 input channels); the
+        # 4-channel L2 still folds channel-major on both sides.
+        assert twin_tags - tags == Counter({"conv2d.grad_cols": 1, "conv2d.grad_cols_t": 1})
+        assert not tags - twin_tags
+        for reply, twin_reply, message in zip(replies, twin_replies, messages):
+            gradient = reply.gradient
+            assert gradient.shape == message.activations.shape
+            assert gradient.dtype == message.activations.dtype
+            assert gradient.flags.c_contiguous
+            assert not gradient.any() and twin_reply.gradient.any()
+            assert reply.size_bytes == twin_reply.size_bytes == message.activations.nbytes
+
+    @pytest.mark.parametrize("drain", DRAINS)
+    def test_cut_one_still_replies_the_boundary_gradient(self, tiny_split_spec, drain,
+                                                         monkeypatch):
+        _, ((replies, delta, tags), (twin_replies, twin_delta, twin_tags)) = self._twin_steps(
+            tiny_split_spec, drain, np.float64, monkeypatch)
+        assert delta["gemm_calls"] == twin_delta["gemm_calls"]
+        assert tags == twin_tags and tags["conv2d.grad_cols"] > 0
+        for reply, twin_reply in zip(replies, twin_replies):
+            assert_same_bytes(reply.gradient, twin_reply.gradient)
+            assert reply.size_bytes == twin_reply.size_bytes
+
+    @pytest.mark.parametrize("mode", ["synchronous", "asynchronous"])
+    def test_cut_zero_run_matches_its_input_gradient_twin(self, tiny_architecture,
+                                                          tiny_parts, normalize, mode,
+                                                          monkeypatch):
+        """A whole cut-0 run reaches the twin's weights, engine counters,
+        traffic ledger and clock, one GEMM fewer per server step."""
+        def run(input_gradient):
+            trainer = SpatioTemporalTrainer(
+                SplitSpec(tiny_architecture, client_blocks=0), tiny_parts,
+                TrainingConfig.fast_debug(
+                    mode=mode, epochs=2,
+                    max_in_flight=2 if mode == "asynchronous" else 1),
+                train_transform=normalize)
+            history, delta, _ = counted(trainer.train, monkeypatch,
+                                        input_gradient=input_gradient)
+            return trainer, history, delta
+
+        trainer, history, delta = run(False)
+        twin, twin_history, twin_delta = run(True)
+        steps = trainer.engine.stats.server_steps
+        assert steps > 0
+        assert delta["gemm_calls"] == twin_delta["gemm_calls"] - steps
+        assert_same_training_state(trainer.server, twin.server)
+        assert trainer.engine.stats == twin.engine.stats
+        assert trainer.transport.log.summary() == twin.transport.log.summary()
+        assert trainer.engine.clock == twin.engine.clock
+        assert ([(r.train_loss, r.train_accuracy) for r in history.records]
+                == [(r.train_loss, r.train_accuracy) for r in twin_history.records])
 
 
 class TestSegmentMeans:
