@@ -496,8 +496,9 @@ class TrainingEngine:
         #: tests/obs/test_obs_equivalence.py).  Instruments are resolved
         #: once here; the hot paths only ``observe``/``inc`` on them.
         self.obs = obs if obs is not None else NULL_OBS
+        stats = self.stats  # not self: the registry must not hold the engine
         self.obs.registry.register_collector(
-            lambda: samples_from_mapping("engine", self.stats.as_dict()))
+            lambda: samples_from_mapping("engine", stats.as_dict()))
         self._obs_queue_wait = self.obs.registry.histogram(
             "engine.queue_wait_seconds", QUEUE_WAIT_BOUNDS_S)
         self._obs_retries = self.obs.registry.histogram(

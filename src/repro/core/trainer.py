@@ -338,32 +338,40 @@ class SpatioTemporalTrainer:
         :func:`repro.obs.invariants.drop_balance_from_metrics` rebuilds
         the leak-freedom invariant from.  The engine registers its own
         ``engine.*`` collector when constructed.
+
+        Each collector captures the collaborators it reads (bound once, in
+        ``__init__``), never ``self``: the trainer holds the registry, so a
+        closure over the trainer would make a cycle that only the cycle
+        collector frees.  ``transport`` is captured rather than its
+        ``log``, which :meth:`~repro.simnet.transport.Transport.reset_log`
+        rebinds.
         """
         if not self.obs.enabled:
             return
         registry = self.obs.registry
+        transport, cluster, end_systems = self.transport, self.cluster, self.end_systems
 
         def collect_traffic() -> List[Sample]:
-            return samples_from_mapping("traffic", self.transport.log.summary())
+            return samples_from_mapping("traffic", transport.log.summary())
 
         def collect_cluster() -> List[Sample]:
             return samples_from_mapping(
-                "cluster", {"queue_dropped": self.cluster.queue_dropped})
+                "cluster", {"queue_dropped": cluster.queue_dropped})
 
         def collect_clients() -> List[Sample]:
             rows = samples_from_mapping("clients", {
                 "drops_notified": sum(
-                    es.drops_notified for es in self.end_systems),
+                    es.drops_notified for es in end_systems),
             })
             rows.extend(samples_from_mapping("clients", {
                 "pending_batches": sum(
-                    es.pending_batches for es in self.end_systems),
+                    es.pending_batches for es in end_systems),
             }, kind="gauge"))
             return rows
 
         def collect_shards() -> List[Sample]:
             rows: List[Sample] = []
-            for shard in self.cluster.shards:
+            for shard in cluster.shards:
                 rows.extend(samples_from_mapping(
                     "shard", shard.stats(),
                     labels={"shard": shard.shard_id}))

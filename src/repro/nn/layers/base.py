@@ -123,7 +123,8 @@ class Module:
                     f"shape mismatch for parameter {name!r}: "
                     f"expected {parameter.data.shape}, got {value.shape}"
                 )
-            parameter.data = value.astype(parameter.data.dtype).copy()
+            # astype copies (C order, as parameters are): the one copy a restore makes.
+            parameter.data = value.astype(parameter.data.dtype, order="C")
         unexpected = [key for key in state if key not in own_parameters]
         if strict and (missing or unexpected):
             raise KeyError(

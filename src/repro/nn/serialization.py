@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import math
 import struct
 import sys
 import zlib
@@ -168,18 +169,121 @@ def save_state_dict(state: Dict[str, np.ndarray], path: PathLike) -> Path:
     return path
 
 
+# --------------------------------------------------------------------------- #
+# Zip reader: the archives above, and older deflated ones, without zipfile
+# --------------------------------------------------------------------------- #
+# np.load opens each member through zipfile and parses its .npy header with
+# ast.literal_eval, per member and per load.  The reader below walks the
+# central directory once, slices (or inflates) each member out of the buffer
+# and parses each distinct .npy header once per process.
+_LOCAL_NAME_EXTRA = struct.Struct("<2H")  # a local header's last two fields
+_NPY_MAGIC = b"\x93NUMPY"
+#: .npy versions read here, by their (major, minor) bytes: the header-length
+#: field that follows the magic (np.save writes 3.0 only for headers that
+#: are not latin-1, which the writer above never produces).
+_NPY_HEADER_LENGTH = {(1, 0): struct.Struct("<H"), (2, 0): struct.Struct("<I")}
+_DEFLATED = 8
+
+
+@functools.lru_cache(maxsize=1024)
+def _npy_fields(header: bytes) -> Tuple[np.dtype, Tuple[int, ...], bool]:
+    """``(dtype, shape, fortran_order)`` of a complete ``.npy`` header."""
+    stream = io.BytesIO(header)
+    version = npy_format.read_magic(stream)
+    read = (npy_format.read_array_header_1_0 if version == (1, 0)
+            else npy_format.read_array_header_2_0)
+    shape, fortran_order, dtype = read(stream)
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be loaded: checkpoints never hold pickles")
+    return dtype, shape, fortran_order
+
+
+def _read_npy(members: Dict[bytes, memoryview], name: bytes) -> np.ndarray:
+    """The array the ``.npy`` member ``name`` holds, copied out of the
+    archive so that it is writable and keeps no archive buffer alive."""
+    body = members[name]
+    length = _NPY_HEADER_LENGTH.get(tuple(body[6:8]))
+    if body[:6] != _NPY_MAGIC or length is None:
+        raise ValueError(f"member {name!r} is not a version 1.0 or 2.0 .npy file")
+    start = len(_NPY_MAGIC) + 2 + length.size
+    start += length.unpack_from(body, start - length.size)[0]
+    dtype, shape, fortran_order = _npy_fields(bytes(body[:start]))
+    count = math.prod(shape)
+    if len(body) < start + count * dtype.itemsize:
+        raise ValueError(f"member {name!r} is shorter than its .npy header says")
+    flat = (np.frombuffer(body, dtype, count, start).copy() if count and dtype.itemsize
+            else np.ndarray(count, dtype))
+    return flat.reshape(shape[::-1]).T if fortran_order else flat.reshape(shape)
+
+
+def _archive_members(payload: bytes) -> Dict[bytes, memoryview]:
+    """Every member's uncompressed bytes by name, from one walk of the central
+    directory (stored members are views of ``payload``, deflated ones are
+    inflated)."""
+    end = payload.rfind(b"PK\x05\x06", max(0, len(payload) - _END_RECORD.size - 0xFFFF))
+    if end < 0:
+        raise ValueError("not a zip archive: no end-of-central-directory record")
+    fields = _END_RECORD.unpack_from(payload, end)
+    count, position = fields[4], fields[6]
+    locator = end - _ZIP64_LOCATOR.size
+    if locator >= 0 and payload.startswith(b"PK\x06\x07", locator):
+        fields = _ZIP64_END_RECORD.unpack_from(
+            payload, _ZIP64_LOCATOR.unpack_from(payload, locator)[2])
+        count, position = fields[7], fields[9]
+    view = memoryview(payload)
+    members: Dict[bytes, memoryview] = {}
+    for _ in range(count):
+        (signature, _, _, _, _, _, method, _, _, _, compressed, size, name_length,
+         extra_length, comment_length, _, _, _, offset) = _CENTRAL_HEADER.unpack_from(
+            payload, position)
+        name_start = position + _CENTRAL_HEADER.size
+        name = payload[name_start:name_start + name_length]
+        position = name_start + name_length + extra_length + comment_length
+        if signature != b"PK\x01\x02" or not payload.startswith(b"PK\x03\x04", offset):
+            raise ValueError(f"member {name!r}: bad zip header signature")
+        if 0xFFFFFFFF in (compressed, size, offset):
+            raise ValueError(f"member {name!r} has zip64 sizes, which no checkpoint uses")
+        start = offset + _LOCAL_HEADER.size + sum(
+            _LOCAL_NAME_EXTRA.unpack_from(payload, offset + _LOCAL_HEADER.size - 4))
+        data = view[start:start + compressed]
+        if method == _DEFLATED:
+            data = memoryview(zlib.decompress(data, -zlib.MAX_WBITS))
+        elif method != 0:
+            raise ValueError(f"member {name!r} uses zip compression method {method}")
+        if len(data) != size:
+            raise ValueError(f"member {name!r} is truncated")
+        members[name] = data
+    return members
+
+
 def load_state_dict(source: Union[PathLike, bytes]) -> Dict[str, np.ndarray]:
     """Read a state dictionary from a path :func:`save_state_dict` wrote, or
-    from archive bytes already in memory (stored or deflated members alike)."""
+    from archive bytes already in memory.
+
+    Reads what :func:`dump_state_dict` writes — and archives older commits
+    wrote with deflated members — without ``zipfile`` or ``np.load``: one
+    walk of the central directory (zip64 end record included), each
+    ``.npy`` header parsed once per distinct header. Every returned array is
+    a writable copy that shares no memory with the archive or with another
+    array. Raises ``ValueError`` for a malformed or truncated archive or
+    member, a ``.npy`` version other than 1.0/2.0, and an object dtype (as
+    ``np.load(allow_pickle=False)`` does); no member CRC is checked, so
+    callers that need integrity checksum the bytes (the file store does).
+    """
     if isinstance(source, bytes):
-        file: Union[io.BytesIO, Path] = io.BytesIO(source)
+        payload = source
     else:
-        file = Path(source)
-        if not file.exists():
-            raise FileNotFoundError(f"no checkpoint at {file}")
-    with np.load(file) as archive:
-        keys = _array_to_json(archive[_MANIFEST_KEY])
-        return {key: archive[f"array_{index}"] for index, key in enumerate(keys)}
+        path = Path(source)
+        if not path.exists():
+            raise FileNotFoundError(f"no checkpoint at {path}")
+        payload = path.read_bytes()
+    try:
+        members = _archive_members(payload)
+        keys = _array_to_json(_read_npy(members, _MANIFEST_KEY.encode() + b".npy"))
+        return {key: _read_npy(members, b"array_%d.npy" % index)
+                for index, key in enumerate(keys)}
+    except (KeyError, struct.error, zlib.error) as exc:
+        raise ValueError(f"malformed state archive: {exc!r}") from exc
 
 
 # --------------------------------------------------------------------------- #

@@ -38,12 +38,14 @@ an unreferenced orphan) or the new one (the payload rename already
 happened), never a manifest pointing at a half-written or deleted file.
 A write that raises unlinks its own temp files before re-raising.
 Loads walk the manifest newest-first; each candidate file is read once,
-the checksum is verified on those bytes and the arrays are parsed from
-the same buffer (``np.load`` reads stored and older deflated members
+the checksum is verified on those bytes and the arrays are copied out of
+the same buffer by :func:`~repro.nn.serialization.load_state_dict` (one
+walk of the zip's central directory; stored and older deflated members
 alike), falling back to the previous intact checkpoint when the newest
-is truncated or corrupted; stale ``*.tmp`` droppings a killed writer left
-are ignored by loads and swept by each store's first save (the directory
-is listed once per store, not once per write).
+is truncated, corrupted or holds what the reader refuses (an object
+array); stale ``*.tmp`` droppings a killed writer left are ignored by
+loads and swept by each store's first save (the directory is listed once
+per store, not once per write).
 """
 
 from __future__ import annotations
@@ -317,7 +319,7 @@ class FileCheckpointStore(CheckpointStore):
                 continue
             try:
                 arrays = load_state_dict(payload)
-            except Exception:  # pragma: no cover - checksum already vetted
+            except ValueError:  # intact bytes the reader refuses (an object array)
                 logger.warning("checkpoint %s failed to parse; falling back", path)
                 continue
             return arrays, copy.deepcopy(record["meta"])

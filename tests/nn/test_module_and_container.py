@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Dense, Flatten, MaxPool2D, Module, Parameter, ReLU, Sequential, Tensor
+from repro.nn.dtype import default_dtype
 from repro.nn.layers.base import Parameter as BaseParameter
 
 
@@ -53,6 +54,21 @@ class TestModule:
         state = dense.state_dict()
         state["weight"][:] = 0.0
         assert not np.allclose(dense.weight.data, 0.0)
+
+    @pytest.mark.parametrize("parameter_dtype", [np.float64, np.float32])
+    def test_load_state_dict_copies_each_value_once(self, rng, parameter_dtype):
+        """Same dtype or cast from float64, each parameter gets the state
+        entry's values in a C-ordered buffer of its own."""
+        with default_dtype(parameter_dtype):
+            dense = Dense(3, 2, rng=rng)
+        state = {"weight": np.asfortranarray(rng.normal(size=(3, 2))),
+                 "bias": rng.normal(size=2)}
+        dense.load_state_dict(state)
+        for name, parameter in dense.named_parameters():
+            data = parameter.data
+            assert data.dtype == parameter_dtype and data.flags.c_contiguous
+            assert data.tobytes() == state[name].astype(parameter_dtype).tobytes()
+            assert not np.shares_memory(data, state[name])
 
     def test_load_state_dict_shape_mismatch(self, rng):
         dense = Dense(3, 2, rng=rng)
